@@ -9,8 +9,8 @@ splitting restarts into separate bundled attacks is exactly equivalent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -91,10 +91,17 @@ def project(x: np.ndarray, clean: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) -> None:
+    """Reject a candidate outside the feasible box; a non-finite one is a failed attack."""
     adv = candidate.adversarial_input
     if adv.shape != clean.shape:
         raise ShapeError(f"candidate shape {adv.shape} does not match clean {clean.shape}")
-    if np.max(np.abs(adv - clean)) > epsilon + 1e-9:
+    # the distance is NaN or inf exactly when some entry is, so the ball
+    # check's own reduction doubles as the finiteness check
+    dist = float(np.max(np.abs(adv - clean)))
+    if not math.isfinite(dist):
+        raise AttackFailedError(candidate.example_index, candidate.attack_id,
+                                restart=candidate.restart_index, reason="non-finite candidate")
+    if dist > epsilon + 1e-9:
         raise ContractError(f"candidate from {candidate.attack_id!r} leaves the epsilon ball")
     if np.any(adv < 0.0) or np.any(adv > 1.0):
         raise ContractError(f"candidate from {candidate.attack_id!r} leaves [0, 1]")
@@ -176,14 +183,3 @@ def run_attack(params: ModelParams, example: Example, config: AttackConfig,
                              config.attack_id, example_index)
     raise ContractError(f"no runner for variant {config.variant!r}")
 
-
-def dump_candidates_csv(path: str | Path, candidates: Sequence[Candidate]) -> None:
-    """One row per candidate: example_index, attack_id, restart_index, features."""
-    with open(path, "w", newline="") as fh:
-        d = candidates[0].adversarial_input.shape[0] if candidates else 0
-        header = ["example_index", "attack_id", "restart_index"] + [f"x{j}" for j in range(d)]
-        fh.write(",".join(header) + "\n")
-        for c in candidates:
-            row = [str(c.example_index), c.attack_id, str(c.restart_index)]
-            row += [repr(float(v)) for v in c.adversarial_input]
-            fh.write(",".join(row) + "\n")

@@ -15,7 +15,6 @@ superset of the clean error rate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -245,14 +244,16 @@ def _seeds_for(root_seed: int, example_index: int, config: AttackConfig):
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
            criterion: Criterion, budget: BudgetPolicy | None = None, seed: int = 0,
            runners: Mapping[str, Runner] | None = None,
-           keep_candidates: bool = False, workers: int = 1) -> BundleResult:
+           keep_candidates: bool = False) -> BundleResult:
     """Run every scheduled attack and keep the best candidate per example.
 
     The chosen candidate is maximal under `prefer` among everything
     generated for that example, including the clean baseline. A failed
-    attack is logged and contributes nothing; it never aborts the bundle.
-    Deterministic given seed: per-(example, attack, restart) seeds come
-    from derive_seed, so workers > 1 reproduces the serial result.
+    attack, including one that returns a non-finite candidate, is logged
+    and contributes nothing; it never aborts the bundle. Deterministic
+    given seed: every (example, attack, restart) draws from its own
+    derive_seed stream, so no draw depends on the schedule or on which
+    other examples and attacks ran.
     """
     budget = budget if budget is not None else BudgetPolicy()
     attacks = list(attacks)
@@ -284,35 +285,21 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     state = ScheduleState(tuple(attacks), [0] * n,
                           [goal(s) for _, s in chosen])
 
-    def execute(assignment: tuple[int, AttackConfig]):
-        i, cfg = assignment
-        ex = dataset.examples[i]
-        runner = (runners or {}).get(cfg.variant)
-        try:
-            if runner is not None:
-                cands = runner(params, ex, cfg, _seeds_for(seed, i, cfg), i)
-            else:
-                cands = run_attack(params, ex, cfg, _seeds_for(seed, i, cfg), i)
-            scored = []
-            for c in cands:
-                validate_candidate(c, ex.features, cfg.epsilon)
-                scored.append((c, score(params, ex, c, example_index=i)))
-            return i, cfg, scored, None
-        except AttackFailedError as err:
-            return i, cfg, None, err
-
     while True:
         assignments = schedule(budget, state)
         if not assignments:
             break
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(execute, assignments))
-        else:
-            results = [execute(a) for a in assignments]
-        for i, cfg, scored, err in results:
+        for i, cfg in assignments:
+            ex = dataset.examples[i]
+            runner = (runners or {}).get(cfg.variant, run_attack)
             state.attacks_run[i] += 1
-            if err is not None:
+            try:
+                cands = runner(params, ex, cfg, _seeds_for(seed, i, cfg), i)
+                scored = []
+                for c in cands:
+                    validate_candidate(c, ex.features, cfg.epsilon)
+                    scored.append((c, score(params, ex, c, example_index=i)))
+            except AttackFailedError:
                 log[i].append(ComputationRecord(cfg.attack_id, 0, failed=True))
                 continue
             log[i].append(ComputationRecord(cfg.attack_id, len(scored)))
@@ -339,8 +326,9 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
             log[i][-1].stopped_early = True
     units = np.array([len(log[i]) for i in range(n)], dtype=np.int64)
     bundled = matrix.bundled_error_rate()
-    # row-wise OR must agree with the chosen candidates exactly
-    assert bundled == float(np.mean([s.misclassified for _, s in chosen]))
+    if bundled != float(np.mean([s.misclassified for _, s in chosen])):
+        raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
+                            "disagrees with the chosen candidates")
     return BundleResult(criterion, chosen, matrix, matrix.per_attack_error_rates(),
                         bundled, log, units, stopped, pools)
 

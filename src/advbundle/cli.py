@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .attacks import dump_candidates_csv
 from .bundler import (MIN_NORM, BudgetPolicy, BundleResult, Criterion, bundle,
                       reselect)
 from .config import (ExperimentConfig, load_experiment_config, with_output_dir)
@@ -21,9 +19,9 @@ from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      TrainingDivergedError)
 from .models import ModelParams, TrainParams, predict, save_model, train
-from .reporting import (fmt, make_tables, norm_curve, success_fail_curve,
-                        wat_underestimation_report, write_chosen_csv,
-                        write_norm_curve_csv, write_rates_csv,
+from .reporting import (dump_candidates_csv, fmt, make_tables, norm_curve,
+                        success_fail_curve, wat_underestimation_report,
+                        write_chosen_csv, write_norm_curve_csv, write_rates_csv,
                         write_sf_curve_csv, write_wat_gap_csv)
 
 OUTPUT_DIR_ENV = "ADVBUNDLE_OUTPUT_DIR"
@@ -45,8 +43,8 @@ def _train_model(config: ExperimentConfig, dataset: Dataset) -> ModelParams:
     return train(dataset, config.architecture, hp)
 
 
-def _summary_text(config: ExperimentConfig, dataset: Dataset, clean_error: float,
-                  mat, wat, bundled, result: BundleResult) -> str:
+def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
+                  result: BundleResult) -> str:
     lines = ["attack bundling experiment", ""]
     if config.dataset == "synthetic":
         lines.append(f"dataset: synthetic blobs n={config.synth_n} d={config.synth_d} "
@@ -63,7 +61,7 @@ def _summary_text(config: ExperimentConfig, dataset: Dataset, clean_error: float
                  f"early_stop: {str(config.early_stop).lower()}")
     lines.append(f"root seed: {config.seed}")
     lines.append("")
-    lines.append(f"clean error rate: {clean_error * 100:.2f}%")
+    lines.append(f"clean error rate: {mat.clean_error * 100:.2f}%")
     lines.append("per-attack error rates:")
     for rate in mat.per_attack:
         note = "" if rate.complete else "  (incomplete column: lower bound)"
@@ -94,14 +92,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         config.max_units is None or config.max_units >= len(config.attacks))
     keep = config.dump_candidates or (need_min_norm and exhaustive)
     primary = bundle(model, dataset, config.attacks, config.criterion, budget,
-                     seed=config.seed, workers=config.workers,
-                     keep_candidates=keep)
+                     seed=config.seed, keep_candidates=keep)
 
-    preds = [predict(model, ex.features) for ex in dataset.examples]
-    clean_correct = [p.predicted_class == ex.label
-                     for p, ex in zip(preds, dataset.examples)]
-    clean_error = 1.0 - sum(clean_correct) / len(dataset)
-    mat, wat, bundled_table = make_tables(primary, clean_correct)
+    mat, wat, bundled_table = make_tables(primary)
     sf = success_fail_curve(model, dataset, primary, config.threshold_grid)
 
     # the norm curve needs the min-norm choice, which never stops early;
@@ -113,7 +106,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     else:
         min_norm_result = bundle(model, dataset, config.attacks, Criterion.min_norm(),
                                  BudgetPolicy(config.max_units, early_stop=False),
-                                 seed=config.seed, workers=config.workers)
+                                 seed=config.seed)
     curve = norm_curve(min_norm_result, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 
@@ -129,7 +122,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         dump_candidates_csv(outdir / "candidates.csv", all_cands)
         paths["candidates.csv"] = outdir / "candidates.csv"
     paths["summary.txt"].write_text(
-        _summary_text(config, dataset, clean_error, mat, wat, bundled_table, primary))
+        _summary_text(config, dataset, mat, wat, bundled_table, primary))
     return paths
 
 
@@ -145,10 +138,6 @@ def _resolve_output_dir(config: ExperimentConfig, flag_value: str | None) -> Exp
 def _cmd_run(args) -> int:
     config = load_experiment_config(args.config)
     config = _resolve_output_dir(config, args.output_dir)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        config = replace(config, workers=args.workers)
     paths = run_experiment(config)
     print(Path(paths["summary.txt"]).read_text(), end="")
     return 0
@@ -194,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a full experiment from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="write a synthetic blob dataset as CSV")

@@ -3,20 +3,25 @@
 The format is deliberately line-oriented so configs diff cleanly: global
 keys first, then one section per attack. Grids accept either a comma list
 or lo:hi:count (inclusive linspace). parse -> serialize -> parse is exact.
+
+The config keys are the fields of `ExperimentConfig` and `AttackConfig`;
+each field's annotation picks its parse and format functions from
+`_CODECS`. Only the criterion (keys `criterion` and `threshold`), the
+attack list (the sections) and an attack's id (its section header) are
+handled by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .attacks import AttackConfig
-from .bundler import MAX_CONFIDENCE, Criterion
+from .bundler import MAX_CONFIDENCE, MISCLASSIFY, Criterion
 from .errors import ConfigError, ContractError
-
-_CRITERIA = ("misclassify", "max_confidence", "min_norm")
+from .reporting import fmt
 
 
 def _default_threshold_grid() -> tuple[float, ...]:
@@ -25,6 +30,10 @@ def _default_threshold_grid() -> tuple[float, ...]:
 
 def _default_epsilon_grid() -> tuple[float, ...]:
     return tuple(float(e) for e in np.linspace(0.0, 0.3, 31))
+
+
+def _is_sorted(values: tuple[float, ...]) -> bool:
+    return all(a <= b for a, b in zip(values, values[1:]))
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,6 @@ class ExperimentConfig:
     gap_ns: tuple[int, ...] = (1, 2, 10, 100, 1000)
     seed: int = 0
     output_dir: str = "out"
-    workers: int = 1
     dump_candidates: bool = False
     attacks: tuple[AttackConfig, ...] = ()
 
@@ -58,84 +66,90 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset = csv requires csv_path")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.max_units is not None and self.max_units < 0:
+            raise ConfigError("max_units must be >= 0")
+        if not all(0.5 <= t < 1.0 for t in self.threshold_grid):
+            raise ConfigError("threshold_grid must lie in [0.5, 1)")
+        if not _is_sorted(self.threshold_grid):
+            raise ConfigError("threshold_grid must be sorted ascending")
+        if not _is_sorted(self.epsilon_grid):
+            raise ConfigError("epsilon_grid must be sorted ascending")
 
 
-def _parse_bool(value: str, where: str) -> bool:
+def _parse_bool(value: str) -> bool:
     if value.lower() in ("true", "yes", "1"):
         return True
     if value.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{where}: expected true/false, got {value!r}")
+    raise ValueError(f"expected true/false, got {value!r}")
 
 
-def _parse_grid(value: str, where: str) -> tuple[float, ...]:
+def _parse_grid(value: str) -> tuple[float, ...]:
+    if ":" in value:
+        lo, hi, count = value.split(":")
+        return tuple(float(t) for t in np.linspace(float(lo), float(hi), int(count)))
+    return tuple(float(v) for v in value.split(","))
+
+
+def _parse_int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(","))
+
+
+# field annotation (a string under `from __future__ import annotations`)
+# -> (parse, format); parse raises ValueError on a malformed value
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, fmt),
+    "bool": (_parse_bool, lambda v: str(v).lower()),
+    "tuple[float, ...]": (_parse_grid, lambda v: ",".join(fmt(t) for t in v)),
+    "tuple[int, ...]": (_parse_int_list, lambda v: ",".join(str(n) for n in v)),
+}
+# an optional field reads "none" as None; serialize leaves None fields out
+_CODECS.update({
+    f"{name} | None": (lambda v, parse=parse: None if v.lower() == "none" else parse(v), form)
+    for name, (parse, form) in _CODECS.items()
+})
+
+
+def _keys(cls, *by_name: str) -> dict[str, tuple]:
+    """Config key -> codec for every field of cls not handled by name."""
+    return {f.name: _CODECS[f.type] for f in fields(cls) if f.name not in by_name}
+
+
+_EXPERIMENT_KEYS = _keys(ExperimentConfig, "criterion", "attacks")
+# the criterion field is written as two top-level keys
+_TOP_KEYS = {**_EXPERIMENT_KEYS, "criterion": _CODECS["str"], "threshold": _CODECS["float"]}
+_ATTACK_KEYS = _keys(AttackConfig, "attack_id")
+
+
+def _convert(codecs: dict[str, tuple], entries: dict[str, tuple[str, str]]) -> dict:
+    """Parse each `key -> (value, where)` entry with its key's codec."""
+    out = {}
+    for key, (value, where) in entries.items():
+        try:
+            out[key] = codecs[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
+    return out
+
+
+def _build_attack(attack_id: str, where: str,
+                  entries: dict[str, tuple[str, str]]) -> AttackConfig:
+    for f in fields(AttackConfig):
+        if f.name in _ATTACK_KEYS and f.default is MISSING and f.name not in entries:
+            raise ConfigError(f"{where}: attack section needs {f.name}")
     try:
-        if ":" in value:
-            lo, hi, count = value.split(":")
-            return tuple(float(t) for t in np.linspace(float(lo), float(hi), int(count)))
-        return tuple(float(v) for v in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad grid spec {value!r}") from exc
-
-
-def _parse_int_list(value: str, where: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad integer list {value!r}") from exc
-
-
-def _build_attack(attack_id: str, fields: dict[str, str], where: str) -> AttackConfig:
-    known = {"variant", "epsilon", "step_size", "num_steps", "num_restarts",
-             "random_init", "num_samples", "restart_seeds"}
-    for key in fields:
-        if key not in known:
-            raise ConfigError(f"{where}: unknown attack key {key!r}")
-    if "variant" not in fields:
-        raise ConfigError(f"{where}: attack section needs a variant")
-    if "epsilon" not in fields:
-        raise ConfigError(f"{where}: attack section needs an epsilon")
-    try:
-        kwargs = {
-            "attack_id": attack_id,
-            "variant": fields["variant"],
-            "epsilon": float(fields["epsilon"]),
-        }
-        if "step_size" in fields:
-            kwargs["step_size"] = float(fields["step_size"])
-        if "num_steps" in fields:
-            kwargs["num_steps"] = int(fields["num_steps"])
-        if "num_restarts" in fields:
-            kwargs["num_restarts"] = int(fields["num_restarts"])
-        if "random_init" in fields:
-            kwargs["random_init"] = _parse_bool(fields["random_init"], where)
-        if "num_samples" in fields:
-            kwargs["num_samples"] = int(fields["num_samples"])
-        if "restart_seeds" in fields:
-            kwargs["restart_seeds"] = _parse_int_list(fields["restart_seeds"], where)
-        return AttackConfig(**kwargs)
+        return AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
     except ContractError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-_GLOBAL_KEYS = {
-    "dataset", "csv_path", "synth_n", "synth_d", "synth_k", "synth_seed",
-    "architecture", "hidden", "learning_rate", "epochs", "batch_size",
-    "train_seed", "criterion", "threshold", "max_units", "early_stop",
-    "threshold_grid", "epsilon_grid", "gap_ns", "seed", "output_dir",
-    "workers", "dump_candidates",
-}
 
 
 def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse config text; errors carry the offending line number."""
-    globals_seen: dict[str, str] = {}
-    sections: list[tuple[str, int, dict[str, str]]] = []
-    current: dict[str, str] | None = None
+    global_entries: dict[str, tuple[str, str]] = {}
+    entries, known = global_entries, _TOP_KEYS.keys()
+    sections: list[tuple[str, str, dict[str, tuple[str, str]]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,84 +165,29 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
             attack_id = header[1]
             if any(existing == attack_id for existing, _, _ in sections):
                 raise ConfigError(f"{where}: duplicate attack id {attack_id!r}")
-            current = {}
-            sections.append((attack_id, lineno, current))
+            entries, known = {}, _ATTACK_KEYS.keys()
+            sections.append((attack_id, where, entries))
             continue
         if "=" not in line:
             raise ConfigError(f"{where}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{where}: expected key = value")
-        if current is not None:
-            if key in current:
-                raise ConfigError(f"{where}: duplicate key {key!r}")
-            current[key] = value
-        else:
-            if key not in _GLOBAL_KEYS:
-                raise ConfigError(f"{where}: unknown key {key!r}")
-            if key in globals_seen:
-                raise ConfigError(f"{where}: duplicate key {key!r}")
-            globals_seen[key] = value
+        if key not in known:
+            kind = "attack key" if sections else "key"
+            raise ConfigError(f"{where}: unknown {kind} {key!r}")
+        if key in entries:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        entries[key] = (value, where)
 
-    kwargs: dict = {}
-    g = globals_seen
-
-    def take(key, conv=str):
-        if key in g:
-            try:
-                kwargs[key] = conv(g[key])
-            except ValueError as exc:
-                raise ConfigError(f"{source}: bad value for {key}: {g[key]!r}") from exc
-
-    take("dataset")
-    take("csv_path")
-    take("synth_n", int)
-    take("synth_d", int)
-    take("synth_k", int)
-    take("synth_seed", int)
-    take("architecture")
-    take("hidden", int)
-    take("learning_rate", float)
-    take("epochs", int)
-    take("batch_size", int)
-    take("train_seed", int)
-    take("seed", int)
-    take("output_dir")
-    take("workers", int)
-    if "max_units" in g:
-        kwargs["max_units"] = None if g["max_units"].lower() == "none" else int(g["max_units"])
-    if "early_stop" in g:
-        kwargs["early_stop"] = _parse_bool(g["early_stop"], source)
-    if "dump_candidates" in g:
-        kwargs["dump_candidates"] = _parse_bool(g["dump_candidates"], source)
-    if "threshold_grid" in g:
-        kwargs["threshold_grid"] = _parse_grid(g["threshold_grid"], source)
-    if "epsilon_grid" in g:
-        kwargs["epsilon_grid"] = _parse_grid(g["epsilon_grid"], source)
-    if "gap_ns" in g:
-        kwargs["gap_ns"] = _parse_int_list(g["gap_ns"], source)
-
-    variant = g.get("criterion", "misclassify")
-    if variant not in _CRITERIA:
-        raise ConfigError(f"{source}: unknown criterion {variant!r}")
+    kwargs = _convert(_TOP_KEYS, global_entries)
+    variant = kwargs.pop("criterion", MISCLASSIFY)
+    threshold = kwargs.pop("threshold", 0.9 if variant == MAX_CONFIDENCE else None)
+    attacks = tuple(_build_attack(*section) for section in sections)
     try:
-        if variant == MAX_CONFIDENCE:
-            kwargs["criterion"] = Criterion.max_confidence(float(g.get("threshold", "0.9")))
-        else:
-            if "threshold" in g:
-                raise ConfigError(f"{source}: threshold only applies to max_confidence")
-            kwargs["criterion"] = Criterion(variant)
-    except ContractError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
-    attacks = []
-    for attack_id, lineno, fields in sections:
-        attacks.append(_build_attack(attack_id, fields, f"{source}:{lineno}"))
-    kwargs["attacks"] = tuple(attacks)
-
-    try:
-        return ExperimentConfig(**kwargs)
-    except ContractError as exc:
+        return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=attacks,
+                                **kwargs)
+    except (ConfigError, ContractError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
@@ -239,53 +198,19 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return parse_experiment_config(path.read_text(), source=str(path))
 
 
+def _key_lines(obj, codecs: dict[str, tuple]) -> list[str]:
+    return [f"{f.name} = {codecs[f.name][1](getattr(obj, f.name))}"
+            for f in fields(obj) if f.name in codecs and getattr(obj, f.name) is not None]
+
+
 def serialize_experiment_config(config: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces the config exactly."""
-    from .reporting import fmt
-
-    lines = [f"dataset = {config.dataset}"]
-    if config.csv_path is not None:
-        lines.append(f"csv_path = {config.csv_path}")
-    lines += [
-        f"synth_n = {config.synth_n}",
-        f"synth_d = {config.synth_d}",
-        f"synth_k = {config.synth_k}",
-        f"synth_seed = {config.synth_seed}",
-        f"architecture = {config.architecture}",
-        f"hidden = {config.hidden}",
-        f"learning_rate = {fmt(config.learning_rate)}",
-        f"epochs = {config.epochs}",
-        f"batch_size = {config.batch_size}",
-        f"train_seed = {config.train_seed}",
-        f"criterion = {config.criterion.variant}",
-    ]
-    if config.criterion.variant == MAX_CONFIDENCE:
+    lines = _key_lines(config, _EXPERIMENT_KEYS)
+    lines.append(f"criterion = {config.criterion.variant}")
+    if config.criterion.threshold is not None:
         lines.append(f"threshold = {fmt(config.criterion.threshold)}")
-    lines += [
-        f"max_units = {'none' if config.max_units is None else config.max_units}",
-        f"early_stop = {str(config.early_stop).lower()}",
-        f"threshold_grid = {','.join(fmt(t) for t in config.threshold_grid)}",
-        f"epsilon_grid = {','.join(fmt(e) for e in config.epsilon_grid)}",
-        f"gap_ns = {','.join(str(n) for n in config.gap_ns)}",
-        f"seed = {config.seed}",
-        f"output_dir = {config.output_dir}",
-        f"workers = {config.workers}",
-        f"dump_candidates = {str(config.dump_candidates).lower()}",
-    ]
     for attack in config.attacks:
-        lines += ["", f"[attack {attack.attack_id}]", f"variant = {attack.variant}",
-                  f"epsilon = {fmt(attack.epsilon)}"]
-        if attack.step_size is not None:
-            lines.append(f"step_size = {fmt(attack.step_size)}")
-        if attack.num_steps is not None:
-            lines.append(f"num_steps = {attack.num_steps}")
-        if attack.variant == "pgd":
-            lines.append(f"num_restarts = {attack.num_restarts}")
-            lines.append(f"random_init = {str(attack.random_init).lower()}")
-        if attack.num_samples is not None:
-            lines.append(f"num_samples = {attack.num_samples}")
-        if attack.restart_seeds is not None:
-            lines.append(f"restart_seeds = {','.join(str(s) for s in attack.restart_seeds)}")
+        lines += ["", f"[attack {attack.attack_id}]", *_key_lines(attack, _ATTACK_KEYS)]
     return "\n".join(lines) + "\n"
 
 

@@ -26,10 +26,10 @@ class TrainingDivergedError(RuntimeError):
 
 
 class AttackFailedError(RuntimeError):
-    """An attack hit a non-finite gradient and produced no candidate."""
+    """An attack hit a non-finite value and produced no usable candidate."""
 
     def __init__(self, example_index: int, attack_id: str, step: int | None = None,
-                 restart: int | None = None):
+                 restart: int | None = None, reason: str = "non-finite gradient"):
         self.example_index = example_index
         self.attack_id = attack_id
         self.step = step
@@ -40,6 +40,5 @@ class AttackFailedError(RuntimeError):
         if step is not None:
             where += f", step {step}"
         super().__init__(
-            f"attack {attack_id!r} failed on example {example_index}{where}: "
-            "non-finite gradient"
+            f"attack {attack_id!r} failed on example {example_index}{where}: {reason}"
         )

@@ -4,8 +4,8 @@ Two architectures: plain softmax regression ("softmax_linear") and a
 one-hidden-layer ReLU network ("mlp1"). Both expose class probabilities
 and the gradient of the cross-entropy loss with respect to the input,
 which is all the attack code needs. Models are immutable after training
-and every prediction path is pure, so they are safe to share across
-workers.
+and every prediction path is pure, so one trained model serves every
+attack and scoring call unchanged.
 
 Conventions, fixed here and relied on by tests:
   * softmax subtracts the max logit before exponentiating
@@ -18,12 +18,13 @@ Conventions, fixed here and relied on by tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ContractError, ShapeError, TrainingDivergedError
+from .errors import ContractError, DataError, ShapeError, TrainingDivergedError
 from .seeding import make_rng
 
 SOFTMAX_LINEAR = "softmax_linear"
@@ -305,19 +306,32 @@ def save_model(path: str | Path, params: ModelParams) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# dimensions of each array in a model file
+_ARRAY_NDIM = {"W1": 2, "b1": 1, "W2": 2, "b2": 1}
+
+
 def load_model(path: str | Path) -> ModelParams:
-    tokens = Path(path).read_text().split("\n")
-    rows = [line.split() for line in tokens if line.strip()]
-    if not rows or rows[0][0] != "architecture":
-        raise ContractError(f"{path}: not a model file")
-    architecture = rows[0][1]
+    """Read a save_model file; a malformed one raises DataError naming its line."""
+    rows = [(lineno, line.split()) for lineno, line
+            in enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
+    if not rows or len(rows[0][1]) != 2 or rows[0][1][0] != "architecture":
+        raise DataError(f"{path}: not a model file")
     arrays: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(rows):
-        name, *shape = rows[i]
-        shape = tuple(int(s) for s in shape)
-        values = np.array([float(v) for v in rows[i + 1]])
-        arrays[name] = values.reshape(shape)
-        i += 2
-    return ModelParams(architecture, arrays["W1"], arrays["b1"],
-                       arrays.get("W2"), arrays.get("b2"))
+    for (lineno, (name, *shape)), values in zip_longest(rows[1::2], rows[2::2]):
+        try:
+            dims = tuple(int(s) for s in shape)
+            if len(dims) != _ARRAY_NDIM.get(name) or name in arrays or min(dims) < 0:
+                raise ValueError("expected W1 d h, b1 h, W2 h k or b2 k")
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad array header: {exc}") from exc
+        if values is None:
+            raise DataError(f"{path}:{lineno}: {name} has no values line")
+        try:
+            arrays[name] = np.array([float(v) for v in values[1]]).reshape(dims)
+        except ValueError as exc:
+            raise DataError(f"{path}:{values[0]}: bad {name} values: {exc}") from exc
+    try:
+        return ModelParams(rows[0][1][1], arrays.get("W1"), arrays.get("b1"),
+                           arrays.get("W2"), arrays.get("b2"))
+    except ContractError as exc:
+        raise DataError(f"{path}: {exc}") from exc

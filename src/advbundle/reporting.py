@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .attacks import Candidate
 from .bundler import (CLEAN_ID, MIN_NORM, BundleResult, OutcomeMatrix,
                       wat_gap_construction)
 from .data import Dataset
@@ -235,3 +236,15 @@ def write_chosen_csv(path: str | Path, result: BundleResult) -> None:
             str(int(result.units_spent[i])),
         ]))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def dump_candidates_csv(path: str | Path, candidates: Sequence[Candidate]) -> None:
+    """One row per candidate: example_index, attack_id, restart_index, features."""
+    with open(path, "w", newline="") as fh:
+        d = candidates[0].adversarial_input.shape[0] if candidates else 0
+        header = ["example_index", "attack_id", "restart_index"] + [f"x{j}" for j in range(d)]
+        fh.write(",".join(header) + "\n")
+        for c in candidates:
+            row = [str(c.example_index), c.attack_id, str(c.restart_index)]
+            row += [repr(float(v)) for v in c.adversarial_input]
+            fh.write(",".join(row) + "\n")

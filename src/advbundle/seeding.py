@@ -1,9 +1,12 @@
-"""Seed derivation for reproducible, parallel-safe randomness.
+"""Seed derivation for reproducible randomness.
 
 Every random draw in the package comes from a numpy Generator seeded with
 an integer produced by `derive_seed`. Deriving one seed per
-(example, attack, restart) tuple means a parallel schedule reproduces a
-serial one exactly.
+(example, attack, restart) tuple means no draw depends on the order in
+which tuples are visited, so early stopping leaves the other draws
+unchanged and a restart split out into its own attack (with its
+`restart_seeds` pinned) draws exactly what it drew inside the
+multi-restart attack.
 """
 
 from __future__ import annotations

@@ -79,14 +79,6 @@ class TestRunCommand:
         mat_rows = [l for l in lines if l.startswith("MAT,")]
         assert len(mat_rows) == 1 and mat_rows[0].startswith("MAT,none,")
 
-    def test_workers_flag_changes_nothing(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        main(["run", str(cfg), "--output-dir", str(tmp_path / "w1")])
-        main(["run", str(cfg), "--output-dir", str(tmp_path / "w4"), "--workers", "4"])
-        for name in ("rates.csv", "chosen.csv", "sf_curve.csv", "norm_curve.csv"):
-            assert (tmp_path / "w1" / name).read_bytes() == \
-                (tmp_path / "w4" / name).read_bytes()
-
     def test_env_var_overrides_config_and_flag_overrides_env(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         monkeypatch.setenv("ADVBUNDLE_OUTPUT_DIR", str(tmp_path / "from_env"))
@@ -124,6 +116,19 @@ class TestExitCodes:
         cfg.write_text("seed 5\n")
         assert main(["run", str(cfg)]) == 2
         assert ":1:" in capsys.readouterr().err
+
+    def test_bad_grid_fails_before_any_output(self, tmp_path, capsys):
+        text = FAST_CFG.replace("threshold_grid = 0.5:0.95:8", "threshold_grid = 0.2:0.95:8")
+        cfg = write_cfg(tmp_path, text=text)
+        assert main(["run", str(cfg)]) == 2
+        assert "threshold_grid" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_unknown_flag_is_usage_error(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(cfg), "--workers", "2"])
+        assert info.value.code == 2
 
     def test_bad_dataset_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

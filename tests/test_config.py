@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advbundle as ab
-from advbundle.config import serialize_experiment_config, with_output_dir
+from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, serialize_experiment_config,
+                              with_output_dir)
 from advbundle.errors import ConfigError
 
 MINIMAL = """
@@ -38,7 +41,6 @@ epsilon_grid = 0.0,0.1,0.2,0.3
 gap_ns = 1,2,10
 seed = 11
 output_dir = results
-workers = 2
 dump_candidates = false
 
 [attack pgd-cheap]
@@ -160,6 +162,27 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ab.parse_experiment_config("epochs = soon\n")
 
+    @pytest.mark.parametrize("text", ["seed = 1\nmax_units = lots\n",
+                                      "seed = 1\nearly_stop = maybe\n",
+                                      "seed = 1\nworkers = 2\n",
+                                      "[attack a]\nvariant = pgd\nepsilon = 0.3\n"
+                                      "num_steps = many\n"],
+                             ids=["max_units", "early_stop", "workers", "attack_num_steps"])
+    def test_bad_value_or_removed_key_names_its_line(self, text):
+        last_line = text.count("\n")
+        with pytest.raises(ConfigError) as info:
+            ab.parse_experiment_config(text)
+        assert f":{last_line}:" in self.line_of(info)
+
+    @pytest.mark.parametrize("line", ["threshold_grid = 0.4,0.6",
+                                      "threshold_grid = 0.5:1.0:6",
+                                      "threshold_grid = 0.9,0.6",
+                                      "epsilon_grid = 0.3,0.1",
+                                      "max_units = -1"])
+    def test_out_of_range_values_fail_at_parse_time(self, line):
+        with pytest.raises(ConfigError):
+            ab.parse_experiment_config(line + "\n")
+
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config("dataset = csv\n")
@@ -172,3 +195,19 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ab.load_experiment_config(tmp_path / "none.cfg")
+
+
+_ANY_KEY = st.sampled_from(sorted(_TOP_KEYS) + [f"attack.{k}" for k in sorted(_ATTACK_KEYS)])
+
+
+@given(st.lists(st.tuples(_ANY_KEY, st.text(max_size=20)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_values_parse_or_raise_config_error(pairs):
+    top = [f"{key} = {value}" for key, value in pairs if not key.startswith("attack.")]
+    attack = [f"{key[7:]} = {value}" for key, value in pairs if key.startswith("attack.")]
+    text = "\n".join(top + ["[attack a]", "variant = pgd", "epsilon = 0.3",
+                             "step_size = 0.1", "num_steps = 2"] + attack) + "\n"
+    try:
+        ab.parse_experiment_config(text)
+    except ConfigError:
+        pass

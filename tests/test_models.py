@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
-from advbundle.errors import ContractError, ShapeError, TrainingDivergedError
+from advbundle.errors import ContractError, DataError, ShapeError, TrainingDivergedError
 
 from conftest import binary_linear, oracle_loss, random_linear, random_mlp
 
@@ -246,6 +246,19 @@ def test_model_round_trips_exactly(tmp_path, mlp_on_small_blobs, linear_on_blobs
         if m.architecture == "mlp1":
             assert np.array_equal(loaded.W2, m.W2)
             assert np.array_equal(loaded.b2, m.b2)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("architecture mlp1\nW1 2 3\n", ":2:"),
+    ("architecture softmax_linear\nW1 2 x\n0 0\n", ":2:"),
+    ("architecture softmax_linear\nW1 1 2\n0 zero\n", ":3:"),
+    ("architecture softmax_linear\nW1 1 2\n0 0 0\n", ":3:"),
+], ids=["truncated", "bad_shape", "bad_value", "size_mismatch"])
+def test_malformed_model_file_is_data_error_naming_line(tmp_path, text, line):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=line):
+        ab.load_model(path)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=6),
