@@ -246,25 +246,25 @@ class TestBundle:
                 for _, other in res.all_candidates[i]:
                     assert ab.prefer(chosen_score, other, crit) == 0
 
-    @pytest.mark.parametrize("failure", ["raises", "returns_nan"])
-    def test_failed_attack_is_logged_and_skipped(self, failure):
+    def test_failed_attack_is_logged_and_skipped(self):
         m = steep_boundary_model()
         ds = two_example_dataset()
-
-        def failing(params, example, config, seed, example_index):
-            if example_index == 0 and failure == "raises":
-                raise AttackFailedError(example_index, config.attack_id)
-            if example_index == 0:
-                return [Candidate(example_index, np.full(2, np.nan), config.attack_id, 0)]
-            return flip_runner(1)(params, example, config, seed, example_index)
-
         attacks = [ab.AttackConfig("flaky", "flaky", epsilon=0.5)]
-        res = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(),
-                        seed=0, runners={"flaky": failing})
-        assert res.computation_log[0][0].failed
-        assert not res.computation_log[1][0].failed
-        assert res.rate_for("flaky") == 0.5  # only example 1 flipped
-        assert res.bundled_error_rate == 0.5
+
+        for failure in ("raises", "returns_nan"):
+            def failing(params, example, config, seed, example_index):
+                if example_index == 0 and failure == "raises":
+                    raise AttackFailedError(example_index, config.attack_id)
+                if example_index == 0:
+                    return [Candidate(example_index, np.full(2, np.nan), config.attack_id, 0)]
+                return flip_runner(1)(params, example, config, seed, example_index)
+
+            res = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(),
+                            seed=0, runners={"flaky": failing})
+            assert res.computation_log[0][0].failed, failure
+            assert not res.computation_log[1][0].failed, failure
+            assert res.rate_for("flaky") == 0.5, failure  # only example 1 flipped
+            assert res.bundled_error_rate == 0.5, failure
 
     def test_unknown_variant_without_runner_raises(self):
         m = steep_boundary_model()
