@@ -5,6 +5,15 @@ i.e. the intersection of the eps-ball around the clean input with the valid
 input range. Attacks are pure functions of (model, example, config, seed):
 restarts emit one candidate each and selection is left to the bundler, so
 splitting restarts into separate bundled attacks is exactly equivalent.
+
+Each attack is implemented once, on rows (`fgsm_rows`, `pgd_rows`,
+`noise_rows`, dispatched by `attack_rows`): one row per (example, restart)
+or (example, noise sample), each with its own box and its own seed stream.
+All rows step together, and every model call computes a row exactly as a
+1-row call would, so a row's candidate is bit-identical whatever else is in
+the batch. `fgsm`, `pgd`, `uniform_noise` and `run_attack` are per-example
+adapters over the row functions: one example's rows become `Candidate`s and
+a failed row is raised as `AttackFailedError`.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from .data import Example
 from .errors import AttackFailedError, ContractError, ShapeError
-from .models import ModelParams, _grad_unchecked, input_gradient
+from .models import ModelParams, grad_rows
 from .seeding import derive_seed, make_rng
 
 FGSM = "fgsm"
@@ -79,15 +88,46 @@ class Candidate:
     restart_index: int = 0
 
 
+def rows_per_example(config: AttackConfig) -> int:
+    """Candidates one example yields: its restarts, its noise samples, or 1."""
+    if config.variant == PGD:
+        return config.num_restarts
+    if config.variant == UNIFORM_NOISE:
+        return config.num_samples
+    return 1
+
+
+def _box(clean: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    return np.maximum(clean - epsilon, 0.0), np.minimum(clean + epsilon, 1.0)
+
+
 def project(x: np.ndarray, clean: np.ndarray, epsilon: float) -> np.ndarray:
     """Clamp x into the feasible box around clean. Idempotent."""
     x = np.asarray(x, dtype=np.float64)
     clean = np.asarray(clean, dtype=np.float64)
     if x.shape != clean.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {clean.shape}")
-    lo = np.maximum(clean - epsilon, 0.0)
-    hi = np.minimum(clean + epsilon, 1.0)
+    lo, hi = _box(clean, epsilon)
     return np.clip(x, lo, hi)
+
+
+def check_rows(adv: np.ndarray, clean: np.ndarray, epsilon: float,
+               attack_id: str) -> np.ndarray:
+    """L-inf distance of each candidate row (last axis) from its clean row.
+
+    clean may broadcast against adv. The distance is NaN or inf exactly when
+    some entry of the row is, so it doubles as the finiteness check: a
+    non-finite row is left to the caller as a failed attack. A finite row
+    outside the epsilon ball or [0, 1] raises ContractError.
+    """
+    diff = adv - clean
+    dist = np.max(np.abs(diff, out=diff), axis=-1)
+    finite = np.isfinite(dist)
+    if np.any(dist[finite] > epsilon + 1e-9):
+        raise ContractError(f"candidate from {attack_id!r} leaves the epsilon ball")
+    if np.any(finite & ((adv.min(axis=-1) < 0.0) | (adv.max(axis=-1) > 1.0))):
+        raise ContractError(f"candidate from {attack_id!r} leaves [0, 1]")
+    return dist
 
 
 def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) -> None:
@@ -95,27 +135,121 @@ def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) 
     adv = candidate.adversarial_input
     if adv.shape != clean.shape:
         raise ShapeError(f"candidate shape {adv.shape} does not match clean {clean.shape}")
-    # the distance is NaN or inf exactly when some entry is, so the ball
-    # check's own reduction doubles as the finiteness check
-    dist = float(np.max(np.abs(adv - clean)))
-    if not math.isfinite(dist):
+    dist = check_rows(adv[None, :], clean[None, :], epsilon, candidate.attack_id)
+    if not math.isfinite(dist[0]):
         raise AttackFailedError(candidate.example_index, candidate.attack_id,
                                 restart=candidate.restart_index, reason="non-finite candidate")
-    if dist > epsilon + 1e-9:
-        raise ContractError(f"candidate from {candidate.attack_id!r} leaves the epsilon ball")
-    if np.any(adv < 0.0) or np.any(adv > 1.0):
-        raise ContractError(f"candidate from {candidate.attack_id!r} leaves [0, 1]")
+
+
+def _restart_seeds(seed: int | Sequence[int], num_restarts: int) -> list[int]:
+    """Per-restart seeds: derive_seed(seed, r) for an int, or the sequence as-is."""
+    if isinstance(seed, (int, np.integer)):
+        return [derive_seed(int(seed), r) for r in range(num_restarts)]
+    seeds = [int(s) for s in seed]
+    if len(seeds) != num_restarts:
+        raise ContractError("need one seed per restart")
+    return seeds
+
+
+def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
+               num_samples: int) -> np.ndarray:
+    """num_samples uniform draws from the feasible box of each row of clean.
+
+    Row u of clean draws from its own generator, make_rng(seeds[u]), so its
+    samples do not depend on the other rows. Row u * num_samples + j of the
+    result is sample j of row u.
+    """
+    x = np.empty((len(clean), num_samples, clean.shape[1]))
+    for u, s in enumerate(seeds):
+        x[u] = make_rng(s).uniform(-epsilon, epsilon, size=x.shape[1:])
+    x += clean[:, None, :]
+    lo, hi = _box(clean, epsilon)
+    np.clip(x, lo[:, None, :], hi[:, None, :], out=x)
+    return x.reshape(-1, clean.shape[1])
+
+
+def fgsm_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
+              epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """One signed-gradient step of size epsilon per row, then projection.
+
+    Returns the candidates and each row's failing step: 0 where the
+    gradient is non-finite, -1 elsewhere.
+    """
+    grad = grad_rows(params, clean, labels)
+    lo, hi = _box(clean, epsilon)
+    adv = np.clip(clean + epsilon * np.sign(grad), lo, hi)
+    return adv, np.where(np.isfinite(grad).all(axis=1), -1, 0)
+
+
+def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
+             seeds: Sequence[int | Sequence[int]],
+             config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Projected signed-gradient ascent on every restart of every example.
+
+    clean (U, d) and labels (U,) hold the examples and seeds one seed per
+    example, as `pgd` takes it. Row u * num_restarts + r of the result is
+    restart r of example u. A row whose gradient turns non-finite stops
+    moving; the second array holds the step at which it did, -1 for a row
+    that never failed.
+    """
+    r = config.num_restarts
+    clean = np.repeat(clean, r, axis=0)
+    labels = np.repeat(labels, r)
+    row_seeds = [s for seed in seeds for s in _restart_seeds(seed, r)]
+    if config.random_init:
+        x = noise_rows(clean, config.epsilon, row_seeds, 1)
+    else:
+        x = clean.copy()
+    lo, hi = _box(clean, config.epsilon)
+    failed_at = np.full(len(x), -1)
+    for step in range(config.num_steps):
+        grad = grad_rows(params, x, labels)
+        stepped = np.clip(x + config.step_size * np.sign(grad), lo, hi)
+        if not np.isfinite(grad).all():
+            bad = ~np.isfinite(grad).all(axis=1)
+            failed_at[bad & (failed_at < 0)] = step
+            stepped[bad] = x[bad]
+        x = stepped
+    return x, failed_at
+
+
+def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,
+                labels: np.ndarray, seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Run a built-in attack on every example of clean (U, d) at once.
+
+    seeds holds one seed per example, as run_attack takes it. Returns the
+    candidates, rows_per_example(config) rows per example in example order,
+    and each row's failing step (-1 for a row that did not fail).
+    """
+    if config.variant == FGSM:
+        return fgsm_rows(params, clean, labels, config.epsilon)
+    if config.variant == PGD:
+        return pgd_rows(params, clean, labels, seeds, config)
+    if config.variant == UNIFORM_NOISE:
+        adv = noise_rows(clean, config.epsilon, seeds, config.num_samples)
+        return adv, np.full(len(adv), -1)
+    raise ContractError(f"no runner for variant {config.variant!r}")
+
+
+def _one_example(params: ModelParams, example: Example) -> tuple[np.ndarray, np.ndarray]:
+    """An example as a 1-row batch, after the checks the row functions skip."""
+    clean = example.features
+    if clean.shape != (params.dimension,):
+        raise ShapeError(f"example dimension {clean.shape[0]} does not match model "
+                         f"dimension {params.dimension}")
+    if not 0 <= example.label < params.num_classes:
+        raise ContractError(f"label {example.label} out of range")
+    return clean[None, :], np.array([example.label])
 
 
 def fgsm(params: ModelParams, example: Example, epsilon: float,
          attack_id: str = FGSM, example_index: int = 0) -> Candidate:
     """Single signed-gradient step of size epsilon, then projection."""
-    clean = example.features
-    grad = input_gradient(params, clean, example.label)
-    if not np.all(np.isfinite(grad)):
+    clean, labels = _one_example(params, example)
+    adv, failed_at = fgsm_rows(params, clean, labels, epsilon)
+    if failed_at[0] >= 0:
         raise AttackFailedError(example_index, attack_id)
-    adv = project(clean + epsilon * np.sign(grad), clean, epsilon)
-    return Candidate(example_index, adv, attack_id, 0)
+    return Candidate(example_index, adv[0], attack_id, 0)
 
 
 def pgd(params: ModelParams, example: Example, config: AttackConfig,
@@ -127,32 +261,12 @@ def pgd(params: ModelParams, example: Example, config: AttackConfig,
     """
     if config.variant != PGD:
         raise ContractError(f"pgd called with variant {config.variant!r}")
-    clean = example.features
-    if clean.shape != (params.dimension,):
-        raise ShapeError(f"example dimension {clean.shape[0]} does not match model "
-                         f"dimension {params.dimension}")
-    if isinstance(seed, (int, np.integer)):
-        seeds = [derive_seed(int(seed), r) for r in range(config.num_restarts)]
-    else:
-        seeds = [int(s) for s in seed]
-        if len(seeds) != config.num_restarts:
-            raise ContractError("need one seed per restart")
-    lo = np.maximum(clean - config.epsilon, 0.0)
-    hi = np.minimum(clean + config.epsilon, 1.0)
-    out = []
-    for r, restart_seed in enumerate(seeds):
-        if config.random_init:
-            rng = make_rng(restart_seed)
-            x = np.clip(clean + rng.uniform(-config.epsilon, config.epsilon, clean.shape), lo, hi)
-        else:
-            x = clean.copy()
-        for step in range(config.num_steps):
-            grad = _grad_unchecked(params, x, example.label)
-            if not np.all(np.isfinite(grad)):
-                raise AttackFailedError(example_index, config.attack_id, step=step, restart=r)
-            x = np.clip(x + config.step_size * np.sign(grad), lo, hi)
-        out.append(Candidate(example_index, x, config.attack_id, r))
-    return out
+    clean, labels = _one_example(params, example)
+    adv, failed_at = pgd_rows(params, clean, labels, [seed], config)
+    for r, step in enumerate(failed_at):
+        if step >= 0:
+            raise AttackFailedError(example_index, config.attack_id, step=int(step), restart=r)
+    return [Candidate(example_index, adv[r], config.attack_id, r) for r in range(len(adv))]
 
 
 def uniform_noise(example: Example, epsilon: float, num_samples: int, seed: int,
@@ -160,12 +274,7 @@ def uniform_noise(example: Example, epsilon: float, num_samples: int, seed: int,
     """num_samples independent uniform draws from the feasible box."""
     if num_samples < 1:
         raise ContractError("num_samples must be >= 1")
-    clean = example.features
-    rng = make_rng(seed)
-    noise = rng.uniform(-epsilon, epsilon, size=(num_samples, clean.shape[0]))
-    lo = np.maximum(clean - epsilon, 0.0)
-    hi = np.minimum(clean + epsilon, 1.0)
-    samples = np.clip(clean[None, :] + noise, lo[None, :], hi[None, :])
+    samples = noise_rows(example.features[None, :], epsilon, [seed], num_samples)
     return [Candidate(example_index, samples[j], attack_id, j) for j in range(num_samples)]
 
 

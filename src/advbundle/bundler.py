@@ -11,23 +11,39 @@ The clean input always participates as a zero-perturbation baseline
 candidate under the reserved attack id "none", so a model that is wrong on
 clean data errs at perturbation zero and the bundled error rate is a true
 superset of the clean error rate.
+
+Each round, the examples assigned a built-in attack (fgsm, pgd,
+uniform_noise) run it together on the row engine: their rows, one per
+restart or noise sample, go to `attacks.attack_rows` in blocks of at most
+`ROW_BLOCK` rows, and each block is validated with one array check and
+scored with one `probs_rows` call. Every row is computed exactly as a 1-row
+call would compute it, so the result equals running `attacks.run_attack`
+one example at a time, bit for bit. Attacks with a `runners` entry, and
+variants beyond the built-in three, still run one example per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .attacks import AttackConfig, Candidate, run_attack, validate_candidate
+from .attacks import (FGSM, PGD, UNIFORM_NOISE, AttackConfig, Candidate, attack_rows,
+                      check_rows, rows_per_example, run_attack, validate_candidate)
 from .data import Dataset, Example
-from .errors import AttackFailedError, ContractError
+from .errors import AttackFailedError, ContractError, ShapeError
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec,
-                     ensemble_fooled_count, predict, predict_stochastic)
+                     ensemble_fooled_count, predict, predict_stochastic, probs_rows)
 from .seeding import derive_seed
 
 CLEAN_ID = "none"
+
+# most rows the engine holds at once, so peak memory does not grow with the
+# number of examples; blocks hold whole examples, so an example with more
+# rows than this (restarts or noise samples) is a block of its own
+ROW_BLOCK = 4096
+_ENGINE_VARIANTS = (FGSM, PGD, UNIFORM_NOISE)
 
 MISCLASSIFY = "misclassify"
 MAX_CONFIDENCE = "max_confidence"
@@ -183,13 +199,20 @@ class BundleResult:
         return np.array([s.perturbation_norm for _, s in self.chosen])
 
 
+def _scores(probs: np.ndarray, labels: np.ndarray, norms: np.ndarray) -> list[CandidateScore]:
+    """One score per row, from the model's probabilities and the L-inf norms."""
+    misclassified = probs.argmax(axis=1) != labels
+    wrong = probs.copy()
+    wrong[np.arange(len(labels)), labels] = -np.inf
+    return [CandidateScore(m, w, n) for m, w, n in
+            zip(misclassified.tolist(), wrong.max(axis=1).tolist(), norms.tolist())]
+
+
 def _score_from_prediction(pred: Prediction, example: Example,
                            candidate: Candidate) -> CandidateScore:
-    probs = pred.probabilities.copy()
-    probs[example.label] = -np.inf
-    wrong_conf = float(probs.max())
-    norm = float(np.max(np.abs(candidate.adversarial_input - example.features)))
-    return CandidateScore(pred.predicted_class != example.label, wrong_conf, norm)
+    norm = np.max(np.abs(candidate.adversarial_input - example.features))
+    return _scores(pred.probabilities[None, :], np.array([example.label]),
+                   np.array([norm]))[0]
 
 
 def score(params: ModelParams, example: Example, candidate: Candidate,
@@ -241,6 +264,34 @@ def _seeds_for(root_seed: int, example_index: int, config: AttackConfig):
     return derive_seed(root_seed, example_index, config.attack_id)
 
 
+def _engine(params: ModelParams, config: AttackConfig, X: np.ndarray, y: np.ndarray,
+            members: list[int], root_seed: int
+            ) -> Iterator[tuple[int, list[tuple[Candidate, CandidateScore]] | None]]:
+    """Run a built-in attack on the examples `members` as row blocks.
+
+    Yields (example index, scored candidates) per member in order, with
+    None in place of the candidates when any of the example's rows failed.
+    """
+    per = rows_per_example(config)
+    block = max(1, ROW_BLOCK // per)
+    for start in range(0, len(members), block):
+        idx = members[start:start + block]
+        adv, failed_at = attack_rows(params, config, X[idx], y[idx],
+                                     [_seeds_for(root_seed, i, config) for i in idx])
+        norms = check_rows(adv.reshape(len(idx), per, -1), X[idx][:, None, :],
+                           config.epsilon, config.attack_id).reshape(-1)
+        scores = _scores(probs_rows(params, adv), np.repeat(y[idx], per), norms)
+        ok = ((failed_at < 0) & np.isfinite(norms)).reshape(len(idx), per).all(axis=1)
+        for u, i in enumerate(idx):
+            if not ok[u]:
+                yield i, None
+                continue
+            # a copy, so a kept candidate holds its own example's rows, not the block
+            rows = adv[u * per:(u + 1) * per].copy()
+            yield i, [(Candidate(i, rows[j], config.attack_id, j), scores[u * per + j])
+                      for j in range(per)]
+
+
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
            criterion: Criterion, budget: BudgetPolicy | None = None, seed: int = 0,
            runners: Mapping[str, Runner] | None = None,
@@ -253,7 +304,9 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     and contributes nothing; it never aborts the bundle. Deterministic
     given seed: every (example, attack, restart) draws from its own
     derive_seed stream, so no draw depends on the schedule or on which
-    other examples and attacks ran.
+    other examples and attacks ran. Built-in variants without a `runners`
+    entry run on the row engine (see the module docstring); the result is
+    the same as with runners={variant: run_attack}.
     """
     budget = budget if budget is not None else BudgetPolicy()
     attacks = list(attacks)
@@ -264,35 +317,62 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
         raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
     if len(dataset) == 0:
         raise ContractError("cannot bundle over an empty dataset")
+    if dataset.dimension != params.dimension:
+        raise ShapeError(f"dataset dimension {dataset.dimension} does not match model "
+                         f"dimension {params.dimension}")
+    X, y = dataset.features_matrix(), dataset.labels()
+    if y.max() >= params.num_classes:
+        raise ShapeError(f"label {y.max()} is not one of the model's "
+                         f"{params.num_classes} classes")
 
     n = len(dataset)
+    runners = runners or {}
     goal = _goal_test(criterion)
     col_of = {a: j + 1 for j, a in enumerate(ids)}
     entries = np.zeros((n, 1 + len(attacks)), dtype=np.int8)
-    chosen: list[tuple[Candidate, CandidateScore]] = []
     pools: list[list[tuple[Candidate, CandidateScore]]] | None = (
         [[] for _ in range(n)] if keep_candidates else None)
     log: list[list[ComputationRecord]] = [[] for _ in range(n)]
 
-    for i, ex in enumerate(dataset.examples):
-        base = Candidate(i, ex.features.copy(), CLEAN_ID, 0)
-        base_score = score(params, ex, base, example_index=i)
-        chosen.append((base, base_score))
-        entries[i, 0] = int(base_score.misclassified)
-        if pools is not None:
-            pools[i].append((base, base_score))
+    clean_scores = _scores(probs_rows(params, X), y, np.zeros(n))
+    chosen = [(Candidate(i, ex.features.copy(), CLEAN_ID, 0), s)
+              for i, (ex, s) in enumerate(zip(dataset.examples, clean_scores))]
+    entries[:, 0] = [s.misclassified for s in clean_scores]
+    if pools is not None:
+        for i in range(n):
+            pools[i].append(chosen[i])
 
-    state = ScheduleState(tuple(attacks), [0] * n,
-                          [goal(s) for _, s in chosen])
+    state = ScheduleState(tuple(attacks), [0] * n, [goal(s) for s in clean_scores])
+
+    def record(i: int, cfg: AttackConfig,
+               scored: list[tuple[Candidate, CandidateScore]] | None) -> None:
+        if scored is None:
+            log[i].append(ComputationRecord(cfg.attack_id, 0, failed=True))
+            return
+        log[i].append(ComputationRecord(cfg.attack_id, len(scored)))
+        any_mis = False
+        for cand, cand_score in scored:
+            if pools is not None:
+                pools[i].append((cand, cand_score))
+            any_mis = any_mis or cand_score.misclassified
+            if prefer(chosen[i][1], cand_score, criterion) == 1:
+                chosen[i] = (cand, cand_score)
+            if goal(cand_score):
+                state.goal_met[i] = True
+        entries[i, col_of[cfg.attack_id]] = int(any_mis)
 
     while True:
         assignments = schedule(budget, state)
         if not assignments:
             break
+        engine_members: dict[str, list[int]] = {}
         for i, cfg in assignments:
-            ex = dataset.examples[i]
-            runner = (runners or {}).get(cfg.variant, run_attack)
             state.attacks_run[i] += 1
+            if cfg.variant in _ENGINE_VARIANTS and cfg.variant not in runners:
+                engine_members.setdefault(cfg.attack_id, []).append(i)
+                continue
+            ex = dataset.examples[i]
+            runner = runners.get(cfg.variant, run_attack)
             try:
                 cands = runner(params, ex, cfg, _seeds_for(seed, i, cfg), i)
                 scored = []
@@ -300,19 +380,12 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
                     validate_candidate(c, ex.features, cfg.epsilon)
                     scored.append((c, score(params, ex, c, example_index=i)))
             except AttackFailedError:
-                log[i].append(ComputationRecord(cfg.attack_id, 0, failed=True))
-                continue
-            log[i].append(ComputationRecord(cfg.attack_id, len(scored)))
-            any_mis = False
-            for cand, cand_score in scored:
-                if pools is not None:
-                    pools[i].append((cand, cand_score))
-                any_mis = any_mis or cand_score.misclassified
-                if prefer(chosen[i][1], cand_score, criterion) == 1:
-                    chosen[i] = (cand, cand_score)
-                if goal(cand_score):
-                    state.goal_met[i] = True
-            entries[i, col_of[cfg.attack_id]] = int(any_mis)
+                scored = None
+            record(i, cfg, scored)
+        for cfg in attacks:
+            if cfg.attack_id in engine_members:
+                for i, scored in _engine(params, cfg, X, y, engine_members[cfg.attack_id], seed):
+                    record(i, cfg, scored)
 
     matrix = OutcomeMatrix(entries, [CLEAN_ID] + ids)
     cap = budget.max_attack_units_per_example

@@ -1,6 +1,7 @@
 """Command-line driver: synth data, train, run bundles, emit reports.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error (a ShapeError, data that
+does not fit the model, included), 4 numeric failure.
 ADVBUNDLE_OUTPUT_DIR overrides the config's output directory; the
 --output-dir flag overrides both.
 """
@@ -17,7 +18,7 @@ from .bundler import (MIN_NORM, BudgetPolicy, BundleResult, Criterion, bundle,
 from .config import (ExperimentConfig, load_experiment_config, with_output_dir)
 from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
-                     TrainingDivergedError)
+                     ShapeError, TrainingDivergedError)
 from .models import ModelParams, TrainParams, predict, save_model, train
 from .reporting import (dump_candidates_csv, fmt, make_tables, norm_curve,
                         success_fail_curve, wat_underestimation_report,
@@ -211,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ContractError as exc:

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError("threshold_grid must be sorted ascending")
         if not _is_sorted(self.epsilon_grid):
             raise ConfigError("epsilon_grid must be sorted ascending")
+        if not all(n >= 1 for n in self.gap_ns):
+            raise ConfigError("gap_ns entries must be >= 1")
 
 
 def _parse_bool(value: str) -> bool:

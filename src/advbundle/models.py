@@ -138,18 +138,59 @@ def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _probs_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Probabilities for a batch of rows. No shape checks; internal."""
+def _by_row(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W as one vector-matrix product per row of X.
+
+    A plain X @ W (gemm) blocks rows differently with the batch size, so a
+    row's bits would depend on how many rows ride along; the stacked form
+    runs the same 1-row BLAS call per row whatever the batch.
+    """
+    return np.matmul(X[:, None, :], W)[:, 0]
+
+
+def _by_col(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """W @ g for each row g of G, one matrix-vector product per row."""
+    return np.matmul(W, G[:, :, None])[:, :, 0]
+
+
+def probs_rows(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Class probabilities for each row of X (B, d). No checks.
+
+    Row r is bit-identical to predict(params, X[r]).probabilities for any B.
+    """
     if params.architecture == SOFTMAX_LINEAR:
-        return _softmax(X @ params.W1 + params.b1)
-    hidden = np.maximum(X @ params.W1 + params.b1, 0.0)
-    return _softmax(hidden @ params.W2 + params.b2)
+        return _softmax(_by_row(X, params.W1) + params.b1)
+    hidden = np.maximum(_by_row(X, params.W1) + params.b1, 0.0)
+    return _softmax(_by_row(hidden, params.W2) + params.b2)
+
+
+def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Input gradient of the floored cross-entropy for each row of X. No checks.
+
+    Row r is the gradient at X[r] for labels[r], bit-identical for any B; it
+    is zero where the floor is active, and NaN/inf where the model overflows.
+    """
+    rows = np.arange(len(X))
+    if params.architecture == SOFTMAX_LINEAR:
+        probs = _softmax(_by_row(X, params.W1) + params.b1)
+    else:
+        z1 = _by_row(X, params.W1) + params.b1
+        probs = _softmax(_by_row(np.maximum(z1, 0.0), params.W2) + params.b2)
+    picked = probs[rows, labels]
+    g_logits = probs
+    g_logits[rows, labels] = picked - 1.0
+    if params.architecture == SOFTMAX_LINEAR:
+        grad = _by_col(params.W1, g_logits)
+    else:
+        grad = _by_col(params.W1, _by_col(params.W2, g_logits) * (z1 > 0.0))
+    grad[picked <= PROB_FLOOR] = 0.0
+    return grad
 
 
 def predict(params: ModelParams, x: np.ndarray) -> Prediction:
     """Class probabilities, argmax class (lowest index on ties), confidence."""
     x = _check_input(params, x)
-    probs = _probs_batch(params, x[None, :])[0]
+    probs = probs_rows(params, x[None, :])[0]
     cls = int(np.argmax(probs))
     return Prediction(probs, cls, float(probs[cls]))
 
@@ -157,28 +198,8 @@ def predict(params: ModelParams, x: np.ndarray) -> Prediction:
 def cross_entropy(params: ModelParams, x: np.ndarray, label: int) -> float:
     """-log p(label | x), with the probability floored for stability."""
     x = _check_input(params, x)
-    probs = _probs_batch(params, x[None, :])[0]
+    probs = probs_rows(params, x[None, :])[0]
     return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
-
-
-def _grad_unchecked(params: ModelParams, x: np.ndarray, target_label: int) -> np.ndarray:
-    """input_gradient without argument validation; attack inner loops use this."""
-    if params.architecture == SOFTMAX_LINEAR:
-        probs = _softmax(x @ params.W1 + params.b1)
-        if probs[target_label] <= PROB_FLOOR:
-            return np.zeros_like(x)
-        g_logits = probs
-        g_logits[target_label] -= 1.0
-        return params.W1 @ g_logits
-    z1 = x @ params.W1 + params.b1
-    a1 = np.maximum(z1, 0.0)
-    probs = _softmax(a1 @ params.W2 + params.b2)
-    if probs[target_label] <= PROB_FLOOR:
-        return np.zeros_like(x)
-    g_logits = probs
-    g_logits[target_label] -= 1.0
-    g_hidden = (params.W2 @ g_logits) * (z1 > 0.0)
-    return params.W1 @ g_hidden
 
 
 def input_gradient(params: ModelParams, x: np.ndarray, target_label: int) -> np.ndarray:
@@ -186,13 +207,7 @@ def input_gradient(params: ModelParams, x: np.ndarray, target_label: int) -> np.
     x = _check_input(params, x)
     if not 0 <= target_label < params.num_classes:
         raise ContractError(f"label {target_label} out of range")
-    return _grad_unchecked(params, x, target_label)
-
-
-def mean_cross_entropy(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> float:
-    probs = _probs_batch(params, X)
-    picked = np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR)
-    return float(-np.log(picked).mean())
+    return grad_rows(params, x[None, :], np.array([target_label]))[0]
 
 
 def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
@@ -270,12 +285,12 @@ def predict_stochastic(params: ModelParams, spec: StochasticSpec, x: np.ndarray,
     """
     x = _check_input(params, x)
     if spec.noise_scale == 0.0:
-        probs = _probs_batch(params, x[None, :])[0]
+        probs = probs_rows(params, x[None, :])[0]
     else:
         rng = make_rng(seed)
         noise = rng.uniform(-spec.noise_scale, spec.noise_scale, size=(spec.calls, x.shape[0]))
         noisy = np.clip(x[None, :] + noise, 0.0, 1.0)
-        probs = _probs_batch(params, noisy).mean(axis=0)
+        probs = probs_rows(params, noisy).mean(axis=0)
         probs = probs / probs.sum()
     cls = int(np.argmax(probs))
     return Prediction(probs, cls, float(probs[cls]))

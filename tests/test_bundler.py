@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
-from advbundle.attacks import Candidate
+from advbundle import bundler
+from advbundle.attacks import Candidate, run_attack
 from advbundle.bundler import CLEAN_ID
-from advbundle.errors import AttackFailedError, ContractError
+from advbundle.errors import AttackFailedError, ContractError, ShapeError
 
 from conftest import binary_linear, random_linear
 
@@ -281,6 +282,13 @@ class TestBundle:
         with pytest.raises(ContractError):
             ab.bundle(linear_on_blobs, blobs_2c, [bad], ab.Criterion.misclassify(), seed=0)
 
+    @pytest.mark.parametrize("dataset", [ab.synth_dataset(9, 3, 2, seed=1),
+                                         ab.synth_dataset(9, 2, 3, seed=1)],
+                             ids=["dimension", "classes"])
+    def test_data_that_does_not_fit_the_model_is_shape_error(self, dataset):
+        with pytest.raises(ShapeError):
+            ab.bundle(steep_boundary_model(), dataset, [], ab.Criterion.misclassify())
+
     def test_deterministic_across_runs(self, mlp_on_small_blobs, small_blobs):
         attacks = [
             ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=15,
@@ -296,6 +304,107 @@ class TestBundle:
             assert sa == sb
         assert [[r.attack_id for r in recs] for recs in a.computation_log] == \
                [[r.attack_id for r in recs] for recs in b.computation_log]
+
+
+PER_EXAMPLE = {v: run_attack for v in ("pgd", "fgsm", "uniform_noise")}
+
+
+def _bits(candidate, candidate_score):
+    """Everything a scored candidate holds, as bytes: equal bytes are equal
+    bits, and a NaN equals a NaN."""
+    floats = np.array([candidate_score.wrong_confidence, candidate_score.perturbation_norm])
+    return (candidate.example_index, candidate.attack_id, candidate.restart_index,
+            candidate.adversarial_input.tobytes(), candidate_score.misclassified,
+            floats.tobytes())
+
+
+def _overflow_setup():
+    """A linear model whose class-1 logit 1e308 * (x0 + x1) overflows where
+    x0 + x1 > ~1.8, so the probabilities are NaN and the gradient non-finite
+    on those rows only."""
+    rng = np.random.default_rng(4)
+    ds = ab.Dataset([ab.Example(rng.uniform(0.5, 1.0, 2), i % 2) for i in range(30)],
+                    num_classes=2)
+    return binary_linear([1e308, 1e308]), ds
+
+
+class TestRowEngine:
+    """bundle() through the row engine equals the per-example path bit for bit."""
+
+    def check(self, monkeypatch, params, ds, attacks, criterion, budget, seed=3):
+        per_example = ab.bundle(params, ds, attacks, criterion, budget, seed=seed,
+                                runners=PER_EXAMPLE, keep_candidates=True)
+
+        def not_called(*args):
+            raise AssertionError("built-in attacks must run on the row engine")
+
+        monkeypatch.setattr(bundler, "run_attack", not_called)
+        engine = ab.bundle(params, ds, attacks, criterion, budget, seed=seed,
+                           keep_candidates=True)
+        assert engine.computation_log == per_example.computation_log
+        assert [_bits(*c) for c in engine.chosen] == [_bits(*c) for c in per_example.chosen]
+        assert [[_bits(*c) for c in pool] for pool in engine.all_candidates] == \
+               [[_bits(*c) for c in pool] for pool in per_example.all_candidates]
+        assert np.array_equal(engine.outcome_matrix.entries, per_example.outcome_matrix.entries)
+        assert np.array_equal(engine.units_spent, per_example.units_spent)
+        assert np.array_equal(engine.stopped_early, per_example.stopped_early)
+        return engine
+
+    def three_attacks(self, restarts=2):
+        return [ab.AttackConfig("fgsm", "fgsm", epsilon=0.2),
+                ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=12,
+                                num_restarts=restarts),
+                ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=15)]
+
+    def test_mlp1(self, monkeypatch, mlp_on_small_blobs, small_blobs):
+        self.check(monkeypatch, mlp_on_small_blobs, small_blobs, self.three_attacks(),
+                   ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False))
+
+    def test_softmax_linear(self, monkeypatch, linear_on_blobs, blobs_2c):
+        self.check(monkeypatch, linear_on_blobs, blobs_2c, self.three_attacks(),
+                   ab.Criterion.min_norm(), ab.BudgetPolicy(early_stop=False))
+
+    def test_restarts_and_restart_seeds(self, monkeypatch, mlp_on_small_blobs, small_blobs):
+        attacks = [ab.AttackConfig("pgd-seeded", "pgd", epsilon=0.3, step_size=0.1,
+                                   num_steps=10, num_restarts=3, restart_seeds=(5, 6, 7)),
+                   ab.AttackConfig("pgd-no-init", "pgd", epsilon=0.3, step_size=0.05,
+                                   num_steps=10, num_restarts=2, random_init=False),
+                   ab.AttackConfig("pgd-4", "pgd", epsilon=0.2, step_size=0.05,
+                                   num_steps=10, num_restarts=4)]
+        self.check(monkeypatch, mlp_on_small_blobs, small_blobs, attacks,
+                   ab.Criterion.max_confidence(0.9), ab.BudgetPolicy(early_stop=False))
+
+    def test_early_stop_shrinks_the_active_set(self, monkeypatch, mlp_on_small_blobs,
+                                               small_blobs):
+        res = self.check(monkeypatch, mlp_on_small_blobs, small_blobs, self.three_attacks(),
+                         ab.Criterion.max_confidence(0.6), ab.BudgetPolicy())
+        assert res.stopped_early.any() and not res.stopped_early.all()
+
+    def test_unit_cap(self, monkeypatch, mlp_on_small_blobs, small_blobs):
+        res = self.check(monkeypatch, mlp_on_small_blobs, small_blobs, self.three_attacks(),
+                         ab.Criterion.min_norm(),
+                         ab.BudgetPolicy(max_attack_units_per_example=2))
+        assert np.all(res.units_spent == 2)
+
+    def test_noise_spanning_several_blocks(self, monkeypatch, mlp_on_small_blobs,
+                                           small_blobs):
+        samples = 60
+        assert len(small_blobs) * samples > bundler.ROW_BLOCK
+        attacks = [ab.AttackConfig("noise", "uniform_noise", epsilon=0.3,
+                                   num_samples=samples)]
+        self.check(monkeypatch, mlp_on_small_blobs, small_blobs, attacks,
+                   ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_on_some_rows_fails_only_their_units(self, monkeypatch):
+        m, ds = _overflow_setup()
+        res = self.check(monkeypatch, m, ds, self.three_attacks(),
+                         ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False))
+        failed = {aid: sum(rec.failed for recs in res.computation_log for rec in recs
+                           if rec.attack_id == aid) for aid in ("fgsm", "pgd", "noise")}
+        assert 0 < failed["fgsm"] < len(ds)
+        assert 0 < failed["pgd"] < len(ds)
+        assert failed["noise"] == 0
 
 
 class TestScheduling:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import advbundle as ab
@@ -123,6 +124,25 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 2
         assert "threshold_grid" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
+
+    def test_bad_gap_ns_fails_before_any_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, text=FAST_CFG.replace("gap_ns = 1,2,10", "gap_ns = 1,0,10"))
+        assert main(["run", str(cfg)]) == 2
+        assert "gap_ns" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_model_data_shape_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
+        import advbundle.cli as cli
+
+        def train_on_doubled_dimension(dataset, architecture, hp):
+            model = ab.train(dataset, architecture, hp)
+            return ab.ModelParams(model.architecture, np.vstack([model.W1, model.W1]),
+                                  model.b1)
+
+        monkeypatch.setattr(cli, "train", train_on_doubled_dimension)
+        assert main(["run", str(write_cfg(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "dimension" in err
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path)

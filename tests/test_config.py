@@ -183,6 +183,12 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ab.parse_experiment_config(line + "\n")
 
+    @pytest.mark.parametrize("value", ["0", "1,2,0", "-3"])
+    def test_gap_ns_below_one_fails_at_parse_time(self, value):
+        with pytest.raises(ConfigError) as info:
+            ab.parse_experiment_config(f"gap_ns = {value}\n")
+        assert "gap_ns" in self.line_of(info)
+
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config("dataset = csv\n")

@@ -102,6 +102,26 @@ def test_binary_linear_gradient_closed_form():
         assert np.allclose(g, -(1 - p1) * w, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 64, 5000])
+@pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])
+def test_row_functions_equal_single_calls_bitwise(arch, batch):
+    # gemm (a plain X @ W) rounds differently from row to row as the batch
+    # grows; the row functions must not, or a candidate would depend on how
+    # many other rows were computed with it
+    rng = np.random.default_rng(batch)
+    if arch == "softmax_linear":
+        m = random_linear(rng, 32, k=4, scale=3.0)
+    else:
+        m = random_mlp(rng, 32, k=4, h=32, scale=3.0)
+    X = rng.uniform(0, 1, (batch, 32))
+    labels = rng.integers(0, 4, batch)
+    probs = ab.models.probs_rows(m, X)
+    grads = ab.models.grad_rows(m, X, labels)
+    for r in range(batch):
+        assert np.array_equal(probs[r], ab.predict(m, X[r]).probabilities), r
+        assert np.array_equal(grads[r], ab.input_gradient(m, X[r], int(labels[r]))), r
+
+
 def test_gradient_rejects_bad_label():
     m = binary_linear([1.0])
     with pytest.raises(ContractError):
