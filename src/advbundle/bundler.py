@@ -20,12 +20,18 @@ scored with one `probs_rows` call. Every row is computed exactly as a 1-row
 call would compute it, so the result equals running `attacks.run_attack`
 one example at a time, bit for bit. Attacks with a `runners` entry, and
 variants beyond the built-in three, still run one example per call.
+
+Scored candidates are columns (`CandidateRows`), not objects: each block
+updates every example's running choice, the outcome matrix and the goal
+flags with array operations, and one stable sort (`_best`) defines the
+preference order for `prefer`, the running choice and `reselect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass, replace
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -94,6 +100,61 @@ class CandidateScore:
     perturbation_norm: float
 
 
+class CandidateRows(NamedTuple):
+    """Scored candidates as columns: the fields of `Candidate` and
+    `CandidateScore`, with the attack as an index into the outcome
+    matrix's attack ids (0 is the clean baseline)."""
+
+    example_index: np.ndarray      # (m,) int
+    attack_code: np.ndarray        # (m,) int
+    restart_index: np.ndarray      # (m,) int
+    adversarial_input: np.ndarray  # (m, d)
+    misclassified: np.ndarray      # (m,) bool
+    wrong_confidence: np.ndarray   # (m,) float
+    perturbation_norm: np.ndarray  # (m,) float
+
+    def take(self, rows) -> "CandidateRows":
+        return CandidateRows(*(col[rows] for col in self))
+
+
+def _concat(parts: Sequence[CandidateRows]) -> CandidateRows:
+    return CandidateRows(*(np.concatenate(cols) for cols in zip(*parts)))
+
+
+def _best(criterion: Criterion, rows: CandidateRows) -> np.ndarray:
+    """Position of each example's preferred row, examples in ascending order.
+
+    The one definition of the preference order, as sort keys (smaller is
+    preferred): errors first, then under min_norm the smaller norm among
+    errors, else the higher wrong-class confidence. Scores hold no NaN, and
+    the sort is stable, so exact ties keep the earlier row as a `prefer` fold.
+    """
+    mis, wrong, group = rows.misclassified, rows.wrong_confidence, rows.example_index
+    keys = ([np.where(mis, 0.0, -wrong), np.where(mis, rows.perturbation_norm, 0.0)]
+            if criterion.variant == MIN_NORM else [-wrong])
+    order = np.lexsort(keys + [~mis, group])  # the last key sorts first
+    group = group[order]
+    return order[np.r_[True, group[1:] != group[:-1]]]
+
+
+class _Pairs(Sequence):
+    """Some rows of a CandidateRows as (Candidate, CandidateScore) pairs,
+    each built when it is read."""
+
+    def __init__(self, rows: CandidateRows, which: Sequence[int], attack_ids: list[str]):
+        self._rows, self._which, self._ids = rows, which, attack_ids
+
+    def __len__(self) -> int:
+        return len(self._which)
+
+    def __getitem__(self, k: int) -> tuple[Candidate, CandidateScore]:
+        c, r = self._rows, self._which[k]
+        return (Candidate(int(c.example_index[r]), c.adversarial_input[r],
+                          self._ids[c.attack_code[r]], int(c.restart_index[r])),
+                CandidateScore(bool(c.misclassified[r]), float(c.wrong_confidence[r]),
+                               float(c.perturbation_norm[r])))
+
+
 @dataclass
 class OutcomeMatrix:
     """Binary example-by-attack error indicators."""
@@ -149,7 +210,7 @@ class ScheduleState:
 
     attacks: tuple[AttackConfig, ...]
     attacks_run: list[int]
-    goal_met: list[bool]
+    goal_met: list[bool] | np.ndarray
 
 
 def schedule(budget: BudgetPolicy, state: ScheduleState) -> list[tuple[int, AttackConfig]]:
@@ -175,44 +236,78 @@ def schedule(budget: BudgetPolicy, state: ScheduleState) -> list[tuple[int, Atta
 
 @dataclass
 class BundleResult:
+    """What a bundle chose and spent, as arrays over its n examples.
+
+    chosen_rows holds example i's choice at row i; pool (keep_candidates)
+    every scored candidate in generation order. `chosen` and
+    `all_candidates` are read-only views of them as per-candidate pairs.
+    """
+
     criterion: Criterion
-    chosen: list[tuple[Candidate, CandidateScore]]
+    chosen_rows: CandidateRows
     outcome_matrix: OutcomeMatrix
     per_attack_error_rates: np.ndarray
     bundled_error_rate: float
     computation_log: list[list[ComputationRecord]]
     units_spent: np.ndarray
     stopped_early: np.ndarray
-    all_candidates: list[list[tuple[Candidate, CandidateScore]]] | None = None
+    clean_confidence: np.ndarray
+    pool: CandidateRows | None = None
+
+    @property
+    def chosen(self) -> _Pairs:
+        ids = self.outcome_matrix.attack_ids
+        return _Pairs(self.chosen_rows, range(len(self.units_spent)), ids)
+
+    @property
+    def all_candidates(self) -> list[_Pairs] | None:
+        if self.pool is None:
+            return None
+        order = np.argsort(self.pool.example_index, kind="stable")
+        ends = np.cumsum(np.bincount(self.pool.example_index))[:-1]
+        return [_Pairs(self.pool, rows, self.outcome_matrix.attack_ids)
+                for rows in np.split(order, ends)]
 
     def rate_for(self, attack_id: str) -> float:
         j = self.outcome_matrix.attack_ids.index(attack_id)
         return float(self.per_attack_error_rates[j])
 
     def chosen_misclassified(self) -> np.ndarray:
-        return np.array([s.misclassified for _, s in self.chosen], dtype=bool)
+        return self.chosen_rows.misclassified
 
     def chosen_wrong_confidence(self) -> np.ndarray:
-        return np.array([s.wrong_confidence for _, s in self.chosen])
+        return self.chosen_rows.wrong_confidence
 
     def chosen_norms(self) -> np.ndarray:
-        return np.array([s.perturbation_norm for _, s in self.chosen])
+        return self.chosen_rows.perturbation_norm
 
 
-def _scores(probs: np.ndarray, labels: np.ndarray, norms: np.ndarray) -> list[CandidateScore]:
-    """One score per row, from the model's probabilities and the L-inf norms."""
-    misclassified = probs.argmax(axis=1) != labels
+def _scores(probs: np.ndarray, labels: np.ndarray,
+            norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Misclassified flags, best wrong-class probabilities and L-inf norms per row.
+
+    A row with a non-finite probability (an overflowing model) shows no
+    error: not misclassified, wrong confidence -inf, so no score is NaN.
+    """
+    defined = np.isfinite(probs).all(axis=1)
     wrong = probs.copy()
     wrong[np.arange(len(labels)), labels] = -np.inf
-    return [CandidateScore(m, w, n) for m, w, n in
-            zip(misclassified.tolist(), wrong.max(axis=1).tolist(), norms.tolist())]
+    wrong = np.where(defined, wrong.max(axis=1), -np.inf)
+    return defined & (probs.argmax(axis=1) != labels), wrong, norms
+
+
+def _scored(params: ModelParams, y: np.ndarray, example_index: np.ndarray, code: int,
+            restart_index: np.ndarray, adv: np.ndarray, norms: np.ndarray) -> CandidateRows:
+    """Candidate rows of one attack, scored with one probs_rows call."""
+    return CandidateRows(example_index, np.full(len(adv), code), restart_index, adv,
+                         *_scores(probs_rows(params, adv), y[example_index], norms))
 
 
 def _score_from_prediction(pred: Prediction, example: Example,
                            candidate: Candidate) -> CandidateScore:
     norm = np.max(np.abs(candidate.adversarial_input - example.features))
-    return _scores(pred.probabilities[None, :], np.array([example.label]),
-                   np.array([norm]))[0]
+    scores = _scores(pred.probabilities[None, :], np.array([example.label]), np.array([norm]))
+    return CandidateScore(*(v.item() for v in scores))
 
 
 def score(params: ModelParams, example: Example, candidate: Candidate,
@@ -238,24 +333,27 @@ def score_stochastic(params: ModelParams, spec: StochasticSpec, example: Example
 
 def prefer(a: CandidateScore, b: CandidateScore, criterion: Criterion) -> int:
     """Index (0 or 1) of the preferred score; exact ties keep the first."""
-    if a.misclassified != b.misclassified:
-        return 0 if a.misclassified else 1
-    if criterion.variant == MIN_NORM and a.misclassified:
-        if a.perturbation_norm != b.perturbation_norm:
-            return 0 if a.perturbation_norm < b.perturbation_norm else 1
-        return 0
-    if a.wrong_confidence != b.wrong_confidence:
-        return 0 if a.wrong_confidence > b.wrong_confidence else 1
-    return 0
+    scores = (np.array(pair) for pair in zip(astuple(a), astuple(b)))
+    rows = CandidateRows(np.zeros(2, dtype=np.int64), None, None, None, *scores)
+    return int(_best(criterion, rows)[0])
 
 
-def _goal_test(criterion: Criterion) -> Callable[[CandidateScore], bool]:
+def _goal_test(criterion: Criterion) -> Callable:
+    """Whether a score meets the goal; on CandidateRows, row by row."""
     if criterion.variant == MISCLASSIFY:
         return lambda s: s.misclassified
     if criterion.variant == MAX_CONFIDENCE:
         t = criterion.threshold
-        return lambda s: s.misclassified and s.wrong_confidence > t
-    return lambda s: False  # min_norm never stops early
+        return lambda s: s.misclassified & (s.wrong_confidence > t)
+    return lambda s: s.misclassified & False  # min_norm never stops early
+
+
+def _choose(chosen: CandidateRows, rows: CandidateRows, criterion: Criterion) -> None:
+    """Fold a block into the running choice (example i at row i), in place."""
+    both = _concat([chosen.take(np.unique(rows.example_index)), rows])
+    won = both.take(_best(criterion, both))
+    for col, new in zip(chosen, won):
+        col[won.example_index] = new
 
 
 def _seeds_for(root_seed: int, example_index: int, config: AttackConfig):
@@ -264,14 +362,12 @@ def _seeds_for(root_seed: int, example_index: int, config: AttackConfig):
     return derive_seed(root_seed, example_index, config.attack_id)
 
 
-def _engine(params: ModelParams, config: AttackConfig, X: np.ndarray, y: np.ndarray,
-            members: list[int], root_seed: int
-            ) -> Iterator[tuple[int, list[tuple[Candidate, CandidateScore]] | None]]:
-    """Run a built-in attack on the examples `members` as row blocks.
-
-    Yields (example index, scored candidates) per member in order, with
-    None in place of the candidates when any of the example's rows failed.
-    """
+def _engine(params: ModelParams, config: AttackConfig, code: int, X: np.ndarray,
+            y: np.ndarray, members: list[int], root_seed: int
+            ) -> Iterator[tuple[list[int], list[int], CandidateRows]]:
+    """Run a built-in attack on the examples `members` in row blocks. Per block,
+    yield its examples, each one's candidate count (-1 where any of its rows
+    failed) and the scored candidates of the others."""
     per = rows_per_example(config)
     block = max(1, ROW_BLOCK // per)
     for start in range(0, len(members), block):
@@ -280,16 +376,11 @@ def _engine(params: ModelParams, config: AttackConfig, X: np.ndarray, y: np.ndar
                                      [_seeds_for(root_seed, i, config) for i in idx])
         norms = check_rows(adv.reshape(len(idx), per, -1), X[idx][:, None, :],
                            config.epsilon, config.attack_id).reshape(-1)
-        scores = _scores(probs_rows(params, adv), np.repeat(y[idx], per), norms)
         ok = ((failed_at < 0) & np.isfinite(norms)).reshape(len(idx), per).all(axis=1)
-        for u, i in enumerate(idx):
-            if not ok[u]:
-                yield i, None
-                continue
-            # a copy, so a kept candidate holds its own example's rows, not the block
-            rows = adv[u * per:(u + 1) * per].copy()
-            yield i, [(Candidate(i, rows[j], config.attack_id, j), scores[u * per + j])
-                      for j in range(per)]
+        keep = np.repeat(ok, per)
+        rows = _scored(params, y, np.repeat(idx, per)[keep], code,
+                       np.tile(np.arange(per), len(idx))[keep], adv[keep], norms[keep])
+        yield idx, np.where(ok, per, -1).tolist(), rows
 
 
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
@@ -328,38 +419,28 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     n = len(dataset)
     runners = runners or {}
     goal = _goal_test(criterion)
-    col_of = {a: j + 1 for j, a in enumerate(ids)}
     entries = np.zeros((n, 1 + len(attacks)), dtype=np.int8)
-    pools: list[list[tuple[Candidate, CandidateScore]]] | None = (
-        [[] for _ in range(n)] if keep_candidates else None)
     log: list[list[ComputationRecord]] = [[] for _ in range(n)]
 
-    clean_scores = _scores(probs_rows(params, X), y, np.zeros(n))
-    chosen = [(Candidate(i, ex.features.copy(), CLEAN_ID, 0), s)
-              for i, (ex, s) in enumerate(zip(dataset.examples, clean_scores))]
-    entries[:, 0] = [s.misclassified for s in clean_scores]
-    if pools is not None:
-        for i in range(n):
-            pools[i].append(chosen[i])
+    probs = probs_rows(params, X)
+    zeros = np.zeros(n, dtype=np.int64)
+    clean = CandidateRows(np.arange(n), zeros, zeros, X, *_scores(probs, y, np.zeros(n)))
+    chosen = CandidateRows(*(col.copy() for col in clean))
+    pool_blocks = [clean] if keep_candidates else None
+    entries[:, 0] = clean.misclassified
+    state = ScheduleState(tuple(attacks), [0] * n, np.array(goal(clean), dtype=bool))
 
-    state = ScheduleState(tuple(attacks), [0] * n, [goal(s) for s in clean_scores])
-
-    def record(i: int, cfg: AttackConfig,
-               scored: list[tuple[Candidate, CandidateScore]] | None) -> None:
-        if scored is None:
-            log[i].append(ComputationRecord(cfg.attack_id, 0, failed=True))
+    def record(code: int, members: list[int], counts: list[int],
+               rows: CandidateRows | None) -> None:
+        for i, count in zip(members, counts):
+            log[i].append(ComputationRecord(ids[code - 1], max(count, 0), failed=count < 0))
+        if rows is None or not len(rows.example_index):
             return
-        log[i].append(ComputationRecord(cfg.attack_id, len(scored)))
-        any_mis = False
-        for cand, cand_score in scored:
-            if pools is not None:
-                pools[i].append((cand, cand_score))
-            any_mis = any_mis or cand_score.misclassified
-            if prefer(chosen[i][1], cand_score, criterion) == 1:
-                chosen[i] = (cand, cand_score)
-            if goal(cand_score):
-                state.goal_met[i] = True
-        entries[i, col_of[cfg.attack_id]] = int(any_mis)
+        if pool_blocks is not None:
+            pool_blocks.append(rows)
+        entries[rows.example_index[rows.misclassified], code] = 1
+        state.goal_met[rows.example_index[goal(rows)]] = True
+        _choose(chosen, rows, criterion)
 
     while True:
         assignments = schedule(budget, state)
@@ -371,39 +452,43 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
             if cfg.variant in _ENGINE_VARIANTS and cfg.variant not in runners:
                 engine_members.setdefault(cfg.attack_id, []).append(i)
                 continue
-            ex = dataset.examples[i]
+            ex, code = dataset.examples[i], ids.index(cfg.attack_id) + 1
             runner = runners.get(cfg.variant, run_attack)
             try:
                 cands = runner(params, ex, cfg, _seeds_for(seed, i, cfg), i)
-                scored = []
                 for c in cands:
+                    if c.example_index != i:
+                        raise ContractError(
+                            f"candidate belongs to example {c.example_index}, not {i}")
                     validate_candidate(c, ex.features, cfg.epsilon)
-                    scored.append((c, score(params, ex, c, example_index=i)))
             except AttackFailedError:
-                scored = None
-            record(i, cfg, scored)
-        for cfg in attacks:
-            if cfg.attack_id in engine_members:
-                for i, scored in _engine(params, cfg, X, y, engine_members[cfg.attack_id], seed):
-                    record(i, cfg, scored)
+                record(code, [i], [-1], None)
+                continue
+            adv = np.array([c.adversarial_input for c in cands]).reshape(-1, X.shape[1])
+            restarts = np.array([c.restart_index for c in cands], dtype=np.int64)
+            rows = _scored(params, y, np.full(len(cands), i), code, restarts, adv,
+                           np.abs(adv - X[i]).max(axis=1))
+            record(code, [i], [len(cands)], rows)
+        for code, cfg in enumerate(attacks, start=1):
+            members = engine_members.get(cfg.attack_id, [])
+            for block in _engine(params, cfg, code, X, y, members, seed):
+                record(code, *block)
 
     matrix = OutcomeMatrix(entries, [CLEAN_ID] + ids)
     cap = budget.max_attack_units_per_example
     allowed = len(attacks) if cap is None else min(len(attacks), cap)
-    stopped = np.array([
-        budget.early_stop and state.goal_met[i] and state.attacks_run[i] < allowed
-        for i in range(n)
-    ], dtype=bool)
-    for i in range(n):
-        if stopped[i] and log[i]:
+    stopped = budget.early_stop & state.goal_met & (np.array(state.attacks_run) < allowed)
+    for i in np.flatnonzero(stopped):
+        if log[i]:
             log[i][-1].stopped_early = True
-    units = np.array([len(log[i]) for i in range(n)], dtype=np.int64)
+    units = np.array([len(records) for records in log], dtype=np.int64)
     bundled = matrix.bundled_error_rate()
-    if bundled != float(np.mean([s.misclassified for _, s in chosen])):
+    if bundled != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
                             "disagrees with the chosen candidates")
+    pool = _concat(pool_blocks) if pool_blocks is not None else None
     return BundleResult(criterion, chosen, matrix, matrix.per_attack_error_rates(),
-                        bundled, log, units, stopped, pools)
+                        bundled, log, units, stopped, probs.max(axis=1), pool)
 
 
 def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
@@ -414,23 +499,14 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     different stopping goal would have generated different candidates.
     Outcome matrix, rates, and spend are criterion-independent and carry over.
     """
-    if result.all_candidates is None:
+    if result.pool is None:
         raise ContractError("reselect needs a result built with keep_candidates=True")
     n_attacks = len(result.outcome_matrix.attack_ids) - 1
     if np.any(result.units_spent < n_attacks):
         raise ContractError("reselect needs an exhaustive run (every attack on "
                             "every example)")
-    chosen = []
-    for pool in result.all_candidates:
-        best = pool[0]
-        for entry in pool[1:]:
-            if prefer(best[1], entry[1], criterion) == 1:
-                best = entry
-        chosen.append(best)
-    return BundleResult(criterion, chosen, result.outcome_matrix,
-                        result.per_attack_error_rates, result.bundled_error_rate,
-                        result.computation_log, result.units_spent,
-                        result.stopped_early, result.all_candidates)
+    return replace(result, criterion=criterion,
+                   chosen_rows=result.pool.take(_best(criterion, result.pool)))
 
 
 def select_by_ensemble(ensemble: Ensemble, example: Example,

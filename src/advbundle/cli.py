@@ -19,7 +19,7 @@ from .config import (ExperimentConfig, load_experiment_config, with_output_dir)
 from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
-from .models import ModelParams, TrainParams, predict, save_model, train
+from .models import ModelParams, predict, save_model, train
 from .reporting import (dump_candidates_csv, fmt, make_tables, norm_curve,
                         success_fail_curve, wat_underestimation_report,
                         write_chosen_csv, write_norm_curve_csv, write_rates_csv,
@@ -39,9 +39,7 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def _train_model(config: ExperimentConfig, dataset: Dataset) -> ModelParams:
-    hp = TrainParams(config.learning_rate, config.epochs, config.batch_size,
-                     config.train_seed, hidden=config.hidden)
-    return train(dataset, config.architecture, hp)
+    return train(dataset, config.architecture, config.train_params)
 
 
 def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
@@ -82,8 +80,6 @@ def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Train, bundle, and write the full artifact set to the output dir."""
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(config)
     model = _train_model(config, dataset)
 
@@ -96,7 +92,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                      seed=config.seed, keep_candidates=keep)
 
     mat, wat, bundled_table = make_tables(primary)
-    sf = success_fail_curve(model, dataset, primary, config.threshold_grid)
+    sf = success_fail_curve(primary, config.threshold_grid)
 
     # the norm curve needs the min-norm choice, which never stops early;
     # an exhaustive primary already holds every candidate, so just re-select
@@ -111,6 +107,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     curve = norm_curve(min_norm_result, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     paths = {name: outdir / name for name in ARTIFACTS}
     save_model(paths["model.txt"], model)
     write_rates_csv(paths["rates.csv"], mat, wat, bundled_table)
@@ -119,8 +117,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     write_wat_gap_csv(paths["wat_gap.csv"], gap_rows)
     write_chosen_csv(paths["chosen.csv"], primary)
     if config.dump_candidates:
-        all_cands = [c for pool in primary.all_candidates for c, _ in pool]
-        dump_candidates_csv(outdir / "candidates.csv", all_cands)
+        dump_candidates_csv(outdir / "candidates.csv", primary)
         paths["candidates.csv"] = outdir / "candidates.csv"
     paths["summary.txt"].write_text(
         _summary_text(config, dataset, mat, wat, bundled_table, primary))

@@ -21,6 +21,7 @@ import numpy as np
 from .attacks import AttackConfig
 from .bundler import MAX_CONFIDENCE, MISCLASSIFY, Criterion
 from .errors import ConfigError, ContractError
+from .models import MLP1, SOFTMAX_LINEAR, TrainParams
 from .reporting import fmt
 
 
@@ -76,6 +77,17 @@ class ExperimentConfig:
             raise ConfigError("epsilon_grid must be sorted ascending")
         if not all(n >= 1 for n in self.gap_ns):
             raise ConfigError("gap_ns entries must be >= 1")
+        if self.architecture not in (SOFTMAX_LINEAR, MLP1):
+            raise ConfigError(f"unknown architecture {self.architecture!r}")
+        try:
+            self.train_params
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @property
+    def train_params(self) -> TrainParams:
+        return TrainParams(self.learning_rate, self.epochs, self.batch_size,
+                           self.train_seed, hidden=self.hidden)
 
 
 def _parse_bool(value: str) -> bool:

@@ -24,12 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import Candidate
 from .bundler import (CLEAN_ID, MIN_NORM, BundleResult, OutcomeMatrix,
                       wat_gap_construction)
-from .data import Dataset
 from .errors import ContractError
-from .models import ModelParams, predict
+# perfbench/child.py wraps this name when it traces a run; nothing here calls it
+from .models import predict  # noqa: F401
 
 MAT = "MAT"
 WAT = "WAT"
@@ -128,25 +127,21 @@ def make_tables(source: BundleResult | OutcomeMatrix,
             RateTable(BUNDLED, clean_error, per_attack, bundled_rate=bundled))
 
 
-def success_fail_curve(params: ModelParams, dataset: Dataset, result: BundleResult,
-                       grid: Sequence[float]) -> SuccessFailCurve:
+def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFailCurve:
     """Sweep thresholds t over [0.5, 1).
 
     success_rate(t): clean examples predicted correctly with confidence > t.
     failure_rate(t): examples whose chosen candidate is misclassified with
-    wrong-class confidence > t. Both use stored scores; no attack reruns.
+    wrong-class confidence > t. Both read the result's stored scores; no
+    model call and no attack reruns.
     """
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ContractError("threshold grid must be sorted ascending")
     if grid and not (0.5 <= grid[0] and grid[-1] < 1.0):
         raise ContractError("threshold grid must lie in [0.5, 1)")
-    if len(result.chosen) != len(dataset):
-        raise ContractError("result does not match dataset")
-    preds = [predict(params, ex.features) for ex in dataset.examples]
-    correct = np.array([p.predicted_class == ex.label
-                        for p, ex in zip(preds, dataset.examples)])
-    confidence = np.array([p.confidence for p in preds])
+    correct = result.outcome_matrix.entries[:, 0] == 0
+    confidence = result.clean_confidence
     mis = result.chosen_misclassified()
     wrong_conf = result.chosen_wrong_confidence()
     points = []
@@ -225,26 +220,28 @@ def write_wat_gap_csv(path: str | Path, rows: Sequence[tuple[int, float, float, 
 
 def write_chosen_csv(path: str | Path, result: BundleResult) -> None:
     """Per-example chosen candidate and spend."""
+    rows, ids = result.chosen_rows, result.outcome_matrix.attack_ids
     lines = ["index,attack_id,restart_index,misclassified,wrong_confidence,"
              "perturbation_norm,units_spent"]
-    for i, (cand, cand_score) in enumerate(result.chosen):
-        lines.append(",".join([
-            str(i), cand.attack_id, str(cand.restart_index),
-            str(int(cand_score.misclassified)),
-            fmt(cand_score.wrong_confidence),
-            fmt(cand_score.perturbation_norm),
-            str(int(result.units_spent[i])),
-        ]))
+    for i, (code, restart, mis, wrong, norm, units) in enumerate(zip(
+            rows.attack_code.tolist(), rows.restart_index.tolist(),
+            rows.misclassified.tolist(), rows.wrong_confidence.tolist(),
+            rows.perturbation_norm.tolist(), result.units_spent.tolist())):
+        lines.append(f"{i},{ids[code]},{restart},{int(mis)},{fmt(wrong)},{fmt(norm)},{units}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def dump_candidates_csv(path: str | Path, candidates: Sequence[Candidate]) -> None:
-    """One row per candidate: example_index, attack_id, restart_index, features."""
+def dump_candidates_csv(path: str | Path, result: BundleResult) -> None:
+    """One row per kept candidate, grouped by example in generation order:
+    example_index, attack_id, restart_index, features."""
+    pool, ids = result.pool, result.outcome_matrix.attack_ids
+    order = np.argsort(pool.example_index, kind="stable")
+    d = pool.adversarial_input.shape[1]
     with open(path, "w", newline="") as fh:
-        d = candidates[0].adversarial_input.shape[0] if candidates else 0
         header = ["example_index", "attack_id", "restart_index"] + [f"x{j}" for j in range(d)]
         fh.write(",".join(header) + "\n")
-        for c in candidates:
-            row = [str(c.example_index), c.attack_id, str(c.restart_index)]
-            row += [repr(float(v)) for v in c.adversarial_input]
-            fh.write(",".join(row) + "\n")
+        columns = (pool.example_index, pool.attack_code, pool.restart_index,
+                   pool.adversarial_input)
+        for example, code, restart, x in zip(*(col[order].tolist() for col in columns)):
+            fh.write(",".join([str(example), ids[code], str(restart)] + [repr(v) for v in x])
+                     + "\n")

@@ -228,7 +228,7 @@ def test_criterion_09_curves_are_monotone_with_anchored_endpoints(desk_setup):
     for seed in (0, 1, 2):
         res = ab.bundle(model, dataset, attacks, ab.Criterion.max_confidence(0.9),
                         ab.BudgetPolicy(early_stop=False), seed=seed)
-        curve = ab.success_fail_curve(model, dataset, res, np.linspace(0.5, 0.99, 50))
+        curve = ab.success_fail_curve(res, np.linspace(0.5, 0.99, 50))
         succ = [p[1] for p in curve.points]
         fail = [p[2] for p in curve.points]
         assert all(b <= a for a, b in zip(succ, succ[1:]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
-from advbundle.attacks import run_attack
+from advbundle.attacks import pgd_rows, run_attack
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
 
 from conftest import binary_linear, oracle_loss
@@ -184,11 +184,14 @@ def test_expensive_pgd_reaches_higher_mean_loss_than_cheap(desk_mlp):
     model, dataset = desk_mlp
     cheap = _pgd_cfg(attack_id="cheap", num_steps=40, step_size=0.1)
     expensive = _pgd_cfg(attack_id="expensive", num_steps=1000, step_size=0.04)
-    losses = {"cheap": [], "expensive": []}
-    for i, ex in enumerate(dataset.examples):
-        for name, cfg in (("cheap", cheap), ("expensive", expensive)):
-            cand = ab.pgd(model, ex, cfg, seed=ab.derive_seed(0, i, name), example_index=i)[0]
-            losses[name].append(oracle_loss(model, cand.adversarial_input, ex.label))
+    # the candidates the per-example pgd adapter returns, computed as one batch
+    X, y = dataset.features_matrix(), dataset.labels()
+    losses = {}
+    for name, cfg in (("cheap", cheap), ("expensive", expensive)):
+        seeds = [ab.derive_seed(0, i, name) for i in range(len(dataset))]
+        adv, failed_at = pgd_rows(model, X, y, seeds, cfg)
+        assert np.all(failed_at < 0)
+        losses[name] = [oracle_loss(model, x, label) for x, label in zip(adv, y)]
     assert len(losses["cheap"]) >= 500
     assert np.mean(losses["expensive"]) >= np.mean(losses["cheap"])
 

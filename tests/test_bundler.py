@@ -80,6 +80,20 @@ class TestScore:
         with pytest.raises(ContractError):
             ab.score(linear_on_blobs, ex, cand, example_index=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probabilities_show_no_error(self):
+        # the class-1 logit overflows at x = (0.95, 0.95), so every probability is NaN
+        m = binary_linear([1e308, 1e308])
+        x = np.array([0.95, 0.95])
+        for label in (0, 1):
+            s = ab.score(m, ab.Example(x, label), Candidate(0, x.copy(), "a", 0))
+            assert not s.misclassified, label
+            assert s.wrong_confidence == -np.inf, label
+        ds = ab.Dataset([ab.Example(x, 0), ab.Example(x, 1)], num_classes=2)
+        res = ab.bundle(m, ds, [], ab.Criterion.misclassify())
+        assert res.bundled_error_rate == 0.0
+        assert np.all(res.chosen_wrong_confidence() == -np.inf)
+
 
 class TestPrefer:
     def mk(self, mis, wc, norm=0.1):
@@ -266,6 +280,31 @@ class TestBundle:
             assert not res.computation_log[1][0].failed, failure
             assert res.rate_for("flaky") == 0.5, failure  # only example 1 flipped
             assert res.bundled_error_rate == 0.5, failure
+
+    def test_runner_returning_no_candidates_is_an_empty_unit(self):
+        res = ab.bundle(steep_boundary_model(), two_example_dataset(),
+                        [ab.AttackConfig("empty", "empty", epsilon=0.5)],
+                        ab.Criterion.misclassify(), runners={"empty": lambda *args: []},
+                        keep_candidates=True)
+        assert [[(r.restarts_run, r.failed) for r in recs]
+                for recs in res.computation_log] == [[(0, False)], [(0, False)]]
+        assert res.rate_for("empty") == 0.0
+        assert [len(pool) for pool in res.all_candidates] == [1, 1]
+        assert [c.attack_id for c, _ in res.chosen] == [CLEAN_ID, CLEAN_ID]
+
+    def test_pool_lengths_build_no_candidates(self, monkeypatch, mlp_on_small_blobs,
+                                              small_blobs):
+        attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5,
+                                   num_restarts=2),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=7)]
+        res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                        ab.BudgetPolicy(early_stop=False), keep_candidates=True)
+
+        def no_objects(*args):
+            raise AssertionError("taking a pool's length built a candidate")
+
+        monkeypatch.setattr(bundler, "Candidate", no_objects)
+        assert [len(pool) for pool in res.all_candidates] == [1 + 2 + 7] * len(small_blobs)
 
     def test_unknown_variant_without_runner_raises(self):
         m = steep_boundary_model()
@@ -687,3 +726,59 @@ def test_bundled_rate_dominates_every_column(n_examples, n_attacks, seed):
     entries = rng.integers(0, 2, size=(n_examples, n_attacks))
     matrix = ab.OutcomeMatrix(entries, [f"a{j}" for j in range(n_attacks)])
     assert matrix.bundled_error_rate() >= matrix.per_attack_error_rates().max() - 1e-12
+
+
+def reference_prefer(a, b, criterion):
+    """The pairwise preference rule written out case by case, as an oracle."""
+    if a.misclassified != b.misclassified:
+        return 0 if a.misclassified else 1
+    if criterion.variant == "min_norm" and a.misclassified:
+        return 1 if b.perturbation_norm < a.perturbation_norm else 0
+    return 1 if b.wrong_confidence > a.wrong_confidence else 0
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_vectorized_selection_equals_sequential_prefer_fold(data):
+    """Block-wise running choice and reselect pick the row a prefer fold picks,
+    on scores with heavy ties and -inf wrong confidences."""
+    n = data.draw(st.integers(1, 4))
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+    example = np.array(list(range(n)) + extra)  # one baseline row per example first
+    m = len(example)
+
+    def draw(values):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
+
+    mis = draw([False, True])
+    wrong = draw([-np.inf, 0.0, 0.25, 0.5, 1.0])
+    norm = draw([0.0, 0.1, 0.2])
+    scores = [ab.CandidateScore(*row) for row in zip(mis.tolist(), wrong.tolist(),
+                                                     norm.tolist())]
+    zeros = np.zeros(m, dtype=np.int64)
+    # a row's input is its own position, so a choice names the row it came from
+    pool = bundler.CandidateRows(example, zeros, zeros, np.arange(m, dtype=float)[:, None],
+                                 mis, wrong, norm)
+    cuts = sorted(data.draw(st.lists(st.integers(n, m), max_size=4)))
+    for crit in (ab.Criterion.misclassify(), ab.Criterion.max_confidence(0.6),
+                 ab.Criterion.min_norm()):
+        best = list(range(n))
+        for r in range(n, m):
+            i = example[r]
+            expected = reference_prefer(scores[best[i]], scores[r], crit)
+            assert ab.prefer(scores[best[i]], scores[r], crit) == expected
+            if expected == 1:
+                best[i] = r
+
+        chosen = pool.take(np.arange(n))
+        for lo, hi in zip([n] + cuts, cuts + [m]):
+            if hi > lo:
+                bundler._choose(chosen, pool.take(np.arange(lo, hi)), crit)
+        assert chosen.adversarial_input[:, 0].tolist() == best
+
+        result = ab.BundleResult(crit, pool.take(np.arange(n)),
+                                 ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]), np.zeros(1),
+                                 0.0, [[] for _ in range(n)], np.zeros(n, dtype=np.int64),
+                                 np.zeros(n, dtype=bool), np.ones(n), pool)
+        redone = ab.reselect(result, crit).chosen_rows
+        assert redone.adversarial_input[:, 0].tolist() == best

@@ -131,6 +131,17 @@ class TestExitCodes:
         assert "gap_ns" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("architecture = softmax_linear", "architecture = bogus"),
+        ("epochs = 60", "epochs = 0"),
+        ("learning_rate = 0.2", "learning_rate = -1"),
+    ])
+    def test_bad_model_key_fails_before_any_output(self, tmp_path, capsys, old, new):
+        cfg = write_cfg(tmp_path, text=FAST_CFG.replace(old, new))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run_out").exists()
+
     def test_model_data_shape_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
         import advbundle.cli as cli
 

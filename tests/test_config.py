@@ -117,6 +117,12 @@ class TestErrors:
     def line_of(self, excinfo):
         return str(excinfo.value)
 
+    @pytest.mark.parametrize("line", ["architecture = bogus", "hidden = 0", "epochs = 0",
+                                      "batch_size = 0", "learning_rate = 0"])
+    def test_bad_model_or_training_key_fails_at_parse_time(self, line):
+        with pytest.raises(ConfigError):
+            ab.parse_experiment_config(line + "\n")
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError) as info:
             ab.parse_experiment_config("seed = 1\nbogus = 2\n")

@@ -93,7 +93,7 @@ class TestMakeTables:
 class TestSuccessFailCurve:
     def test_low_threshold_reads_clean_accuracy_and_bundled_rate(self, desk_run):
         model, ds, res, _ = desk_run
-        curve = ab.success_fail_curve(model, ds, res, [0.5])
+        curve = ab.success_fail_curve(res, [0.5])
         t, success, failure = curve.points[0]
         preds = [ab.predict(model, ex.features) for ex in ds.examples]
         clean_acc = np.mean([p.predicted_class == ex.label
@@ -112,7 +112,7 @@ class TestSuccessFailCurve:
                                          num_steps=30)],
                         ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False),
                         seed=0)
-        curve = ab.success_fail_curve(linear_on_blobs, blobs_2c, res, [0.5])
+        curve = ab.success_fail_curve(res, [0.5])
         _, success, failure = curve.points[0]
         preds = [ab.predict(linear_on_blobs, ex.features) for ex in blobs_2c.examples]
         clean_acc = float(np.mean([p.predicted_class == ex.label
@@ -124,7 +124,7 @@ class TestSuccessFailCurve:
     def test_matches_brute_force_recount(self, desk_run):
         model, ds, res, _ = desk_run
         grid = np.linspace(0.5, 0.99, 50)
-        curve = ab.success_fail_curve(model, ds, res, grid)
+        curve = ab.success_fail_curve(res, grid)
         preds = [ab.predict(model, ex.features) for ex in ds.examples]
         for (t, success, failure) in curve.points:
             s = sum(1 for p, ex in zip(preds, ds.examples)
@@ -136,7 +136,7 @@ class TestSuccessFailCurve:
 
     def test_both_coordinates_non_increasing(self, desk_run):
         model, ds, res, _ = desk_run
-        curve = ab.success_fail_curve(model, ds, res, np.linspace(0.5, 0.99, 40))
+        curve = ab.success_fail_curve(res, np.linspace(0.5, 0.99, 40))
         succ = [p[1] for p in curve.points]
         fail = [p[2] for p in curve.points]
         assert all(b <= a for a, b in zip(succ, succ[1:]))
@@ -145,9 +145,9 @@ class TestSuccessFailCurve:
     def test_unsorted_grid_rejected(self, desk_run):
         model, ds, res, _ = desk_run
         with pytest.raises(ContractError):
-            ab.success_fail_curve(model, ds, res, [0.9, 0.6])
+            ab.success_fail_curve(res, [0.9, 0.6])
         with pytest.raises(ContractError):
-            ab.success_fail_curve(model, ds, res, [0.4, 0.6])
+            ab.success_fail_curve(res, [0.4, 0.6])
 
 
 class TestNormCurve:
@@ -205,7 +205,7 @@ class TestCsvOutput:
     def test_headers_and_round_trips(self, tmp_path, desk_run):
         model, ds, res, min_norm = desk_run
         mat, wat, bundled = ab.make_tables(res)
-        sf = ab.success_fail_curve(model, ds, res, np.linspace(0.5, 0.99, 10))
+        sf = ab.success_fail_curve(res, np.linspace(0.5, 0.99, 10))
         nc = ab.norm_curve(min_norm, np.linspace(0, 0.3, 7))
         rows = ab.wat_underestimation_report([1, 2, 10])
 
