@@ -32,6 +32,7 @@ from .seeding import derive_seed, make_rng
 FGSM = "fgsm"
 PGD = "pgd"
 UNIFORM_NOISE = "uniform_noise"
+VARIANTS = (FGSM, PGD, UNIFORM_NOISE)
 
 
 @dataclass(frozen=True)

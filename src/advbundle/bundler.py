@@ -18,8 +18,8 @@ restart or noise sample, go to `attacks.attack_rows` in blocks of at most
 `ROW_BLOCK` rows, and each block is validated with one array check and
 scored with one `probs_rows` call. Every row is computed exactly as a 1-row
 call would compute it, so the result equals running `attacks.run_attack`
-one example at a time, bit for bit. Attacks with a `runners` entry, and
-variants beyond the built-in three, still run one example per call.
+one example at a time, bit for bit. Attacks with a `runners` entry, which
+variants beyond the built-in three need, still run one example per call.
 
 Scored candidates are columns (`CandidateRows`), not objects: each block
 updates every example's running choice, the outcome matrix and the goal
@@ -35,12 +35,12 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .attacks import (FGSM, PGD, UNIFORM_NOISE, AttackConfig, Candidate, attack_rows,
-                      check_rows, rows_per_example, run_attack, validate_candidate)
+from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows,
+                      rows_per_example, run_attack, validate_candidate)
 from .data import Dataset, Example
 from .errors import AttackFailedError, ContractError, ShapeError
-from .models import (Ensemble, ModelParams, Prediction, StochasticSpec,
-                     ensemble_fooled_count, predict, predict_stochastic, probs_rows)
+from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
+                     predict, predict_stochastic, probs_rows)
 from .seeding import derive_seed
 
 CLEAN_ID = "none"
@@ -49,7 +49,6 @@ CLEAN_ID = "none"
 # number of examples; blocks hold whole examples, so an example with more
 # rows than this (restarts or noise samples) is a block of its own
 ROW_BLOCK = 4096
-_ENGINE_VARIANTS = (FGSM, PGD, UNIFORM_NOISE)
 
 MISCLASSIFY = "misclassify"
 MAX_CONFIDENCE = "max_confidence"
@@ -406,6 +405,10 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
         raise ContractError("attack_ids must be unique within a bundle")
     if CLEAN_ID in ids:
         raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
+    runners = runners or {}
+    for a in attacks:
+        if a.variant not in VARIANTS and a.variant not in runners:
+            raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
     if len(dataset) == 0:
         raise ContractError("cannot bundle over an empty dataset")
     if dataset.dimension != params.dimension:
@@ -417,7 +420,6 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
                          f"{params.num_classes} classes")
 
     n = len(dataset)
-    runners = runners or {}
     goal = _goal_test(criterion)
     entries = np.zeros((n, 1 + len(attacks)), dtype=np.int8)
     log: list[list[ComputationRecord]] = [[] for _ in range(n)]
@@ -449,7 +451,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
         engine_members: dict[str, list[int]] = {}
         for i, cfg in assignments:
             state.attacks_run[i] += 1
-            if cfg.variant in _ENGINE_VARIANTS and cfg.variant not in runners:
+            if cfg.variant in VARIANTS and cfg.variant not in runners:
                 engine_members.setdefault(cfg.attack_id, []).append(i)
                 continue
             ex, code = dataset.examples[i], ids.index(cfg.attack_id) + 1
@@ -515,19 +517,18 @@ def select_by_ensemble(ensemble: Ensemble, example: Example,
     wrong-class confidence, then to the first seen."""
     if not candidates:
         raise ContractError("select_by_ensemble needs at least one candidate")
-    best = None
-    best_key: tuple[int, float] | None = None
-    for cand in candidates:
-        count = ensemble_fooled_count(ensemble, cand.adversarial_input, example.label)
-        wrong_confs = []
-        for member in ensemble.members:
-            probs = predict(member, cand.adversarial_input).probabilities.copy()
-            probs[example.label] = -np.inf
-            wrong_confs.append(probs.max())
-        key = (count, float(np.mean(wrong_confs)))
-        if best_key is None or key > best_key:
-            best, best_key = cand, key
-    return best
+    X = np.stack([_check_input(ensemble.members[0], c.adversarial_input)
+                  for c in candidates])
+    fooled, wrong = [], []
+    for member in ensemble.members:
+        probs = probs_rows(member, X)
+        fooled.append(probs.argmax(axis=1) != example.label)
+        probs[:, example.label] = -np.inf
+        wrong.append(probs.max(axis=1))
+    # members on the contiguous last axis: each mean sums as np.mean of a list
+    keys = list(zip(np.sum(fooled, axis=0).tolist(),
+                    np.stack(wrong, axis=1).mean(axis=1).tolist()))
+    return candidates[max(range(len(keys)), key=keys.__getitem__)]
 
 
 def wat_gap_construction(n: int) -> OutcomeMatrix:

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig
+from .attacks import VARIANTS, AttackConfig
 from .bundler import MAX_CONFIDENCE, MISCLASSIFY, Criterion
 from .errors import ConfigError, ContractError
-from .models import MLP1, SOFTMAX_LINEAR, TrainParams
+from .models import ARCHITECTURES, TrainParams
 from .reporting import fmt
 
 
@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset = csv requires csv_path")
+        if self.synth_seed < 0:
+            raise ConfigError("synth_seed must be >= 0")
         if self.max_units is not None and self.max_units < 0:
             raise ConfigError("max_units must be >= 0")
         if not all(0.5 <= t < 1.0 for t in self.threshold_grid):
@@ -77,7 +79,7 @@ class ExperimentConfig:
             raise ConfigError("epsilon_grid must be sorted ascending")
         if not all(n >= 1 for n in self.gap_ns):
             raise ConfigError("gap_ns entries must be >= 1")
-        if self.architecture not in (SOFTMAX_LINEAR, MLP1):
+        if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         try:
             self.train_params
@@ -153,6 +155,8 @@ def _build_attack(attack_id: str, where: str,
     for f in fields(AttackConfig):
         if f.name in _ATTACK_KEYS and f.default is MISSING and f.name not in entries:
             raise ConfigError(f"{where}: attack section needs {f.name}")
+    if entries["variant"][0] not in VARIANTS:  # a config cannot supply runners
+        raise ConfigError(f"{where}: unknown variant {entries['variant'][0]!r}")
     try:
         return AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
     except ContractError as exc:

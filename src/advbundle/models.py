@@ -7,6 +7,9 @@ which is all the attack code needs. Models are immutable after training
 and every prediction path is pure, so one trained model serves every
 attack and scoring call unchanged.
 
+A model is its list of (W, b) layers, `ModelParams.layers`; one forward pass,
+`_forward`, serves scoring, input gradients and training.
+
 Conventions, fixed here and relied on by tests:
   * softmax subtracts the max logit before exponentiating
   * probabilities are floored at 1e-12 before taking logs, and the input
@@ -17,7 +20,9 @@ Conventions, fixed here and relied on by tests:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
 
@@ -29,6 +34,7 @@ from .seeding import make_rng
 
 SOFTMAX_LINEAR = "softmax_linear"
 MLP1 = "mlp1"
+ARCHITECTURES = (SOFTMAX_LINEAR, MLP1)
 
 PROB_FLOOR = 1e-12
 
@@ -44,21 +50,22 @@ class ModelParams:
     b2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.architecture not in (SOFTMAX_LINEAR, MLP1):
+        if self.architecture not in ARCHITECTURES:
             raise ContractError(f"unknown architecture {self.architecture!r}")
-        arrays = [self.W1, self.b1] + ([self.W2, self.b2] if self.architecture == MLP1 else [])
-        for arr in arrays:
-            if arr is None or not np.all(np.isfinite(arr)):
+        width = None
+        for W, b in self.layers:
+            if W is None or b is None or not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ContractError("model parameters must be finite")
+            if W.ndim != 2 or b.shape != (W.shape[1],) or width not in (None, W.shape[0]):
+                raise ContractError(f"inconsistent {self.architecture} shapes")
+            width = W.shape[1]
+
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The (W, b) pairs in order: ReLU between them, softmax after the last."""
         if self.architecture == MLP1:
-            d, h = self.W1.shape
-            if self.b1.shape != (h,) or self.W2.shape[0] != h:
-                raise ContractError("inconsistent mlp1 shapes")
-            if self.b2.shape != (self.W2.shape[1],):
-                raise ContractError("inconsistent mlp1 output shapes")
-        else:
-            if self.b1.shape != (self.W1.shape[1],):
-                raise ContractError("inconsistent linear shapes")
+            return ((self.W1, self.b1), (self.W2, self.b2))
+        return ((self.W1, self.b1),)
 
     @property
     def dimension(self) -> int:
@@ -66,11 +73,7 @@ class ModelParams:
 
     @property
     def num_classes(self) -> int:
-        return self.b2.shape[0] if self.architecture == MLP1 else self.b1.shape[0]
-
-    @property
-    def hidden(self) -> int | None:
-        return self.W1.shape[1] if self.architecture == MLP1 else None
+        return self.layers[-1][1].shape[0]
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,8 @@ class TrainParams:
             raise ContractError("training hyperparameters must be positive")
         if self.hidden <= 0:
             raise ContractError("hidden width must be positive")
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+        if self.seed < 0:
+            raise ContractError("training seed must be >= 0")
 
 
 def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -153,15 +152,34 @@ def _by_col(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.matmul(W, G[:, :, None])[:, :, 0]
 
 
+def _forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,
+             matmul: Callable) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Class probabilities for the rows of X, and each layer's input: X, then
+    each hidden activation (> 0 exactly where its pre-activation is).
+
+    ReLU between layers, softmax after the last, each in place on the product
+    matmul(A, W) = A @ W, so no layer allocates a second (B, width) array.
+    """
+    inputs = [X]
+    for W, b in layers[:-1]:
+        z = matmul(inputs[-1], W)
+        z += b
+        inputs.append(np.maximum(z, 0.0, out=z))
+    W, b = layers[-1]
+    logits = matmul(inputs[-1], W)
+    logits += b
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits, inputs
+
+
 def probs_rows(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Class probabilities for each row of X (B, d). No checks.
 
     Row r is bit-identical to predict(params, X[r]).probabilities for any B.
     """
-    if params.architecture == SOFTMAX_LINEAR:
-        return _softmax(_by_row(X, params.W1) + params.b1)
-    hidden = np.maximum(_by_row(X, params.W1) + params.b1, 0.0)
-    return _softmax(_by_row(hidden, params.W2) + params.b2)
+    return _forward(params.layers, X, _by_row)[0]
 
 
 def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -171,18 +189,14 @@ def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndar
     is zero where the floor is active, and NaN/inf where the model overflows.
     """
     rows = np.arange(len(X))
-    if params.architecture == SOFTMAX_LINEAR:
-        probs = _softmax(_by_row(X, params.W1) + params.b1)
-    else:
-        z1 = _by_row(X, params.W1) + params.b1
-        probs = _softmax(_by_row(np.maximum(z1, 0.0), params.W2) + params.b2)
+    probs, inputs = _forward(params.layers, X, _by_row)
     picked = probs[rows, labels]
-    g_logits = probs
-    g_logits[rows, labels] = picked - 1.0
-    if params.architecture == SOFTMAX_LINEAR:
-        grad = _by_col(params.W1, g_logits)
-    else:
-        grad = _by_col(params.W1, _by_col(params.W2, g_logits) * (z1 > 0.0))
+    grad = probs
+    grad[rows, labels] = picked - 1.0
+    for i in reversed(range(len(params.layers))):
+        grad = _by_col(params.layers[i][0], grad)
+        if i:
+            grad *= inputs[i] > 0.0
     grad[picked <= PROB_FLOOR] = 0.0
     return grad
 
@@ -197,8 +211,7 @@ def predict(params: ModelParams, x: np.ndarray) -> Prediction:
 
 def cross_entropy(params: ModelParams, x: np.ndarray, label: int) -> float:
     """-log p(label | x), with the probability floored for stability."""
-    x = _check_input(params, x)
-    probs = probs_rows(params, x[None, :])[0]
+    probs = predict(params, x).probabilities
     return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
 
 
@@ -220,23 +233,16 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     onehot = np.eye(k)[y]
 
     if architecture == SOFTMAX_LINEAR:
-        W1 = np.zeros((d, k))
-        b1 = np.zeros(k)
-        W2 = b2 = None
+        layers = [(np.zeros((d, k)), np.zeros(k))]
     elif architecture == MLP1:
         h = hp.hidden
-        W1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
-        b1 = np.zeros(h)
-        W2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, k))
-        b2 = np.zeros(k)
+        layers = [(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)), np.zeros(h)),
+                  (rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, k)), np.zeros(k))]
     else:
         raise ContractError(f"unknown architecture {architecture!r}")
 
     def loss_now() -> float:
-        if architecture == SOFTMAX_LINEAR:
-            probs = _softmax(X @ W1 + b1)
-        else:
-            probs = _softmax(np.maximum(X @ W1 + b1, 0.0) @ W2 + b2)
+        probs = _forward(layers, X, np.matmul)[0]
         picked = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
         return float(-np.log(picked).mean())
 
@@ -245,25 +251,15 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
         perm = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
             idx = perm[start:start + hp.batch_size]
-            Xb, Yb = X[idx], onehot[idx]
-            m = len(idx)
-            if architecture == SOFTMAX_LINEAR:
-                probs = _softmax(Xb @ W1 + b1)
-                g_logits = (probs - Yb) / m
-                W1 -= hp.learning_rate * (Xb.T @ g_logits)
-                b1 -= hp.learning_rate * g_logits.sum(axis=0)
-            else:
-                z1 = Xb @ W1 + b1
-                a1 = np.maximum(z1, 0.0)
-                probs = _softmax(a1 @ W2 + b2)
-                g_logits = (probs - Yb) / m
-                gW2 = a1.T @ g_logits
-                gb2 = g_logits.sum(axis=0)
-                g_hidden = (g_logits @ W2.T) * (z1 > 0.0)
-                W2 -= hp.learning_rate * gW2
-                b2 -= hp.learning_rate * gb2
-                W1 -= hp.learning_rate * (Xb.T @ g_hidden)
-                b1 -= hp.learning_rate * g_hidden.sum(axis=0)
+            probs, inputs = _forward(layers, X[idx], np.matmul)
+            g = (probs - onehot[idx]) / len(idx)
+            for i in reversed(range(len(layers))):
+                W, b = layers[i]
+                gW, gb = inputs[i].T @ g, g.sum(axis=0)
+                if i:
+                    g = (g @ W.T) * (inputs[i] > 0.0)
+                W -= hp.learning_rate * gW
+                b -= hp.learning_rate * gb
         epoch_loss = loss_now()
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
@@ -273,7 +269,7 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
         raise TrainingDivergedError(hp.epochs - 1,
                                     f"training raised the loss ({initial:.6g} -> {final:.6g}); "
                                     "lower the learning rate")
-    return ModelParams(architecture, W1, b1, W2, b2)
+    return ModelParams(architecture, *(arr for layer in layers for arr in layer))
 
 
 def predict_stochastic(params: ModelParams, spec: StochasticSpec, x: np.ndarray,
@@ -307,17 +303,10 @@ def ensemble_fooled_count(ensemble: Ensemble, x: np.ndarray, true_label: int) ->
 def save_model(path: str | Path, params: ModelParams) -> None:
     """Flat text format; floats use shortest round-trip decimals."""
     lines = [f"architecture {params.architecture}"]
-
-    def emit(name: str, arr: np.ndarray) -> None:
-        shape = " ".join(str(s) for s in arr.shape)
-        lines.append(f"{name} {shape}")
-        lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
-
-    emit("W1", params.W1)
-    emit("b1", params.b1)
-    if params.architecture == MLP1:
-        emit("W2", params.W2)
-        emit("b2", params.b2)
+    for i, (W, b) in enumerate(params.layers, start=1):
+        for name, arr in ((f"W{i}", W), (f"b{i}", b)):
+            lines.append(f"{name} " + " ".join(str(s) for s in arr.shape))
+            lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
+
 _MASK = (1 << 64) - 1
 
 
@@ -43,4 +45,6 @@ def derive_seed(root: int, *parts: int | str) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))

@@ -292,6 +292,19 @@ class TestBundle:
         assert [len(pool) for pool in res.all_candidates] == [1, 1]
         assert [c.attack_id for c, _ in res.chosen] == [CLEAN_ID, CLEAN_ID]
 
+    def test_variant_without_runner_fails_before_any_attack(self):
+        calls = []
+
+        def recording(params, example, config, seed, example_index):
+            calls.append(example_index)
+            return flip_runner(0)(params, example, config, seed, example_index)
+
+        attacks = self.oracle_attacks()
+        with pytest.raises(ContractError, match="oracle2"):
+            ab.bundle(steep_boundary_model(), two_example_dataset(), attacks,
+                      ab.Criterion.misclassify(), runners={"oracle1": recording})
+        assert calls == []
+
     def test_pool_lengths_build_no_candidates(self, monkeypatch, mlp_on_small_blobs,
                                               small_blobs):
         attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5,
@@ -694,6 +707,14 @@ class TestSelectByEnsemble:
             if best_key is None or key > best_key:
                 best_key, best = key, cand
         assert ab.select_by_ensemble(ens, ex, cands) is best
+
+    @pytest.mark.parametrize("x", [[0.5, 0.5, 0.5], [0.5, np.nan]], ids=["shape", "nan"])
+    def test_bad_candidate_is_shape_error(self, x):
+        ens = ab.Ensemble((binary_linear([1.0, 0.0]),))
+        ex = ab.Example(np.array([0.5, 0.5]), 0)
+        cands = [Candidate(0, np.array([0.2, 0.2]), "a", 0), Candidate(0, np.array(x), "a", 1)]
+        with pytest.raises(ShapeError):
+            ab.select_by_ensemble(ens, ex, cands)
 
 
 class TestWatGapConstruction:

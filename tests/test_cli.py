@@ -142,6 +142,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.parametrize("old,new", [("synth_seed = 3", "synth_seed = -1"),
+                                         ("train_seed = 1", "train_seed = -1")])
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys, old, new):
+        cfg = write_cfg(tmp_path, text=FAST_CFG.replace(old, new))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_synth_negative_seed_is_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["synth", "10", "2", "3", "-5", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_variant_fails_before_any_output(self, tmp_path, capsys):
+        text = FAST_CFG + "\n[attack mine]\nvariant = custom\nepsilon = 0.3\n"
+        cfg = write_cfg(tmp_path, text=text)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "custom" in err
+        assert f":{text.splitlines().index('[attack mine]') + 1}:" in err
+        assert not (tmp_path / "run_out").exists()
+
     def test_model_data_shape_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
         import advbundle.cli as cli
 

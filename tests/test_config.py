@@ -68,6 +68,10 @@ class TestParsing:
         assert len(cfg.attacks) == 1
         assert cfg.attacks[0].attack_id == "pgd-cheap"
 
+    def test_negative_root_seed_is_accepted(self):
+        # the root seed only feeds derive_seed, which masks it to 64 bits
+        assert ab.parse_experiment_config("seed = -1\n").seed == -1
+
     def test_full_config(self):
         cfg = ab.parse_experiment_config(FULL)
         assert cfg.criterion == ab.Criterion.max_confidence(0.9)
@@ -118,7 +122,8 @@ class TestErrors:
         return str(excinfo.value)
 
     @pytest.mark.parametrize("line", ["architecture = bogus", "hidden = 0", "epochs = 0",
-                                      "batch_size = 0", "learning_rate = 0"])
+                                      "batch_size = 0", "learning_rate = 0",
+                                      "train_seed = -1"])
     def test_bad_model_or_training_key_fails_at_parse_time(self, line):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config(line + "\n")
@@ -184,7 +189,8 @@ class TestErrors:
                                       "threshold_grid = 0.5:1.0:6",
                                       "threshold_grid = 0.9,0.6",
                                       "epsilon_grid = 0.3,0.1",
-                                      "max_units = -1"])
+                                      "max_units = -1",
+                                      "synth_seed = -1"])
     def test_out_of_range_values_fail_at_parse_time(self, line):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config(line + "\n")

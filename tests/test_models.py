@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import advbundle as ab
 from advbundle.errors import ContractError, DataError, ShapeError, TrainingDivergedError
 
-from conftest import binary_linear, oracle_loss, random_linear, random_mlp
+from conftest import binary_linear, oracle_loss, random_linear, random_mlp, stable_softmax
 
 SIGMOID_08 = 0.6899744811276125  # 1 / (1 + exp(-0.8))
 
@@ -120,6 +120,54 @@ def test_row_functions_equal_single_calls_bitwise(arch, batch):
     for r in range(batch):
         assert np.array_equal(probs[r], ab.predict(m, X[r]).probabilities), r
         assert np.array_equal(grads[r], ab.input_gradient(m, X[r], int(labels[r]))), r
+
+
+def _reference_sgd(X, y, k, architecture, hp):
+    """Minibatch SGD written out per architecture, the order `train` follows."""
+    rng = np.random.Generator(np.random.PCG64(hp.seed))
+    n, d = X.shape
+    onehot = np.eye(k)[y]
+    if architecture == "softmax_linear":
+        W1, b1 = np.zeros((d, k)), np.zeros(k)
+        W2 = b2 = None
+    else:
+        h = hp.hidden
+        W1, b1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)), np.zeros(h)
+        W2, b2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, k)), np.zeros(k)
+    for _ in range(hp.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = perm[start:start + hp.batch_size]
+            Xb, Yb, m = X[idx], onehot[idx], len(idx)
+            if architecture == "softmax_linear":
+                g_logits = (stable_softmax(Xb @ W1 + b1) - Yb) / m
+                W1 -= hp.learning_rate * (Xb.T @ g_logits)
+                b1 -= hp.learning_rate * g_logits.sum(axis=0)
+            else:
+                z1 = Xb @ W1 + b1
+                a1 = np.maximum(z1, 0.0)
+                g_logits = (stable_softmax(a1 @ W2 + b2) - Yb) / m
+                gW2, gb2 = a1.T @ g_logits, g_logits.sum(axis=0)
+                g_hidden = (g_logits @ W2.T) * (z1 > 0.0)
+                W2 -= hp.learning_rate * gW2
+                b2 -= hp.learning_rate * gb2
+                W1 -= hp.learning_rate * (Xb.T @ g_hidden)
+                b1 -= hp.learning_rate * g_hidden.sum(axis=0)
+    return [W1, b1, W2, b2]
+
+
+@pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])
+def test_train_matches_reference_sgd(arch):
+    # 90 examples in batches of 16 leave a short last batch every epoch
+    ds = ab.synth_dataset(90, 3, 3, seed=4)
+    hp = ab.TrainParams(learning_rate=0.3, epochs=25, batch_size=16, seed=9, hidden=10)
+    m = ab.train(ds, arch, hp)
+    want = _reference_sgd(ds.features_matrix(), ds.labels(), 3, arch, hp)
+    for got, ref in zip([m.W1, m.b1, m.W2, m.b2], want):
+        if ref is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, ref)
 
 
 def test_gradient_rejects_bad_label():
