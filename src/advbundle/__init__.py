@@ -14,9 +14,8 @@ from .config import (ExperimentConfig, load_experiment_config,
                      parse_experiment_config, serialize_experiment_config)
 from .data import Dataset, Example, load_dataset_csv, save_dataset_csv, synth_dataset
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec,
-                     TrainParams, cross_entropy, ensemble_fooled_count,
-                     input_gradient, load_model, predict, predict_stochastic,
-                     save_model, train)
+                     TrainParams, input_gradient, load_model, predict,
+                     predict_stochastic, save_model, train)
 from .reporting import (NormCurve, RateTable, SuccessFailCurve, make_tables,
                         norm_curve, success_fail_curve,
                         wat_underestimation_report)
@@ -34,8 +33,8 @@ __all__ = [
     "serialize_experiment_config",
     "Dataset", "Example", "load_dataset_csv", "save_dataset_csv", "synth_dataset",
     "Ensemble", "ModelParams", "Prediction", "StochasticSpec", "TrainParams",
-    "cross_entropy", "ensemble_fooled_count", "input_gradient", "load_model",
-    "predict", "predict_stochastic", "save_model", "train",
+    "input_gradient", "load_model", "predict", "predict_stochastic", "save_model",
+    "train",
     "NormCurve", "RateTable", "SuccessFailCurve", "make_tables", "norm_curve",
     "success_fail_curve", "wat_underestimation_report",
     "derive_seed",

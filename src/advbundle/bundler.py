@@ -414,7 +414,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     if dataset.dimension != params.dimension:
         raise ShapeError(f"dataset dimension {dataset.dimension} does not match model "
                          f"dimension {params.dimension}")
-    X, y = dataset.features_matrix(), dataset.labels()
+    X, y = dataset.features, dataset.labels
     if y.max() >= params.num_classes:
         raise ShapeError(f"label {y.max()} is not one of the model's "
                          f"{params.num_classes} classes")
@@ -454,7 +454,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
             if cfg.variant in VARIANTS and cfg.variant not in runners:
                 engine_members.setdefault(cfg.attack_id, []).append(i)
                 continue
-            ex, code = dataset.examples[i], ids.index(cfg.attack_id) + 1
+            ex, code = dataset[i], ids.index(cfg.attack_id) + 1
             runner = runners.get(cfg.variant, run_attack)
             try:
                 cands = runner(params, ex, cfg, _seeds_for(seed, i, cfg), i)

@@ -157,8 +157,8 @@ def _cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     model_path = outdir / "model.txt"
     save_model(model_path, model)
-    correct = sum(predict(model, ex.features).predicted_class == ex.label
-                  for ex in dataset.examples)
+    correct = sum(predict(model, x).predicted_class == label
+                  for x, label in zip(dataset.features, dataset.labels.tolist()))
     print(f"trained {config.architecture} on {len(dataset)} examples; "
           f"clean error {(1 - correct / len(dataset)) * 100:.2f}%; saved to {model_path}")
     return 0

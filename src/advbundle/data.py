@@ -1,18 +1,39 @@
 """Datasets of unit-interval feature vectors with integer labels.
 
+A Dataset is two read-only arrays, `features` (n, d) float64 and `labels`
+(n,) int64, plus `num_classes`; `dataset[i]` is the `Example` for row i.
+`_invalid_row` alone defines a valid example (features finite and in [0, 1],
+label in [0, k)); an Example is checked as a 1-row batch.
+
 CSV layout: d feature columns followed by one integer label column. A
 header row is optional on read and always written on save.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DataError
 from .seeding import make_rng
+
+
+def _invalid_row(features: np.ndarray, labels: np.ndarray,
+                 num_classes: int | None) -> tuple[int, str] | None:
+    """The first invalid row and why, or None; num_classes None: no label bound."""
+    feats_ok = ((features >= 0.0) & (features <= 1.0)).all(axis=1)  # False for NaN
+    labels_ok = (labels >= 0) & (labels < (np.inf if num_classes is None else num_classes))
+    bad = np.flatnonzero(~(feats_ok & labels_ok))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if not feats_ok[i]:
+        return i, "features must be finite and lie in [0, 1]"
+    if labels[i] < 0:
+        return i, f"label {labels[i]} is negative"
+    return i, f"label {labels[i]} >= k={num_classes}"
 
 
 @dataclass(frozen=True)
@@ -27,44 +48,44 @@ class Example:
         object.__setattr__(self, "features", feats)
         if feats.ndim != 1:
             raise ContractError(f"features must be a vector, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ContractError("features must be finite")
-        if np.any(feats < 0.0) or np.any(feats > 1.0):
-            raise ContractError("features must lie in [0, 1]")
-        if self.label < 0:
-            raise ContractError(f"label must be non-negative, got {self.label}")
+        bad = _invalid_row(feats[None, :], np.array([self.label]), None)
+        if bad is not None:
+            raise ContractError(bad[1])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    examples: list[Example]
+    features: np.ndarray
+    labels: np.ndarray
     num_classes: int
-    dimension: int = field(default=-1)
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ContractError(f"need at least 2 classes, got {self.num_classes}")
-        if self.dimension < 0:
-            if not self.examples:
-                raise ContractError("empty dataset needs an explicit dimension")
-            self.dimension = self.examples[0].features.shape[0]
-        for i, ex in enumerate(self.examples):
-            if ex.features.shape[0] != self.dimension:
-                raise ContractError(
-                    f"example {i} has dimension {ex.features.shape[0]}, "
-                    f"expected {self.dimension}"
-                )
-            if ex.label >= self.num_classes:
-                raise ContractError(f"example {i} label {ex.label} >= k={self.num_classes}")
+        try:
+            feats = np.array(self.features, dtype=np.float64)
+        except ValueError as exc:
+            raise ContractError(f"features must be an (n, d) array: {exc}") from exc
+        labels = np.array(self.labels, dtype=np.int64)
+        if feats.ndim != 2 or labels.shape != feats.shape[:1]:
+            raise ContractError(f"need features (n, d) and labels (n,), got shapes "
+                                f"{feats.shape} and {labels.shape}")
+        bad = _invalid_row(feats, labels, self.num_classes)
+        if bad is not None:
+            raise ContractError(f"example {bad[0]}: {bad[1]}")
+        feats.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def dimension(self) -> int:
+        return self.features.shape[1]
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
-    def features_matrix(self) -> np.ndarray:
-        return np.stack([ex.features for ex in self.examples])
-
-    def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+    def __getitem__(self, i: int) -> Example:
+        return Example(self.features[i], int(self.labels[i]))
 
 
 def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
@@ -90,9 +111,7 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
     lo = raw.min(axis=0)
     span = raw.max(axis=0) - lo
     span[span == 0.0] = 1.0
-    feats = (raw - lo) / span
-    examples = [Example(feats[i], int(labels[i])) for i in range(n)]
-    return Dataset(examples, num_classes=k)
+    return Dataset((raw - lo) / span, labels, num_classes=k)
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
@@ -100,44 +119,39 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    rows: list[tuple[np.ndarray, int]] = []
+    linenos, rows = [], []
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            cells = [c.strip() for c in line.split(",")]
             try:
-                values = [float(c) for c in cells]
+                values = [float(c) for c in line.split(",")]
             except ValueError:
                 if lineno == 1:
                     continue  # header row
                 raise DataError(f"{path}:{lineno}: non-numeric value")
-            feats, label_val = np.array(values[:-1]), values[-1]
-            if label_val != int(label_val):
-                raise DataError(f"{path}:{lineno}: label must be an integer, got {label_val}")
-            if feats.size == 0:
+            if len(values) < 2:
                 raise DataError(f"{path}:{lineno}: need at least one feature column")
-            if np.any(feats < 0.0) or np.any(feats > 1.0) or not np.all(np.isfinite(feats)):
-                raise DataError(f"{path}:{lineno}: feature outside [0, 1]")
-            rows.append((feats, int(label_val)))
+            if rows and len(values) != len(rows[0]):
+                raise DataError(f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}")
+            if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
+                raise DataError(f"{path}:{lineno}: label must be an integer, got {values[-1]}")
+            linenos.append(lineno)
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    d = rows[0][0].shape[0]
-    for i, (feats, _) in enumerate(rows):
-        if feats.shape[0] != d:
-            raise DataError(f"{path}: row {i + 1} has {feats.shape[0]} features, expected {d}")
-    if min(label for _, label in rows) < 0:
-        raise DataError(f"{path}: negative label")
-    k = max(2, max(label for _, label in rows) + 1)
-    try:
-        return Dataset([Example(f, y) for f, y in rows], num_classes=k)
-    except ContractError as exc:
-        raise DataError(str(exc)) from exc
+    table = np.array(rows)
+    features, labels = table[:, :-1], table[:, -1].astype(np.int64)
+    k = max(2, int(labels.max()) + 1)
+    bad = _invalid_row(features, labels, k)
+    if bad is not None:
+        raise DataError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
+    return Dataset(features, labels, num_classes=k)
 
 
 def save_dataset_csv(path: str | Path, dataset: Dataset) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{j}" for j in range(dataset.dimension)] + ["label"]) + "\n")
-        for ex in dataset.examples:
-            fh.write(",".join(repr(float(v)) for v in ex.features) + f",{ex.label}\n")
+        for x, label in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            fh.write(",".join(map(repr, x)) + f",{label}\n")

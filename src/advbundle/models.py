@@ -52,9 +52,14 @@ class ModelParams:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ContractError(f"unknown architecture {self.architecture!r}")
+        for i, name in enumerate(("W1", "b1", "W2", "b2")):
+            needed = i < 2 * len(self.layers)
+            if (getattr(self, name) is not None) != needed:
+                verb = "needs" if needed else "has no"
+                raise ContractError(f"{self.architecture} model {verb} {name}")
         width = None
         for W, b in self.layers:
-            if W is None or b is None or not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ContractError("model parameters must be finite")
             if W.ndim != 2 or b.shape != (W.shape[1],) or width not in (None, W.shape[0]):
                 raise ContractError(f"inconsistent {self.architecture} shapes")
@@ -209,14 +214,8 @@ def predict(params: ModelParams, x: np.ndarray) -> Prediction:
     return Prediction(probs, cls, float(probs[cls]))
 
 
-def cross_entropy(params: ModelParams, x: np.ndarray, label: int) -> float:
-    """-log p(label | x), with the probability floored for stability."""
-    probs = predict(params, x).probabilities
-    return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
-
-
 def input_gradient(params: ModelParams, x: np.ndarray, target_label: int) -> np.ndarray:
-    """Gradient of cross_entropy(params, x, target_label) with respect to x."""
+    """Gradient of the floored cross-entropy -log p(target_label | x) with respect to x."""
     x = _check_input(params, x)
     if not 0 <= target_label < params.num_classes:
         raise ContractError(f"label {target_label} out of range")
@@ -227,7 +226,7 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     """Minibatch SGD on cross-entropy. Deterministic given hp.seed."""
     if len(dataset) == 0:
         raise ContractError("cannot train on an empty dataset")
-    X, y = dataset.features_matrix(), dataset.labels()
+    X, y = dataset.features, dataset.labels
     n, d, k = len(dataset), dataset.dimension, dataset.num_classes
     rng = make_rng(hp.seed)
     onehot = np.eye(k)[y]
@@ -290,14 +289,6 @@ def predict_stochastic(params: ModelParams, spec: StochasticSpec, x: np.ndarray,
         probs = probs / probs.sum()
     cls = int(np.argmax(probs))
     return Prediction(probs, cls, float(probs[cls]))
-
-
-def ensemble_fooled_count(ensemble: Ensemble, x: np.ndarray, true_label: int) -> int:
-    """How many members predict a class other than true_label for x."""
-    return sum(
-        1 for member in ensemble.members
-        if predict(member, x).predicted_class != true_label
-    )
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:

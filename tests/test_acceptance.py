@@ -156,7 +156,7 @@ def test_criterion_06_expensive_beats_cheap_and_bundle_dominates(desk_setup):
 
 def test_criterion_07_restart_splitting_equals_multirestart(desk_setup):
     model, dataset = desk_setup
-    small = ab.Dataset(dataset.examples[:60], dataset.num_classes)
+    small = ab.Dataset(dataset.features[:60], dataset.labels[:60], dataset.num_classes)
     for n in (2, 5):
         seeds = tuple(ab.derive_seed(7000 + n, r) for r in range(n))
         full_cfg = ab.AttackConfig("pgd-multi", "pgd", epsilon=0.3, step_size=0.1,
@@ -223,8 +223,8 @@ def test_criterion_09_curves_are_monotone_with_anchored_endpoints(desk_setup):
         ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=40),
     ]
     clean_error = float(np.mean([
-        ab.predict(model, ex.features).predicted_class != ex.label
-        for ex in dataset.examples]))
+        ab.predict(model, x).predicted_class != y
+        for x, y in zip(dataset.features, dataset.labels)]))
     for seed in (0, 1, 2):
         res = ab.bundle(model, dataset, attacks, ab.Criterion.max_confidence(0.9),
                         ab.BudgetPolicy(early_stop=False), seed=seed)

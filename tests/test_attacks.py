@@ -185,7 +185,7 @@ def test_expensive_pgd_reaches_higher_mean_loss_than_cheap(desk_mlp):
     cheap = _pgd_cfg(attack_id="cheap", num_steps=40, step_size=0.1)
     expensive = _pgd_cfg(attack_id="expensive", num_steps=1000, step_size=0.04)
     # the candidates the per-example pgd adapter returns, computed as one batch
-    X, y = dataset.features_matrix(), dataset.labels()
+    X, y = dataset.features, dataset.labels
     losses = {}
     for name, cfg in (("cheap", cheap), ("expensive", expensive)):
         seeds = [ab.derive_seed(0, i, name) for i in range(len(dataset))]

@@ -20,8 +20,7 @@ def steep_boundary_model(gain=40.0):
 
 
 def two_example_dataset():
-    return ab.Dataset([ab.Example(np.array([0.35, 0.5]), 0),
-                       ab.Example(np.array([0.65, 0.5]), 1)], num_classes=2)
+    return ab.Dataset([[0.35, 0.5], [0.65, 0.5]], [0, 1], num_classes=2)
 
 
 def flip_runner(target_example):
@@ -48,7 +47,7 @@ def scores_strategy():
 
 class TestScore:
     def test_clean_candidate_on_correct_model(self, linear_on_blobs, blobs_2c):
-        ex = blobs_2c.examples[0]
+        ex = blobs_2c[0]
         cand = Candidate(0, ex.features.copy(), CLEAN_ID, 0)
         s = ab.score(linear_on_blobs, ex, cand, example_index=0)
         assert not s.misclassified
@@ -75,7 +74,7 @@ class TestScore:
             assert s.wrong_confidence == pytest.approx(direct, abs=0)
 
     def test_index_mismatch_is_contract_error(self, linear_on_blobs, blobs_2c):
-        ex = blobs_2c.examples[0]
+        ex = blobs_2c[0]
         cand = Candidate(3, ex.features.copy(), "a", 0)
         with pytest.raises(ContractError):
             ab.score(linear_on_blobs, ex, cand, example_index=0)
@@ -89,7 +88,7 @@ class TestScore:
             s = ab.score(m, ab.Example(x, label), Candidate(0, x.copy(), "a", 0))
             assert not s.misclassified, label
             assert s.wrong_confidence == -np.inf, label
-        ds = ab.Dataset([ab.Example(x, 0), ab.Example(x, 1)], num_classes=2)
+        ds = ab.Dataset([x, x], [0, 1], num_classes=2)
         res = ab.bundle(m, ds, [], ab.Criterion.misclassify())
         assert res.bundled_error_rate == 0.0
         assert np.all(res.chosen_wrong_confidence() == -np.inf)
@@ -214,8 +213,8 @@ class TestBundle:
     def test_empty_attack_list_reports_clean_error(self, linear_on_blobs, blobs_2c):
         res = ab.bundle(linear_on_blobs, blobs_2c, [], ab.Criterion.misclassify(), seed=0)
         clean_err = np.mean([
-            ab.predict(linear_on_blobs, ex.features).predicted_class != ex.label
-            for ex in blobs_2c.examples])
+            ab.predict(linear_on_blobs, x).predicted_class != y
+            for x, y in zip(blobs_2c.features, blobs_2c.labels)])
         assert res.bundled_error_rate == pytest.approx(float(clean_err), abs=0)
         assert res.outcome_matrix.attack_ids == [CLEAN_ID]
 
@@ -232,7 +231,8 @@ class TestBundle:
         # independent pass: regenerate every candidate, re-select from scratch
         from advbundle.attacks import run_attack
         errors = 0
-        for i, ex in enumerate(ds.examples):
+        for i in range(len(ds)):
+            ex = ds[i]
             pool = [Candidate(i, ex.features.copy(), CLEAN_ID, 0)]
             for cfg in attacks:
                 pool.extend(run_attack(m, ex, cfg, ab.derive_seed(5, i, cfg.attack_id), i))
@@ -375,8 +375,7 @@ def _overflow_setup():
     x0 + x1 > ~1.8, so the probabilities are NaN and the gradient non-finite
     on those rows only."""
     rng = np.random.default_rng(4)
-    ds = ab.Dataset([ab.Example(rng.uniform(0.5, 1.0, 2), i % 2) for i in range(30)],
-                    num_classes=2)
+    ds = ab.Dataset(rng.uniform(0.5, 1.0, (30, 2)), np.arange(30) % 2, num_classes=2)
     return binary_linear([1e308, 1e308]), ds
 
 
@@ -486,7 +485,7 @@ class TestScheduling:
         # scheduler must still hand the example to the second attack
         gain = 10.0
         m = binary_linear([gain, 0.0], bias=-gain / 2)
-        ds = ab.Dataset([ab.Example(np.array([0.35, 0.5]), 0)], num_classes=2)
+        ds = ab.Dataset([[0.35, 0.5]], [0], num_classes=2)
 
         def move_to(x0):
             def runner(params, example, config, seed, example_index):
@@ -633,7 +632,7 @@ class TestInvariants:
 
 class TestScoreStochastic:
     def test_zero_noise_equals_plain_score(self, mlp_on_small_blobs, small_blobs):
-        ex = small_blobs.examples[0]
+        ex = small_blobs[0]
         cand = Candidate(0, np.clip(ex.features + 0.1, 0, 1), "a", 0)
         for calls in (1, 5):
             spec = ab.StochasticSpec(0.0, calls)
@@ -641,7 +640,7 @@ class TestScoreStochastic:
                 ab.score(mlp_on_small_blobs, ex, cand)
 
     def test_single_call_matches_manual_noising(self, mlp_on_small_blobs, small_blobs):
-        ex = small_blobs.examples[1]
+        ex = small_blobs[1]
         cand = Candidate(1, ex.features.copy(), "a", 0)
         spec = ab.StochasticSpec(0.08, 1)
         got = ab.score_stochastic(mlp_on_small_blobs, spec, ex, cand, seed=55,
@@ -653,7 +652,7 @@ class TestScoreStochastic:
 
     def test_wrong_confidence_close_to_independent_oracle(self, mlp_on_small_blobs,
                                                           small_blobs):
-        ex = small_blobs.examples[2]
+        ex = small_blobs[2]
         cand = Candidate(2, np.clip(ex.features + 0.15, 0, 1), "a", 0)
         spec = ab.StochasticSpec(0.05, 2000)
         got = ab.score_stochastic(mlp_on_small_blobs, spec, ex, cand, seed=7)
@@ -670,7 +669,7 @@ class TestScoreStochastic:
 
 class TestSelectByEnsemble:
     def test_single_candidate_returned(self, linear_on_blobs, blobs_2c):
-        ex = blobs_2c.examples[0]
+        ex = blobs_2c[0]
         cand = Candidate(0, ex.features.copy(), "a", 0)
         ens = ab.Ensemble((linear_on_blobs,))
         assert ab.select_by_ensemble(ens, ex, [cand]) is cand
@@ -678,7 +677,7 @@ class TestSelectByEnsemble:
     def test_empty_list_rejected(self, linear_on_blobs, blobs_2c):
         ens = ab.Ensemble((linear_on_blobs,))
         with pytest.raises(ContractError):
-            ab.select_by_ensemble(ens, blobs_2c.examples[0], [])
+            ab.select_by_ensemble(ens, blobs_2c[0], [])
 
     def test_argmax_of_fooled_counts(self):
         # three members whose boundaries sit at x0 = 0.2 / 0.5 / 0.8

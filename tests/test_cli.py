@@ -1,5 +1,13 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle.cli import ARTIFACTS, main, run_experiment
@@ -209,7 +217,7 @@ class TestOtherCommands:
         assert main(["synth", "30", "3", "3", "9", str(out)]) == 0
         ds = ab.load_dataset_csv(out)
         assert len(ds) == 30 and ds.dimension == 3 and ds.num_classes == 3
-        labels = ds.labels()
+        labels = ds.labels
         assert all((labels == c).sum() == 10 for c in range(3))
 
     def test_train_saves_model(self, tmp_path, capsys):
@@ -241,3 +249,73 @@ class TestOtherCommands:
         assert set(ARTIFACTS) <= set(paths)
         for p in paths.values():
             assert p.exists()
+
+
+TINY_CFG = """\
+dataset = synthetic
+synth_n = 30
+synth_d = 2
+synth_k = 3
+synth_seed = 7
+architecture = mlp1
+hidden = 4
+learning_rate = 0.3
+epochs = 3
+batch_size = 8
+train_seed = 1
+criterion = max_confidence
+threshold = 0.9
+max_units = none
+early_stop = false
+dump_candidates = false
+threshold_grid = 0.5:0.99:5
+epsilon_grid = 0.0:0.3:4
+gap_ns = 1,2
+seed = 0
+output_dir = out
+[attack pgd]
+variant = pgd
+epsilon = 0.3
+step_size = 0.1
+num_steps = 5
+num_restarts = 1
+random_init = true
+[attack noise]
+variant = uniform_noise
+epsilon = 0.3
+num_samples = 5
+"""
+_TINY_KEY_LINES = [i for i, line in enumerate(TINY_CFG.splitlines()) if " = " in line]
+# no large integers: no run may allocate more than the tiny config does
+_FUZZ_VALUES = ["-1", "nan", "inf", "1e400", "abc", "1:0:3", ""]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(st.dictionaries(st.sampled_from(_TINY_KEY_LINES), st.sampled_from(_FUZZ_VALUES),
+                       min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations):
+    lines = TINY_CFG.splitlines()
+    for i, value in mutations.items():
+        lines[i] = f"{lines[i].split(' = ')[0]} = {value}"
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "exp.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["run", str(cfg), "--output-dir", str(work / "out")]) in (0, 2, 3, 4)
+
+
+def test_optimised_python_runs_every_check_and_writes_the_same_bytes(tmp_path):
+    src = Path(ab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
+    cfg = write_cfg(tmp_path, text=TINY_CFG)
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    for flags, out in (([], "plain"), (["-O"], "optimised")):
+        subprocess.run([sys.executable, *flags, "-m", "advbundle", "run", str(cfg),
+                        "--output-dir", str(tmp_path / out)],
+                       env=env, check=True, capture_output=True)
+    for name in ARTIFACTS:
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "optimised" / name).read_bytes(), name

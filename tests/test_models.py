@@ -162,7 +162,7 @@ def test_train_matches_reference_sgd(arch):
     ds = ab.synth_dataset(90, 3, 3, seed=4)
     hp = ab.TrainParams(learning_rate=0.3, epochs=25, batch_size=16, seed=9, hidden=10)
     m = ab.train(ds, arch, hp)
-    want = _reference_sgd(ds.features_matrix(), ds.labels(), 3, arch, hp)
+    want = _reference_sgd(ds.features, ds.labels, 3, arch, hp)
     for got, ref in zip([m.W1, m.b1, m.W2, m.b2], want):
         if ref is None:
             assert got is None
@@ -180,8 +180,8 @@ class TestTrain:
     def test_blobs_reach_low_error(self, blobs_2c, linear_on_blobs):
         # grid search over a 2-D slice (unit weight angle, bias) confirms
         # <=5% error is attainable before asserting the trained model gets there
-        X = blobs_2c.features_matrix()
-        y = blobs_2c.labels()
+        X = blobs_2c.features
+        y = blobs_2c.labels
         best = 1.0
         for theta in np.linspace(0, 2 * np.pi, 73):
             scores = X @ np.array([np.cos(theta), np.sin(theta)])
@@ -189,13 +189,13 @@ class TestTrain:
                 pred = (scores + bias > 0).astype(int)
                 best = min(best, float(np.mean(pred != y)))
         assert best <= 0.05
-        err = np.mean([ab.predict(linear_on_blobs, ex.features).predicted_class != ex.label
-                       for ex in blobs_2c.examples])
+        err = np.mean([ab.predict(linear_on_blobs, x).predicted_class != label
+                       for x, label in zip(X, y)])
         assert err <= 0.05
 
     def test_single_repeated_example_is_fit(self):
         ex = ab.Example(np.array([0.2, 0.9]), 1)
-        ds = ab.Dataset([ex] * 10, num_classes=2)
+        ds = ab.Dataset([ex.features] * 10, [ex.label] * 10, num_classes=2)
         m = ab.train(ds, "softmax_linear",
                      ab.TrainParams(learning_rate=0.5, epochs=50, batch_size=4, seed=0))
         assert ab.predict(m, ex.features).predicted_class == 1
@@ -210,7 +210,7 @@ class TestTrain:
     def test_loss_does_not_increase(self, small_blobs):
         hp = ab.TrainParams(learning_rate=0.05, epochs=20, batch_size=16, seed=2)
         m = ab.train(small_blobs, "softmax_linear", hp)
-        X, y = small_blobs.features_matrix(), small_blobs.labels()
+        X, y = small_blobs.features, small_blobs.labels
         initial = np.log(small_blobs.num_classes)  # zero-init linear model
         final = np.mean([oracle_loss(m, X[i], y[i]) for i in range(len(y))])
         assert final <= initial + 1e-12
@@ -224,7 +224,7 @@ class TestTrain:
         assert "epoch" in str(info.value)
 
     def test_empty_dataset_rejected(self):
-        ds = ab.Dataset([], num_classes=2, dimension=2)
+        ds = ab.Dataset(np.zeros((0, 2)), [], num_classes=2)
         with pytest.raises(ContractError):
             ab.train(ds, "softmax_linear",
                      ab.TrainParams(learning_rate=0.1, epochs=1, batch_size=1, seed=0))
@@ -274,28 +274,6 @@ class TestPredictStochastic:
 
 
 class TestEnsemble:
-    def test_identical_correct_members_count_zero(self, linear_on_blobs, blobs_2c):
-        ex = blobs_2c.examples[0]
-        assert ab.predict(linear_on_blobs, ex.features).predicted_class == ex.label
-        ens = ab.Ensemble((linear_on_blobs,) * 3)
-        assert ab.ensemble_fooled_count(ens, ex.features, ex.label) == 0
-
-    def test_single_wrong_member_counts_one(self, linear_on_blobs, blobs_2c):
-        ex = blobs_2c.examples[0]
-        wrong = (ex.label + 1) % blobs_2c.num_classes
-        ens = ab.Ensemble((linear_on_blobs,))
-        assert ab.ensemble_fooled_count(ens, ex.features, wrong) == 1
-
-    def test_matches_brute_force_loop(self):
-        rng = np.random.default_rng(11)
-        members = tuple(random_linear(rng, 3, k=3) for _ in range(5))
-        ens = ab.Ensemble(members)
-        for _ in range(50):
-            x = rng.uniform(0, 1, 3)
-            label = int(rng.integers(0, 3))
-            direct = sum(ab.predict(m, x).predicted_class != label for m in members)
-            assert ab.ensemble_fooled_count(ens, x, label) == direct
-
     def test_mixed_dimensions_rejected(self):
         a = binary_linear([1.0, 0.0])
         b = binary_linear([1.0])
@@ -326,6 +304,18 @@ def test_malformed_model_file_is_data_error_naming_line(tmp_path, text, line):
     path = tmp_path / "model.txt"
     path.write_text(text)
     with pytest.raises(DataError, match=line):
+        ab.load_model(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("architecture softmax_linear\nW1 1 2\n0 0\nb1 2\n0 0\nW2 2 2\n0 0 0 0\nb2 2\n0 0\n",
+     "softmax_linear model has no W2"),
+    ("architecture mlp1\nW1 1 2\n0 0\nb1 2\n0 0\n", "mlp1 model needs W2"),
+], ids=["unused_array", "missing_array"])
+def test_model_file_arrays_must_match_architecture(tmp_path, text, message):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
         ab.load_model(path)
 
 

@@ -95,13 +95,13 @@ class TestSuccessFailCurve:
         model, ds, res, _ = desk_run
         curve = ab.success_fail_curve(res, [0.5])
         t, success, failure = curve.points[0]
-        preds = [ab.predict(model, ex.features) for ex in ds.examples]
-        clean_acc = np.mean([p.predicted_class == ex.label
-                             for p, ex in zip(preds, ds.examples)])
+        preds = [ab.predict(model, x) for x in ds.features]
+        clean_acc = np.mean([p.predicted_class == y
+                             for p, y in zip(preds, ds.labels)])
         # k=3 here, so confidences can sit below 0.5; restrict the claim to
         # the strictly-covered fraction computed by the same rule
-        covered = np.mean([(p.predicted_class == ex.label) and p.confidence > 0.5
-                           for p, ex in zip(preds, ds.examples)])
+        covered = np.mean([(p.predicted_class == y) and p.confidence > 0.5
+                           for p, y in zip(preds, ds.labels)])
         assert success == pytest.approx(float(covered), abs=0)
         assert failure <= res.bundled_error_rate + 1e-12
         assert clean_acc >= success
@@ -114,9 +114,9 @@ class TestSuccessFailCurve:
                         seed=0)
         curve = ab.success_fail_curve(res, [0.5])
         _, success, failure = curve.points[0]
-        preds = [ab.predict(linear_on_blobs, ex.features) for ex in blobs_2c.examples]
-        clean_acc = float(np.mean([p.predicted_class == ex.label
-                                   for p, ex in zip(preds, blobs_2c.examples)]))
+        preds = [ab.predict(linear_on_blobs, x) for x in blobs_2c.features]
+        clean_acc = float(np.mean([p.predicted_class == y
+                                   for p, y in zip(preds, blobs_2c.labels)]))
         # binary confidences exceed 0.5 except at exact ties
         assert success == pytest.approx(clean_acc, abs=0)
         assert failure == pytest.approx(res.bundled_error_rate, abs=0)
@@ -125,10 +125,10 @@ class TestSuccessFailCurve:
         model, ds, res, _ = desk_run
         grid = np.linspace(0.5, 0.99, 50)
         curve = ab.success_fail_curve(res, grid)
-        preds = [ab.predict(model, ex.features) for ex in ds.examples]
+        preds = [ab.predict(model, x) for x in ds.features]
         for (t, success, failure) in curve.points:
-            s = sum(1 for p, ex in zip(preds, ds.examples)
-                    if p.predicted_class == ex.label and p.confidence > t)
+            s = sum(1 for p, y in zip(preds, ds.labels)
+                    if p.predicted_class == y and p.confidence > t)
             f = sum(1 for _, sc in res.chosen
                     if sc.misclassified and sc.wrong_confidence > t)
             assert success == pytest.approx(s / len(ds), abs=0)
@@ -155,8 +155,8 @@ class TestNormCurve:
         model, ds, _, min_norm = desk_run
         curve = ab.norm_curve(min_norm, [0.0, 0.3])
         clean_err = float(np.mean([
-            ab.predict(model, ex.features).predicted_class != ex.label
-            for ex in ds.examples]))
+            ab.predict(model, x).predicted_class != y
+            for x, y in zip(ds.features, ds.labels)]))
         assert curve.points[0][1] == pytest.approx(clean_err, abs=0)
         assert curve.points[1][1] == pytest.approx(min_norm.bundled_error_rate, abs=0)
 
