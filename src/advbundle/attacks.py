@@ -14,6 +14,12 @@ All rows step together, and every model call computes a row exactly as a
 the batch. `fgsm`, `pgd`, `uniform_noise` and `run_attack` are per-example
 adapters over the row functions: one example's rows become `Candidate`s and
 a failed row is raised as `AttackFailedError`.
+
+PGD moves each coordinate by +-step_size and clips it to the box, so a row
+often lands on a fixed point or a 2-cycle (a failed row is a fixed point).
+`pgd_rows` retires a row from the batch once its iterate repeats the one
+two steps back and writes out the iterate the remaining steps would end
+on, so the candidates are bit-identical to running every step on every row.
 """
 
 from __future__ import annotations
@@ -192,6 +198,16 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     restart r of example u. A row whose gradient turns non-finite stops
     moving; the second array holds the step at which it did, -1 for a row
     that never failed.
+
+    A row retires as soon as its new iterate equals, bit for bit, its
+    iterate from two steps back (its start, on the first step). A row's step
+    depends only on its own iterate, box and label (`grad_rows` computes
+    each row as a 1-row call would), so from then on it alternates between
+    its last two iterates, or stays put when they are equal, as a failed row
+    does. Its final iterate is the new one when the steps left are even and
+    the current one otherwise; that is written out and the row leaves the
+    batch, so the result is bit-identical to running every step. A row that
+    never repeats runs every step.
     """
     r = config.num_restarts
     clean = np.repeat(clean, r, axis=0)
@@ -203,15 +219,29 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
         x = clean.copy()
     lo, hi = _box(clean, config.epsilon)
     failed_at = np.full(len(x), -1)
+    out = np.empty_like(x)
+    live = np.arange(len(x))
+    prev = x
     for step in range(config.num_steps):
         grad = grad_rows(params, x, labels)
         stepped = np.clip(x + config.step_size * np.sign(grad), lo, hi)
         if not np.isfinite(grad).all():
             bad = ~np.isfinite(grad).all(axis=1)
-            failed_at[bad & (failed_at < 0)] = step
             stepped[bad] = x[bad]
-        x = stepped
-    return x, failed_at
+            failed = live[bad]
+            failed_at[failed[failed_at[failed] < 0]] = step
+        settled = (stepped.view(np.int64) == prev.view(np.int64)).all(axis=1)
+        if settled.any():
+            steps_left = config.num_steps - step - 1
+            out[live[settled]] = (x if steps_left % 2 else stepped)[settled]
+            keep = ~settled
+            x, stepped, lo, hi = x[keep], stepped[keep], lo[keep], hi[keep]
+            labels, live = labels[keep], live[keep]
+            if not len(live):
+                break
+        prev, x = x, stepped
+    out[live] = x
+    return out, failed_at
 
 
 def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,

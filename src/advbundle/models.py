@@ -229,7 +229,8 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     X, y = dataset.features, dataset.labels
     n, d, k = len(dataset), dataset.dimension, dataset.num_classes
     rng = make_rng(hp.seed)
-    onehot = np.eye(k)[y]
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
 
     if architecture == SOFTMAX_LINEAR:
         layers = [(np.zeros((d, k)), np.zeros(k))]

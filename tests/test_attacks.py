@@ -196,6 +196,112 @@ def test_expensive_pgd_reaches_higher_mean_loss_than_cheap(desk_mlp):
     assert np.mean(losses["expensive"]) >= np.mean(losses["cheap"])
 
 
+def _reference_pgd(params, clean, labels, seeds, config):
+    """PGD written out as every step on every row, the result `pgd_rows` must equal."""
+    r = config.num_restarts
+    clean, labels = np.repeat(clean, r, axis=0), np.repeat(labels, r)
+    row_seeds = [s for seed in seeds
+                 for s in ([ab.derive_seed(seed, j) for j in range(r)]
+                           if isinstance(seed, int) else seed)]
+    if config.random_init:
+        x = ab.attacks.noise_rows(clean, config.epsilon, row_seeds, 1)
+    else:
+        x = clean.copy()
+    lo = np.maximum(clean - config.epsilon, 0.0)
+    hi = np.minimum(clean + config.epsilon, 1.0)
+    failed_at = np.full(len(x), -1)
+    for step in range(config.num_steps):
+        grad = ab.models.grad_rows(params, x, labels)
+        stepped = np.clip(x + config.step_size * np.sign(grad), lo, hi)
+        bad = ~np.isfinite(grad).all(axis=1)
+        failed_at[bad & (failed_at < 0)] = step
+        stepped[bad] = x[bad]
+        x = stepped
+    return x, failed_at
+
+
+def _tripwire_mlp():
+    """2-D mlp1 whose second hidden unit, scaled x1e306, wakes past x1 = 0.6
+    and overflows every logit: a row fails at the step it crosses, or never."""
+    big = 1e306
+    return ab.ModelParams("mlp1", np.array([[1.0, big], [0.0, 0.0]]),
+                          np.array([0.0, -0.6 * big]),
+                          np.array([[1.0, -1.0], [big, big]]), np.zeros(2))
+
+
+def _never_settling_linear():
+    """Rows deep inside their box on a linear model, stepped too little to reach
+    an edge: every coordinate moves the same way each step, so none repeats."""
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.3, 0.7, (24, 8))
+    return binary_linear(rng.uniform(0.5, 2.0, 8) * rng.choice([-1, 1], 8)), X
+
+
+# (model, config overrides, per-restart seed lists instead of one int per example)
+PGD_CASES = {
+    "steps-0": ("desk", dict(num_steps=0), False),
+    "steps-1": ("desk", dict(num_steps=1), False),
+    "steps-2": ("desk", dict(num_steps=2), False),
+    "steps-40": ("desk", dict(num_steps=40), False),
+    "steps-41": ("desk", dict(num_steps=41), False),
+    "expensive-999": ("desk", dict(num_steps=999, step_size=0.04), False),
+    "expensive-1000": ("desk", dict(num_steps=1000, step_size=0.04), False),
+    "restart-seeds": ("desk", dict(num_steps=41, num_restarts=3), True),
+    "no-random-init": ("desk", dict(num_steps=40, random_init=False), False),
+    "failing-rows": ("tripwire", dict(num_steps=40, step_size=0.04, num_restarts=2), False),
+    "failing-rows-odd": ("tripwire", dict(num_steps=39, step_size=0.04,
+                                          random_init=False), False),
+    "never-settles": ("linear", dict(num_steps=100, step_size=1e-4, random_init=False), False),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(PGD_CASES))
+def test_pgd_rows_equals_full_step_loop(desk_mlp, case):
+    model_name, overrides, seed_lists = PGD_CASES[case]
+    cfg = _pgd_cfg(**overrides)
+    rng = np.random.default_rng(3)
+    if model_name == "desk":
+        model, dataset = desk_mlp
+        X, y = dataset.features[:48], dataset.labels[:48]
+    elif model_name == "tripwire":
+        model = _tripwire_mlp()
+        X, y = rng.uniform(0, 1, (40, 2)), rng.integers(0, 2, 40)
+    else:
+        model, X = _never_settling_linear()
+        y = rng.integers(0, 2, len(X))
+    if seed_lists:
+        seeds = [[ab.derive_seed(s, i) for s in (5, 6, 7)] for i in range(len(X))]
+    else:
+        seeds = [ab.derive_seed(0, i, "p") for i in range(len(X))]
+    adv, failed_at = pgd_rows(model, X, y, seeds, cfg)
+    want, want_failed_at = _reference_pgd(model, X, y, seeds, cfg)
+    assert adv.tobytes() == want.tobytes()
+    assert np.array_equal(failed_at, want_failed_at)
+    if model_name == "tripwire":
+        assert len(set(want_failed_at.tolist())) > 3
+
+
+def test_settled_pgd_rows_stop_computing_gradients(desk_mlp, monkeypatch):
+    computed = []
+
+    def counting_grad_rows(params, X, labels):
+        computed.append(len(X))
+        return ab.models.grad_rows(params, X, labels)
+
+    monkeypatch.setattr(ab.attacks, "grad_rows", counting_grad_rows)
+    model, dataset = desk_mlp
+    X, y = dataset.features, dataset.labels
+    pgd_rows(model, X, y, list(range(len(X))), _pgd_cfg(num_steps=1000, step_size=0.04))
+    assert sum(computed) < 0.05 * 1000 * len(X)
+    # a row that never repeats is stepped every time
+    computed.clear()
+    model, X = _never_settling_linear()
+    pgd_rows(model, X, np.zeros(len(X), dtype=int), list(range(len(X))),
+             _pgd_cfg(num_steps=100, step_size=1e-4, random_init=False))
+    assert sum(computed) == 100 * len(X)
+
+
 class TestUniformNoise:
     def test_degenerate_ball_stays_at_clean(self):
         ex = ab.Example(np.array([0.4, 0.6]), 0)

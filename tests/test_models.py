@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,18 @@ class TestTrain:
             ab.train(blobs_2c, "mlp1", hp)
         assert info.value.epoch == 0
         assert "epoch" in str(info.value)
+
+    def test_memory_does_not_grow_with_classes_squared(self):
+        # a k x k identity for the one-hot labels alone would be 72 MB here
+        ds = ab.Dataset(np.array([[0.2, 0.4], [0.6, 0.8]]), [0, 2999], num_classes=3000)
+        hp = ab.TrainParams(learning_rate=0.1, epochs=2, batch_size=2, seed=0)
+        tracemalloc.start()
+        try:
+            ab.train(ds, "softmax_linear", hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_empty_dataset_rejected(self):
         ds = ab.Dataset(np.zeros((0, 2)), [], num_classes=2)
