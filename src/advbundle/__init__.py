@@ -7,7 +7,7 @@ error rates alongside the per-attack tables they dominate.
 
 from .attacks import AttackConfig, Candidate, fgsm, pgd, project, uniform_noise
 from .bundler import (BudgetPolicy, BundleResult, CandidateScore, Criterion,
-                      OutcomeMatrix, ScheduleState, bundle, prefer, reselect,
+                      OutcomeMatrix, bundle, prefer, reselect,
                       schedule, score, score_stochastic, select_by_ensemble,
                       wat_gap_construction)
 from .config import (ExperimentConfig, load_experiment_config,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig", "Candidate", "fgsm", "pgd", "project", "uniform_noise",
     "BudgetPolicy", "BundleResult", "CandidateScore", "Criterion",
-    "OutcomeMatrix", "ScheduleState", "bundle", "prefer", "reselect",
+    "OutcomeMatrix", "bundle", "prefer", "reselect",
     "schedule", "score", "score_stochastic", "select_by_ensemble",
     "wat_gap_construction",
     "ExperimentConfig", "load_experiment_config", "parse_experiment_config",

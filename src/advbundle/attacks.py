@@ -11,9 +11,11 @@ Each attack is implemented once, on rows (`fgsm_rows`, `pgd_rows`,
 or (example, noise sample), each with its own box and its own seed stream.
 All rows step together, and every model call computes a row exactly as a
 1-row call would, so a row's candidate is bit-identical whatever else is in
-the batch. `fgsm`, `pgd`, `uniform_noise` and `run_attack` are per-example
-adapters over the row functions: one example's rows become `Candidate`s and
-a failed row is raised as `AttackFailedError`.
+the batch. `run_attack` is the per-example adapter over the row functions:
+one example's rows become `Candidate`s and its first failed row is raised
+as `AttackFailedError`. `fgsm` and `pgd` call it; `uniform_noise`, which
+takes no model, draws from `noise_rows` directly. Each of them checks its
+fields through an `AttackConfig`.
 
 PGD moves each coordinate by +-step_size and clips it to the box, so a row
 often lands on a fixed point or a 2-cycle (a failed row is a fixed point).
@@ -39,6 +41,12 @@ FGSM = "fgsm"
 PGD = "pgd"
 UNIFORM_NOISE = "uniform_noise"
 VARIANTS = (FGSM, PGD, UNIFORM_NOISE)
+
+
+def is_int_or_none(value) -> bool:
+    """Whether value is None or an integer (a bool is not a count)."""
+    return value is None or (isinstance(value, (int, np.integer))
+                             and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,9 @@ class AttackConfig:
             raise ContractError("epsilon must be finite and positive")
         if not self.attack_id:
             raise ContractError("attack_id must be non-empty")
+        for name in ("num_steps", "num_restarts", "num_samples"):
+            if not is_int_or_none(getattr(self, name)):
+                raise ContractError(f"{name} must be an integer")
         if self.variant == PGD:
             if self.step_size is None or not (np.isfinite(self.step_size) and self.step_size > 0):
                 raise ContractError("pgd needs a finite positive step_size")
@@ -276,11 +287,8 @@ def _one_example(params: ModelParams, example: Example) -> tuple[np.ndarray, np.
 def fgsm(params: ModelParams, example: Example, epsilon: float,
          attack_id: str = FGSM, example_index: int = 0) -> Candidate:
     """Single signed-gradient step of size epsilon, then projection."""
-    clean, labels = _one_example(params, example)
-    adv, failed_at = fgsm_rows(params, clean, labels, epsilon)
-    if failed_at[0] >= 0:
-        raise AttackFailedError(example_index, attack_id)
-    return Candidate(example_index, adv[0], attack_id, 0)
+    config = AttackConfig(attack_id, FGSM, epsilon)
+    return run_attack(params, example, config, 0, example_index)[0]
 
 
 def pgd(params: ModelParams, example: Example, config: AttackConfig,
@@ -292,34 +300,27 @@ def pgd(params: ModelParams, example: Example, config: AttackConfig,
     """
     if config.variant != PGD:
         raise ContractError(f"pgd called with variant {config.variant!r}")
-    clean, labels = _one_example(params, example)
-    adv, failed_at = pgd_rows(params, clean, labels, [seed], config)
-    for r, step in enumerate(failed_at):
-        if step >= 0:
-            raise AttackFailedError(example_index, config.attack_id, step=int(step), restart=r)
-    return [Candidate(example_index, adv[r], config.attack_id, r) for r in range(len(adv))]
+    return run_attack(params, example, config, seed, example_index)
 
 
 def uniform_noise(example: Example, epsilon: float, num_samples: int, seed: int,
                   attack_id: str = UNIFORM_NOISE, example_index: int = 0) -> list[Candidate]:
     """num_samples independent uniform draws from the feasible box."""
-    if num_samples < 1:
-        raise ContractError("num_samples must be >= 1")
-    samples = noise_rows(example.features[None, :], epsilon, [seed], num_samples)
-    return [Candidate(example_index, samples[j], attack_id, j) for j in range(num_samples)]
+    config = AttackConfig(attack_id, UNIFORM_NOISE, epsilon, num_samples=num_samples)
+    samples = noise_rows(example.features[None, :], config.epsilon, [seed], config.num_samples)
+    return [Candidate(example_index, x, attack_id, j) for j, x in enumerate(samples)]
 
 
 def run_attack(params: ModelParams, example: Example, config: AttackConfig,
                seed: int | Sequence[int], example_index: int = 0) -> list[Candidate]:
-    """Dispatch on config.variant and return all emitted candidates."""
-    if config.variant == FGSM:
-        return [fgsm(params, example, config.epsilon, config.attack_id, example_index)]
-    if config.variant == PGD:
-        return pgd(params, example, config, seed, example_index)
-    if config.variant == UNIFORM_NOISE:
-        if not isinstance(seed, (int, np.integer)):
-            raise ContractError("uniform_noise takes a single int seed")
-        return uniform_noise(example, config.epsilon, config.num_samples, int(seed),
-                             config.attack_id, example_index)
-    raise ContractError(f"no runner for variant {config.variant!r}")
+    """Run a built-in attack on one example; one candidate per row.
 
+    The example is a 1-row batch for `attack_rows`. The first failed row
+    raises AttackFailedError naming its step and restart.
+    """
+    clean, labels = _one_example(params, example)
+    adv, failed_at = attack_rows(params, config, clean, labels, [seed])
+    for r, step in enumerate(failed_at.tolist()):
+        if step >= 0:
+            raise AttackFailedError(example_index, config.attack_id, step=step, restart=r)
+    return [Candidate(example_index, x, config.attack_id, r) for r, x in enumerate(adv)]

@@ -3,23 +3,24 @@
 Running many attacks and reporting each one's error rate understates what
 an attacker can do: the attacker picks the best candidate for every clean
 example individually and only then averages. This module implements that
-selection, the example-by-attack outcome matrix behind it, and a
-round-based scheduler that stops spending attack executions on examples
-whose goal is already met.
+selection, the example-by-attack outcome matrix behind it, and the rounds
+that run the attacks: round r runs attack r on every example still active,
+and an example leaves for good once its goal is met, so no attack
+execution is spent on it after that.
 
 The clean input always participates as a zero-perturbation baseline
 candidate under the reserved attack id "none", so a model that is wrong on
 clean data errs at perturbation zero and the bundled error rate is a true
 superset of the clean error rate.
 
-Each round, the examples assigned a built-in attack (fgsm, pgd,
-uniform_noise) run it together on the row engine: their rows, one per
-restart or noise sample, go to `attacks.attack_rows` in blocks of at most
-`ROW_BLOCK` rows, and each block is validated with one array check and
-scored with one `probs_rows` call. Every row is computed exactly as a 1-row
-call would compute it, so the result equals running `attacks.run_attack`
-one example at a time, bit for bit. Attacks with a `runners` entry, which
-variants beyond the built-in three need, still run one example per call.
+A round of a built-in attack (fgsm, pgd, uniform_noise) runs its active
+examples together on the row engine: their rows, one per restart or noise
+sample, go to `attacks.attack_rows` in blocks of at most `ROW_BLOCK` rows,
+and each block is validated with one array check and scored with one
+`probs_rows` call. Every row is computed exactly as a 1-row call would
+compute it, so the result equals running `attacks.run_attack` one example
+at a time, bit for bit. Attacks with a `runners` entry, which variants
+beyond the built-in three need, still run one example per call.
 
 Scored candidates are columns (`CandidateRows`), not objects: each block
 updates every example's running choice, the outcome matrix and the goal
@@ -36,7 +37,9 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows,
-                      rows_per_example, run_attack, validate_candidate)
+                      is_int_or_none, rows_per_example, validate_candidate)
+# perfbench/child.py wraps this name when it traces a run; nothing here calls it
+from .attacks import run_attack  # noqa: F401
 from .data import Dataset, Example
 from .errors import AttackFailedError, ContractError, ShapeError
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
@@ -199,38 +202,26 @@ class BudgetPolicy:
 
     def __post_init__(self):
         cap = self.max_attack_units_per_example
-        if cap is not None and cap < 0:
-            raise ContractError("max_attack_units_per_example must be >= 0")
+        if not is_int_or_none(cap) or (cap is not None and cap < 0):
+            raise ContractError("max_attack_units_per_example must be an integer >= 0")
 
 
-@dataclass
-class ScheduleState:
-    """Per-example progress the scheduler decides from."""
+def schedule(budget: BudgetPolicy, num_attacks: int, done: int,
+             goal_met: np.ndarray) -> np.ndarray:
+    """Examples that run attacks[done] next, ascending; empty when the bundle is done.
 
-    attacks: tuple[AttackConfig, ...]
-    attacks_run: list[int]
-    goal_met: list[bool] | np.ndarray
-
-
-def schedule(budget: BudgetPolicy, state: ScheduleState) -> list[tuple[int, AttackConfig]]:
-    """Next round of (example_index, attack) assignments; empty when done.
-
-    Each round gives every still-active example its next unrun attack, in
-    the declared attack order. An example deactivates when its goal is met
-    (unless early_stop is off), when it has run every attack, or when it
-    exhausts the unit budget.
+    Round r runs attack r on every example still active. An example leaves
+    when its goal is met (unless early_stop is off) and never returns, since
+    goal flags only turn on, so every active example has run exactly the
+    `done` attacks before this round. The bundle is done when every attack
+    has run, when `done` reaches the unit cap, or when no example is active.
     """
     cap = budget.max_attack_units_per_example
-    out = []
-    for i, done in enumerate(state.attacks_run):
-        if done >= len(state.attacks):
-            continue
-        if cap is not None and done >= cap:
-            continue
-        if budget.early_stop and state.goal_met[i]:
-            continue
-        out.append((i, state.attacks[done]))
-    return out
+    if done >= num_attacks or (cap is not None and done >= cap):
+        return np.empty(0, dtype=np.int64)
+    if budget.early_stop:
+        return np.flatnonzero(np.logical_not(goal_met))
+    return np.arange(len(goal_met))
 
 
 @dataclass
@@ -430,7 +421,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     chosen = CandidateRows(*(col.copy() for col in clean))
     pool_blocks = [clean] if keep_candidates else None
     entries[:, 0] = clean.misclassified
-    state = ScheduleState(tuple(attacks), [0] * n, np.array(goal(clean), dtype=bool))
+    goal_met = np.array(goal(clean), dtype=bool)
 
     def record(code: int, members: list[int], counts: list[int],
                rows: CandidateRows | None) -> None:
@@ -441,23 +432,21 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
         if pool_blocks is not None:
             pool_blocks.append(rows)
         entries[rows.example_index[rows.misclassified], code] = 1
-        state.goal_met[rows.example_index[goal(rows)]] = True
+        goal_met[rows.example_index[goal(rows)]] = True
         _choose(chosen, rows, criterion)
 
-    while True:
-        assignments = schedule(budget, state)
-        if not assignments:
-            break
-        engine_members: dict[str, list[int]] = {}
-        for i, cfg in assignments:
-            state.attacks_run[i] += 1
-            if cfg.variant in VARIANTS and cfg.variant not in runners:
-                engine_members.setdefault(cfg.attack_id, []).append(i)
-                continue
-            ex, code = dataset[i], ids.index(cfg.attack_id) + 1
-            runner = runners.get(cfg.variant, run_attack)
+    done = 0
+    while len(active := schedule(budget, len(attacks), done, goal_met)):
+        cfg, code, members = attacks[done], done + 1, active.tolist()
+        done += 1
+        if cfg.variant not in runners:
+            for block in _engine(params, cfg, code, X, y, members, seed):
+                record(code, *block)
+            continue
+        for i in members:
+            ex = dataset[i]
             try:
-                cands = runner(params, ex, cfg, _seeds_for(seed, i, cfg), i)
+                cands = runners[cfg.variant](params, ex, cfg, _seeds_for(seed, i, cfg), i)
                 for c in cands:
                     if c.example_index != i:
                         raise ContractError(
@@ -471,19 +460,15 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
             rows = _scored(params, y, np.full(len(cands), i), code, restarts, adv,
                            np.abs(adv - X[i]).max(axis=1))
             record(code, [i], [len(cands)], rows)
-        for code, cfg in enumerate(attacks, start=1):
-            members = engine_members.get(cfg.attack_id, [])
-            for block in _engine(params, cfg, code, X, y, members, seed):
-                record(code, *block)
 
     matrix = OutcomeMatrix(entries, [CLEAN_ID] + ids)
     cap = budget.max_attack_units_per_example
     allowed = len(attacks) if cap is None else min(len(attacks), cap)
-    stopped = budget.early_stop & state.goal_met & (np.array(state.attacks_run) < allowed)
+    units = np.array([len(records) for records in log], dtype=np.int64)
+    stopped = budget.early_stop & goal_met & (units < allowed)
     for i in np.flatnonzero(stopped):
         if log[i]:
             log[i][-1].stopped_early = True
-    units = np.array([len(records) for records in log], dtype=np.int64)
     bundled = matrix.bundled_error_rate()
     if bundled != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "

@@ -234,6 +234,9 @@ def write_chosen_csv(path: str | Path, result: BundleResult) -> None:
 def dump_candidates_csv(path: str | Path, result: BundleResult) -> None:
     """One row per kept candidate, grouped by example in generation order:
     example_index, attack_id, restart_index, features."""
+    if result.pool is None:
+        raise ContractError("dump_candidates_csv needs a result built with "
+                            "keep_candidates=True")
     pool, ids = result.pool, result.outcome_matrix.attack_ids
     order = np.argsort(pool.example_index, kind="stable")
     d = pool.adversarial_input.shape[1]

@@ -45,6 +45,8 @@ def derive_seed(root: int, *parts: int | str) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if not isinstance(seed, (int, np.integer)):
+        raise ContractError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))

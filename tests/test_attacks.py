@@ -86,6 +86,7 @@ class TestFgsm:
         with pytest.raises(AttackFailedError) as info:
             ab.fgsm(m, ex, 0.3, example_index=17)
         assert info.value.example_index == 17
+        assert info.value.step == 0 and info.value.restart == 0
 
 
 def _pgd_cfg(**kw):
@@ -345,6 +346,23 @@ class TestAttackConfig:
             ab.AttackConfig("a", "fgsm", epsilon=-0.1)
         with pytest.raises(ContractError):
             ab.AttackConfig("", "fgsm", epsilon=0.3)
+        # counts must be integers, not merely integral-looking or bool
+        for bad in (dict(variant="pgd", step_size=0.1, num_steps=5, num_restarts=2.5),
+                    dict(variant="pgd", step_size=0.1, num_steps=5.0),
+                    dict(variant="pgd", step_size=0.1, num_steps=True),
+                    dict(variant="uniform_noise", num_samples=2.5),
+                    dict(variant="fgsm", num_samples=2.5)):
+            with pytest.raises(ContractError, match="must be an integer"):
+                ab.AttackConfig("a", epsilon=0.3, **bad)
+        ab.AttackConfig("a", "pgd", epsilon=0.3, step_size=0.1, num_steps=np.int64(5),
+                        num_restarts=np.int32(2))
+        # the per-example adapters check their fields through AttackConfig
+        m, ex = binary_linear([1.0, 0.5]), ab.Example(np.array([0.5, 0.5]), 0)
+        for call in (lambda: ab.fgsm(m, ex, -0.5), lambda: ab.fgsm(m, ex, float("nan")),
+                     lambda: ab.uniform_noise(ex, -0.5, 2, 0),
+                     lambda: ab.uniform_noise(ex, 0.3, 2.5, 0)):
+            with pytest.raises(ContractError):
+                call()
 
     def test_restart_seeds_only_for_pgd(self):
         with pytest.raises(ContractError):
@@ -364,3 +382,6 @@ class TestAttackConfig:
         custom = ab.AttackConfig("x", "my_custom_attack", epsilon=0.3)
         with pytest.raises(ContractError):
             run_attack(m, ex, custom, seed=0)
+        with pytest.raises(ContractError):
+            run_attack(m, ex, ab.AttackConfig("n", "uniform_noise", epsilon=0.3,
+                                              num_samples=2), seed=[1, 2])

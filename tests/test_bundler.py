@@ -158,14 +158,28 @@ class TestPrefer:
             ab.Criterion("misclassify", threshold=0.7)
 
 
-class TestSchedule:
-    def _cfgs(self, n):
-        return tuple(ab.AttackConfig(f"a{i}", "fgsm", epsilon=0.3) for i in range(n))
+def reference_schedule(budget, attacks, attacks_run, goal_met):
+    """The per-example scheduler the round loop replaced, written out: every
+    example still active gets its next unrun attack, as (example, attack)."""
+    cap = budget.max_attack_units_per_example
+    out = []
+    for i, done in enumerate(attacks_run):
+        if done >= len(attacks):
+            continue
+        if cap is not None and done >= cap:
+            continue
+        if budget.early_stop and goal_met[i]:
+            continue
+        out.append((i, attacks[done]))
+    return out
 
+
+class TestSchedule:
     def test_goal_met_example_deactivates(self):
-        state = ab.ScheduleState(self._cfgs(3), attacks_run=[1, 1], goal_met=[True, False])
-        out = ab.schedule(ab.BudgetPolicy(), state)
-        assert out == [(1, state.attacks[1])]
+        out = ab.schedule(ab.BudgetPolicy(), 3, 1, np.array([True, False]))
+        assert out.tolist() == [1]
+        # no example left active: the bundle is done, attacks or not
+        assert len(ab.schedule(ab.BudgetPolicy(), 3, 1, np.array([True, True]))) == 0
 
     def test_unmet_goal_stays_active(self):
         # wrong_confidence 0.6 with t=0.9 leaves the goal unmet
@@ -176,18 +190,50 @@ class TestSchedule:
         assert goal(ab.CandidateScore(True, 0.95, 0.1))
 
     def test_budget_cap(self):
-        state = ab.ScheduleState(self._cfgs(3), attacks_run=[2, 1], goal_met=[False, False])
-        out = ab.schedule(ab.BudgetPolicy(max_attack_units_per_example=2), state)
-        assert out == [(1, state.attacks[1])]
+        budget = ab.BudgetPolicy(max_attack_units_per_example=2)
+        goal_met = np.array([False, False])
+        assert ab.schedule(budget, 3, 1, goal_met).tolist() == [0, 1]
+        # the third attack is left unrun once every example has spent 2 units
+        assert len(ab.schedule(budget, 3, 2, goal_met)) == 0
+        assert len(ab.schedule(ab.BudgetPolicy(0), 3, 0, goal_met)) == 0
+
+    def test_budget_cap_must_be_a_non_negative_integer(self):
+        for cap in (-1, 0.5, 2.0, True):
+            with pytest.raises(ContractError, match="max_attack_units_per_example"):
+                ab.BudgetPolicy(cap)
+        assert ab.BudgetPolicy(np.int64(2)).max_attack_units_per_example == 2
 
     def test_early_stop_disabled_ignores_goal(self):
-        state = ab.ScheduleState(self._cfgs(2), attacks_run=[0, 0], goal_met=[True, True])
-        out = ab.schedule(ab.BudgetPolicy(early_stop=False), state)
-        assert len(out) == 2
+        out = ab.schedule(ab.BudgetPolicy(early_stop=False), 2, 0, np.array([True, True]))
+        assert out.tolist() == [0, 1]
 
     def test_done_when_all_attacks_run(self):
-        state = ab.ScheduleState(self._cfgs(2), attacks_run=[2, 2], goal_met=[False, False])
-        assert ab.schedule(ab.BudgetPolicy(), state) == []
+        assert len(ab.schedule(ab.BudgetPolicy(), 2, 2, np.array([False, False]))) == 0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rounds_match_the_per_example_scheduler(self, data):
+        n = data.draw(st.integers(1, 6), label="examples")
+        attacks = [f"a{j}" for j in range(data.draw(st.integers(0, 4), label="attacks"))]
+        budget = ab.BudgetPolicy(data.draw(st.none() | st.integers(0, 5), label="cap"),
+                                 data.draw(st.booleans(), label="early_stop"))
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
+        start = data.draw(flags, label="clean goals")
+        # goals only turn on: each round may meet the goal of any example
+        flips = [data.draw(flags, label=f"met after round {r}") for r in range(len(attacks))]
+
+        expected, attacks_run, goal = [], [0] * n, list(start)
+        while assignments := reference_schedule(budget, attacks, attacks_run, goal):
+            expected.append(assignments)
+            for i, _ in assignments:
+                attacks_run[i] += 1
+            goal = [g or f for g, f in zip(goal, flips[len(expected) - 1])]
+
+        rounds, goal_met = [], np.array(start)
+        while len(active := ab.schedule(budget, len(attacks), len(rounds), goal_met)):
+            rounds.append([(i, attacks[len(rounds)]) for i in active.tolist()])
+            goal_met |= flips[len(rounds) - 1]
+        assert rounds == expected
 
 
 class TestBundle:

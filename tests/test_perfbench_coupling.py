@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 import advbundle as ab
+from advbundle import bundler
+
+from conftest import binary_linear
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -48,3 +51,37 @@ def test_result_stats_reads_a_kept_candidate_bundle(child, mlp_on_small_blobs, s
     chosen = int(np.count_nonzero(res.chosen_rows.attack_code))
     assert {a: counts[0] for a, counts in stats["per_attack"].items()} == {"pgd": n, "noise": n}
     assert sum(counts[1] for counts in stats["per_attack"].values()) == chosen
+
+
+def _flip_every_example(params, example, config, seed, example_index):
+    flipped = example.features.copy()
+    flipped[0] = 1.0 - flipped[0]
+    return [ab.Candidate(example_index, flipped, config.attack_id, 0)]
+
+
+def test_schedule_is_called_once_per_round_plus_once(monkeypatch, mlp_on_small_blobs,
+                                                     small_blobs):
+    # run.py reports bundler.rounds as schedule calls minus bundle calls
+    calls = []
+    real = bundler.schedule
+
+    def counting(*args):
+        active = real(*args)
+        calls.append(len(active))
+        return active
+
+    monkeypatch.setattr(bundler, "schedule", counting)
+    attacks = [ab.AttackConfig(f"f{i}", "fgsm", epsilon=0.1 * (i + 1)) for i in range(3)]
+    ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+              ab.BudgetPolicy(early_stop=False), seed=0)
+    assert calls == [len(small_blobs)] * 3 + [0]
+
+    # every example's goal is met in round 1, so round 2 finds none active
+    calls.clear()
+    model = binary_linear([40.0, 0.0], bias=-20.0)  # class 1 iff x0 > 0.5
+    ds = ab.Dataset([[0.35, 0.5], [0.65, 0.5]], [0, 1], num_classes=2)
+    flips = [ab.AttackConfig(f"flip{i}", "flip", epsilon=0.5) for i in range(3)]
+    res = ab.bundle(model, ds, flips, ab.Criterion.misclassify(), seed=0,
+                    runners={"flip": _flip_every_example})
+    assert calls == [2, 0]
+    assert res.units_spent.tolist() == [1, 1] and res.stopped_early.all()

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import advbundle as ab
 from advbundle.bundler import CLEAN_ID
 from advbundle.errors import ContractError
-from advbundle.reporting import (fmt, write_chosen_csv, write_norm_curve_csv,
-                                 write_rates_csv, write_sf_curve_csv,
-                                 write_wat_gap_csv)
+from advbundle.reporting import (dump_candidates_csv, fmt, write_chosen_csv,
+                                 write_norm_curve_csv, write_rates_csv,
+                                 write_sf_curve_csv, write_wat_gap_csv)
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +230,12 @@ class TestCsvOutput:
             t, s, f = (float(v) for v in line.split(","))
             match = [p for p in sf.points if p[0] == t]
             assert match and match[0][1] == s and match[0][2] == f
+
+    def test_dump_candidates_needs_a_kept_pool(self, tmp_path, desk_run):
+        _, _, res, _ = desk_run
+        with pytest.raises(ContractError, match="keep_candidates=True"):
+            dump_candidates_csv(tmp_path / "candidates.csv", res)
+        assert not (tmp_path / "candidates.csv").exists()
 
     def test_fmt_is_shortest_round_trip(self):
         for x in (0.1, 1 / 3, 0.3, 1e-9, 123456.789):
