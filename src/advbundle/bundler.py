@@ -15,17 +15,19 @@ superset of the clean error rate.
 
 A round of a built-in attack (fgsm, pgd, uniform_noise) runs its active
 examples together on the row engine: their rows, one per restart or noise
-sample, go to `attacks.attack_rows` in blocks of at most `ROW_BLOCK` rows,
-and each block is validated with one array check and scored with one
-`probs_rows` call. Every row is computed exactly as a 1-row call would
-compute it, so the result equals running `attacks.run_attack` one example
-at a time, bit for bit. Attacks with a `runners` entry, which variants
-beyond the built-in three need, still run one example per call.
+sample, go to `attacks.attack_rows` in blocks of at most `ROW_BLOCK` rows.
+Every row is computed exactly as a 1-row call would compute it, so the
+result equals running `attacks.run_attack` one example at a time, bit for
+bit. An attack with a `runners` entry (any variant beyond the built-in
+three) makes one block per example, one runner call each.
 
-Scored candidates are columns (`CandidateRows`), not objects: each block
-updates every example's running choice, the outcome matrix and the goal
-flags with array operations, and one stable sort (`_best`) defines the
-preference order for `prefer`, the running choice and `reselect`.
+Every block takes the same tail: one `check_rows` call rejects rows outside
+the ball or [0, 1] and fails examples with a non-finite row, one
+`probs_rows` call scores the rest, and array operations fold them into the
+outcome matrix, the goal flags and each example's running choice. Scored
+candidates are columns (`CandidateRows`), not objects, and one stable sort
+(`_best`) defines the preference order for `prefer`, the running choice and
+`reselect`.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows,
-                      is_int_or_none, rows_per_example, validate_candidate)
-# perfbench/child.py wraps this name when it traces a run; nothing here calls it
-from .attacks import run_attack  # noqa: F401
+                      is_int_or_none, rows_per_example)
+# perfbench/child.py wraps these names when it traces a run; nothing here calls them
+from .attacks import run_attack, validate_candidate  # noqa: F401
 from .data import Dataset, Example
 from .errors import AttackFailedError, ContractError, ShapeError
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
@@ -184,7 +186,6 @@ class OutcomeMatrix:
 class ComputationRecord:
     attack_id: str
     restarts_run: int
-    stopped_early: bool = False
     failed: bool = False
 
 
@@ -229,8 +230,10 @@ class BundleResult:
     """What a bundle chose and spent, as arrays over its n examples.
 
     chosen_rows holds example i's choice at row i; pool (keep_candidates)
-    every scored candidate in generation order. `chosen` and
-    `all_candidates` are read-only views of them as per-candidate pairs.
+    every scored candidate in generation order. candidate_counts[i, j] is
+    how many candidates attack j gave example i, or -1 where it failed or
+    never ran; example i ran exactly attacks[:units_spent[i]]. `chosen`,
+    `all_candidates` and `computation_log` are read-only views of them.
     """
 
     criterion: Criterion
@@ -238,7 +241,7 @@ class BundleResult:
     outcome_matrix: OutcomeMatrix
     per_attack_error_rates: np.ndarray
     bundled_error_rate: float
-    computation_log: list[list[ComputationRecord]]
+    candidate_counts: np.ndarray
     units_spent: np.ndarray
     stopped_early: np.ndarray
     clean_confidence: np.ndarray
@@ -258,18 +261,17 @@ class BundleResult:
         return [_Pairs(self.pool, rows, self.outcome_matrix.attack_ids)
                 for rows in np.split(order, ends)]
 
+    @property
+    def computation_log(self) -> list[list[ComputationRecord]]:
+        ids = self.outcome_matrix.attack_ids[1:]
+        return [[ComputationRecord(ids[j], max(count, 0), count < 0)
+                 for j, count in enumerate(counts[:units])]
+                for counts, units in zip(self.candidate_counts.tolist(),
+                                         self.units_spent.tolist())]
+
     def rate_for(self, attack_id: str) -> float:
         j = self.outcome_matrix.attack_ids.index(attack_id)
         return float(self.per_attack_error_rates[j])
-
-    def chosen_misclassified(self) -> np.ndarray:
-        return self.chosen_rows.misclassified
-
-    def chosen_wrong_confidence(self) -> np.ndarray:
-        return self.chosen_rows.wrong_confidence
-
-    def chosen_norms(self) -> np.ndarray:
-        return self.chosen_rows.perturbation_norm
 
 
 def _scores(probs: np.ndarray, labels: np.ndarray,
@@ -352,25 +354,55 @@ def _seeds_for(root_seed: int, example_index: int, config: AttackConfig):
     return derive_seed(root_seed, example_index, config.attack_id)
 
 
-def _engine(params: ModelParams, config: AttackConfig, code: int, X: np.ndarray,
-            y: np.ndarray, members: list[int], root_seed: int
-            ) -> Iterator[tuple[list[int], list[int], CandidateRows]]:
+def _engine(params: ModelParams, config: AttackConfig, X: np.ndarray, y: np.ndarray,
+            members: list[int], root_seed: int) -> Iterator[tuple]:
     """Run a built-in attack on the examples `members` in row blocks. Per block,
-    yield its examples, each one's candidate count (-1 where any of its rows
-    failed) and the scored candidates of the others."""
+    yield its examples, rows per example, restart indices, rows, failed flags."""
     per = rows_per_example(config)
     block = max(1, ROW_BLOCK // per)
     for start in range(0, len(members), block):
         idx = members[start:start + block]
         adv, failed_at = attack_rows(params, config, X[idx], y[idx],
                                      [_seeds_for(root_seed, i, config) for i in idx])
-        norms = check_rows(adv.reshape(len(idx), per, -1), X[idx][:, None, :],
-                           config.epsilon, config.attack_id).reshape(-1)
-        ok = ((failed_at < 0) & np.isfinite(norms)).reshape(len(idx), per).all(axis=1)
-        keep = np.repeat(ok, per)
-        rows = _scored(params, y, np.repeat(idx, per)[keep], code,
-                       np.tile(np.arange(per), len(idx))[keep], adv[keep], norms[keep])
-        yield idx, np.where(ok, per, -1).tolist(), rows
+        yield (idx, per, np.tile(np.arange(per), len(idx)), adv,
+               (failed_at >= 0).reshape(len(idx), per).any(axis=1))
+
+
+def _runner_blocks(runner: Runner, params: ModelParams, config: AttackConfig,
+                   dataset: Dataset, members: list[int], root_seed: int) -> Iterator[tuple]:
+    """Call a runner on each example of `members`; yield one block per example,
+    as `_engine` does."""
+    d = dataset.dimension
+    for i in members:
+        try:
+            cands, failed = runner(params, dataset[i], config,
+                                   _seeds_for(root_seed, i, config), i), False
+        except AttackFailedError:
+            cands, failed = [], True
+        for c in cands:
+            if c.example_index != i:
+                raise ContractError(f"candidate belongs to example {c.example_index}, not {i}")
+            if np.shape(c.adversarial_input) != (d,):
+                raise ShapeError(f"candidate shape {np.shape(c.adversarial_input)} is not ({d},)")
+        yield ([i], len(cands), np.array([c.restart_index for c in cands], dtype=np.int64),
+               np.array([c.adversarial_input for c in cands]).reshape(-1, d), failed)
+
+
+def _checked(params: ModelParams, config: AttackConfig, code: int, X: np.ndarray,
+             y: np.ndarray, blocks: Iterator[tuple]
+             ) -> Iterator[tuple[list[int], np.ndarray, CandidateRows]]:
+    """Check and score the raw blocks of `_engine` or `_runner_blocks`. Per block,
+    yield its examples, each one's candidate count (-1 where it failed or gave a
+    non-finite row) and the scored candidates of the others. A block's raw rows
+    are dropped once it is scored, so they never outlive the round."""
+    for idx, per, restarts, adv, failed in blocks:
+        norms = check_rows(adv.reshape(len(idx), per, X.shape[1]), X[idx][:, None, :],
+                           config.epsilon, config.attack_id)
+        failed = np.logical_or(failed, ~np.isfinite(norms).all(axis=1))
+        keep = np.repeat(~failed, per)
+        yield idx, np.where(failed, -1, per), _scored(
+            params, y, np.repeat(idx, per)[keep], code, restarts[keep], adv[keep],
+            norms.reshape(-1)[keep])
 
 
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
@@ -381,11 +413,11 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
 
     The chosen candidate is maximal under `prefer` among everything
     generated for that example, including the clean baseline. A failed
-    attack, including one that returns a non-finite candidate, is logged
-    and contributes nothing; it never aborts the bundle. Deterministic
-    given seed: every (example, attack, restart) draws from its own
-    derive_seed stream, so no draw depends on the schedule or on which
-    other examples and attacks ran. Built-in variants without a `runners`
+    attack, including one that returns a non-finite candidate, counts -1 and
+    contributes nothing; it never aborts the bundle. Deterministic given
+    seed: every (example, attack, restart) draws from its own derive_seed
+    stream, so no draw depends on the schedule or on which other examples
+    and attacks ran. Built-in variants without a `runners`
     entry run on the row engine (see the module docstring); the result is
     the same as with runners={variant: run_attack}.
     """
@@ -413,7 +445,8 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     n = len(dataset)
     goal = _goal_test(criterion)
     entries = np.zeros((n, 1 + len(attacks)), dtype=np.int8)
-    log: list[list[ComputationRecord]] = [[] for _ in range(n)]
+    counts = np.full((n, len(attacks)), -1, dtype=np.int64)
+    units = np.zeros(n, dtype=np.int64)
 
     probs = probs_rows(params, X)
     zeros = np.zeros(n, dtype=np.int64)
@@ -423,59 +456,34 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     entries[:, 0] = clean.misclassified
     goal_met = np.array(goal(clean), dtype=bool)
 
-    def record(code: int, members: list[int], counts: list[int],
-               rows: CandidateRows | None) -> None:
-        for i, count in zip(members, counts):
-            log[i].append(ComputationRecord(ids[code - 1], max(count, 0), failed=count < 0))
-        if rows is None or not len(rows.example_index):
-            return
-        if pool_blocks is not None:
-            pool_blocks.append(rows)
-        entries[rows.example_index[rows.misclassified], code] = 1
-        goal_met[rows.example_index[goal(rows)]] = True
-        _choose(chosen, rows, criterion)
-
     done = 0
     while len(active := schedule(budget, len(attacks), done, goal_met)):
         cfg, code, members = attacks[done], done + 1, active.tolist()
         done += 1
-        if cfg.variant not in runners:
-            for block in _engine(params, cfg, code, X, y, members, seed):
-                record(code, *block)
-            continue
-        for i in members:
-            ex = dataset[i]
-            try:
-                cands = runners[cfg.variant](params, ex, cfg, _seeds_for(seed, i, cfg), i)
-                for c in cands:
-                    if c.example_index != i:
-                        raise ContractError(
-                            f"candidate belongs to example {c.example_index}, not {i}")
-                    validate_candidate(c, ex.features, cfg.epsilon)
-            except AttackFailedError:
-                record(code, [i], [-1], None)
+        units[active] += 1
+        blocks = (_engine(params, cfg, X, y, members, seed) if cfg.variant not in runners
+                  else _runner_blocks(runners[cfg.variant], params, cfg, dataset, members, seed))
+        for idx, count, rows in _checked(params, cfg, code, X, y, blocks):
+            counts[idx, code - 1] = count
+            if not len(rows.example_index):
                 continue
-            adv = np.array([c.adversarial_input for c in cands]).reshape(-1, X.shape[1])
-            restarts = np.array([c.restart_index for c in cands], dtype=np.int64)
-            rows = _scored(params, y, np.full(len(cands), i), code, restarts, adv,
-                           np.abs(adv - X[i]).max(axis=1))
-            record(code, [i], [len(cands)], rows)
+            if pool_blocks is not None:
+                pool_blocks.append(rows)
+            entries[rows.example_index[rows.misclassified], code] = 1
+            goal_met[rows.example_index[goal(rows)]] = True
+            _choose(chosen, rows, criterion)
 
     matrix = OutcomeMatrix(entries, [CLEAN_ID] + ids)
     cap = budget.max_attack_units_per_example
     allowed = len(attacks) if cap is None else min(len(attacks), cap)
-    units = np.array([len(records) for records in log], dtype=np.int64)
     stopped = budget.early_stop & goal_met & (units < allowed)
-    for i in np.flatnonzero(stopped):
-        if log[i]:
-            log[i][-1].stopped_early = True
     bundled = matrix.bundled_error_rate()
     if bundled != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
                             "disagrees with the chosen candidates")
     pool = _concat(pool_blocks) if pool_blocks is not None else None
     return BundleResult(criterion, chosen, matrix, matrix.per_attack_error_rates(),
-                        bundled, log, units, stopped, probs.max(axis=1), pool)
+                        bundled, counts, units, stopped, probs.max(axis=1), pool)
 
 
 def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
@@ -499,17 +507,16 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
 def select_by_ensemble(ensemble: Ensemble, example: Example,
                        candidates: Sequence[Candidate]) -> Candidate:
     """Candidate fooling the most members; ties go to higher mean
-    wrong-class confidence, then to the first seen."""
+    wrong-class confidence, then to the first seen. As in `bundle()`, a
+    member whose probabilities are not finite is not fooled and gives
+    wrong-class confidence -inf."""
     if not candidates:
         raise ContractError("select_by_ensemble needs at least one candidate")
     X = np.stack([_check_input(ensemble.members[0], c.adversarial_input)
                   for c in candidates])
-    fooled, wrong = [], []
-    for member in ensemble.members:
-        probs = probs_rows(member, X)
-        fooled.append(probs.argmax(axis=1) != example.label)
-        probs[:, example.label] = -np.inf
-        wrong.append(probs.max(axis=1))
+    labels = np.full(len(X), example.label)
+    fooled, wrong, _ = zip(*(_scores(probs_rows(member, X), labels, None)
+                             for member in ensemble.members))
     # members on the contiguous last axis: each mean sums as np.mean of a list
     keys = list(zip(np.sum(fooled, axis=0).tolist(),
                     np.stack(wrong, axis=1).mean(axis=1).tolist()))

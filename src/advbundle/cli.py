@@ -21,7 +21,7 @@ from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
 from .models import ModelParams, predict, save_model, train
 from .reporting import (dump_candidates_csv, fmt, make_tables, norm_curve,
-                        success_fail_curve, wat_underestimation_report,
+                        success_fail_curve, wat_gap_csv, wat_underestimation_report,
                         write_chosen_csv, write_norm_curve_csv, write_rates_csv,
                         write_sf_curve_csv, write_wat_gap_csv)
 
@@ -165,10 +165,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    rows = wat_underestimation_report(args.n)
-    print("n,wat,bundled,gap")
-    for n, wat, bundled_rate, gap in rows:
-        print(f"{n},{fmt(wat)},{fmt(bundled_rate)},{fmt(gap)}")
+    print(wat_gap_csv(wat_underestimation_report(args.n)), end="")
     return 0
 
 

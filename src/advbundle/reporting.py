@@ -84,19 +84,11 @@ class NormCurve:
     points: tuple[tuple[float, float], ...]  # (epsilon, error_rate)
 
 
-def _column_completeness(source: BundleResult | OutcomeMatrix) -> dict[str, bool]:
-    matrix = source.outcome_matrix if isinstance(source, BundleResult) else source
-    complete = {aid: True for aid in matrix.attack_ids}
-    if isinstance(source, BundleResult):
-        for aid in matrix.attack_ids:
-            if aid == CLEAN_ID:
-                continue
-            for records in source.computation_log:
-                ran = any(rec.attack_id == aid and not rec.failed for rec in records)
-                if not ran:
-                    complete[aid] = False
-                    break
-    return complete
+def _column_completeness(source: BundleResult | OutcomeMatrix) -> list[bool]:
+    """Per column, whether every example ran that attack without failing."""
+    if isinstance(source, OutcomeMatrix):
+        return [True] * len(source.attack_ids)
+    return [True] + (source.candidate_counts >= 0).all(axis=0).tolist()
 
 
 def make_tables(source: BundleResult | OutcomeMatrix,
@@ -111,7 +103,7 @@ def make_tables(source: BundleResult | OutcomeMatrix,
     rates = matrix.per_attack_error_rates()
     complete = _column_completeness(source)
     per_attack = tuple(
-        AttackRate(aid, float(rates[j]), complete[aid])
+        AttackRate(aid, float(rates[j]), complete[j])
         for j, aid in enumerate(matrix.attack_ids)
     )
     if clean_correct is not None:
@@ -142,8 +134,8 @@ def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFa
         raise ContractError("threshold grid must lie in [0.5, 1)")
     correct = result.outcome_matrix.entries[:, 0] == 0
     confidence = result.clean_confidence
-    mis = result.chosen_misclassified()
-    wrong_conf = result.chosen_wrong_confidence()
+    mis = result.chosen_rows.misclassified
+    wrong_conf = result.chosen_rows.wrong_confidence
     points = []
     for t in grid:
         success = float(np.mean(correct & (confidence > t)))
@@ -168,8 +160,8 @@ def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
     epsilons = [float(e) for e in epsilons]
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ContractError("epsilons must be sorted ascending")
-    mis = result.chosen_misclassified()
-    norms = result.chosen_norms()
+    mis = result.chosen_rows.misclassified
+    norms = result.chosen_rows.perturbation_norm
     points = [(e, float(np.mean(mis & (norms <= e + 1e-9)))) for e in epsilons]
     return NormCurve(tuple(points))
 
@@ -211,11 +203,14 @@ def write_norm_curve_csv(path: str | Path, curve: NormCurve) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def wat_gap_csv(rows: Sequence[tuple[int, float, float, float]]) -> str:
+    """The text of wat_gap.csv for `wat_underestimation_report` rows."""
+    return "".join(["n,wat,bundled,gap\n"] + [f"{n},{fmt(wat)},{fmt(bundled)},{fmt(gap)}\n"
+                                              for n, wat, bundled, gap in rows])
+
+
 def write_wat_gap_csv(path: str | Path, rows: Sequence[tuple[int, float, float, float]]) -> None:
-    lines = ["n,wat,bundled,gap"]
-    for n, wat, bundled, gap in rows:
-        lines.append(f"{n},{fmt(wat)},{fmt(bundled)},{fmt(gap)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(wat_gap_csv(rows))
 
 
 def write_chosen_csv(path: str | Path, result: BundleResult) -> None:

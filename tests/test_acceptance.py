@@ -208,7 +208,7 @@ def test_criterion_08_early_stopping_is_sound_and_cheaper():
         full = ab.bundle(model, dataset, attacks, ab.Criterion.misclassify(),
                          ab.BudgetPolicy(early_stop=False), seed=seed)
         assert lazy.bundled_error_rate == full.bundled_error_rate
-        fooled_early = (lazy.chosen_misclassified() &
+        fooled_early = (lazy.chosen_rows.misclassified &
                         (lazy.units_spent < len(attacks)))
         if fooled_early.any():
             assert lazy.units_spent.sum() < full.units_spent.sum()

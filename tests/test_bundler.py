@@ -91,7 +91,7 @@ class TestScore:
         ds = ab.Dataset([x, x], [0, 1], num_classes=2)
         res = ab.bundle(m, ds, [], ab.Criterion.misclassify())
         assert res.bundled_error_rate == 0.0
-        assert np.all(res.chosen_wrong_confidence() == -np.inf)
+        assert np.all(res.chosen_rows.wrong_confidence == -np.inf)
 
 
 class TestPrefer:
@@ -324,8 +324,39 @@ class TestBundle:
                             seed=0, runners={"flaky": failing})
             assert res.computation_log[0][0].failed, failure
             assert not res.computation_log[1][0].failed, failure
+            assert res.candidate_counts.tolist() == [[-1], [1]], failure
             assert res.rate_for("flaky") == 0.5, failure  # only example 1 flipped
             assert res.bundled_error_rate == 0.5, failure
+
+    @pytest.mark.parametrize("bad,error", [
+        (lambda c: Candidate(1 - c.example_index, c.adversarial_input, c.attack_id, 0),
+         ContractError),
+        (lambda c: Candidate(c.example_index, np.full(3, 0.5), c.attack_id, 0), ShapeError),
+        (lambda c: Candidate(c.example_index, c.adversarial_input + 0.2, c.attack_id, 0),
+         ContractError),
+    ], ids=["other-example", "shape", "outside-ball"])
+    def test_runner_candidate_checks(self, bad, error):
+        def runner(params, example, config, seed, example_index):
+            good = Candidate(example_index, example.features.copy(), config.attack_id, 0)
+            return [good, bad(good)]
+
+        with pytest.raises(error):
+            ab.bundle(steep_boundary_model(), two_example_dataset(),
+                      [ab.AttackConfig("bad", "bad", epsilon=0.1)],
+                      ab.Criterion.misclassify(), runners={"bad": runner})
+
+    def test_runner_nan_candidate_fails_its_unit(self):
+        def nan_runner(params, example, config, seed, example_index):
+            return [Candidate(example_index, example.features.copy(), config.attack_id, 0),
+                    Candidate(example_index, np.full(2, np.nan), config.attack_id, 1)]
+
+        res = ab.bundle(steep_boundary_model(), two_example_dataset(),
+                        [ab.AttackConfig("nan", "nan", epsilon=0.1)],
+                        ab.Criterion.misclassify(), runners={"nan": nan_runner},
+                        keep_candidates=True)
+        assert [[(r.restarts_run, r.failed) for r in recs]
+                for recs in res.computation_log] == [[(0, True)], [(0, True)]]
+        assert [len(pool) for pool in res.all_candidates] == [1, 1]
 
     def test_runner_returning_no_candidates_is_an_empty_unit(self):
         res = ab.bundle(steep_boundary_model(), two_example_dataset(),
@@ -438,6 +469,7 @@ class TestRowEngine:
         monkeypatch.setattr(bundler, "run_attack", not_called)
         engine = ab.bundle(params, ds, attacks, criterion, budget, seed=seed,
                            keep_candidates=True)
+        assert np.array_equal(engine.candidate_counts, per_example.candidate_counts)
         assert engine.computation_log == per_example.computation_log
         assert [_bits(*c) for c in engine.chosen] == [_bits(*c) for c in per_example.chosen]
         assert [[_bits(*c) for c in pool] for pool in engine.all_candidates] == \
@@ -503,6 +535,16 @@ class TestRowEngine:
         assert 0 < failed["pgd"] < len(ds)
         assert failed["noise"] == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_units_mark_their_columns_incomplete(self):
+        m, ds = _overflow_setup()
+        res = ab.bundle(m, ds, self.three_attacks(), ab.Criterion.misclassify(),
+                        ab.BudgetPolicy(early_stop=False), seed=3)
+        assert not res.stopped_early.any()
+        mat, _, _ = ab.make_tables(res)
+        assert {r.attack_id: r.complete for r in mat.per_attack} == \
+               {CLEAN_ID: True, "fgsm": False, "pgd": False, "noise": True}
+
 
 class TestScheduling:
     def test_misclassify_goal_stops_after_first_fooling_attack(self):
@@ -516,10 +558,11 @@ class TestScheduling:
         # example 0 is fooled by the first attack: one unit, stopped early
         assert res.units_spent[0] == 1
         assert res.stopped_early[0]
-        assert res.computation_log[0][-1].stopped_early
         # example 1 needed both
         assert res.units_spent[1] == 2
         assert not res.stopped_early[1]
+        # -1: attack-2 never ran on example 0
+        assert res.candidate_counts.tolist() == [[1, -1], [1, 1]]
         # early stopping never changes the bundled rate
         full = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(),
                          ab.BudgetPolicy(early_stop=False), seed=0, runners=runners)
@@ -587,7 +630,7 @@ class TestScheduling:
             full = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(),
                              ab.BudgetPolicy(early_stop=False), seed=seed)
             assert lazy.bundled_error_rate == full.bundled_error_rate
-            fooled_before_last = (lazy.chosen_misclassified() &
+            fooled_before_last = (lazy.chosen_rows.misclassified &
                                   (lazy.units_spent < len(attacks)))
             if fooled_before_last.any():
                 assert lazy.units_spent.sum() < full.units_spent.sum()
@@ -752,6 +795,21 @@ class TestSelectByEnsemble:
             if best_key is None or key > best_key:
                 best_key, best = key, cand
         assert ab.select_by_ensemble(ens, ex, cands) is best
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_member_is_not_fooled(self):
+        # member 0's class-0 logit 1e308 * (x0 + x1) overflows at a, so its
+        # probabilities there are NaN; b fools both members
+        overflowing = ab.ModelParams("softmax_linear", np.array([[1e308, 0.0], [1e308, 0.0]]),
+                                     np.zeros(2))
+        steep = ab.ModelParams("softmax_linear", np.array([[50.0, 0.0], [0.0, 0.0]]),
+                               np.array([-25.0, 0.0]))
+        ens = ab.Ensemble((overflowing, steep))
+        ex = ab.Example(np.array([0.0, 0.0]), 1)
+        a = Candidate(0, np.array([0.95, 0.95]), "a", 0)
+        b = Candidate(0, np.array([0.6, 0.6]), "b", 1)
+        assert ab.select_by_ensemble(ens, ex, [a, b]) is b
+        assert ab.select_by_ensemble(ens, ex, [b, a]) is b
 
     @pytest.mark.parametrize("x", [[0.5, 0.5, 0.5], [0.5, np.nan]], ids=["shape", "nan"])
     def test_bad_candidate_is_shape_error(self, x):

@@ -234,13 +234,17 @@ class TestOtherCommands:
         assert (tmp_path / "t" / "model.txt").read_bytes() == \
             (tmp_path / "r" / "model.txt").read_bytes()
 
-    def test_gap_prints_exact_table(self, capsys):
+    def test_gap_prints_exact_table(self, tmp_path, capsys):
         assert main(["gap", "1", "2", "10"]) == 0
-        out = capsys.readouterr().out.splitlines()
+        printed = capsys.readouterr().out
+        out = printed.splitlines()
         assert out[0] == "n,wat,bundled,gap"
         assert out[1] == "1,1.0,1.0,0.0"
         assert out[2] == "2,0.5,1.0,0.5"
         assert out[3] == "10,0.1,1.0,0.9"
+        # the run's wat_gap.csv (gap_ns = 1,2,10) holds the same bytes
+        assert main(["run", str(write_cfg(tmp_path))]) == 0
+        assert (tmp_path / "run_out" / "wat_gap.csv").read_bytes() == printed.encode()
 
     def test_run_experiment_api_returns_paths(self, tmp_path):
         cfg_text = FAST_CFG.format(out=tmp_path / "api_out")

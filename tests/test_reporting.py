@@ -164,8 +164,8 @@ class TestNormCurve:
         _, ds, _, min_norm = desk_run
         grid = np.linspace(0.0, 0.3, 16)
         curve = ab.norm_curve(min_norm, grid)
-        mis = min_norm.chosen_misclassified()
-        norms = min_norm.chosen_norms()
+        mis = min_norm.chosen_rows.misclassified
+        norms = min_norm.chosen_rows.perturbation_norm
         for eps, rate in curve.points:
             count = sum(1 for ok, nm in zip(mis, norms) if ok and nm <= eps + 1e-9)
             assert rate == pytest.approx(count / len(ds), abs=0)
