@@ -24,10 +24,10 @@ three) makes one block per example, one runner call each.
 Every block takes the same tail: one `check_rows` call rejects rows outside
 the ball or [0, 1] and fails examples with a non-finite row, one
 `probs_rows` call scores the rest, and array operations fold them into the
-outcome matrix, the goal flags and each example's running choice. Scored
-candidates are columns (`CandidateRows`), not objects, and one stable sort
-(`_best`) defines the preference order for `prefer`, the running choice and
-`reselect`.
+outcome matrix, the goal flags, each example's running choice and its
+smallest error norm. Scored candidates are columns (`CandidateRows`), not
+objects, and one stable sort (`_best`) defines the preference order for
+`prefer`, the running choice and `reselect`.
 """
 
 from __future__ import annotations
@@ -229,23 +229,32 @@ def schedule(budget: BudgetPolicy, num_attacks: int, done: int,
 class BundleResult:
     """What a bundle chose and spent, as arrays over its n examples.
 
-    chosen_rows holds example i's choice at row i; pool (keep_candidates)
-    every scored candidate in generation order. candidate_counts[i, j] is
-    how many candidates attack j gave example i, or -1 where it failed or
-    never ran; example i ran exactly attacks[:units_spent[i]]. `chosen`,
-    `all_candidates` and `computation_log` are read-only views of them.
+    chosen_rows holds example i's choice at row i, error_norm[i] its smallest
+    misclassified-candidate norm under any criterion (0.0 if the clean input
+    errs, inf if none), and pool (keep_candidates) every scored candidate in
+    generation order. candidate_counts[i, j] is how many candidates attack j
+    gave example i, or -1 where it failed or never ran; example i ran
+    exactly attacks[:units_spent[i]]. The rates, `chosen`, `all_candidates`
+    and `computation_log` are read-only views of them.
     """
 
     criterion: Criterion
     chosen_rows: CandidateRows
     outcome_matrix: OutcomeMatrix
-    per_attack_error_rates: np.ndarray
-    bundled_error_rate: float
+    error_norm: np.ndarray
     candidate_counts: np.ndarray
     units_spent: np.ndarray
     stopped_early: np.ndarray
     clean_confidence: np.ndarray
     pool: CandidateRows | None = None
+
+    @property
+    def per_attack_error_rates(self) -> np.ndarray:
+        return self.outcome_matrix.per_attack_error_rates()
+
+    @property
+    def bundled_error_rate(self) -> float:
+        return self.outcome_matrix.bundled_error_rate()
 
     @property
     def chosen(self) -> _Pairs:
@@ -454,6 +463,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     chosen = CandidateRows(*(col.copy() for col in clean))
     pool_blocks = [clean] if keep_candidates else None
     entries[:, 0] = clean.misclassified
+    error_norm = np.where(clean.misclassified, 0.0, np.inf)
     goal_met = np.array(goal(clean), dtype=bool)
 
     done = 0
@@ -469,21 +479,22 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
                 continue
             if pool_blocks is not None:
                 pool_blocks.append(rows)
-            entries[rows.example_index[rows.misclassified], code] = 1
+            fooled = rows.example_index[rows.misclassified]
+            entries[fooled, code] = 1
+            np.minimum.at(error_norm, fooled, rows.perturbation_norm[rows.misclassified])
             goal_met[rows.example_index[goal(rows)]] = True
             _choose(chosen, rows, criterion)
 
-    matrix = OutcomeMatrix(entries, [CLEAN_ID] + ids)
     cap = budget.max_attack_units_per_example
     allowed = len(attacks) if cap is None else min(len(attacks), cap)
     stopped = budget.early_stop & goal_met & (units < allowed)
-    bundled = matrix.bundled_error_rate()
-    if bundled != float(np.mean(chosen.misclassified)):
+    pool = _concat(pool_blocks) if pool_blocks is not None else None
+    result = BundleResult(criterion, chosen, OutcomeMatrix(entries, [CLEAN_ID] + ids),
+                          error_norm, counts, units, stopped, probs.max(axis=1), pool)
+    if result.bundled_error_rate != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
                             "disagrees with the chosen candidates")
-    pool = _concat(pool_blocks) if pool_blocks is not None else None
-    return BundleResult(criterion, chosen, matrix, matrix.per_attack_error_rates(),
-                        bundled, counts, units, stopped, probs.max(axis=1), pool)
+    return result
 
 
 def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:

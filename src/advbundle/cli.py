@@ -13,17 +13,19 @@ import os
 import sys
 from pathlib import Path
 
-from .bundler import (MIN_NORM, BudgetPolicy, BundleResult, Criterion, bundle,
-                      reselect)
+from .bundler import BudgetPolicy, BundleResult, bundle
 from .config import (ExperimentConfig, load_experiment_config, with_output_dir)
 from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
-from .models import ModelParams, predict, save_model, train
+from .models import probs_rows, save_model, train
 from .reporting import (dump_candidates_csv, fmt, make_tables, norm_curve,
                         success_fail_curve, wat_gap_csv, wat_underestimation_report,
                         write_chosen_csv, write_norm_curve_csv, write_rates_csv,
                         write_sf_curve_csv, write_wat_gap_csv)
+# perfbench/child.py wraps these names when it traces a run; nothing here calls them
+from .bundler import reselect  # noqa: F401
+from .models import predict  # noqa: F401
 
 OUTPUT_DIR_ENV = "ADVBUNDLE_OUTPUT_DIR"
 
@@ -36,10 +38,6 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
         return synth_dataset(config.synth_n, config.synth_d, config.synth_k,
                              config.synth_seed)
     return load_dataset_csv(config.csv_path)
-
-
-def _train_model(config: ExperimentConfig, dataset: Dataset) -> ModelParams:
-    return train(dataset, config.architecture, config.train_params)
 
 
 def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
@@ -81,30 +79,20 @@ def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Train, bundle, and write the full artifact set to the output dir."""
     dataset = _load_dataset(config)
-    model = _train_model(config, dataset)
+    model = train(dataset, config.architecture, config.train_params)
 
-    budget = BudgetPolicy(config.max_units, config.early_stop)
-    need_min_norm = config.criterion.variant != MIN_NORM
-    exhaustive = (not config.early_stop) and (
-        config.max_units is None or config.max_units >= len(config.attacks))
-    keep = config.dump_candidates or (need_min_norm and exhaustive)
-    primary = bundle(model, dataset, config.attacks, config.criterion, budget,
-                     seed=config.seed, keep_candidates=keep)
+    primary = bundle(model, dataset, config.attacks, config.criterion,
+                     BudgetPolicy(config.max_units, config.early_stop), seed=config.seed,
+                     keep_candidates=config.dump_candidates)
 
     mat, wat, bundled_table = make_tables(primary)
     sf = success_fail_curve(primary, config.threshold_grid)
 
-    # the norm curve needs the min-norm choice, which never stops early;
-    # an exhaustive primary already holds every candidate, so just re-select
-    if not need_min_norm:
-        min_norm_result = primary
-    elif exhaustive:
-        min_norm_result = reselect(primary, Criterion.min_norm())
-    else:
-        min_norm_result = bundle(model, dataset, config.attacks, Criterion.min_norm(),
-                                 BudgetPolicy(config.max_units, early_stop=False),
-                                 seed=config.seed)
-    curve = norm_curve(min_norm_result, config.epsilon_grid)
+    # the norm curve needs every allowed attack run on every example
+    full = primary if not primary.stopped_early.any() else bundle(
+        model, dataset, config.attacks, config.criterion,
+        BudgetPolicy(config.max_units, early_stop=False), seed=config.seed)
+    curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 
     outdir = Path(config.output_dir)
@@ -152,13 +140,12 @@ def _cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     config = _resolve_output_dir(config, args.output_dir)
     dataset = _load_dataset(config)
-    model = _train_model(config, dataset)
+    model = train(dataset, config.architecture, config.train_params)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     model_path = outdir / "model.txt"
     save_model(model_path, model)
-    correct = sum(predict(model, x).predicted_class == label
-                  for x, label in zip(dataset.features, dataset.labels.tolist()))
+    correct = (probs_rows(model, dataset.features).argmax(axis=1) == dataset.labels).sum()
     print(f"trained {config.architecture} on {len(dataset)} examples; "
           f"clean error {(1 - correct / len(dataset)) * 100:.2f}%; saved to {model_path}")
     return 0

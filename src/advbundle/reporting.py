@@ -11,9 +11,9 @@ construction from `wat_gap_construction` the gap between them is exactly
 1 - 1/n. Curves: the success-fail curve sweeps a confidence threshold t,
 pairing the clean covered-and-correct rate with the adversarial
 misclassified-above-t rate; the norm curve reads error rate as a function
-of the perturbation budget off a min-norm bundle. All CSV column names are
-fixed and all floats are written with shortest round-trip decimals, so
-identical runs produce byte-identical files.
+of the perturbation budget off each example's smallest error norm. All CSV
+column names are fixed and all floats are written with shortest round-trip
+decimals, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundler import (CLEAN_ID, MIN_NORM, BundleResult, OutcomeMatrix,
-                      wat_gap_construction)
+from .bundler import CLEAN_ID, BundleResult, OutcomeMatrix, wat_gap_construction
 from .errors import ContractError
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .models import predict  # noqa: F401
@@ -145,24 +144,25 @@ def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFa
 
 
 def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
-    """Error rate as a function of allowed perturbation, from a min-norm bundle.
+    """Error rate as a function of allowed perturbation, from `error_norm`.
 
-    An example counts as an error at eps when its chosen misclassifying
-    candidate has perturbation norm <= eps; never-misclassified examples
-    count at no eps. The chosen norm only upper-bounds the truly minimal
-    adversarial perturbation, so each point is a lower bound on the true
-    error rate at that budget. Norms get the same 1e-9 slack candidates are
-    validated with, so the curve reaches the bundled rate at the attack
-    budget even when a projected candidate sits one rounding step past it.
+    An example counts as an error at eps when its smallest misclassified
+    candidate norm is <= eps; never-misclassified examples (inf) count at no
+    eps, not even inf. No example may have stopped early. The smallest norm
+    found only upper-bounds the truly minimal adversarial perturbation, so
+    each point is a lower bound on the true error rate at that budget. Norms
+    get the same 1e-9 slack candidates are validated with, so the curve
+    reaches the bundled rate at the attack budget even when a projected
+    candidate sits one rounding step past it.
     """
-    if result.criterion.variant != MIN_NORM:
-        raise ContractError("norm_curve needs a result produced under min_norm")
+    if result.stopped_early.any():
+        raise ContractError("norm_curve needs a result where no example stopped early")
     epsilons = [float(e) for e in epsilons]
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ContractError("epsilons must be sorted ascending")
-    mis = result.chosen_rows.misclassified
-    norms = result.chosen_rows.perturbation_norm
-    points = [(e, float(np.mean(mis & (norms <= e + 1e-9)))) for e in epsilons]
+    norms = result.error_norm
+    fooled = norms < np.inf
+    points = [(e, float(np.mean(fooled & (norms <= e + 1e-9)))) for e in epsilons]
     return NormCurve(tuple(points))
 
 

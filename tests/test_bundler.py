@@ -636,6 +636,26 @@ class TestScheduling:
                 assert lazy.units_spent.sum() < full.units_spent.sum()
 
 
+    @pytest.mark.parametrize("criterion", [ab.Criterion.misclassify(),
+                                           ab.Criterion.max_confidence(0.9),
+                                           ab.Criterion.min_norm()])
+    def test_error_norm_is_the_smallest_misclassified_norm_generated(
+            self, criterion, mlp_on_small_blobs, small_blobs):
+        # early stopping on: error_norm covers what ran, not what would have
+        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.1),
+                   ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=4)]
+        res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, criterion, seed=2,
+                        keep_candidates=True)
+        expected = np.full(len(small_blobs), np.inf)
+        for i, pool in enumerate(res.all_candidates):
+            norms = [s.perturbation_norm for _, s in pool if s.misclassified]
+            expected[i] = min(norms, default=np.inf)
+        assert res.error_norm.tolist() == expected.tolist()
+        assert np.isfinite(expected).any() and np.isinf(expected).any()
+        assert (res.error_norm[res.outcome_matrix.entries[:, 0] == 1] == 0.0).all()
+
+
 class TestInvariants:
     def test_dominance_on_every_run(self, mlp_on_small_blobs, small_blobs):
         attacks = [
@@ -901,8 +921,9 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
         assert chosen.adversarial_input[:, 0].tolist() == best
 
         result = ab.BundleResult(crit, pool.take(np.arange(n)),
-                                 ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]), np.zeros(1),
-                                 0.0, [[] for _ in range(n)], np.zeros(n, dtype=np.int64),
-                                 np.zeros(n, dtype=bool), np.ones(n), pool)
+                                 ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]),
+                                 np.full(n, np.inf), np.zeros((n, 0), dtype=np.int64),
+                                 np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
+                                 np.ones(n), pool)
         redone = ab.reselect(result, crit).chosen_rows
         assert redone.adversarial_input[:, 0].tolist() == best

@@ -104,6 +104,33 @@ class TestRunCommand:
         rates = [float(l.split(",")[1]) for l in curve_lines[1:]]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("setting,calls", [
+        ("early_stop = false", 1),
+        ("early_stop = false\nmax_units = 1", 1),  # capped below the attack count
+        ("early_stop = true", 2),
+        ("early_stop = false\ndump_candidates = true", 1),
+    ])
+    def test_second_bundle_only_when_an_example_stopped_early(self, tmp_path, monkeypatch,
+                                                              setting, calls):
+        import advbundle.cli as cli
+        seen = []
+
+        def recording(*args, **kwargs):
+            result = ab.bundle(*args, **kwargs)
+            seen.append((args[4], kwargs.get("keep_candidates", False), result))
+            return result
+
+        monkeypatch.setattr(cli, "bundle", recording)
+        text = FAST_CFG.replace("early_stop = false", setting)
+        assert main(["run", str(write_cfg(tmp_path, text=text))]) == 0
+        assert len(seen) == calls
+        (_, keep, primary), *second = seen
+        assert keep == ("dump_candidates" in setting)  # no pool kept for the norm curve
+        assert primary.stopped_early.any() == bool(second)
+        for budget, keep, result in second:
+            assert not budget.early_stop and not keep
+            assert not result.stopped_early.any()
+
     def test_dump_candidates(self, tmp_path):
         text = FAST_CFG + "\n"
         text = text.replace("seed = 5", "seed = 5\ndump_candidates = true")
@@ -221,11 +248,17 @@ class TestOtherCommands:
         assert all((labels == c).sum() == 10 for c in range(3))
 
     def test_train_saves_model(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path)
-        assert main(["train", str(cfg)]) == 0
-        model = ab.load_model(tmp_path / "run_out" / "model.txt")
-        assert model.architecture == "softmax_linear"
-        assert "clean error" in capsys.readouterr().out
+        cfg = write_cfg(tmp_path, text=TINY_CFG)
+        assert main(["train", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        model = ab.load_model(tmp_path / "out" / "model.txt")
+        assert model.architecture == "mlp1"
+        ds = ab.synth_dataset(30, 2, 3, 7)
+        wrong = sum(ab.predict(model, x).predicted_class != y
+                    for x, y in zip(ds.features, ds.labels))
+        assert 0 < wrong < len(ds)  # a clean error of 0% or 100% pins little
+        assert capsys.readouterr().out == (
+            f"trained mlp1 on 30 examples; clean error {wrong / len(ds) * 100:.2f}%; "
+            f"saved to {tmp_path / 'out' / 'model.txt'}\n")
 
     def test_train_and_run_produce_same_model(self, tmp_path):
         cfg = write_cfg(tmp_path)

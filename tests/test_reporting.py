@@ -176,10 +176,33 @@ class TestNormCurve:
         rates = [p[1] for p in curve.points]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
-    def test_wrong_criterion_rejected(self, desk_run):
-        _, _, res, _ = desk_run
-        with pytest.raises(ContractError):
-            ab.norm_curve(res, [0.0, 0.3])
+    def test_early_stopped_result_rejected(self, mlp_on_small_blobs, small_blobs):
+        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.3),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=5)]
+        lazy = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                         seed=4)
+        assert lazy.stopped_early.any()
+        with pytest.raises(ContractError, match="stopped early"):
+            ab.norm_curve(lazy, [0.0, 0.3])
+
+    def test_same_points_under_every_criterion(self, mlp_on_small_blobs, small_blobs):
+        attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=30),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=25)]
+        grid = np.linspace(0.0, 0.3, 31)
+        curves = {ab.norm_curve(ab.bundle(mlp_on_small_blobs, small_blobs, attacks, crit,
+                                          ab.BudgetPolicy(early_stop=False), seed=4),
+                                grid).points
+                  for crit in (ab.Criterion.misclassify(), ab.Criterion.max_confidence(0.9),
+                               ab.Criterion.min_norm())}
+        assert len(curves) == 1
+
+    def test_inf_budget_reads_the_bundled_rate(self, desk_run):
+        _, _, _, min_norm = desk_run
+        never_fooled = np.isinf(min_norm.error_norm)
+        assert never_fooled.any()  # these must not count, even at an inf budget
+        curve = ab.norm_curve(min_norm, [0.0, 0.3, np.inf])
+        assert curve.points[-1] == (np.inf, min_norm.bundled_error_rate)
+        assert curve.points[-1][1] < 1.0
 
     def test_unsorted_epsilons_rejected(self, desk_run):
         _, _, _, min_norm = desk_run
