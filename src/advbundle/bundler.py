@@ -5,8 +5,8 @@ an attacker can do: the attacker picks the best candidate for every clean
 example individually and only then averages. This module implements that
 selection, the example-by-attack outcome matrix behind it, and the rounds
 that run the attacks: round r runs attack r on every example still active,
-and an example leaves for good once its goal is met, so no attack
-execution is spent on it after that.
+and an example leaves once its goal is met. `complete` later runs, from
+the result, only the units such examples skipped, never a unit twice.
 
 The clean input always participates as a zero-perturbation baseline
 candidate under the reserved attack id "none", so a model that is wrong on
@@ -24,15 +24,17 @@ three) makes one block per example, one runner call each.
 Every block takes the same tail: one `check_rows` call rejects rows outside
 the ball or [0, 1] and fails examples with a non-finite row, one
 `probs_rows` call scores the rest, and array operations fold them into the
-outcome matrix, the goal flags, each example's running choice and its
-smallest error norm. Scored candidates are columns (`CandidateRows`), not
-objects, and one stable sort (`_best`) defines the preference order for
-`prefer`, the running choice and `reselect`.
+outcome matrix, the goal flags, each example's running choice, its
+smallest error norm and its highest wrong-class confidence. Scored
+candidates are columns (`CandidateRows`), not objects, and one stable sort
+(`_best`) defines the preference order for `prefer`, the running choice and
+`reselect`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from copy import deepcopy
 from dataclasses import astuple, dataclass, replace
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -207,22 +209,21 @@ class BudgetPolicy:
             raise ContractError("max_attack_units_per_example must be an integer >= 0")
 
 
-def schedule(budget: BudgetPolicy, num_attacks: int, done: int,
-             goal_met: np.ndarray) -> np.ndarray:
+def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.ndarray,
+             units: np.ndarray) -> np.ndarray:
     """Examples that run attacks[done] next, ascending; empty when the bundle is done.
 
-    Round r runs attack r on every example still active. An example leaves
-    when its goal is met (unless early_stop is off) and never returns, since
-    goal flags only turn on, so every active example has run exactly the
-    `done` attacks before this round. The bundle is done when every attack
-    has run, when `done` reaches the unit cap, or when no example is active.
+    Round r runs attack r on every example with `units == done`, less the
+    goal-met ones unless early_stop is off; goal flags only turn on, so such
+    an example stays behind until `complete` reruns the rounds without early
+    stopping. The bundle is done when every attack has run, when `done`
+    reaches the unit cap, or when no example is active.
     """
     cap = budget.max_attack_units_per_example
     if done >= num_attacks or (cap is not None and done >= cap):
         return np.empty(0, dtype=np.int64)
-    if budget.early_stop:
-        return np.flatnonzero(np.logical_not(goal_met))
-    return np.arange(len(goal_met))
+    ready = units == done
+    return np.flatnonzero(ready & ~goal_met if budget.early_stop else ready)
 
 
 @dataclass
@@ -231,17 +232,19 @@ class BundleResult:
 
     chosen_rows holds example i's choice at row i, error_norm[i] its smallest
     misclassified-candidate norm under any criterion (0.0 if the clean input
-    errs, inf if none), and pool (keep_candidates) every scored candidate in
-    generation order. candidate_counts[i, j] is how many candidates attack j
-    gave example i, or -1 where it failed or never ran; example i ran
-    exactly attacks[:units_spent[i]]. The rates, `chosen`, `all_candidates`
-    and `computation_log` are read-only views of them.
+    errs, inf if none), error_confidence[i] its highest wrong-class confidence
+    over every candidate, the clean input included, and pool (keep_candidates)
+    every scored candidate in generation order. candidate_counts[i, j] is how
+    many candidates attack j gave example i, or -1 where it failed or never
+    ran; example i ran exactly attacks[:units_spent[i]]. The rates, `chosen`,
+    `all_candidates` and `computation_log` are read-only views of them.
     """
 
     criterion: Criterion
     chosen_rows: CandidateRows
     outcome_matrix: OutcomeMatrix
     error_norm: np.ndarray
+    error_confidence: np.ndarray
     candidate_counts: np.ndarray
     units_spent: np.ndarray
     stopped_early: np.ndarray
@@ -452,22 +455,49 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
                          f"{params.num_classes} classes")
 
     n = len(dataset)
-    goal = _goal_test(criterion)
-    entries = np.zeros((n, 1 + len(attacks)), dtype=np.int8)
-    counts = np.full((n, len(attacks)), -1, dtype=np.int64)
-    units = np.zeros(n, dtype=np.int64)
-
     probs = probs_rows(params, X)
     zeros = np.zeros(n, dtype=np.int64)
     clean = CandidateRows(np.arange(n), zeros, zeros, X, *_scores(probs, y, np.zeros(n)))
-    chosen = CandidateRows(*(col.copy() for col in clean))
-    pool_blocks = [clean] if keep_candidates else None
-    entries[:, 0] = clean.misclassified
-    error_norm = np.where(clean.misclassified, 0.0, np.inf)
-    goal_met = np.array(goal(clean), dtype=bool)
+    start = BundleResult(criterion, CandidateRows(*(col.copy() for col in clean)),
+                         OutcomeMatrix(np.c_[clean.misclassified, np.zeros((n, len(attacks)))],
+                                       [CLEAN_ID] + ids),
+                         np.where(clean.misclassified, 0.0, np.inf), clean.wrong_confidence.copy(),
+                         np.full((n, len(attacks)), -1, dtype=np.int64), zeros.copy(),
+                         zeros.astype(bool), probs.max(axis=1))
+    return _advance(start, params, dataset, attacks, budget, seed, runners,
+                    [clean] if keep_candidates else None)
 
-    done = 0
-    while len(active := schedule(budget, len(attacks), done, goal_met)):
+
+def complete(result: BundleResult, params: ModelParams, dataset: Dataset,
+             attacks: Sequence[AttackConfig], max_units: int | None = None, seed: int = 0,
+             runners: Mapping[str, Runner] | None = None) -> BundleResult:
+    """Run, on a copy of `result`, only the units its early-stopped examples skipped.
+
+    Given what `result` was bundled with, returns what bundle(..., BudgetPolicy(
+    max_units, early_stop=False)) returns, array for array, with no pool: each
+    (example, attack, restart) has its own seed stream, and each example's
+    candidates reach the running choice in the same order. Returns `result`
+    itself when no example stopped early."""
+    if ([a.attack_id for a in attacks] != result.outcome_matrix.attack_ids[1:]
+            or len(dataset) != len(result.units_spent)):
+        raise ContractError("complete needs the attacks and dataset the result was bundled with")
+    if not result.stopped_early.any():
+        return result
+    return _advance(deepcopy(replace(result, pool=None)), params, dataset, attacks,
+                    BudgetPolicy(max_units, early_stop=False), seed, runners or {}, None)
+
+
+def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
+             attacks: Sequence[AttackConfig], budget: BudgetPolicy, seed: int,
+             runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
+    """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place."""
+    X, y, goal = dataset.features, dataset.labels, _goal_test(result.criterion)
+    chosen, entries = result.chosen_rows, result.outcome_matrix.entries
+    counts, units = result.candidate_counts, result.units_spent
+    goal_met = np.array(goal(chosen), dtype=bool)  # some candidate met it iff the choice did
+
+    done = int(units.min())
+    while len(active := schedule(budget, len(attacks), done, goal_met, units)):
         cfg, code, members = attacks[done], done + 1, active.tolist()
         done += 1
         units[active] += 1
@@ -481,16 +511,15 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
                 pool_blocks.append(rows)
             fooled = rows.example_index[rows.misclassified]
             entries[fooled, code] = 1
-            np.minimum.at(error_norm, fooled, rows.perturbation_norm[rows.misclassified])
+            np.minimum.at(result.error_norm, fooled, rows.perturbation_norm[rows.misclassified])
+            np.maximum.at(result.error_confidence, rows.example_index, rows.wrong_confidence)
             goal_met[rows.example_index[goal(rows)]] = True
-            _choose(chosen, rows, criterion)
+            _choose(chosen, rows, result.criterion)
 
     cap = budget.max_attack_units_per_example
     allowed = len(attacks) if cap is None else min(len(attacks), cap)
-    stopped = budget.early_stop & goal_met & (units < allowed)
-    pool = _concat(pool_blocks) if pool_blocks is not None else None
-    result = BundleResult(criterion, chosen, OutcomeMatrix(entries, [CLEAN_ID] + ids),
-                          error_norm, counts, units, stopped, probs.max(axis=1), pool)
+    result.stopped_early = budget.early_stop & goal_met & (units < allowed)
+    result.pool = _concat(pool_blocks) if pool_blocks is not None else None
     if result.bundled_error_rate != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
                             "disagrees with the chosen candidates")

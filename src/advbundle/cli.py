@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bundler import BudgetPolicy, BundleResult, bundle
+from .bundler import BudgetPolicy, BundleResult, bundle, complete
 from .config import (ExperimentConfig, load_experiment_config, with_output_dir)
 from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
@@ -86,12 +86,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
                      keep_candidates=config.dump_candidates)
 
     mat, wat, bundled_table = make_tables(primary)
-    sf = success_fail_curve(primary, config.threshold_grid)
-
-    # the norm curve needs every allowed attack run on every example
-    full = primary if not primary.stopped_early.any() else bundle(
-        model, dataset, config.attacks, config.criterion,
-        BudgetPolicy(config.max_units, early_stop=False), seed=config.seed)
+    # both curves need every allowed attack run on every example
+    full = complete(primary, model, dataset, config.attacks, config.max_units, config.seed)
+    sf = success_fail_curve(full, config.threshold_grid)
     curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 

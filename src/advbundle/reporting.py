@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundler import CLEAN_ID, BundleResult, OutcomeMatrix, wat_gap_construction
+from .bundler import CLEAN_ID, BundleResult, OutcomeMatrix
 from .errors import ContractError
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .models import predict  # noqa: F401
@@ -122,25 +122,21 @@ def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFa
     """Sweep thresholds t over [0.5, 1).
 
     success_rate(t): clean examples predicted correctly with confidence > t.
-    failure_rate(t): examples whose chosen candidate is misclassified with
-    wrong-class confidence > t. Both read the result's stored scores; no
-    model call and no attack reruns.
+    failure_rate(t): examples with a candidate, under any criterion, whose
+    wrong-class confidence is > t; above 0.5 that class is the predicted one.
+    No example may have stopped early. Both read the result's stored scores;
+    no model call and no attack reruns.
     """
+    if result.stopped_early.any():
+        raise ContractError("success_fail_curve needs a result where no example stopped early")
     grid = [float(t) for t in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ContractError("threshold grid must be sorted ascending")
     if grid and not (0.5 <= grid[0] and grid[-1] < 1.0):
         raise ContractError("threshold grid must lie in [0.5, 1)")
-    correct = result.outcome_matrix.entries[:, 0] == 0
-    confidence = result.clean_confidence
-    mis = result.chosen_rows.misclassified
-    wrong_conf = result.chosen_rows.wrong_confidence
-    points = []
-    for t in grid:
-        success = float(np.mean(correct & (confidence > t)))
-        failure = float(np.mean(mis & (wrong_conf > t)))
-        points.append((t, success, failure))
-    return SuccessFailCurve(tuple(points))
+    correct, confidence = result.outcome_matrix.entries[:, 0] == 0, result.clean_confidence
+    return SuccessFailCurve(tuple((t, float(np.mean(correct & (confidence > t))),
+                                   float(np.mean(result.error_confidence > t))) for t in grid))
 
 
 def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
@@ -167,13 +163,11 @@ def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
 
 
 def wat_underestimation_report(n_values: Sequence[int]) -> list[tuple[int, float, float, float]]:
-    """Rows (n, wat, bundled, gap) for the diagonal construction; gap = 1 - 1/n."""
-    rows = []
-    for n in n_values:
-        _, wat, bundled = make_tables(wat_gap_construction(n))
-        rows.append((n, wat.wat_max, bundled.bundled_rate,
-                     bundled.bundled_rate - wat.wat_max))
-    return rows
+    """Rows (n, wat, bundled, gap) of `wat_gap_construction(n)`, in closed form without
+    its n x n matrix: each attack fools 1/n of the examples, the bundle all, gap = 1 - 1/n."""
+    if any(n < 1 for n in n_values):
+        raise ContractError("n must be >= 1")
+    return [(n, 1 / n, 1.0, 1.0 - 1 / n) for n in n_values]
 
 
 def write_rates_csv(path: str | Path, mat: RateTable, wat: RateTable,

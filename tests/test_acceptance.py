@@ -40,6 +40,10 @@ def test_criterion_02_worst_attack_gap_formula_to_machine_precision():
         assert wat == 1.0 / n
         assert bundled == 1.0
         assert gap == 1.0 - 1.0 / n
+        # the closed form is what the diagonal construction's tables read
+        _, wat_table, bundled_table = ab.make_tables(ab.wat_gap_construction(n))
+        assert wat_table.wat_max == wat and bundled_table.bundled_rate == bundled
+        assert bundled_table.bundled_rate - wat_table.wat_max == gap
     report(2, "gap = 1 - 1/n for n in {1,2,10,100,1000} (machine precision)")
 
 

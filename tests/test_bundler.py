@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,10 +178,11 @@ def reference_schedule(budget, attacks, attacks_run, goal_met):
 
 class TestSchedule:
     def test_goal_met_example_deactivates(self):
-        out = ab.schedule(ab.BudgetPolicy(), 3, 1, np.array([True, False]))
+        out = ab.schedule(ab.BudgetPolicy(), 3, 1, np.array([True, False]), np.ones(2, int))
         assert out.tolist() == [1]
         # no example left active: the bundle is done, attacks or not
-        assert len(ab.schedule(ab.BudgetPolicy(), 3, 1, np.array([True, True]))) == 0
+        assert len(ab.schedule(ab.BudgetPolicy(), 3, 1, np.array([True, True]),
+                               np.ones(2, int))) == 0
 
     def test_unmet_goal_stays_active(self):
         # wrong_confidence 0.6 with t=0.9 leaves the goal unmet
@@ -192,10 +195,10 @@ class TestSchedule:
     def test_budget_cap(self):
         budget = ab.BudgetPolicy(max_attack_units_per_example=2)
         goal_met = np.array([False, False])
-        assert ab.schedule(budget, 3, 1, goal_met).tolist() == [0, 1]
+        assert ab.schedule(budget, 3, 1, goal_met, np.ones(2, int)).tolist() == [0, 1]
         # the third attack is left unrun once every example has spent 2 units
-        assert len(ab.schedule(budget, 3, 2, goal_met)) == 0
-        assert len(ab.schedule(ab.BudgetPolicy(0), 3, 0, goal_met)) == 0
+        assert len(ab.schedule(budget, 3, 2, goal_met, np.full(2, 2))) == 0
+        assert len(ab.schedule(ab.BudgetPolicy(0), 3, 0, goal_met, np.zeros(2, int))) == 0
 
     def test_budget_cap_must_be_a_non_negative_integer(self):
         for cap in (-1, 0.5, 2.0, True):
@@ -204,11 +207,17 @@ class TestSchedule:
         assert ab.BudgetPolicy(np.int64(2)).max_attack_units_per_example == 2
 
     def test_early_stop_disabled_ignores_goal(self):
-        out = ab.schedule(ab.BudgetPolicy(early_stop=False), 2, 0, np.array([True, True]))
+        out = ab.schedule(ab.BudgetPolicy(early_stop=False), 2, 0, np.array([True, True]),
+                          np.zeros(2, int))
         assert out.tolist() == [0, 1]
+        # only the examples that have run exactly `done` attacks; one ahead waits
+        out = ab.schedule(ab.BudgetPolicy(early_stop=False), 3, 1, np.array([True, True]),
+                          np.array([1, 3]))
+        assert out.tolist() == [0]
 
     def test_done_when_all_attacks_run(self):
-        assert len(ab.schedule(ab.BudgetPolicy(), 2, 2, np.array([False, False]))) == 0
+        assert len(ab.schedule(ab.BudgetPolicy(), 2, 2, np.array([False, False]),
+                               np.full(2, 2))) == 0
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -229,9 +238,10 @@ class TestSchedule:
                 attacks_run[i] += 1
             goal = [g or f for g, f in zip(goal, flips[len(expected) - 1])]
 
-        rounds, goal_met = [], np.array(start)
-        while len(active := ab.schedule(budget, len(attacks), len(rounds), goal_met)):
+        rounds, goal_met, units = [], np.array(start), np.zeros(n, int)
+        while len(active := ab.schedule(budget, len(attacks), len(rounds), goal_met, units)):
             rounds.append([(i, attacks[len(rounds)]) for i in active.tolist()])
+            units[active] += 1
             goal_met |= flips[len(rounds) - 1]
         assert rounds == expected
 
@@ -654,6 +664,72 @@ class TestScheduling:
         assert res.error_norm.tolist() == expected.tolist()
         assert np.isfinite(expected).any() and np.isinf(expected).any()
         assert (res.error_norm[res.outcome_matrix.entries[:, 0] == 1] == 0.0).all()
+        assert res.error_confidence.tolist() == [
+            max(s.wrong_confidence for _, s in pool) for pool in res.all_candidates]
+
+
+def flaky_fgsm(params, example, config, seed, example_index):
+    """fgsm through the runner path, failing on every third example."""
+    if example_index % 3 == 0:
+        raise AttackFailedError(example_index, config.attack_id)
+    return run_attack(params, example, replace(config, variant="fgsm"), seed, example_index)
+
+
+def result_arrays(res):
+    """Every array of a result except its pool, by name."""
+    names = ("error_norm", "error_confidence", "candidate_counts", "units_spent",
+             "stopped_early", "clean_confidence")
+    return {"entries": res.outcome_matrix.entries, **res.chosen_rows._asdict(),
+            **{name: getattr(res, name) for name in names}}
+
+
+class TestComplete:
+    ATTACKS = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.1),
+               ab.AttackConfig("flaky", "flaky", epsilon=0.2),
+               ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5),
+               ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=4)]
+    RUNNERS = {"flaky": flaky_fgsm}
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    @pytest.mark.parametrize("criterion", [ab.Criterion.misclassify(),
+                                           ab.Criterion.max_confidence(0.9),
+                                           ab.Criterion.max_confidence(0.6)])
+    def test_equals_the_exhaustive_bundle(self, criterion, cap, mlp_on_small_blobs,
+                                          small_blobs):
+        args = (mlp_on_small_blobs, small_blobs, self.ATTACKS, criterion)
+        primary = ab.bundle(*args, ab.BudgetPolicy(cap), seed=3, runners=self.RUNNERS,
+                            keep_candidates=True)
+        before = copy.deepcopy(primary)
+        full = ab.complete(primary, *args[:3], cap, seed=3, runners=self.RUNNERS)
+        exhaustive = ab.bundle(*args, ab.BudgetPolicy(cap, early_stop=False), seed=3,
+                               runners=self.RUNNERS)
+        assert primary.stopped_early.any() == (cap != 1)
+        assert (full is primary) == (cap == 1)
+        for a, b in ((full, exhaustive), (primary, before)):
+            assert a.criterion == b.criterion
+            assert a.outcome_matrix.attack_ids == b.outcome_matrix.attack_ids
+            arrays_a, arrays_b = result_arrays(a), result_arrays(b)
+            for name, value in arrays_a.items():
+                assert value.dtype == arrays_b[name].dtype, name
+                np.testing.assert_array_equal(value, arrays_b[name], err_msg=name)
+        np.testing.assert_array_equal(primary.pool.adversarial_input,
+                                      before.pool.adversarial_input)
+        assert full.pool is (primary.pool if cap == 1 else None)
+        # flaky fails every third example, whether the primary or the continuation ran it
+        assert (full.candidate_counts[::3, 1] == -1).all()
+        assert (full.candidate_counts[1::3, 1] >= 0).all() == (cap != 1)
+
+    def test_refuses_other_attacks_or_data(self, mlp_on_small_blobs, small_blobs):
+        primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,
+                            ab.Criterion.misclassify(), seed=3, runners=self.RUNNERS)
+        fewer = ab.Dataset(small_blobs.features[:10], small_blobs.labels[:10], num_classes=3)
+        for attacks, ds in ((self.ATTACKS[:-1], small_blobs),
+                            ([replace(self.ATTACKS[0], attack_id="other")] + self.ATTACKS[1:],
+                             small_blobs),
+                            (self.ATTACKS, fewer)):
+            with pytest.raises(ContractError, match="complete needs"):
+                ab.complete(primary, mlp_on_small_blobs, ds, attacks, seed=3,
+                            runners=self.RUNNERS)
 
 
 class TestInvariants:
@@ -922,7 +998,7 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
 
         result = ab.BundleResult(crit, pool.take(np.arange(n)),
                                  ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]),
-                                 np.full(n, np.inf), np.zeros((n, 0), dtype=np.int64),
+                                 np.full(n, np.inf), wrong[:n], np.zeros((n, 0), dtype=np.int64),
                                  np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
                                  np.ones(n), pool)
         redone = ab.reselect(result, crit).chosen_rows

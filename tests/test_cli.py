@@ -104,32 +104,49 @@ class TestRunCommand:
         rates = [float(l.split(",")[1]) for l in curve_lines[1:]]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
-    @pytest.mark.parametrize("setting,calls", [
-        ("early_stop = false", 1),
-        ("early_stop = false\nmax_units = 1", 1),  # capped below the attack count
-        ("early_stop = true", 2),
-        ("early_stop = false\ndump_candidates = true", 1),
-    ])
-    def test_second_bundle_only_when_an_example_stopped_early(self, tmp_path, monkeypatch,
-                                                              setting, calls):
+    @pytest.mark.parametrize("setting,units", [
+        ("early_stop = false", 80),
+        ("early_stop = false\nmax_units = 1", 40),  # capped below the attack count
+        ("early_stop = true", 80),
+        ("early_stop = false\ndump_candidates = true", 80),
+    ], ids=["exhaustive", "capped", "early-stop", "dump-candidates"])
+    def test_run_executes_each_unit_once(self, tmp_path, monkeypatch, setting, units):
+        import advbundle.bundler as bundler
         import advbundle.cli as cli
-        seen = []
+        seen, completed, examples = [], [], []
 
         def recording(*args, **kwargs):
             result = ab.bundle(*args, **kwargs)
-            seen.append((args[4], kwargs.get("keep_candidates", False), result))
+            seen.append((kwargs.get("keep_candidates", False), result))
             return result
 
+        def completing(*args, **kwargs):
+            completed.append(ab.complete(*args, **kwargs))
+            return completed[-1]
+
+        def counting(params, config, X, *rest):
+            examples.append(len(X))
+            return attack_rows(params, config, X, *rest)
+
+        attack_rows = bundler.attack_rows
         monkeypatch.setattr(cli, "bundle", recording)
+        monkeypatch.setattr(cli, "complete", completing)
+        monkeypatch.setattr(bundler, "attack_rows", counting)
         text = FAST_CFG.replace("early_stop = false", setting)
         assert main(["run", str(write_cfg(tmp_path, text=text))]) == 0
-        assert len(seen) == calls
-        (_, keep, primary), *second = seen
-        assert keep == ("dump_candidates" in setting)  # no pool kept for the norm curve
-        assert primary.stopped_early.any() == bool(second)
-        for budget, keep, result in second:
-            assert not budget.early_stop and not keep
-            assert not result.stopped_early.any()
+        (keep, primary), = seen
+        assert keep == ("dump_candidates" in setting)  # no pool kept for the curves
+        assert primary.stopped_early.any() == ("early_stop = true" in setting)
+        full, = completed
+        assert (full is primary) == (not primary.stopped_early.any())
+        assert not full.stopped_early.any()
+        # 40 examples, 2 attacks: an early-stopped run ends at the exhaustive count
+        assert sum(examples) == full.units_spent.sum() == units
+        # the per-example spend and the summary report the primary
+        outdir = tmp_path / "run_out"
+        chosen = (outdir / "chosen.csv").read_text().splitlines()[1:]
+        assert [int(line.rsplit(",", 1)[1]) for line in chosen] == primary.units_spent.tolist()
+        assert f"{primary.units_spent.sum()} total" in (outdir / "summary.txt").read_text()
 
     def test_dump_candidates(self, tmp_path):
         text = FAST_CFG + "\n"
@@ -278,6 +295,19 @@ class TestOtherCommands:
         # the run's wat_gap.csv (gap_ns = 1,2,10) holds the same bytes
         assert main(["run", str(write_cfg(tmp_path))]) == 0
         assert (tmp_path / "run_out" / "wat_gap.csv").read_bytes() == printed.encode()
+
+    def test_gap_needs_no_n_by_n_matrix(self):
+        # the diagonal matrix for n = 100000 would need 10 GB; the table needs none
+        limit = 1 << 30
+        code = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                "from advbundle.cli import main; sys.exit(main(['gap', '100000']))")
+        src = Path(ab.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "n,wat,bundled,gap\n100000,1e-05,1.0,0.99999\n"
 
     def test_run_experiment_api_returns_paths(self, tmp_path):
         cfg_text = FAST_CFG.format(out=tmp_path / "api_out")

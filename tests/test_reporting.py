@@ -11,16 +11,18 @@ from advbundle.reporting import (dump_candidates_csv, fmt, write_chosen_csv,
                                  write_sf_curve_csv, write_wat_gap_csv)
 
 
+DESK_ATTACKS = [
+    ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=30),
+    ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=25),
+]
+
+
 @pytest.fixture(scope="module")
 def desk_run(mlp_on_small_blobs, small_blobs):
-    attacks = [
-        ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=30),
-        ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=25),
-    ]
-    res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+    res = ab.bundle(mlp_on_small_blobs, small_blobs, DESK_ATTACKS, ab.Criterion.misclassify(),
                     ab.BudgetPolicy(early_stop=False), seed=4)
-    min_norm = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.min_norm(),
-                         seed=4)
+    min_norm = ab.bundle(mlp_on_small_blobs, small_blobs, DESK_ATTACKS,
+                         ab.Criterion.min_norm(), seed=4)
     return mlp_on_small_blobs, small_blobs, res, min_norm
 
 
@@ -122,17 +124,42 @@ class TestSuccessFailCurve:
         assert failure == pytest.approx(res.bundled_error_rate, abs=0)
 
     def test_matches_brute_force_recount(self, desk_run):
-        model, ds, res, _ = desk_run
+        # failure counts the most confident error among every candidate, so
+        # min_norm, whose pick is often a less confident error, reads the same
+        model, ds, _, _ = desk_run
         grid = np.linspace(0.5, 0.99, 50)
-        curve = ab.success_fail_curve(res, grid)
         preds = [ab.predict(model, x) for x in ds.features]
-        for (t, success, failure) in curve.points:
-            s = sum(1 for p, y in zip(preds, ds.labels)
-                    if p.predicted_class == y and p.confidence > t)
-            f = sum(1 for _, sc in res.chosen
-                    if sc.misclassified and sc.wrong_confidence > t)
-            assert success == pytest.approx(s / len(ds), abs=0)
-            assert failure == pytest.approx(f / len(ds), abs=0)
+        for criterion in (ab.Criterion.misclassify(), ab.Criterion.min_norm()):
+            res = ab.bundle(model, ds, DESK_ATTACKS, criterion,
+                            ab.BudgetPolicy(early_stop=False), seed=4, keep_candidates=True)
+            curve = ab.success_fail_curve(res, grid)
+            most_wrong = [max((sc.wrong_confidence for _, sc in pool if sc.misclassified),
+                              default=0.0) for pool in res.all_candidates]
+            for (t, success, failure) in curve.points:
+                s = sum(1 for p, y in zip(preds, ds.labels)
+                        if p.predicted_class == y and p.confidence > t)
+                f = sum(1 for w in most_wrong if w > t)
+                assert success == pytest.approx(s / len(ds), abs=0)
+                assert failure == pytest.approx(f / len(ds), abs=0)
+        # the min_norm case discriminates: its own picks fall below the curve somewhere
+        picked = [sc.wrong_confidence if sc.misclassified else 0.0 for _, sc in res.chosen]
+        assert any(np.sum(np.greater(picked, t)) < np.sum(np.greater(most_wrong, t))
+                   for t in grid)
+
+    def test_refuses_an_early_stopped_result(self, mlp_on_small_blobs, small_blobs):
+        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.3),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=5)]
+        res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                        seed=0)
+        assert res.stopped_early.any()
+        with pytest.raises(ContractError, match="stopped early"):
+            ab.success_fail_curve(res, [0.5])
+        full = ab.complete(res, mlp_on_small_blobs, small_blobs, attacks, seed=0)
+        exhaustive = ab.bundle(mlp_on_small_blobs, small_blobs, attacks,
+                               ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False),
+                               seed=0)
+        grid = np.linspace(0.5, 0.99, 50)
+        assert ab.success_fail_curve(full, grid) == ab.success_fail_curve(exhaustive, grid)
 
     def test_both_coordinates_non_increasing(self, desk_run):
         model, ds, res, _ = desk_run
