@@ -5,8 +5,9 @@ an attacker can do: the attacker picks the best candidate for every clean
 example individually and only then averages. This module implements that
 selection, the example-by-attack outcome matrix behind it, and the rounds
 that run the attacks: round r runs attack r on every example still active,
-and an example leaves once its goal is met. `complete` later runs, from
-the result, only the units such examples skipped, never a unit twice.
+and an example leaves once its goal is met. A result records the attacks,
+budget and seed it ran under, and `complete` later runs from it, under
+them, only the units such examples skipped, never a unit twice.
 
 The clean input always participates as a zero-perturbation baseline
 candidate under the reserved attack id "none", so a model that is wrong on
@@ -208,6 +209,11 @@ class BudgetPolicy:
         if not is_int_or_none(cap) or (cap is not None and cap < 0):
             raise ContractError("max_attack_units_per_example must be an integer >= 0")
 
+    def allowed(self, num_attacks: int) -> int:
+        """Units each example may spend on a bundle of `num_attacks` attacks."""
+        cap = self.max_attack_units_per_example
+        return num_attacks if cap is None else min(num_attacks, cap)
+
 
 def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.ndarray,
              units: np.ndarray) -> np.ndarray:
@@ -216,11 +222,10 @@ def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.nda
     Round r runs attack r on every example with `units == done`, less the
     goal-met ones unless early_stop is off; goal flags only turn on, so such
     an example stays behind until `complete` reruns the rounds without early
-    stopping. The bundle is done when every attack has run, when `done`
-    reaches the unit cap, or when no example is active.
+    stopping. The bundle is done when `done` reaches `budget.allowed`, or
+    when no example is active.
     """
-    cap = budget.max_attack_units_per_example
-    if done >= num_attacks or (cap is not None and done >= cap):
+    if done >= budget.allowed(num_attacks):
         return np.empty(0, dtype=np.int64)
     ready = units == done
     return np.flatnonzero(ready & ~goal_met if budget.early_stop else ready)
@@ -228,26 +233,30 @@ def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.nda
 
 @dataclass
 class BundleResult:
-    """What a bundle chose and spent, as arrays over its n examples.
+    """What a bundle ran under, chose and spent, as arrays over its n examples.
 
-    chosen_rows holds example i's choice at row i, error_norm[i] its smallest
+    attacks, budget and seed are what it was bundled with. chosen_rows holds
+    example i's choice at row i, error_norm[i] its smallest
     misclassified-candidate norm under any criterion (0.0 if the clean input
     errs, inf if none), error_confidence[i] its highest wrong-class confidence
     over every candidate, the clean input included, and pool (keep_candidates)
     every scored candidate in generation order. candidate_counts[i, j] is how
     many candidates attack j gave example i, or -1 where it failed or never
-    ran; example i ran exactly attacks[:units_spent[i]]. The rates, `chosen`,
-    `all_candidates` and `computation_log` are read-only views of them.
+    ran; example i ran exactly attacks[:units_spent[i]]. The rates,
+    `stopped_early`, `chosen`, `all_candidates` and `computation_log` are
+    read-only views of them.
     """
 
     criterion: Criterion
+    attacks: tuple[AttackConfig, ...]
+    budget: BudgetPolicy
+    seed: int
     chosen_rows: CandidateRows
     outcome_matrix: OutcomeMatrix
     error_norm: np.ndarray
     error_confidence: np.ndarray
     candidate_counts: np.ndarray
     units_spent: np.ndarray
-    stopped_early: np.ndarray
     clean_confidence: np.ndarray
     pool: CandidateRows | None = None
 
@@ -258,6 +267,12 @@ class BundleResult:
     @property
     def bundled_error_rate(self) -> float:
         return self.outcome_matrix.bundled_error_rate()
+
+    @property
+    def stopped_early(self) -> np.ndarray:
+        """Examples short of the units the budget allows. Without early stopping
+        every example spends them; with it, only a goal-met example falls short."""
+        return self.units_spent < self.budget.allowed(len(self.attacks))
 
     @property
     def chosen(self) -> _Pairs:
@@ -433,17 +448,12 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     entry run on the row engine (see the module docstring); the result is
     the same as with runners={variant: run_attack}.
     """
-    budget = budget if budget is not None else BudgetPolicy()
-    attacks = list(attacks)
+    attacks = tuple(attacks)
     ids = [a.attack_id for a in attacks]
     if len(set(ids)) != len(ids):
         raise ContractError("attack_ids must be unique within a bundle")
     if CLEAN_ID in ids:
         raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
-    runners = runners or {}
-    for a in attacks:
-        if a.variant not in VARIANTS and a.variant not in runners:
-            raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
     if len(dataset) == 0:
         raise ContractError("cannot bundle over an empty dataset")
     if dataset.dimension != params.dimension:
@@ -458,39 +468,41 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     probs = probs_rows(params, X)
     zeros = np.zeros(n, dtype=np.int64)
     clean = CandidateRows(np.arange(n), zeros, zeros, X, *_scores(probs, y, np.zeros(n)))
-    start = BundleResult(criterion, CandidateRows(*(col.copy() for col in clean)),
+    start = BundleResult(criterion, attacks, budget if budget is not None else BudgetPolicy(),
+                         seed, CandidateRows(*(col.copy() for col in clean)),
                          OutcomeMatrix(np.c_[clean.misclassified, np.zeros((n, len(attacks)))],
                                        [CLEAN_ID] + ids),
                          np.where(clean.misclassified, 0.0, np.inf), clean.wrong_confidence.copy(),
                          np.full((n, len(attacks)), -1, dtype=np.int64), zeros.copy(),
-                         zeros.astype(bool), probs.max(axis=1))
-    return _advance(start, params, dataset, attacks, budget, seed, runners,
-                    [clean] if keep_candidates else None)
+                         probs.max(axis=1))
+    return _advance(start, params, dataset, runners or {}, [clean] if keep_candidates else None)
 
 
 def complete(result: BundleResult, params: ModelParams, dataset: Dataset,
-             attacks: Sequence[AttackConfig], max_units: int | None = None, seed: int = 0,
              runners: Mapping[str, Runner] | None = None) -> BundleResult:
     """Run, on a copy of `result`, only the units its early-stopped examples skipped.
 
-    Given what `result` was bundled with, returns what bundle(..., BudgetPolicy(
-    max_units, early_stop=False)) returns, array for array, with no pool: each
+    Returns what `bundle` returns for the result's attacks and seed under its
+    budget with early stopping off, array for array, with no pool: each
     (example, attack, restart) has its own seed stream, and each example's
     candidates reach the running choice in the same order. Returns `result`
     itself when no example stopped early."""
-    if ([a.attack_id for a in attacks] != result.outcome_matrix.attack_ids[1:]
-            or len(dataset) != len(result.units_spent)):
-        raise ContractError("complete needs the attacks and dataset the result was bundled with")
+    if len(dataset) != len(result.units_spent):
+        raise ContractError("complete needs the dataset the result was bundled with")
     if not result.stopped_early.any():
         return result
-    return _advance(deepcopy(replace(result, pool=None)), params, dataset, attacks,
-                    BudgetPolicy(max_units, early_stop=False), seed, runners or {}, None)
+    exhaustive = replace(result.budget, early_stop=False)
+    return _advance(deepcopy(replace(result, budget=exhaustive, pool=None)), params, dataset,
+                    runners or {}, None)
 
 
 def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
-             attacks: Sequence[AttackConfig], budget: BudgetPolicy, seed: int,
              runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
     """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place."""
+    attacks, budget, seed = result.attacks, result.budget, result.seed
+    for a in attacks:
+        if a.variant not in VARIANTS and a.variant not in runners:
+            raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
     X, y, goal = dataset.features, dataset.labels, _goal_test(result.criterion)
     chosen, entries = result.chosen_rows, result.outcome_matrix.entries
     counts, units = result.candidate_counts, result.units_spent
@@ -516,9 +528,6 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
             goal_met[rows.example_index[goal(rows)]] = True
             _choose(chosen, rows, result.criterion)
 
-    cap = budget.max_attack_units_per_example
-    allowed = len(attacks) if cap is None else min(len(attacks), cap)
-    result.stopped_early = budget.early_stop & goal_met & (units < allowed)
     result.pool = _concat(pool_blocks) if pool_blocks is not None else None
     if result.bundled_error_rate != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
@@ -536,8 +545,7 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     """
     if result.pool is None:
         raise ContractError("reselect needs a result built with keep_candidates=True")
-    n_attacks = len(result.outcome_matrix.attack_ids) - 1
-    if np.any(result.units_spent < n_attacks):
+    if np.any(result.units_spent < len(result.attacks)):
         raise ContractError("reselect needs an exhaustive run (every attack on "
                             "every example)")
     return replace(result, criterion=criterion,

@@ -87,7 +87,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
     mat, wat, bundled_table = make_tables(primary)
     # both curves need every allowed attack run on every example
-    full = complete(primary, model, dataset, config.attacks, config.max_units, config.seed)
+    full = complete(primary, model, dataset)
     sf = success_fail_curve(full, config.threshold_grid)
     curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)

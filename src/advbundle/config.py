@@ -2,7 +2,8 @@
 
 The format is deliberately line-oriented so configs diff cleanly: global
 keys first, then one section per attack. Grids accept either a comma list
-or lo:hi:count (inclusive linspace). parse -> serialize -> parse is exact.
+or lo:hi:count (inclusive linspace, count <= MAX_GRID_POINTS). parse ->
+serialize -> parse is exact.
 
 The config keys are the fields of `ExperimentConfig` and `AttackConfig`;
 each field's annotation picks its parse and format functions from
@@ -100,9 +101,15 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected true/false, got {value!r}")
 
 
+# lo:hi:count builds every point up front; a stray count of 10**9 would ask for 7.5 GiB
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(value: str) -> tuple[float, ...]:
     if ":" in value:
         lo, hi, count = value.split(":")
+        if int(count) > MAX_GRID_POINTS:
+            raise ValueError(f"more than {MAX_GRID_POINTS} grid points")
         return tuple(float(t) for t in np.linspace(float(lo), float(hi), int(count)))
     return tuple(float(v) for v in value.split(","))
 

@@ -66,12 +66,6 @@ class RateTable:
             if self.bundled_rate < max(r.error_rate for r in self.per_attack) - 1e-12:
                 raise ContractError("bundled rate below a per-attack rate")
 
-    def rate_for(self, attack_id: str) -> float:
-        for r in self.per_attack:
-            if r.attack_id == attack_id:
-                return r.error_rate
-        raise KeyError(attack_id)
-
 
 @dataclass(frozen=True)
 class SuccessFailCurve:
@@ -90,9 +84,7 @@ def _column_completeness(source: BundleResult | OutcomeMatrix) -> list[bool]:
     return [True] + (source.candidate_counts >= 0).all(axis=0).tolist()
 
 
-def make_tables(source: BundleResult | OutcomeMatrix,
-                clean_correct: Sequence[bool] | None = None
-                ) -> tuple[RateTable, RateTable, RateTable]:
+def make_tables(source: BundleResult | OutcomeMatrix) -> tuple[RateTable, RateTable, RateTable]:
     """Build (MAT, WAT, BUNDLED) from one outcome matrix.
 
     Columns an early-stopped run never finished are marked incomplete; their
@@ -105,9 +97,7 @@ def make_tables(source: BundleResult | OutcomeMatrix,
         AttackRate(aid, float(rates[j]), complete[j])
         for j, aid in enumerate(matrix.attack_ids)
     )
-    if clean_correct is not None:
-        clean_error = float(np.mean(~np.asarray(clean_correct, dtype=bool)))
-    elif CLEAN_ID in matrix.attack_ids:
+    if CLEAN_ID in matrix.attack_ids:
         clean_error = float(rates[matrix.attack_ids.index(CLEAN_ID)])
     else:
         clean_error = None

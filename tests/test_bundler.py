@@ -640,6 +640,8 @@ class TestScheduling:
             full = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(),
                              ab.BudgetPolicy(early_stop=False), seed=seed)
             assert lazy.bundled_error_rate == full.bundled_error_rate
+            # an example falls short of the budget only once its goal is met
+            assert lazy.chosen_rows.misclassified[lazy.stopped_early].all()
             fooled_before_last = (lazy.chosen_rows.misclassified &
                                   (lazy.units_spent < len(attacks)))
             if fooled_before_last.any():
@@ -700,11 +702,15 @@ class TestComplete:
         primary = ab.bundle(*args, ab.BudgetPolicy(cap), seed=3, runners=self.RUNNERS,
                             keep_candidates=True)
         before = copy.deepcopy(primary)
-        full = ab.complete(primary, *args[:3], cap, seed=3, runners=self.RUNNERS)
+        full = ab.complete(primary, *args[:2], runners=self.RUNNERS)
         exhaustive = ab.bundle(*args, ab.BudgetPolicy(cap, early_stop=False), seed=3,
                                runners=self.RUNNERS)
         assert primary.stopped_early.any() == (cap != 1)
         assert (full is primary) == (cap == 1)
+        assert full.budget == (primary.budget if cap == 1
+                               else ab.BudgetPolicy(cap, early_stop=False))
+        assert full.seed == primary.seed == 3
+        assert full.attacks == primary.attacks == tuple(self.ATTACKS)
         for a, b in ((full, exhaustive), (primary, before)):
             assert a.criterion == b.criterion
             assert a.outcome_matrix.attack_ids == b.outcome_matrix.attack_ids
@@ -719,17 +725,39 @@ class TestComplete:
         assert (full.candidate_counts[::3, 1] == -1).all()
         assert (full.candidate_counts[1::3, 1] >= 0).all() == (cap != 1)
 
-    def test_refuses_other_attacks_or_data(self, mlp_on_small_blobs, small_blobs):
+    def test_refuses_other_data(self, mlp_on_small_blobs, small_blobs):
         primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,
                             ab.Criterion.misclassify(), seed=3, runners=self.RUNNERS)
         fewer = ab.Dataset(small_blobs.features[:10], small_blobs.labels[:10], num_classes=3)
-        for attacks, ds in ((self.ATTACKS[:-1], small_blobs),
-                            ([replace(self.ATTACKS[0], attack_id="other")] + self.ATTACKS[1:],
-                             small_blobs),
-                            (self.ATTACKS, fewer)):
-            with pytest.raises(ContractError, match="complete needs"):
-                ab.complete(primary, mlp_on_small_blobs, ds, attacks, seed=3,
-                            runners=self.RUNNERS)
+        with pytest.raises(ContractError, match="complete needs"):
+            ab.complete(primary, mlp_on_small_blobs, fewer, runners=self.RUNNERS)
+
+    # class 1 iff x0 > 0.5; example 2 is misclassified clean, so its goal is met before
+    # any attack runs, and fgsm at 0.05 flips no other example
+    MODEL = binary_linear([40.0, 0.0], bias=-20.0)
+    DATA = ab.Dataset([[0.35, 0.5], [0.65, 0.5], [0.35, 0.5]], [0, 1, 1], num_classes=2)
+
+    def test_keeps_the_unit_cap_it_was_bundled_with(self):
+        attacks = [ab.AttackConfig(f"fgsm{i}", "fgsm", epsilon=0.05) for i in range(3)]
+        primary = ab.bundle(self.MODEL, self.DATA, attacks, ab.Criterion.misclassify(),
+                            ab.BudgetPolicy(1), seed=0)
+        assert primary.units_spent.tolist() == [1, 1, 0]
+        assert primary.stopped_early.tolist() == [False, False, True]
+        full = ab.complete(primary, self.MODEL, self.DATA)
+        assert full.units_spent.tolist() == [1, 1, 1]
+        assert full.budget == ab.BudgetPolicy(1, early_stop=False)
+
+    def test_missing_runner_refused_before_any_round(self, monkeypatch):
+        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.05),
+                   ab.AttackConfig("flip", "flip", epsilon=0.5)]
+        primary = ab.bundle(self.MODEL, self.DATA, attacks, ab.Criterion.misclassify(),
+                            seed=0, runners={"flip": flip_runner(0)})
+        assert primary.stopped_early.tolist() == [False, False, True]
+        calls = []
+        monkeypatch.setattr(bundler, "attack_rows", lambda *args: calls.append(args))
+        with pytest.raises(ContractError, match="no runner for variant 'flip'"):
+            ab.complete(primary, self.MODEL, self.DATA)
+        assert calls == []
 
 
 class TestInvariants:
@@ -996,10 +1024,9 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
                 bundler._choose(chosen, pool.take(np.arange(lo, hi)), crit)
         assert chosen.adversarial_input[:, 0].tolist() == best
 
-        result = ab.BundleResult(crit, pool.take(np.arange(n)),
+        result = ab.BundleResult(crit, (), ab.BudgetPolicy(), 0, pool.take(np.arange(n)),
                                  ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]),
                                  np.full(n, np.inf), wrong[:n], np.zeros((n, 0), dtype=np.int64),
-                                 np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
-                                 np.ones(n), pool)
+                                 np.zeros(n, dtype=np.int64), np.ones(n), pool)
         redone = ab.reselect(result, crit).chosen_rows
         assert redone.adversarial_input[:, 0].tolist() == best

@@ -177,6 +177,24 @@ class TestExitCodes:
         assert "threshold_grid" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    def test_huge_grid_count_is_a_config_error(self, tmp_path):
+        # linspace would need 7.5 GiB for 10**9 points; the parser refuses the count first
+        grid = "threshold_grid = 0.5:0.99:1000000000"
+        text = FAST_CFG.replace("threshold_grid = 0.5:0.95:8", grid)
+        cfg = write_cfg(tmp_path, text=text)
+        line = text.splitlines().index(grid) + 1
+        limit = 1 << 30
+        code = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                f"from advbundle.cli import main; sys.exit(main(['run', {str(cfg)!r}]))")
+        src = Path(ab.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "config error:" in done.stderr and f":{line}:" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_bad_gap_ns_fails_before_any_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, text=FAST_CFG.replace("gap_ns = 1,2,10", "gap_ns = 1,0,10"))
         assert main(["run", str(cfg)]) == 2

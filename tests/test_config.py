@@ -187,6 +187,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("line", ["threshold_grid = 0.4,0.6",
                                       "threshold_grid = 0.5:1.0:6",
+                                      "threshold_grid = 0.5:0.99:10001",
                                       "threshold_grid = 0.9,0.6",
                                       "epsilon_grid = 0.3,0.1",
                                       "max_units = -1",

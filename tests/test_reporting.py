@@ -51,12 +51,6 @@ class TestMakeTables:
         assert wat.wat_max == 0.0
         assert bundled.bundled_rate == 0.0
 
-    def test_clean_error_from_explicit_correctness(self, desk_run):
-        _, ds, res, _ = desk_run
-        clean_correct = [True] * (len(ds) - 4) + [False] * 4
-        mat, _, _ = ab.make_tables(res, clean_correct)
-        assert mat.clean_error == pytest.approx(4 / len(ds), abs=0)
-
     def test_clean_error_falls_back_to_baseline_column(self, desk_run):
         _, _, res, _ = desk_run
         mat, _, _ = ab.make_tables(res)
@@ -154,7 +148,7 @@ class TestSuccessFailCurve:
         assert res.stopped_early.any()
         with pytest.raises(ContractError, match="stopped early"):
             ab.success_fail_curve(res, [0.5])
-        full = ab.complete(res, mlp_on_small_blobs, small_blobs, attacks, seed=0)
+        full = ab.complete(res, mlp_on_small_blobs, small_blobs)
         exhaustive = ab.bundle(mlp_on_small_blobs, small_blobs, attacks,
                                ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False),
                                seed=0)
