@@ -35,7 +35,9 @@ import numpy as np
 from .data import Example
 from .errors import AttackFailedError, ContractError, ShapeError
 from .models import ModelParams, grad_rows
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seeds, make_rng, seed_words
+# perfbench/child.py wraps this name when it traces a run; nothing here calls it
+from .seeding import derive_seed  # noqa: F401
 
 FGSM = "fgsm"
 PGD = "pgd"
@@ -159,14 +161,20 @@ def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) 
                                 restart=candidate.restart_index, reason="non-finite candidate")
 
 
-def _restart_seeds(seed: int | Sequence[int], num_restarts: int) -> list[int]:
-    """Per-restart seeds: derive_seed(seed, r) for an int, or the sequence as-is."""
-    if isinstance(seed, (int, np.integer)):
-        return [derive_seed(int(seed), r) for r in range(num_restarts)]
-    seeds = [int(s) for s in seed]
-    if len(seeds) != num_restarts:
-        raise ContractError("need one seed per restart")
-    return seeds
+def _restart_seeds(seeds: Sequence[int | Sequence[int]], num_restarts: int) -> list[int]:
+    """Every example's per-restart seeds, in row order: derive_seed(seed, r) for
+    an int seed, all of them in one array pass, or a sequence as-is."""
+    is_int = [isinstance(seed, (int, np.integer)) for seed in seeds]
+    roots = seed_words([seed for seed, i in zip(seeds, is_int) if i])
+    derived = iter(derive_seeds(roots[:, None], np.arange(num_restarts, dtype=np.uint64))
+                   .tolist())
+    rows = []
+    for seed, i in zip(seeds, is_int):
+        per = next(derived) if i else [int(s) for s in seed]
+        if len(per) != num_restarts:
+            raise ContractError("need one seed per restart")
+        rows += per
+    return rows
 
 
 def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
@@ -223,7 +231,7 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     r = config.num_restarts
     clean = np.repeat(clean, r, axis=0)
     labels = np.repeat(labels, r)
-    row_seeds = [s for seed in seeds for s in _restart_seeds(seed, r)]
+    row_seeds = _restart_seeds(seeds, r)
     if config.random_init:
         x = noise_rows(clean, config.epsilon, row_seeds, 1)
     else:

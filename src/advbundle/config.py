@@ -153,7 +153,7 @@ def _convert(codecs: dict[str, tuple], entries: dict[str, tuple[str, str]]) -> d
         try:
             out[key] = codecs[key][0](value)
         except ValueError as exc:
-            raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
+            raise ConfigError(f"{where}: bad value for {key}: {value!r} ({exc})") from exc
     return out
 
 

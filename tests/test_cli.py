@@ -404,3 +404,25 @@ def test_optimised_python_runs_every_check_and_writes_the_same_bytes(tmp_path):
     for name in ARTIFACTS:
         assert (tmp_path / "plain" / name).read_bytes() == \
             (tmp_path / "optimised" / name).read_bytes(), name
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # on numpy 2, np.unique's first call imports numpy.ma: about 10 ms in every process
+    fgsm = "\n[attack fgsm]\nvariant = fgsm\nepsilon = 0.3\n"
+    early = FAST_CFG.replace("criterion = misclassify\nearly_stop = false",
+                             "criterion = max_confidence\nthreshold = 0.6\nearly_stop = true")
+    norm = FAST_CFG.replace("criterion = misclassify", "criterion = min_norm")
+    cfgs = [write_cfg(tmp_path, text=text + fgsm, name=f"{name}.cfg", out=name)
+            for name, text in (("early", early), ("norm", norm))]
+    code = ("import sys; from advbundle.cli import main; "
+            "codes = [main(['run', cfg]) for cfg in sys.argv[1:]]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ab.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, cfgs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+    # the early-stopped run also ran `complete` for its curves
+    summary = (tmp_path / "early" / "summary.txt").read_text()
+    assert " 0 examples stopped early" not in summary and "stopped early" in summary
+    assert "criterion: min_norm" in (tmp_path / "norm" / "summary.txt").read_text()

@@ -196,6 +196,18 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ab.parse_experiment_config(line + "\n")
 
+    @pytest.mark.parametrize("text,reason", [
+        ("seed = 1\nthreshold_grid = 0.5:0.99:1000000000\n", "more than 10000 grid points"),
+        ("seed = 1\nepsilon_grid = 0.0:0.3:x\n", "invalid literal for int() with base 10: 'x'"),
+        ("[attack a]\nvariant = fgsm\nepsilon = 0.3q\n",
+         "could not convert string to float: '0.3q'"),
+    ], ids=["grid_count", "grid_count_format", "float_format"])
+    def test_bad_value_names_its_reason(self, text, reason):
+        last_line = text.count("\n")
+        with pytest.raises(ConfigError) as info:
+            ab.parse_experiment_config(text)
+        assert f":{last_line}:" in self.line_of(info) and reason in self.line_of(info)
+
     @pytest.mark.parametrize("value", ["0", "1,2,0", "-3"])
     def test_gap_ns_below_one_fails_at_parse_time(self, value):
         with pytest.raises(ConfigError) as info:
