@@ -34,8 +34,8 @@ import numpy as np
 
 from .data import Example
 from .errors import AttackFailedError, ContractError, ShapeError
-from .models import ModelParams, grad_rows
-from .seeding import derive_seeds, make_rng, seed_words
+from .models import ModelParams, grad_rows, reduce_rows
+from .seeding import derive_seeds, make_rngs, seed_words
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .seeding import derive_seed  # noqa: F401
 
@@ -138,15 +138,21 @@ def check_rows(adv: np.ndarray, clean: np.ndarray, epsilon: float,
     clean may broadcast against adv. The distance is NaN or inf exactly when
     some entry of the row is, so it doubles as the finiteness check: a
     non-finite row is left to the caller as a failed attack. A finite row
-    outside the epsilon ball or [0, 1] raises ContractError.
+    outside the epsilon ball or [0, 1] raises ContractError. The range is
+    tested row by row only when the whole block's NaN-skipping min or max
+    leaves [0, 1].
     """
     diff = adv - clean
-    dist = np.max(np.abs(diff, out=diff), axis=-1)
+    np.abs(diff, out=diff)
+    dist = reduce_rows(np.maximum, diff.reshape(-1, diff.shape[-1])).reshape(diff.shape[:-1])
     finite = np.isfinite(dist)
     if np.any(dist[finite] > epsilon + 1e-9):
         raise ContractError(f"candidate from {attack_id!r} leaves the epsilon ball")
-    if np.any(finite & ((adv.min(axis=-1) < 0.0) | (adv.max(axis=-1) > 1.0))):
-        raise ContractError(f"candidate from {attack_id!r} leaves [0, 1]")
+    # fmin and fmax skip NaN, so a NaN row cannot hide another row's range
+    if adv.size and (np.fmin.reduce(adv, axis=None) < 0.0
+                     or np.fmax.reduce(adv, axis=None) > 1.0):
+        if np.any(finite & ((adv.min(axis=-1) < 0.0) | (adv.max(axis=-1) > 1.0))):
+            raise ContractError(f"candidate from {attack_id!r} leaves [0, 1]")
     return dist
 
 
@@ -181,13 +187,14 @@ def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
                num_samples: int) -> np.ndarray:
     """num_samples uniform draws from the feasible box of each row of clean.
 
-    Row u of clean draws from its own generator, make_rng(seeds[u]), so its
-    samples do not depend on the other rows. Row u * num_samples + j of the
-    result is sample j of row u.
+    Row u of clean draws what a generator of its own, make_rng(seeds[u]),
+    would draw, so its samples do not depend on the other rows; one
+    Generator serves every row (`seeding.make_rngs`). Row u * num_samples + j
+    of the result is sample j of row u.
     """
     x = np.empty((len(clean), num_samples, clean.shape[1]))
-    for u, s in enumerate(seeds):
-        x[u] = make_rng(s).uniform(-epsilon, epsilon, size=x.shape[1:])
+    for u, rng in enumerate(make_rngs(seeds)):
+        x[u] = rng.uniform(-epsilon, epsilon, size=x.shape[1:])
     x += clean[:, None, :]
     lo, hi = _box(clean, epsilon)
     np.clip(x, lo[:, None, :], hi[:, None, :], out=x)

@@ -48,7 +48,7 @@ from .attacks import run_attack, validate_candidate  # noqa: F401
 from .data import Dataset, Example
 from .errors import AttackFailedError, ContractError, ShapeError
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
-                     predict, predict_stochastic, probs_rows)
+                     predict, predict_stochastic, probs_rows, reduce_rows)
 from .seeding import derive_seed, derive_seeds
 
 CLEAN_ID = "none"
@@ -308,11 +308,11 @@ def _scores(probs: np.ndarray, labels: np.ndarray,
     A row with a non-finite probability (an overflowing model) shows no
     error: not misclassified, wrong confidence -inf, so no score is NaN.
     """
-    defined = np.isfinite(probs).all(axis=1)
+    defined = reduce_rows(np.logical_and, np.isfinite(probs))
     wrong = probs.copy()
     wrong[np.arange(len(labels)), labels] = -np.inf
-    wrong = np.where(defined, wrong.max(axis=1), -np.inf)
-    return defined & (probs.argmax(axis=1) != labels), wrong, norms
+    wrong = np.where(defined, reduce_rows(np.maximum, wrong), -np.inf)
+    return defined & (reduce_rows(np.argmax, probs) != labels), wrong, norms
 
 
 def _scored(params: ModelParams, y: np.ndarray, example_index: np.ndarray, code: int,
@@ -368,12 +368,20 @@ def _goal_test(criterion: Criterion) -> Callable:
 
 
 def _choose(chosen: CandidateRows, rows: CandidateRows, criterion: Criterion) -> None:
-    """Fold a block into the running choice (example i at row i), in place."""
+    """Fold a block into the running choice (example i at row i), in place.
+
+    `_best` ranks the key columns of the held choices followed by the block,
+    so a held choice wins ties; only the block's winning rows are copied in."""
     # not np.unique: on numpy 2 its first call imports numpy.ma, 10 ms per process
     mark = np.zeros(len(chosen.example_index), dtype=bool)
     mark[rows.example_index] = True
-    both = _concat([chosen.take(np.flatnonzero(mark)), rows])
-    won = both.take(_best(criterion, both))
+    held = np.flatnonzero(mark)
+    # the example and score columns, the only ones `_best` reads
+    keys = CandidateRows(np.concatenate([held, rows.example_index]), None, None, None,
+                         *(np.concatenate([held_col[held], col])
+                           for held_col, col in zip(chosen[4:], rows[4:])))
+    won = _best(criterion, keys) - len(held)
+    won = rows.take(won[won >= 0])
     for col, new in zip(chosen, won):
         col[won.example_index] = new
 
@@ -430,16 +438,20 @@ def _checked(params: ModelParams, config: AttackConfig, code: int, X: np.ndarray
              ) -> Iterator[tuple[list[int], np.ndarray, CandidateRows]]:
     """Check and score the raw blocks of `_engine` or `_runner_blocks`. Per block,
     yield its examples, each one's candidate count (-1 where it failed or gave a
-    non-finite row) and the scored candidates of the others. A block's raw rows
-    are dropped once it is scored, so they never outlive the round."""
+    non-finite row) and the scored candidates of the others. A block's rows are
+    indexed, and so copied, only when some example of it failed; unless the
+    pool keeps them, they are dropped once the block is folded, so they never
+    outlive the round."""
     for idx, per, restarts, adv, failed in blocks:
         norms = check_rows(adv.reshape(len(idx), per, X.shape[1]), X[idx][:, None, :],
                            config.epsilon, config.attack_id)
-        failed = np.logical_or(failed, ~np.isfinite(norms).all(axis=1))
-        keep = np.repeat(~failed, per)
-        yield idx, np.where(failed, -1, per), _scored(
-            params, y, np.repeat(idx, per)[keep], code, restarts[keep], adv[keep],
-            norms.reshape(-1)[keep])
+        failed = np.logical_or(failed, ~reduce_rows(np.logical_and, np.isfinite(norms)))
+        examples, norms = np.repeat(idx, per), norms.reshape(-1)
+        if failed.any():
+            keep = np.repeat(~failed, per)
+            examples, restarts, adv, norms = examples[keep], restarts[keep], adv[keep], norms[keep]
+        yield idx, np.where(failed, -1, per), _scored(params, y, examples, code, restarts,
+                                                      adv, norms)
 
 
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],

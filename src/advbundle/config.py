@@ -2,7 +2,7 @@
 
 The format is deliberately line-oriented so configs diff cleanly: global
 keys first, then one section per attack. Grids accept either a comma list
-or lo:hi:count (inclusive linspace, count <= MAX_GRID_POINTS). parse ->
+or lo:hi:count (inclusive linspace, 1 <= count <= MAX_GRID_POINTS). parse ->
 serialize -> parse is exact.
 
 The config keys are the fields of `ExperimentConfig` and `AttackConfig`;
@@ -107,7 +107,12 @@ MAX_GRID_POINTS = 10_000
 
 def _parse_grid(value: str) -> tuple[float, ...]:
     if ":" in value:
-        lo, hi, count = value.split(":")
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"expected lo:hi:count, got {len(parts)} ':'-separated fields")
+        lo, hi, count = parts
+        if int(count) < 1:
+            raise ValueError("a lo:hi:count grid needs a count of at least 1")
         if int(count) > MAX_GRID_POINTS:
             raise ValueError(f"more than {MAX_GRID_POINTS} grid points")
         return tuple(float(t) for t in np.linspace(float(lo), float(hi), int(count)))

@@ -38,6 +38,11 @@ ARCHITECTURES = (SOFTMAX_LINEAR, MLP1)
 
 PROB_FLOOR = 1e-12
 
+# widest last axis `reduce_rows` reduces as columns. A max over 4,000 rows
+# (2-core x86 box, numpy 2.4) took 33 us as columns against 269 us as rows at
+# width 8, about the same at width 32, and 1,026 against 352 us at width 64
+NARROW_AXIS = 16
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -157,6 +162,31 @@ def _by_col(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.matmul(W, G[:, :, None])[:, :, 0]
 
 
+def reduce_rows(reduce: Callable, a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array a reduced over the last axis: by the ufunc
+    np.maximum, np.logical_and or np.logical_or, or by np.argmax.
+
+    numpy reduces a narrow last axis one short row at a time, so up to
+    `NARROW_AXIS` wide the rows of a are reduced as the columns of a
+    contiguous transpose instead. These reductions do not depend on order,
+    so the values are numpy's, except that a max of zeros may differ in the
+    sign of the zero. argmax takes the first maximum, or the first NaN, as
+    np.argmax does. Sums keep numpy's own order and never come here.
+    """
+    if a.shape[-1] > NARROW_AXIS:
+        return a.argmax(axis=-1) if reduce is np.argmax else reduce.reduce(a, axis=-1)
+    cols = np.ascontiguousarray(a.T)
+    if reduce is not np.argmax:
+        return reduce.reduce(cols, axis=0)
+    best, first = cols[0], np.zeros(cols.shape[1], dtype=np.intp)
+    for j in range(1, len(cols)):
+        # strictly greater, or the first NaN
+        up = ~(cols[j] <= best) & (best == best)
+        first = np.where(up, j, first)
+        best = np.where(up, cols[j], best)
+    return first
+
+
 def _forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,
              matmul: Callable) -> tuple[np.ndarray, list[np.ndarray]]:
     """Class probabilities for the rows of X, and each layer's input: X, then
@@ -173,7 +203,7 @@ def _forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,
     W, b = layers[-1]
     logits = matmul(inputs[-1], W)
     logits += b
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= reduce_rows(np.maximum, logits)[:, None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits, inputs

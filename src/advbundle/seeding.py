@@ -1,7 +1,8 @@
 """Seed derivation for reproducible randomness.
 
-Every random draw in the package comes from a numpy Generator seeded with
-an integer produced by `derive_seed`. Deriving one seed per
+Every random draw in the package comes from a numpy Generator in the state
+`np.random.PCG64(seed)` starts from, for an integer seed; the attacks take
+theirs from `derive_seed`. Deriving one seed per
 (example, attack, restart) tuple means no draw depends on the order in
 which tuples are visited, so early stopping leaves the other draws
 unchanged and a restart split out into its own attack (with its
@@ -11,17 +12,35 @@ multi-restart attack.
 `derive_seeds` is the block form: the same mix on `uint64` arrays, so a
 block of examples or restarts gets its seeds in one array pass, bit for bit
 what `derive_seed` gives each of them.
+
+`make_rng` builds the Generator for one seed. `make_rngs` serves a block of
+seeds with one Generator, set to each seed's starting state in turn, so it
+draws the bits `make_rng(seed)` would without building a Generator per
+seed. `pcg64_states` computes those states in one array pass: numpy's
+`SeedSequence` hash on `uint32` columns, then PCG64's set-seq seeding
+(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation").
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from functools import cache
 
 import numpy as np
 
 from .errors import ContractError
 
 _MASK = (1 << 64) - 1
+
+# numpy's SeedSequence (pool of four uint32 words) and PCG64 seeding constants
+_POOL = 4
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _mix(z):
@@ -71,9 +90,99 @@ def derive_seeds(root: int | np.ndarray, *parts: int | str | np.ndarray):
     return state
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def _check_seed(seed) -> int:
     if not isinstance(seed, (int, np.integer)):
         raise ContractError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return int(seed)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_check_seed(seed)))
+
+
+@cache
+def _hash_consts(const: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of the first `calls` SeedSequence
+    hashmix calls: a fixed sequence, whatever the data."""
+    seq = [const]
+    for _ in range(calls):
+        seq.append(seq[-1] * mult & _MASK32)
+    seq = np.array(seq, dtype=np.uint32)
+    seq.flags.writeable = False  # cached: every caller shares it
+    return seq[:-1, None], seq[1:, None]
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Hashmix of each row of words (or of its one row) with each row's constants."""
+    words = words ^ xor
+    words *= mult  # uint32 arrays wrap mod 2**32
+    words ^= words >> 16
+    return words
+
+
+def _mix32(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = x * _MIX_L
+    z -= y * _MIX_R
+    z ^= z >> 16
+    return z
+
+
+def pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """The (state, inc) `np.random.PCG64(seed)` starts from, for each seed.
+
+    One pass over the block, a column per seed: `SeedSequence(seed)` hashes
+    the seed's uint32 words into a pool of four, then `generate_state(4,
+    uint64)` gives the high/low words of PCG64's initstate and initseq, and
+    the set-seq seeding makes inc = 2 * initseq + 1 and state =
+    (inc + initstate) * MULT + inc, mod 2**128. A seed of more than four
+    words (2**128 or more) mixes its extra words into the pool, as
+    `SeedSequence` does. A seed `make_rng` refuses raises ContractError.
+    """
+    seeds = [_check_seed(s) for s in seeds]
+    if not seeds:
+        return []
+    bits = np.array([s.bit_length() for s in seeds])
+    width = max(_POOL, -(-int(bits.max()) // 32))
+    # row w holds word w of each seed, little-endian; the pool hashes a
+    # missing word as it hashes a zero one
+    entropy = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
+                            dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL * width)
+    pool = _hashmix(entropy[:_POOL], xor[:_POOL], mult[:_POOL])
+    # each word mixes into every other one; it is fixed while it does, so the
+    # other three take their consecutive hash constants in one step
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        k = _POOL + (_POOL - 1) * src
+        pool[dst] = _mix32(pool[dst], _hashmix(pool[src], xor[k:k + _POOL - 1],
+                                               mult[k:k + _POOL - 1]))
+    for src in range(_POOL, width):
+        k = _POOL * src
+        mixed = _mix32(pool, _hashmix(entropy[src], xor[k:k + _POOL], mult[k:k + _POOL]))
+        pool = np.where(bits > 32 * src, mixed, pool)
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    words = _hashmix(np.tile(pool, (2, 1)), xor, mult)
+    states = []
+    for hi, lo, seq_hi, seq_lo in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
+        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+        states.append((((inc + ((hi << 64) | lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def make_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """`make_rng(seed)` for each seed in turn, as one Generator set to each
+    seed's starting state: finish drawing from it before taking the next.
+
+    numpy seeds the Generator for the first seed, so one seed costs what
+    `make_rng` does, and `pcg64_states` gives the others' states in one pass."""
+    if not len(seeds):
+        return
+    bit_generator = np.random.PCG64(_check_seed(seeds[0]))
+    rng = np.random.Generator(bit_generator)
+    yield rng
+    for state, inc in pcg64_states(seeds[1:]):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng

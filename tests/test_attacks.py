@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
-from advbundle.attacks import pgd_rows, run_attack
+from advbundle.attacks import check_rows, noise_rows, pgd_rows, run_attack
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
+from advbundle.seeding import make_rng
 
 from conftest import binary_linear, oracle_loss
 
@@ -334,6 +335,114 @@ class TestUniformNoise:
         assert [c.restart_index for c in a] == list(range(10))
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.adversarial_input, cb.adversarial_input)
+
+
+def _noise_loop(clean, epsilon, seeds, num_samples):
+    """noise_rows as one make_rng Generator per row: what it must draw."""
+    x = np.empty((len(clean), num_samples, clean.shape[1]))
+    for u, s in enumerate(seeds):
+        x[u] = make_rng(s).uniform(-epsilon, epsilon, size=x.shape[1:])
+    x += clean[:, None, :]
+    lo, hi = np.maximum(clean - epsilon, 0.0), np.minimum(clean + epsilon, 1.0)
+    np.clip(x, lo[:, None, :], hi[:, None, :], out=x)
+    return x.reshape(-1, clean.shape[1])
+
+
+NOISE_SEEDS = st.one_of(st.sampled_from([0, 2**32, 2**63, 2**64 - 1, 2**128, 2**200]),
+                        st.integers(0, 2**64 - 1))
+
+
+@given(seeds=st.lists(NOISE_SEEDS, max_size=6), num_samples=st.integers(1, 4),
+       d=st.integers(1, 5), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_noise_rows_equal_a_generator_per_row(seeds, num_samples, d, data):
+    clean = data.draw(hnp.arrays(np.float64, (len(seeds), d), elements=st.floats(0, 1)))
+    got = noise_rows(clean, 0.3, seeds, num_samples)
+    assert got.tobytes() == _noise_loop(clean, 0.3, seeds, num_samples).tobytes()
+
+
+@given(seeds=st.lists(st.one_of(NOISE_SEEDS, st.lists(NOISE_SEEDS, min_size=2, max_size=2)),
+                      min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_pgd_random_init_equals_a_generator_per_row(seeds):
+    # zero steps: the candidates are the random inits themselves
+    cfg = _pgd_cfg(num_steps=0, num_restarts=2)
+    clean = np.linspace(0.0, 1.0, 3 * len(seeds)).reshape(len(seeds), 3)
+    labels = np.zeros(len(seeds), dtype=int)
+    adv, _ = pgd_rows(binary_linear([1.0, -1.0, 0.5]), clean, labels, seeds, cfg)
+    row_seeds = [s for seed in seeds
+                 for s in ([ab.derive_seed(seed, r) for r in range(2)]
+                           if isinstance(seed, int) else seed)]
+    want = _noise_loop(np.repeat(clean, 2, axis=0), cfg.epsilon, row_seeds, 1)
+    assert adv.tobytes() == want.tobytes()
+
+
+def test_negative_or_non_integer_seed_is_a_contract_error():
+    ex = ab.Example(np.array([0.5, 0.5]), 0)
+    with pytest.raises(ContractError):
+        ab.uniform_noise(ex, 0.3, 5, seed=-1)
+    with pytest.raises(ContractError):
+        ab.uniform_noise(ex, 0.3, 5, seed=0.5)
+    with pytest.raises(ContractError):
+        ab.pgd(binary_linear([1.0, -1.0]), ex, _pgd_cfg(), seed=[-1])
+    with pytest.raises(ContractError):
+        noise_rows(np.full((2, 2), 0.5), 0.3, [4, -1], 3)
+
+
+class TestCheckRows:
+    def test_finite_row_outside_the_range_raises_beside_a_nan_row(self):
+        # the NaN shares the out-of-range entry's column: a NaN-propagating
+        # block min would be NaN and hide the -0.1
+        adv = np.array([[np.nan, 0.5], [-0.1, 0.2]])
+        clean = np.array([[0.5, 0.5], [0.0, 0.2]])
+        with pytest.raises(ContractError, match=r"leaves \[0, 1\]"):
+            check_rows(adv, clean, 0.3, "a")
+        with pytest.raises(ContractError, match=r"leaves \[0, 1\]"):
+            check_rows(adv[::-1], clean[::-1], 0.3, "a")
+
+    def test_non_finite_rows_are_left_to_the_caller(self):
+        adv = np.array([[np.inf, 0.5], [np.nan, 2.0], [-np.inf, 0.4], [0.6, 0.4]])
+        dist = check_rows(adv, np.full((4, 2), 0.5), 0.3, "a")
+        assert np.isinf(dist[0]) and np.isnan(dist[1]) and np.isinf(dist[2])
+        assert dist[3] == pytest.approx(0.1)
+
+    def test_the_epsilon_ball_error_comes_first(self):
+        adv = np.array([[-0.1, 0.5], [0.5, 0.9]])  # out of [0, 1]; out of the ball
+        clean = np.array([[0.0, 0.5], [0.5, 0.5]])
+        with pytest.raises(ContractError, match="epsilon ball"):
+            check_rows(adv, clean, 0.3, "a")
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 0, 3), (2, 0, 20)])
+    def test_empty_block_gives_empty_distances(self, shape):
+        dist = check_rows(np.empty(shape), np.zeros(shape[:-2] + (1, shape[-1])), 0.3, "a")
+        assert dist.shape == shape[:-1]
+
+    def test_wide_rows(self):
+        rng = np.random.default_rng(4)
+        clean = rng.uniform(0, 1, (3, 784))
+        adv = np.clip(clean + rng.uniform(-0.1, 0.1, clean.shape), 0.0, 1.0)
+        dist = check_rows(adv, clean, 0.1, "a")
+        assert np.array_equal(dist, np.max(np.abs(adv - clean), axis=-1))
+        adv[1, 500] = 1.05
+        clean[1, 500] = 1.0
+        with pytest.raises(ContractError, match=r"leaves \[0, 1\]"):
+            check_rows(adv, clean, 0.1, "a")
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=40),
+                      elements=st.sampled_from([0.0, -0.0, 0.2, 0.5, 1.0, 1.2, -0.3,
+                                                np.nan, np.inf])))
+    @settings(max_examples=200, deadline=None)
+    def test_distances_are_the_row_max_of_abs_diff(self, adv):
+        clean = np.full(adv.shape[-1], 0.5)
+        with np.errstate(invalid="ignore"):
+            want = np.max(np.abs(adv - clean), axis=-1)
+        try:
+            dist = check_rows(adv, clean, 2.0, "a")
+        except ContractError:
+            finite = np.isfinite(want)
+            assert np.any(finite & ((adv.min(axis=-1) < 0) | (adv.max(axis=-1) > 1)))
+        else:
+            assert np.array_equal(dist, want, equal_nan=True)
 
 
 class TestAttackConfig:

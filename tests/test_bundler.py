@@ -525,6 +525,37 @@ class TestRowEngine:
                          ab.BudgetPolicy(max_attack_units_per_example=2))
         assert np.all(res.units_spent == 2)
 
+    def test_no_generator_per_row(self, monkeypatch, mlp_on_small_blobs, small_blobs):
+        """Noise and PGD's random init seed one PCG64 per block, never a
+        make_rng Generator per row."""
+
+        def refused(seed):
+            raise AssertionError("the row engine called make_rng")
+
+        monkeypatch.setattr(ab.seeding, "make_rng", refused)
+        monkeypatch.setattr(ab.attacks, "make_rng", refused, raising=False)
+        counts = {"blocks": 0, "bit_generators": 0}
+        real_noise_rows, real_pcg64 = ab.attacks.noise_rows, np.random.PCG64
+
+        def counting_noise_rows(*args):
+            counts["blocks"] += 1
+            return real_noise_rows(*args)
+
+        def counting_pcg64(*args):
+            counts["bit_generators"] += 1
+            return real_pcg64(*args)
+
+        monkeypatch.setattr(ab.attacks, "noise_rows", counting_noise_rows)
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=3,
+                                   num_restarts=2),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=60)]
+        res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                        ab.BudgetPolicy(early_stop=False))
+        assert np.all(res.candidate_counts == [2, 60])
+        # pgd in one block, noise in two: 4096 rows hold 68 examples of 60
+        assert counts == {"blocks": 3, "bit_generators": 3}
+
     def test_noise_spanning_several_blocks(self, monkeypatch, mlp_on_small_blobs,
                                            small_blobs):
         samples = 60

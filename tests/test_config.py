@@ -201,7 +201,12 @@ class TestErrors:
         ("seed = 1\nepsilon_grid = 0.0:0.3:x\n", "invalid literal for int() with base 10: 'x'"),
         ("[attack a]\nvariant = fgsm\nepsilon = 0.3q\n",
          "could not convert string to float: '0.3q'"),
-    ], ids=["grid_count", "grid_count_format", "float_format"])
+        ("seed = 1\nepsilon_grid = 0.1:0.3:0\n", "needs a count of at least 1"),
+        ("seed = 1\nthreshold_grid = 0.6:0.9:-2\n", "needs a count of at least 1"),
+        ("seed = 1\nepsilon_grid = 0.1:0.3\n", "expected lo:hi:count, got 2"),
+        ("seed = 1\nepsilon_grid = 0.1:0.2:0.3:4\n", "expected lo:hi:count, got 4"),
+    ], ids=["grid_count", "grid_count_format", "float_format", "grid_count_zero",
+            "grid_count_negative", "grid_two_fields", "grid_four_fields"])
     def test_bad_value_names_its_reason(self, text, reason):
         last_line = text.count("\n")
         with pytest.raises(ConfigError) as info:

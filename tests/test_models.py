@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
 from advbundle.errors import ContractError, DataError, ShapeError, TrainingDivergedError
+from advbundle.models import NARROW_AXIS, reduce_rows
 
 from conftest import binary_linear, oracle_loss, random_linear, random_mlp, stable_softmax
 
@@ -63,6 +65,34 @@ def _central_difference(params, x, label, step=1e-5):
         xm[j] -= step
         fd[j] = (oracle_loss(params, xp, label) - oracle_loss(params, xm, label)) / (2 * step)
     return fd
+
+
+# few distinct values, so rows tie exactly; both zeros, both infinities, NaN
+REDUCED = st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 40)),
+                  elements=REDUCED))
+@settings(max_examples=300, deadline=None)
+def test_reduce_rows_equals_numpy_row_reductions(a):
+    got = reduce_rows(np.maximum, a)
+    want = a.max(axis=-1)
+    # equal as values: a max of zeros may take either zero's sign
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    # ties and NaN: the first maximum, or the first NaN
+    assert np.array_equal(reduce_rows(np.argmax, a), a.argmax(axis=-1))
+    finite = np.isfinite(a)
+    assert np.array_equal(reduce_rows(np.logical_and, finite), finite.all(axis=-1))
+    assert np.array_equal(reduce_rows(np.logical_or, a > 0), (a > 0).any(axis=-1))
+
+
+def test_reduce_rows_on_strided_rows_either_side_of_the_crossover():
+    # a non-contiguous input, reduced both ways
+    a = np.random.default_rng(2).normal(size=(60, 2 * NARROW_AXIS + 2))[:, ::2]
+    for width in (NARROW_AXIS, NARROW_AXIS + 1):
+        assert np.array_equal(reduce_rows(np.argmax, a[:, :width]), a[:, :width].argmax(axis=1))
+        assert np.array_equal(reduce_rows(np.maximum, a[:, :width]), a[:, :width].max(axis=1))
 
 
 @pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])

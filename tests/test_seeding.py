@@ -1,13 +1,17 @@
-"""The block form of seed derivation gives, bit for bit, the seeds the
-scalar `derive_seed` gives one by one."""
+"""The block forms of seeding give, bit for bit, what the scalar forms give
+one by one: `derive_seeds` the seeds of `derive_seed`, and `pcg64_states` /
+`make_rngs` the generators numpy seeds from each seed."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle.attacks import _restart_seeds
 from advbundle.bundler import _block_seeds
+from advbundle.errors import ContractError
+from advbundle.seeding import make_rng, make_rngs, pcg64_states
 
 EDGES = [0, 2**63 - 1, 2**63, 2**64 - 1]
 # derive_seed takes a root mod 2**64, so roots outside [0, 2**64) are valid too
@@ -50,3 +54,45 @@ def test_restart_seeds_equal_derive_seed_per_restart(case):
 def test_numpy_integer_roots_match_python_ints():
     roots = [np.uint64(2**64 - 1), np.int64(-1), np.uint64(2**63)]
     assert _restart_seeds(roots, 2) == _restart_seeds([int(s) for s in roots], 2)
+
+
+# PCG64 seeding: pcg64_states and make_rngs against numpy's own seeding
+
+# one to seven uint32 words: 2**128 and up run SeedSequence's extra-word mixing
+PCG_EDGES = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**128 - 1, 2**128, 2**200]
+PCG_SEEDS = st.one_of(st.sampled_from(PCG_EDGES), st.integers(0, 2**64 - 1),
+                      st.integers(0, 2**200))
+
+
+def numpy_state(seed):
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+@given(st.lists(PCG_SEEDS, max_size=12))
+@example(PCG_EDGES)  # every width in one block
+@example([2**200, 5])
+@settings(max_examples=200, deadline=None)
+def test_block_pcg64_states_equal_numpy_seeding(seeds):
+    assert pcg64_states(seeds) == [numpy_state(s) for s in seeds]
+
+
+def test_numpy_integer_seeds_match_python_ints():
+    seeds = [np.uint64(2**64 - 1), np.int64(5), np.uint32(2**32 - 1)]
+    assert pcg64_states(seeds) == [numpy_state(int(s)) for s in seeds]
+
+
+@given(st.lists(PCG_SEEDS, max_size=6))
+@example(PCG_EDGES)
+@settings(max_examples=100, deadline=None)
+def test_make_rngs_draw_what_make_rng_draws(seeds):
+    got = [rng.uniform(-1.0, 1.0, size=5).tobytes() for rng in make_rngs(seeds)]
+    assert got == [make_rng(s).uniform(-1.0, 1.0, size=5).tobytes() for s in seeds]
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, -1], [2**70, -2**70], [1.5], [2, "7"]])
+def test_bad_seeds_are_refused_as_make_rng_refuses_them(seeds):
+    with pytest.raises(ContractError):
+        pcg64_states(seeds)
+    with pytest.raises(ContractError):
+        list(make_rngs(seeds))
