@@ -6,9 +6,11 @@ input range. Attacks are pure functions of (model, example, config, seed):
 restarts emit one candidate each and selection is left to the bundler, so
 splitting restarts into separate bundled attacks is exactly equivalent.
 
-Each attack is implemented once, on rows (`fgsm_rows`, `pgd_rows`,
-`noise_rows`, dispatched by `attack_rows`): one row per (example, restart)
-or (example, noise sample), each with its own box and its own seed stream.
+Each attack runs on rows, one per (example, restart) or (example, noise
+sample), each with its own box and seed stream, in one of two kernels that
+`attack_rows` dispatches to: `noise_rows` draws samples and `pgd_rows` takes
+signed-gradient steps (FGSM is one PGD step of size epsilon from the clean
+input).
 All rows step together, and every model call computes a row exactly as a
 1-row call would, so a row's candidate is bit-identical whatever else is in
 the batch. `run_attack` is the per-example adapter over the row functions:
@@ -27,7 +29,7 @@ on, so the candidates are bit-identical to running every step on every row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -176,10 +178,7 @@ def _restart_seeds(seeds: Sequence[int | Sequence[int]], num_restarts: int) -> l
                    .tolist())
     rows = []
     for seed, i in zip(seeds, is_int):
-        per = next(derived) if i else [int(s) for s in seed]
-        if len(per) != num_restarts:
-            raise ContractError("need one seed per restart")
-        rows += per
+        rows += next(derived) if i else [int(s) for s in seed]
     return rows
 
 
@@ -199,19 +198,6 @@ def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
     lo, hi = _box(clean, epsilon)
     np.clip(x, lo[:, None, :], hi[:, None, :], out=x)
     return x.reshape(-1, clean.shape[1])
-
-
-def fgsm_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
-              epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """One signed-gradient step of size epsilon per row, then projection.
-
-    Returns the candidates and each row's failing step: 0 where the
-    gradient is non-finite, -1 elsewhere.
-    """
-    grad = grad_rows(params, clean, labels)
-    lo, hi = _box(clean, epsilon)
-    adv = np.clip(clean + epsilon * np.sign(grad), lo, hi)
-    return adv, np.where(np.isfinite(grad).all(axis=1), -1, 0)
 
 
 def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
@@ -236,11 +222,13 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     never repeats runs every step.
     """
     r = config.num_restarts
+    if any(len(seed) != r for seed in seeds if not isinstance(seed, (int, np.integer))):
+        raise ContractError("need one seed per restart")
     clean = np.repeat(clean, r, axis=0)
     labels = np.repeat(labels, r)
-    row_seeds = _restart_seeds(seeds, r)
     if config.random_init:
-        x = noise_rows(clean, config.epsilon, row_seeds, 1)
+        # only the random start reads the seeds, so only it derives them
+        x = noise_rows(clean, config.epsilon, _restart_seeds(seeds, r), 1)
     else:
         x = clean.copy()
     lo, hi = _box(clean, config.epsilon)
@@ -276,10 +264,13 @@ def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,
 
     seeds holds one seed per example, as run_attack takes it. Returns the
     candidates, rows_per_example(config) rows per example in example order,
-    and each row's failing step (-1 for a row that did not fail).
+    and each row's failing step (-1 for a row that did not fail). FGSM is
+    one PGD step of size epsilon from the clean input, with one row per
+    example whatever restart fields its config carries.
     """
     if config.variant == FGSM:
-        return fgsm_rows(params, clean, labels, config.epsilon)
+        config = replace(config, variant=PGD, step_size=config.epsilon, num_steps=1,
+                         num_restarts=1, random_init=False)
     if config.variant == PGD:
         return pgd_rows(params, clean, labels, seeds, config)
     if config.variant == UNIFORM_NOISE:

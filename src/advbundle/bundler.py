@@ -16,7 +16,8 @@ superset of the clean error rate.
 
 A round of a built-in attack (fgsm, pgd, uniform_noise) runs its active
 examples together on the row engine: their rows, one per restart or noise
-sample, go to `attacks.attack_rows` in blocks of at most `ROW_BLOCK` rows.
+sample, go to `attacks.attack_rows` in blocks of whole examples, up to
+`ROW_BLOCK` rows (an example with more rows is a block of its own).
 Every row is computed exactly as a 1-row call would compute it, so the
 result equals running `attacks.run_attack` one example at a time, bit for
 bit. An attack with a `runners` entry (any variant beyond the built-in

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import ContractError, DataError
 from .seeding import make_rng
 
+# most classes a CSV dataset may have: k is inferred from the largest label,
+# and training allocates (n, k) arrays, so one stray huge label must fail here
+MAX_CLASSES = 10_000
+
 
 def _invalid_row(features: np.ndarray, labels: np.ndarray,
                  num_classes: int | None) -> tuple[int, str] | None:
@@ -115,7 +119,7 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset, inferring k from the largest label seen (at least 2)."""
+    """Read a dataset, inferring k from the largest label seen (2 to MAX_CLASSES)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -137,6 +141,9 @@ def load_dataset_csv(path: str | Path) -> Dataset:
                 raise DataError(f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}")
             if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
                 raise DataError(f"{path}:{lineno}: label must be an integer, got {values[-1]}")
+            if values[-1] >= MAX_CLASSES:
+                raise DataError(f"{path}:{lineno}: label {int(values[-1])} >= "
+                                f"MAX_CLASSES={MAX_CLASSES}")
             linenos.append(lineno)
             rows.append(values)
     if not rows:

@@ -276,7 +276,7 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
         picked = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
         return float(-np.log(picked).mean())
 
-    initial = loss_now()
+    initial = final = loss_now()
     for epoch in range(hp.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
@@ -290,11 +290,10 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
                     g = (g @ W.T) * (inputs[i] > 0.0)
                 W -= hp.learning_rate * gW
                 b -= hp.learning_rate * gb
-        epoch_loss = loss_now()
-        if not np.isfinite(epoch_loss):
+        final = loss_now()
+        if not np.isfinite(final):
             raise TrainingDivergedError(epoch)
 
-    final = loss_now()
     if final > initial:
         raise TrainingDivergedError(hp.epochs - 1,
                                     f"training raised the loss ({initial:.6g} -> {final:.6g}); "

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
-from advbundle.attacks import check_rows, noise_rows, pgd_rows, run_attack
+from advbundle.attacks import attack_rows, check_rows, noise_rows, pgd_rows, run_attack
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
+from advbundle.models import grad_rows, probs_rows
 from advbundle.seeding import make_rng
 
-from conftest import binary_linear, oracle_loss
+from conftest import binary_linear, oracle_loss, random_linear, random_mlp
 
 
 def corner_max_loss(params, clean, label, epsilon):
@@ -88,6 +89,61 @@ class TestFgsm:
             ab.fgsm(m, ex, 0.3, example_index=17)
         assert info.value.example_index == 17
         assert info.value.step == 0 and info.value.restart == 0
+        # the row engine drops the failed row and counts the unit as failed
+        ds = ab.Dataset([ex.features, [0.1, 0.1]], [ex.label, 1], num_classes=2)
+        res = ab.bundle(m, ds, [ab.AttackConfig("fgsm", "fgsm", 0.3)],
+                        ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False))
+        assert res.candidate_counts.tolist() == [[-1], [1]]
+
+
+def _fgsm_block(architecture, d):
+    """A model and a block of rows that has zero-gradient rows and rows on
+    the edge of [0, 1]. The model is scaled up until some rows' softmax
+    saturates, which zeroes their gradient exactly; half the rows take
+    their predicted class as label and half another class."""
+    rng = np.random.default_rng(d)
+    if architecture == "softmax_linear":
+        params = random_linear(rng, d, k=3, scale=40.0)
+    else:
+        params = random_mlp(rng, d, k=3, scale=10.0)
+    X = np.vstack([rng.uniform(0, 1, (40, d)), np.zeros(d), np.ones(d),
+                   rng.integers(0, 2, (6, d)).astype(float)])
+    predicted = probs_rows(params, X).argmax(axis=1)
+    y = np.where(np.arange(len(X)) % 2, predicted, (predicted + 1) % 3)
+    return params, X, y
+
+
+class TestFgsmIsOnePgdStep:
+    """attack_rows runs fgsm as one PGD step: every row equals fgsm's own
+    expression, one clipped signed-gradient step from the clean input."""
+
+    @pytest.mark.parametrize("d", [2, 32])
+    @pytest.mark.parametrize("architecture", ["softmax_linear", "mlp1"])
+    def test_rows_are_one_clipped_signed_step(self, architecture, d):
+        params, X, y = _fgsm_block(architecture, d)
+        grad = grad_rows(params, X, y)
+        assert (grad == 0).all(axis=1).any() and not (grad == 0).all()
+        eps = 0.3
+        want = np.clip(X + eps * np.sign(grad), np.maximum(X - eps, 0.0),
+                       np.minimum(X + eps, 1.0))
+        adv, failed_at = attack_rows(params, ab.AttackConfig("f", "fgsm", eps), X, y,
+                                     list(range(len(X))))
+        assert adv.tobytes() == want.tobytes()
+        assert (failed_at == -1).all()
+
+    def test_restart_fields_are_ignored(self):
+        params, X, y = _fgsm_block("mlp1", 2)
+        plain = ab.AttackConfig("f", "fgsm", 0.3)
+        restarted = ab.AttackConfig("f", "fgsm", 0.3, num_restarts=3, random_init=True)
+        seeds = list(range(len(X)))
+        want, _ = attack_rows(params, plain, X, y, seeds)
+        got, failed_at = attack_rows(params, restarted, X, y, seeds)
+        assert got.shape == X.shape and failed_at.shape == (len(X),)
+        assert got.tobytes() == want.tobytes()
+        ds = ab.Dataset(X, y, num_classes=3)
+        res = ab.bundle(params, ds, [restarted], ab.Criterion.misclassify(),
+                        ab.BudgetPolicy(early_stop=False))
+        assert (res.candidate_counts == 1).all()
 
 
 def _pgd_cfg(**kw):
@@ -173,6 +229,12 @@ class TestPgd:
         ex = ab.Example(np.array([0.5, 0.5]), 0)
         with pytest.raises(ContractError):
             ab.pgd(m, ex, _pgd_cfg(num_restarts=3), seed=[1, 2])
+        # without a random start no seed is read, but a wrong count is still refused
+        for random_init in (True, False):
+            cfg = _pgd_cfg(num_restarts=2, random_init=random_init)
+            with pytest.raises(ContractError, match="need one seed per restart"):
+                ab.pgd(m, ex, cfg, seed=[1])
+            assert len(ab.pgd(m, ex, cfg, seed=[1, 2])) == 2
 
 
 @pytest.fixture(scope="module")

@@ -195,6 +195,26 @@ class TestExitCodes:
         assert "config error:" in done.stderr and f":{line}:" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_huge_csv_label_is_a_data_error(self, tmp_path):
+        # training's one-hot labels would need 14.9 GiB for k = 10**9 + 1 classes;
+        # the reader refuses the label first and names its line
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1000000000\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = csv\ncsv_path = {data}\noutput_dir = {tmp_path / 'o'}\n")
+        limit = 1 << 30
+        code = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                f"from advbundle.cli import main; sys.exit(main(['train', {str(cfg)!r}]))")
+        src = Path(ab.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert "data error:" in done.stderr and f"{data}:3:" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_bad_gap_ns_fails_before_any_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, text=FAST_CFG.replace("gap_ns = 1,2,10", "gap_ns = 1,0,10"))
         assert main(["run", str(cfg)]) == 2
@@ -389,12 +409,18 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations
     assert main(["run", str(cfg), "--output-dir", str(work / "out")]) in (0, 2, 3, 4)
 
 
-def test_optimised_python_runs_every_check_and_writes_the_same_bytes(tmp_path):
-    src = Path(ab.__file__).parent
-    for path in sorted(src.glob("*.py")):
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements, so a check written as one would vanish
+    paths = sorted(Path(ab.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_optimised_python_runs_every_check_and_writes_the_same_bytes(tmp_path):
+    src = Path(ab.__file__).parent
     cfg = write_cfg(tmp_path, text=TINY_CFG)
     env = {**os.environ, "PYTHONPATH": str(src.parent)}
     for flags, out in (([], "plain"), (["-O"], "optimised")):

@@ -89,7 +89,7 @@ class TestCsv:
             ab.load_dataset_csv(tmp_path / "nope.csv")
 
     @pytest.mark.parametrize("row", ["nan,0.2,1", "0.1,-0.2,1", "0.1,0.2,-1",
-                                     "0.1,0.2,inf", "0.1,0.2,nan", "0.1,1"])
+                                     "0.1,0.2,inf", "0.1,0.2,nan", "0.1,1", "0.1,0.2,10000"])
     def test_invalid_row_names_its_file_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,f1,label\n0.1,0.2,0\n{row}\n0.3,0.4,1\n")
