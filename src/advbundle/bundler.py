@@ -26,11 +26,12 @@ three) makes one block per example, one runner call each.
 Every block takes the same tail: one `check_rows` call rejects rows outside
 the ball or [0, 1] and fails examples with a non-finite row, one
 `probs_rows` call scores the rest, and array operations fold them into the
-outcome matrix, the goal flags, each example's running choice, its
-smallest error norm and its highest wrong-class confidence. Scored
-candidates are columns (`CandidateRows`), not objects, and one stable sort
-(`_best`) defines the preference order for `prefer`, the running choice and
-`reselect`.
+outcome matrix, the goal flags, each example's smallest error norm and its
+highest wrong-class confidence. The block keeps only each example's
+preferred row; at the end of the round one fold over the held choice, then
+those winners, picks the new choice. Scored candidates are columns
+(`CandidateRows`), not objects, and one stable sort (`_best`) defines the
+preference order for `prefer`, the blocks, the rounds and `reselect`.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ import numpy as np
 
 from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows,
                       is_int_or_none, rows_per_example)
-# perfbench/child.py wraps these names when it traces a run; nothing here calls them
-from .attacks import run_attack, validate_candidate  # noqa: F401
 from .data import Dataset, Example
 from .errors import AttackFailedError, ContractError, ShapeError
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
                      predict, predict_stochastic, probs_rows, reduce_rows)
-from .seeding import derive_seed, derive_seeds
+from .seeding import derive_seeds, seed_words
+# perfbench/child.py wraps these names when it traces a run; nothing here calls them
+from .attacks import run_attack, validate_candidate  # noqa: F401
+from .seeding import derive_seed  # noqa: F401
 
 CLEAN_ID = "none"
 
@@ -143,6 +145,13 @@ def _best(criterion: Criterion, rows: CandidateRows) -> np.ndarray:
     order = np.lexsort(keys + [~mis, group])  # the last key sorts first
     group = group[order]
     return order[np.r_[True, group[1:] != group[:-1]]]
+
+
+def _fold(criterion: Criterion, parts: Sequence[CandidateRows]) -> CandidateRows:
+    """Each example's preferred row among `parts`, examples in ascending order;
+    a tie goes to the earlier part."""
+    rows = _concat(parts)
+    return rows.take(_best(criterion, rows))
 
 
 class _Pairs(Sequence):
@@ -313,7 +322,7 @@ def _scores(probs: np.ndarray, labels: np.ndarray,
     wrong = probs.copy()
     wrong[np.arange(len(labels)), labels] = -np.inf
     wrong = np.where(defined, reduce_rows(np.maximum, wrong), -np.inf)
-    return defined & (reduce_rows(np.argmax, probs) != labels), wrong, norms
+    return defined & (probs.argmax(axis=1) != labels), wrong, norms
 
 
 def _scored(params: ModelParams, y: np.ndarray, example_index: np.ndarray, code: int,
@@ -368,36 +377,13 @@ def _goal_test(criterion: Criterion) -> Callable:
     return lambda s: s.misclassified & False  # min_norm never stops early
 
 
-def _choose(chosen: CandidateRows, rows: CandidateRows, criterion: Criterion) -> None:
-    """Fold a block into the running choice (example i at row i), in place.
-
-    `_best` ranks the key columns of the held choices followed by the block,
-    so a held choice wins ties; only the block's winning rows are copied in."""
-    # not np.unique: on numpy 2 its first call imports numpy.ma, 10 ms per process
-    mark = np.zeros(len(chosen.example_index), dtype=bool)
-    mark[rows.example_index] = True
-    held = np.flatnonzero(mark)
-    # the example and score columns, the only ones `_best` reads
-    keys = CandidateRows(np.concatenate([held, rows.example_index]), None, None, None,
-                         *(np.concatenate([held_col[held], col])
-                           for held_col, col in zip(chosen[4:], rows[4:])))
-    won = _best(criterion, keys) - len(held)
-    won = rows.take(won[won >= 0])
-    for col, new in zip(chosen, won):
-        col[won.example_index] = new
-
-
-def _seeds_for(root_seed: int, example_index: int, config: AttackConfig):
-    if config.restart_seeds is not None:
-        return [derive_seed(s, example_index) for s in config.restart_seeds]
-    return derive_seed(root_seed, example_index, config.attack_id)
-
-
 def _block_seeds(root_seed: int, idx: list[int], config: AttackConfig) -> list:
-    """`_seeds_for` each example of a block; unpinned, in one array pass."""
+    """Each example's seed, in one array pass: derive_seed(root_seed, i,
+    attack_id), or with `restart_seeds` pinned, derive_seed(s, i) for each s."""
+    idx = np.array(idx, dtype=np.uint64)
     if config.restart_seeds is not None:
-        return [_seeds_for(root_seed, i, config) for i in idx]
-    return derive_seeds(root_seed, np.array(idx, dtype=np.uint64), config.attack_id).tolist()
+        return derive_seeds(seed_words(config.restart_seeds), idx[:, None]).tolist()
+    return derive_seeds(root_seed, idx, config.attack_id).tolist()
 
 
 def _engine(params: ModelParams, config: AttackConfig, X: np.ndarray, y: np.ndarray,
@@ -419,10 +405,9 @@ def _runner_blocks(runner: Runner, params: ModelParams, config: AttackConfig,
     """Call a runner on each example of `members`; yield one block per example,
     as `_engine` does."""
     d = dataset.dimension
-    for i in members:
+    for i, seed in zip(members, _block_seeds(root_seed, members, config)):
         try:
-            cands, failed = runner(params, dataset[i], config,
-                                   _seeds_for(root_seed, i, config), i), False
+            cands, failed = runner(params, dataset[i], config, seed, i), False
         except AttackFailedError:
             cands, failed = [], True
         for c in cands:
@@ -492,7 +477,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     zeros = np.zeros(n, dtype=np.int64)
     clean = CandidateRows(np.arange(n), zeros, zeros, X, *_scores(probs, y, np.zeros(n)))
     start = BundleResult(criterion, attacks, budget if budget is not None else BudgetPolicy(),
-                         seed, CandidateRows(*(col.copy() for col in clean)),
+                         seed, clean,
                          OutcomeMatrix(np.c_[clean.misclassified, np.zeros((n, len(attacks)))],
                                        [CLEAN_ID] + ids),
                          np.where(clean.misclassified, 0.0, np.inf), clean.wrong_confidence.copy(),
@@ -507,8 +492,8 @@ def complete(result: BundleResult, params: ModelParams, dataset: Dataset,
 
     Returns what `bundle` returns for the result's attacks and seed under its
     budget with early stopping off, array for array, with no pool: each
-    (example, attack, restart) has its own seed stream, and each example's
-    candidates reach the running choice in the same order. Returns `result`
+    (example, attack, restart) has its own seed stream, and each round folds
+    each example's candidates into its choice in the same order. Returns `result`
     itself when no example stopped early."""
     if len(dataset) != len(result.units_spent):
         raise ContractError("complete needs the dataset the result was bundled with")
@@ -521,7 +506,10 @@ def complete(result: BundleResult, params: ModelParams, dataset: Dataset,
 
 def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
              runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
-    """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place."""
+    """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place.
+
+    Each block gives up its winners, at most one row per example, and a round
+    folds them once into the choice it holds, which comes first and so wins ties."""
     attacks, budget, seed = result.attacks, result.budget, result.seed
     for a in attacks:
         if a.variant not in VARIANTS and a.variant not in runners:
@@ -538,6 +526,7 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
         units[active] += 1
         blocks = (_engine(params, cfg, X, y, members, seed) if cfg.variant not in runners
                   else _runner_blocks(runners[cfg.variant], params, cfg, dataset, members, seed))
+        winners = []
         for idx, count, rows in _checked(params, cfg, code, X, y, blocks):
             counts[idx, code - 1] = count
             if not len(rows.example_index):
@@ -549,8 +538,11 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
             np.minimum.at(result.error_norm, fooled, rows.perturbation_norm[rows.misclassified])
             np.maximum.at(result.error_confidence, rows.example_index, rows.wrong_confidence)
             goal_met[rows.example_index[goal(rows)]] = True
-            _choose(chosen, rows, result.criterion)
+            winners.append(rows.take(_best(result.criterion, rows)))
+        if winners:
+            chosen = _fold(result.criterion, [chosen] + winners)
 
+    result.chosen_rows = chosen
     result.pool = _concat(pool_blocks) if pool_blocks is not None else None
     if result.bundled_error_rate != float(np.mean(chosen.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
@@ -571,8 +563,7 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     if np.any(result.units_spent < len(result.attacks)):
         raise ContractError("reselect needs an exhaustive run (every attack on "
                             "every example)")
-    return replace(result, criterion=criterion,
-                   chosen_rows=result.pool.take(_best(criterion, result.pool)))
+    return replace(result, criterion=criterion, chosen_rows=_fold(criterion, [result.pool]))
 
 
 def select_by_ensemble(ensemble: Ensemble, example: Example,

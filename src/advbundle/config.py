@@ -38,6 +38,14 @@ def _is_sorted(values: tuple[float, ...]) -> bool:
     return all(a <= b for a, b in zip(values, values[1:]))
 
 
+# largest synthetic dataset and model a config may ask for: synth_dataset and
+# train allocate (synth_n, synth_d) and (synth_d, hidden) arrays up front, so a
+# stray 10**9 must fail here, not as a MemoryError after parsing
+MAX_SYNTH_N = 1_000_000
+MAX_SYNTH_D = 10_000
+MAX_HIDDEN = 10_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str = "synthetic"
@@ -70,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError("dataset = csv requires csv_path")
         if self.synth_seed < 0:
             raise ConfigError("synth_seed must be >= 0")
+        for key, bound in (("synth_n", MAX_SYNTH_N), ("synth_d", MAX_SYNTH_D),
+                           ("hidden", MAX_HIDDEN)):
+            if getattr(self, key) > bound:
+                raise ConfigError(f"{key} must be <= {bound}")
         if self.max_units is not None and self.max_units < 0:
             raise ConfigError("max_units must be >= 0")
         if not all(0.5 <= t < 1.0 for t in self.threshold_grid):

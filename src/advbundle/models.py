@@ -162,29 +162,19 @@ def _by_col(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.matmul(W, G[:, :, None])[:, :, 0]
 
 
-def reduce_rows(reduce: Callable, a: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D array a reduced over the last axis: by the ufunc
-    np.maximum, np.logical_and or np.logical_or, or by np.argmax.
+def reduce_rows(reduce: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array a reduced over the last axis by the ufunc
+    np.maximum, np.logical_and or np.logical_or.
 
     numpy reduces a narrow last axis one short row at a time, so up to
     `NARROW_AXIS` wide the rows of a are reduced as the columns of a
     contiguous transpose instead. These reductions do not depend on order,
     so the values are numpy's, except that a max of zeros may differ in the
-    sign of the zero. argmax takes the first maximum, or the first NaN, as
-    np.argmax does. Sums keep numpy's own order and never come here.
+    sign of the zero. Sums keep numpy's own order and never come here.
     """
     if a.shape[-1] > NARROW_AXIS:
-        return a.argmax(axis=-1) if reduce is np.argmax else reduce.reduce(a, axis=-1)
-    cols = np.ascontiguousarray(a.T)
-    if reduce is not np.argmax:
-        return reduce.reduce(cols, axis=0)
-    best, first = cols[0], np.zeros(cols.shape[1], dtype=np.intp)
-    for j in range(1, len(cols)):
-        # strictly greater, or the first NaN
-        up = ~(cols[j] <= best) & (best == best)
-        first = np.where(up, j, first)
-        best = np.where(up, cols[j], best)
-    return first
+        return reduce.reduce(a, axis=-1)
+    return reduce.reduce(np.ascontiguousarray(a.T), axis=0)
 
 
 def _forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,

@@ -317,6 +317,31 @@ class TestBundle:
                 for _, other in res.all_candidates[i]:
                     assert ab.prefer(chosen_score, other, crit) == 0
 
+    @pytest.mark.parametrize("crit", [ab.Criterion.misclassify(), ab.Criterion.min_norm(),
+                                      ab.Criterion.max_confidence(0.9)])
+    def test_round_over_several_blocks_equals_a_prefer_fold(self, crit, mlp_on_small_blobs,
+                                                           small_blobs):
+        samples = 60
+        assert len(small_blobs) * samples > bundler.ROW_BLOCK
+        attacks = [
+            ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=10,
+                            num_restarts=2),
+            ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=samples),
+        ]
+        res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, crit,
+                        ab.BudgetPolicy(early_stop=False), seed=4, keep_candidates=True)
+        pool = res.pool
+        scores = [ab.CandidateScore(*row) for row in zip(
+            pool.misclassified.tolist(), pool.wrong_confidence.tolist(),
+            pool.perturbation_norm.tolist())]
+        best = {}  # example -> its preferred row so far, over the pool in generation order
+        for r, i in enumerate(pool.example_index.tolist()):
+            if i not in best or ab.prefer(scores[best[i]], scores[r], crit) == 1:
+                best[i] = r
+        expected = pool.take([best[i] for i in range(len(small_blobs))])
+        for got, want in zip(res.chosen_rows, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_failed_attack_is_logged_and_skipped(self):
         m = steep_boundary_model()
         ds = two_example_dataset()
@@ -1019,8 +1044,9 @@ def reference_prefer(a, b, criterion):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_vectorized_selection_equals_sequential_prefer_fold(data):
-    """Block-wise running choice and reselect pick the row a prefer fold picks,
-    on scores with heavy ties and -inf wrong confidences."""
+    """Block winners folded into the held choice, in one round or in several,
+    and reselect pick the row a prefer fold picks, on scores with heavy ties
+    and -inf wrong confidences."""
     n = data.draw(st.integers(1, 4))
     extra = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
     example = np.array(list(range(n)) + extra)  # one baseline row per example first
@@ -1049,11 +1075,19 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
             if expected == 1:
                 best[i] = r
 
-        chosen = pool.take(np.arange(n))
-        for lo, hi in zip([n] + cuts, cuts + [m]):
-            if hi > lo:
-                bundler._choose(chosen, pool.take(np.arange(lo, hi)), crit)
-        assert chosen.adversarial_input[:, 0].tolist() == best
+        def fold_rounds(rounds):
+            """Fold as `_advance` does: each block to its winners, then the
+            held choice and a round's winners at once."""
+            held = pool.take(np.arange(n))
+            for blocks in rounds:
+                winners = [b.take(bundler._best(crit, b)) for b in blocks]
+                held = bundler._fold(crit, [held] + winners)
+            return held.adversarial_input[:, 0].tolist()
+
+        blocks = [pool.take(np.arange(lo, hi)) for lo, hi in zip([n] + cuts, cuts + [m])
+                  if hi > lo]
+        assert fold_rounds([blocks]) == best  # one round
+        assert fold_rounds([[b] for b in blocks]) == best  # a round per block
 
         result = ab.BundleResult(crit, (), ab.BudgetPolicy(), 0, pool.take(np.arange(n)),
                                  ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]),

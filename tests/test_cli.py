@@ -195,6 +195,28 @@ class TestExitCodes:
         assert "config error:" in done.stderr and f":{line}:" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("key,old,new", [
+        ("synth_n", "synth_n = 40", "synth_n = 1000000000"),  # 7.45 GiB of labels
+        ("synth_d", "synth_d = 2", "synth_d = 100000000"),    # 2.24 GiB of class means
+        ("hidden", "architecture = softmax_linear",           # 14.9 GiB of first-layer weights
+         "architecture = mlp1\nhidden = 1000000000"),
+    ], ids=["synth_n", "synth_d", "hidden"])
+    def test_huge_data_or_model_size_is_a_config_error(self, tmp_path, key, old, new):
+        # the config refuses each size before the dataset or the model is allocated
+        cfg = write_cfg(tmp_path, text=FAST_CFG.replace(old, new))
+        limit = 1 << 30
+        code = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                f"from advbundle.cli import main; sys.exit(main(['train', {str(cfg)!r}]))")
+        src = Path(ab.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "config error:" in done.stderr and f"{key} must be <= " in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "run_out").exists()
+
     def test_huge_csv_label_is_a_data_error(self, tmp_path):
         # training's one-hot labels would need 14.9 GiB for k = 10**9 + 1 classes;
         # the reader refuses the label first and names its line

@@ -80,8 +80,6 @@ def test_reduce_rows_equals_numpy_row_reductions(a):
     # equal as values: a max of zeros may take either zero's sign
     assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.isnan(got), np.isnan(want))
-    # ties and NaN: the first maximum, or the first NaN
-    assert np.array_equal(reduce_rows(np.argmax, a), a.argmax(axis=-1))
     finite = np.isfinite(a)
     assert np.array_equal(reduce_rows(np.logical_and, finite), finite.all(axis=-1))
     assert np.array_equal(reduce_rows(np.logical_or, a > 0), (a > 0).any(axis=-1))
@@ -91,7 +89,6 @@ def test_reduce_rows_on_strided_rows_either_side_of_the_crossover():
     # a non-contiguous input, reduced both ways
     a = np.random.default_rng(2).normal(size=(60, 2 * NARROW_AXIS + 2))[:, ::2]
     for width in (NARROW_AXIS, NARROW_AXIS + 1):
-        assert np.array_equal(reduce_rows(np.argmax, a[:, :width]), a[:, :width].argmax(axis=1))
         assert np.array_equal(reduce_rows(np.maximum, a[:, :width]), a[:, :width].max(axis=1))
 
 

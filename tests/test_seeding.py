@@ -21,13 +21,19 @@ IDS = st.one_of(st.sampled_from(["pgd", "pgd-expensive", "bruit-é", "攻撃-θ-
                 st.text(min_size=1, max_size=24))
 
 
-@given(root=ROOTS, idx=st.lists(st.integers(0, 10**6), max_size=16), attack_id=IDS)
-@example(root=2**64 - 1, idx=[0, 1, 2**31], attack_id="a-long-attack-id-ü")
+@given(root=ROOTS, idx=st.lists(st.integers(0, 10**6), max_size=16), attack_id=IDS,
+       pinned=st.none() | st.lists(ROOTS, min_size=1, max_size=4))
+@example(root=2**64 - 1, idx=[0, 1, 2**31], attack_id="a-long-attack-id-ü", pinned=None)
+# pinned seeds above and below 2**63 in one config
+@example(root=5, idx=[0, 7, 2**31], attack_id="pgd", pinned=[2**63 - 1, 2**63, 2**64 - 1, 0])
 @settings(max_examples=200, deadline=None)
-def test_block_seeds_equal_derive_seed_per_example(root, idx, attack_id):
-    config = ab.AttackConfig(attack_id, "pgd", 0.3, step_size=0.1, num_steps=1)
-    assert _block_seeds(root, idx, config) == [ab.derive_seed(root, i, attack_id)
-                                               for i in idx]
+def test_block_seeds_equal_derive_seed_per_example(root, idx, attack_id, pinned):
+    config = ab.AttackConfig(attack_id, "pgd", 0.3, step_size=0.1, num_steps=1,
+                             num_restarts=len(pinned or [0]),
+                             restart_seeds=None if pinned is None else tuple(pinned))
+    expected = ([ab.derive_seed(root, i, attack_id) for i in idx] if pinned is None
+                else [[ab.derive_seed(s, i) for s in pinned] for i in idx])
+    assert _block_seeds(root, idx, config) == expected
 
 
 @st.composite
