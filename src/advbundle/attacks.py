@@ -10,7 +10,8 @@ Each attack runs on rows, one per (example, restart) or (example, noise
 sample), each with its own box and seed stream, in one of two kernels that
 `attack_rows` dispatches to: `noise_rows` draws samples and `pgd_rows` takes
 signed-gradient steps (FGSM is one PGD step of size epsilon from the clean
-input).
+input). Both draw their randomness, the samples and PGD's random start, as
+`seeding.uniform_rows` offsets from the clean row, one seed per row.
 All rows step together, and every model call computes a row exactly as a
 1-row call would, so a row's candidate is bit-identical whatever else is in
 the batch. `run_attack` is the per-example adapter over the row functions:
@@ -37,7 +38,7 @@ import numpy as np
 from .data import Example
 from .errors import AttackFailedError, ContractError, ShapeError
 from .models import ModelParams, grad_rows, reduce_rows
-from .seeding import derive_seeds, make_rngs, seed_words
+from .seeding import derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .seeding import derive_seed  # noqa: F401
 
@@ -169,31 +170,25 @@ def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) 
                                 restart=candidate.restart_index, reason="non-finite candidate")
 
 
-def _restart_seeds(seeds: Sequence[int | Sequence[int]], num_restarts: int) -> list[int]:
-    """Every example's per-restart seeds, in row order: derive_seed(seed, r) for
-    an int seed, all of them in one array pass, or a sequence as-is."""
-    is_int = [isinstance(seed, (int, np.integer)) for seed in seeds]
-    roots = seed_words([seed for seed, i in zip(seeds, is_int) if i])
-    derived = iter(derive_seeds(roots[:, None], np.arange(num_restarts, dtype=np.uint64))
-                   .tolist())
-    rows = []
-    for seed, i in zip(seeds, is_int):
-        rows += next(derived) if i else [int(s) for s in seed]
-    return rows
+def _restart_seeds(seeds: Sequence, num_restarts: int) -> list[int]:
+    """Every example's per-restart seeds, in row order: derive_seed(seed, r)
+    of int seeds, in one array pass, or per-restart seed lists as-is."""
+    if len(seeds) and not isinstance(seeds[0], (int, np.integer)):
+        return [int(s) for seed in seeds for s in seed]
+    roots = seed_words(seeds)[:, None]
+    return derive_seeds(roots, np.arange(num_restarts, dtype=np.uint64)).ravel().tolist()
 
 
 def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
                num_samples: int) -> np.ndarray:
     """num_samples uniform draws from the feasible box of each row of clean.
 
-    Row u of clean draws what a generator of its own, make_rng(seeds[u]),
-    would draw, so its samples do not depend on the other rows; one
-    Generator serves every row (`seeding.make_rngs`). Row u * num_samples + j
-    of the result is sample j of row u.
+    Row u of clean draws make_rng(seeds[u])'s offsets in [-epsilon, epsilon)
+    (`seeding.uniform_rows`), so its samples do not depend on the other rows,
+    adds them and clips to the box. Row u * num_samples + j of the result is
+    sample j of row u.
     """
-    x = np.empty((len(clean), num_samples, clean.shape[1]))
-    for u, rng in enumerate(make_rngs(seeds)):
-        x[u] = rng.uniform(-epsilon, epsilon, size=x.shape[1:])
+    x = uniform_rows(seeds, -epsilon, epsilon, (num_samples, clean.shape[1]))
     x += clean[:, None, :]
     lo, hi = _box(clean, epsilon)
     np.clip(x, lo[:, None, :], hi[:, None, :], out=x)
@@ -201,37 +196,37 @@ def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
 
 
 def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
-             seeds: Sequence[int | Sequence[int]],
+             seeds: Sequence[int] | Sequence[Sequence[int]],
              config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
     """Projected signed-gradient ascent on every restart of every example.
 
     clean (U, d) and labels (U,) hold the examples and seeds one seed per
-    example, as `pgd` takes it. Row u * num_restarts + r of the result is
-    restart r of example u. A row whose gradient turns non-finite stops
-    moving; the second array holds the step at which it did, -1 for a row
-    that never failed.
+    example, as `pgd` takes it: all ints, or all sequences of per-restart
+    seeds. Row u * num_restarts + r of the result is restart r of example u.
+    A row whose gradient turns non-finite stops moving; the second array
+    holds the step at which it did, -1 for a row that never failed.
 
     A row retires as soon as its new iterate equals, bit for bit, its
     iterate from two steps back (its start, on the first step). A row's step
     depends only on its own iterate, box and label (`grad_rows` computes
     each row as a 1-row call would), so from then on it alternates between
     its last two iterates, or stays put when they are equal, as a failed row
-    does. Its final iterate is the new one when the steps left are even and
-    the current one otherwise; that is written out and the row leaves the
-    batch, so the result is bit-identical to running every step. A row that
-    never repeats runs every step.
+    does from the step it fails, where it retires. Its final iterate is the
+    new one when the steps left are even and the current one otherwise; that
+    is written out and the row leaves the batch, so the result is
+    bit-identical to running every step. The last step retires nothing.
     """
     r = config.num_restarts
     if any(len(seed) != r for seed in seeds if not isinstance(seed, (int, np.integer))):
         raise ContractError("need one seed per restart")
     clean = np.repeat(clean, r, axis=0)
     labels = np.repeat(labels, r)
+    lo, hi = _box(clean, config.epsilon)
+    x = clean
     if config.random_init:
         # only the random start reads the seeds, so only it derives them
-        x = noise_rows(clean, config.epsilon, _restart_seeds(seeds, r), 1)
-    else:
-        x = clean.copy()
-    lo, hi = _box(clean, config.epsilon)
+        x = np.clip(clean + uniform_rows(_restart_seeds(seeds, r), -config.epsilon,
+                                         config.epsilon, clean.shape[1:]), lo, hi)
     failed_at = np.full(len(x), -1)
     out = np.empty_like(x)
     live = np.arange(len(x))
@@ -240,19 +235,20 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
         grad = grad_rows(params, x, labels)
         stepped = np.clip(x + config.step_size * np.sign(grad), lo, hi)
         if not np.isfinite(grad).all():
-            bad = ~np.isfinite(grad).all(axis=1)
-            stepped[bad] = x[bad]
-            failed = live[bad]
-            failed_at[failed[failed_at[failed] < 0]] = step
-        settled = (stepped.view(np.int64) == prev.view(np.int64)).all(axis=1)
-        if settled.any():
-            steps_left = config.num_steps - step - 1
-            out[live[settled]] = (x if steps_left % 2 else stepped)[settled]
-            keep = ~settled
-            x, stepped, lo, hi = x[keep], stepped[keep], lo[keep], hi[keep]
-            labels, live = labels[keep], live[keep]
-            if not len(live):
-                break
+            # a failed row stays put from here on; matching its prev, it retires now
+            failed = ~np.isfinite(grad).all(axis=1)
+            stepped[failed] = prev[failed] = x[failed]
+            failed_at[live[failed]] = step
+        steps_left = config.num_steps - step - 1
+        if steps_left:  # the last step retires nothing: out[live] takes every row
+            settled = (stepped.view(np.int64) == prev.view(np.int64)).all(axis=1)
+            if settled.any():
+                out[live[settled]] = (x if steps_left % 2 else stepped)[settled]
+                keep = ~settled
+                x, stepped, lo, hi = x[keep], stepped[keep], lo[keep], hi[keep]
+                labels, live = labels[keep], live[keep]
+                if not len(live):
+                    break
         prev, x = x, stepped
     out[live] = x
     return out, failed_at

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import VARIANTS, AttackConfig
+from .attacks import PGD, VARIANTS, AttackConfig, rows_per_example
 from .bundler import MAX_CONFIDENCE, MISCLASSIFY, Criterion
 from .errors import ConfigError, ContractError
 from .models import ARCHITECTURES, TrainParams
@@ -44,6 +44,10 @@ def _is_sorted(values: tuple[float, ...]) -> bool:
 MAX_SYNTH_N = 1_000_000
 MAX_SYNTH_D = 10_000
 MAX_HIDDEN = 10_000
+# most rows (restarts or noise samples) one example's attack may make: the
+# engine holds them in one block, so a stray 10**8 must fail here, not as a
+# MemoryError after training
+MAX_ROWS_PER_EXAMPLE = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,12 @@ class ExperimentConfig:
                            ("hidden", MAX_HIDDEN)):
             if getattr(self, key) > bound:
                 raise ConfigError(f"{key} must be <= {bound}")
+        if self.synth_k < 2:
+            raise ConfigError("synth_k must be >= 2")
+        if self.synth_d < 1:
+            raise ConfigError("synth_d must be >= 1")
+        if self.synth_n < self.synth_k:
+            raise ConfigError("synth_n must be >= synth_k")
         if self.max_units is not None and self.max_units < 0:
             raise ConfigError("max_units must be >= 0")
         if not all(0.5 <= t < 1.0 for t in self.threshold_grid):
@@ -182,9 +192,13 @@ def _build_attack(attack_id: str, where: str,
     if entries["variant"][0] not in VARIANTS:  # a config cannot supply runners
         raise ConfigError(f"{where}: unknown variant {entries['variant'][0]!r}")
     try:
-        return AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
+        config = AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
     except ContractError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if rows_per_example(config) > MAX_ROWS_PER_EXAMPLE:
+        key = "num_restarts" if config.variant == PGD else "num_samples"
+        raise ConfigError(f"{entries[key][1]}: {key} must be <= {MAX_ROWS_PER_EXAMPLE}")
+    return config
 
 
 def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentConfig:

@@ -164,7 +164,7 @@ def _by_col(W: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def reduce_rows(reduce: np.ufunc, a: np.ndarray) -> np.ndarray:
     """The rows of a 2-D array a reduced over the last axis by the ufunc
-    np.maximum, np.logical_and or np.logical_or.
+    np.maximum or np.logical_and.
 
     numpy reduces a narrow last axis one short row at a time, so up to
     `NARROW_AXIS` wide the rows of a are reduced as the columns of a

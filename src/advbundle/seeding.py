@@ -13,18 +13,18 @@ multi-restart attack.
 block of examples or restarts gets its seeds in one array pass, bit for bit
 what `derive_seed` gives each of them.
 
-`make_rng` builds the Generator for one seed. `make_rngs` serves a block of
-seeds with one Generator, set to each seed's starting state in turn, so it
-draws the bits `make_rng(seed)` would without building a Generator per
-seed. `pcg64_states` computes those states in one array pass: numpy's
-`SeedSequence` hash on `uint32` columns, then PCG64's set-seq seeding
-(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
-Good Algorithms for Random Number Generation").
+`make_rng` builds the Generator for one seed. `uniform_rows` draws a row
+of uniforms per seed, bit for bit what `make_rng(seed)` draws, from one
+Generator set to each seed's starting state in turn; it is the only code
+that resets a Generator. `pcg64_states` computes those states in one array
+pass: numpy's `SeedSequence` hash on `uint32` columns, then PCG64's set-seq
+seeding (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation").
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import cache
 
 import numpy as np
@@ -171,18 +171,19 @@ def pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     return states
 
 
-def make_rngs(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    """`make_rng(seed)` for each seed in turn, as one Generator set to each
-    seed's starting state: finish drawing from it before taking the next.
+def uniform_rows(seeds: Sequence[int], low: float, high: float, shape: tuple) -> np.ndarray:
+    """Row u is `make_rng(seeds[u]).uniform(low, high, shape)`, bit for bit.
 
-    numpy seeds the Generator for the first seed, so one seed costs what
+    numpy seeds one Generator for the first seed, so one seed costs what
     `make_rng` does, and `pcg64_states` gives the others' states in one pass."""
+    out = np.empty((len(seeds), *shape))
     if not len(seeds):
-        return
+        return out
     bit_generator = np.random.PCG64(_check_seed(seeds[0]))
     rng = np.random.Generator(bit_generator)
-    yield rng
-    for state, inc in pcg64_states(seeds[1:]):
+    out[0] = rng.uniform(low, high, shape)
+    for u, (state, inc) in enumerate(pcg64_states(seeds[1:]), start=1):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        yield rng
+        out[u] = rng.uniform(low, high, shape)
+    return out

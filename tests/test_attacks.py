@@ -346,6 +346,26 @@ def test_pgd_rows_equals_full_step_loop(desk_mlp, case):
         assert len(set(want_failed_at.tolist())) > 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_pgd_rows_leave_at_their_failing_step(monkeypatch):
+    # a failed row stays put, so its one non-finite gradient is its last
+    bad_rows = []
+
+    def counting_grad_rows(params, X, labels):
+        grad = ab.models.grad_rows(params, X, labels)
+        bad_rows.append(int((~np.isfinite(grad).all(axis=1)).sum()))
+        return grad
+
+    monkeypatch.setattr(ab.attacks, "grad_rows", counting_grad_rows)
+    rng = np.random.default_rng(3)
+    X, y = rng.uniform(0, 1, (40, 2)), rng.integers(0, 2, 40)
+    cfg = _pgd_cfg(num_steps=40, step_size=0.04, num_restarts=2)
+    _, failed_at = pgd_rows(_tripwire_mlp(), X, y, [ab.derive_seed(0, i) for i in range(40)],
+                            cfg)
+    assert (failed_at > 0).any()  # rows that moved before they failed
+    assert sum(bad_rows) == (failed_at >= 0).sum()
+
+
 def test_settled_pgd_rows_stop_computing_gradients(desk_mlp, monkeypatch):
     computed = []
 
@@ -423,8 +443,9 @@ def test_noise_rows_equal_a_generator_per_row(seeds, num_samples, d, data):
     assert got.tobytes() == _noise_loop(clean, 0.3, seeds, num_samples).tobytes()
 
 
-@given(seeds=st.lists(st.one_of(NOISE_SEEDS, st.lists(NOISE_SEEDS, min_size=2, max_size=2)),
-                      min_size=1, max_size=5))
+@given(seeds=st.one_of(st.lists(NOISE_SEEDS, min_size=1, max_size=5),
+                      st.lists(st.lists(NOISE_SEEDS, min_size=2, max_size=2),
+                               min_size=1, max_size=5)))
 @settings(max_examples=100, deadline=None)
 def test_pgd_random_init_equals_a_generator_per_row(seeds):
     # zero steps: the candidates are the random inits themselves

@@ -560,17 +560,17 @@ class TestRowEngine:
         monkeypatch.setattr(ab.seeding, "make_rng", refused)
         monkeypatch.setattr(ab.attacks, "make_rng", refused, raising=False)
         counts = {"blocks": 0, "bit_generators": 0}
-        real_noise_rows, real_pcg64 = ab.attacks.noise_rows, np.random.PCG64
+        real_uniform_rows, real_pcg64 = ab.attacks.uniform_rows, np.random.PCG64
 
-        def counting_noise_rows(*args):
+        def counting_uniform_rows(*args):
             counts["blocks"] += 1
-            return real_noise_rows(*args)
+            return real_uniform_rows(*args)
 
         def counting_pcg64(*args):
             counts["bit_generators"] += 1
             return real_pcg64(*args)
 
-        monkeypatch.setattr(ab.attacks, "noise_rows", counting_noise_rows)
+        monkeypatch.setattr(ab.attacks, "uniform_rows", counting_uniform_rows)
         monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
         attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=3,
                                    num_restarts=2),

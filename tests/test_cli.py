@@ -52,6 +52,19 @@ def write_cfg(tmp_path, text=None, name="exp.cfg", out="run_out"):
     return cfg_path
 
 
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """`advbundle argv` in a child process whose address space is capped at
+    1 GiB, so an allocation the program should refuse fails there."""
+    limit = 1 << 30
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            f"from advbundle.cli import main; sys.exit(main({list(argv)!r}))")
+    src = Path(ab.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 class TestRunCommand:
     def test_produces_full_artifact_set(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -183,14 +196,7 @@ class TestExitCodes:
         text = FAST_CFG.replace("threshold_grid = 0.5:0.95:8", grid)
         cfg = write_cfg(tmp_path, text=text)
         line = text.splitlines().index(grid) + 1
-        limit = 1 << 30
-        code = ("import resource, sys; "
-                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                f"from advbundle.cli import main; sys.exit(main(['run', {str(cfg)!r}]))")
-        src = Path(ab.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+        done = run_capped("run", str(cfg))
         assert done.returncode == 2, done.stderr
         assert "config error:" in done.stderr and f":{line}:" in done.stderr
         assert "Traceback" not in done.stderr
@@ -204,16 +210,24 @@ class TestExitCodes:
     def test_huge_data_or_model_size_is_a_config_error(self, tmp_path, key, old, new):
         # the config refuses each size before the dataset or the model is allocated
         cfg = write_cfg(tmp_path, text=FAST_CFG.replace(old, new))
-        limit = 1 << 30
-        code = ("import resource, sys; "
-                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                f"from advbundle.cli import main; sys.exit(main(['train', {str(cfg)!r}]))")
-        src = Path(ab.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+        done = run_capped("train", str(cfg))
         assert done.returncode == 2, done.stderr
         assert "config error:" in done.stderr and f"{key} must be <= " in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("key,old", [("num_restarts", "num_restarts = 2"),
+                                         ("num_samples", "num_samples = 10")])
+    def test_huge_attack_size_is_a_config_error(self, tmp_path, key, old):
+        # 10**8 rows for one example would need 1.49 GiB in the attack's first
+        # block; the config refuses the size before training and names its line
+        new = f"{key} = 100000000"
+        text = FAST_CFG.replace(old, new)
+        cfg = write_cfg(tmp_path, text=text)
+        line = text.splitlines().index(new) + 1
+        done = run_capped("run", str(cfg))
+        assert done.returncode == 2, done.stderr
+        assert "config error:" in done.stderr and f":{line}: {key} must be <= " in done.stderr
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "run_out").exists()
 
@@ -224,14 +238,7 @@ class TestExitCodes:
         data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1000000000\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"dataset = csv\ncsv_path = {data}\noutput_dir = {tmp_path / 'o'}\n")
-        limit = 1 << 30
-        code = ("import resource, sys; "
-                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                f"from advbundle.cli import main; sys.exit(main(['train', {str(cfg)!r}]))")
-        src = Path(ab.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+        done = run_capped("train", str(cfg))
         assert done.returncode == 3, done.stderr
         assert "data error:" in done.stderr and f"{data}:3:" in done.stderr
         assert "Traceback" not in done.stderr
@@ -358,14 +365,7 @@ class TestOtherCommands:
 
     def test_gap_needs_no_n_by_n_matrix(self):
         # the diagonal matrix for n = 100000 would need 10 GB; the table needs none
-        limit = 1 << 30
-        code = ("import resource, sys; "
-                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                "from advbundle.cli import main; sys.exit(main(['gap', '100000']))")
-        src = Path(ab.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+        done = run_capped("gap", "100000")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "n,wat,bundled,gap\n100000,1e-05,1.0,0.99999\n"
 

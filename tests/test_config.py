@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
-from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, serialize_experiment_config,
-                              with_output_dir)
+from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_ROWS_PER_EXAMPLE,
+                              serialize_experiment_config, with_output_dir)
 from advbundle.errors import ConfigError
 
 MINIMAL = """
@@ -191,7 +191,10 @@ class TestErrors:
                                       "threshold_grid = 0.9,0.6",
                                       "epsilon_grid = 0.3,0.1",
                                       "max_units = -1",
-                                      "synth_seed = -1"])
+                                      "synth_seed = -1",
+                                      "synth_k = 1",
+                                      "synth_d = 0",
+                                      "synth_n = 2\nsynth_k = 3"])
     def test_out_of_range_values_fail_at_parse_time(self, line):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config(line + "\n")
@@ -218,6 +221,23 @@ class TestErrors:
         with pytest.raises(ConfigError) as info:
             ab.parse_experiment_config(f"gap_ns = {value}\n")
         assert "gap_ns" in self.line_of(info)
+
+    @pytest.mark.parametrize("variant,key", [("pgd", "num_restarts"),
+                                             ("uniform_noise", "num_samples")])
+    def test_rows_per_example_above_the_bound_name_their_line(self, variant, key):
+        text = (f"[attack a]\nvariant = {variant}\nepsilon = 0.3\nstep_size = 0.1\n"
+                f"num_steps = 1\n{key} = {{}}\nrandom_init = true\n")
+        ab.parse_experiment_config(text.format(MAX_ROWS_PER_EXAMPLE))
+        with pytest.raises(ConfigError) as info:
+            ab.parse_experiment_config(text.format(MAX_ROWS_PER_EXAMPLE + 1))
+        assert f":6: {key} must be <= {MAX_ROWS_PER_EXAMPLE}" in self.line_of(info)
+
+    def test_fgsm_ignores_num_restarts_whatever_its_size(self):
+        # fgsm makes one row per example whatever its restart fields say
+        huge = 10 * MAX_ROWS_PER_EXAMPLE
+        config = ab.parse_experiment_config(
+            f"[attack f]\nvariant = fgsm\nepsilon = 0.3\nnum_restarts = {huge}\n")
+        assert config.attacks[0].num_restarts == huge
 
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError):

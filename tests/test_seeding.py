@@ -1,6 +1,7 @@
 """The block forms of seeding give, bit for bit, what the scalar forms give
-one by one: `derive_seeds` the seeds of `derive_seed`, and `pcg64_states` /
-`make_rngs` the generators numpy seeds from each seed."""
+one by one: `derive_seeds` the seeds of `derive_seed`, `pcg64_states` the
+states numpy seeds from each seed, and `uniform_rows` the draws of a
+Generator per seed."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import advbundle as ab
 from advbundle.attacks import _restart_seeds
 from advbundle.bundler import _block_seeds
 from advbundle.errors import ContractError
-from advbundle.seeding import make_rng, make_rngs, pcg64_states
+from advbundle.seeding import make_rng, pcg64_states, uniform_rows
 
 EDGES = [0, 2**63 - 1, 2**63, 2**64 - 1]
 # derive_seed takes a root mod 2**64, so roots outside [0, 2**64) are valid too
@@ -38,15 +39,17 @@ def test_block_seeds_equal_derive_seed_per_example(root, idx, attack_id, pinned)
 
 @st.composite
 def seeds_and_restarts(draw):
-    """One seed per example: an int, or a sequence of per-restart seeds."""
+    """One seed per example, all of one form: ints, or sequences of
+    per-restart seeds."""
     r = draw(st.integers(1, 4))
-    seed = st.one_of(ROOTS, st.lists(st.integers(0, 2**64 - 1), min_size=r, max_size=r))
+    seed = draw(st.sampled_from([
+        ROOTS, st.lists(st.integers(0, 2**64 - 1), min_size=r, max_size=r)]))
     return draw(st.lists(seed, max_size=8)), r
 
 
 @given(seeds_and_restarts())
 @example(([0, 2**63 - 1, 2**63, 2**64 - 1, 7], 3))  # above and below 2**63 in one block
-@example(([2**63, [5, 6], 1], 2))
+@example(([[2**63, 5], [6, 2**64 - 1]], 2))
 @settings(max_examples=200, deadline=None)
 def test_restart_seeds_equal_derive_seed_per_restart(case):
     seeds, r = case
@@ -62,7 +65,7 @@ def test_numpy_integer_roots_match_python_ints():
     assert _restart_seeds(roots, 2) == _restart_seeds([int(s) for s in roots], 2)
 
 
-# PCG64 seeding: pcg64_states and make_rngs against numpy's own seeding
+# PCG64 seeding: pcg64_states and uniform_rows against numpy's own seeding
 
 # one to seven uint32 words: 2**128 and up run SeedSequence's extra-word mixing
 PCG_EDGES = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**128 - 1, 2**128, 2**200]
@@ -88,12 +91,16 @@ def test_numpy_integer_seeds_match_python_ints():
     assert pcg64_states(seeds) == [numpy_state(int(s)) for s in seeds]
 
 
-@given(st.lists(PCG_SEEDS, max_size=6))
-@example(PCG_EDGES)
+@given(st.lists(PCG_SEEDS, max_size=6), st.sampled_from([(5,), (3, 2)]))
+@example(PCG_EDGES, (5,))
+@example(PCG_EDGES, (3, 2))
+@example([], (5,))
 @settings(max_examples=100, deadline=None)
-def test_make_rngs_draw_what_make_rng_draws(seeds):
-    got = [rng.uniform(-1.0, 1.0, size=5).tobytes() for rng in make_rngs(seeds)]
-    assert got == [make_rng(s).uniform(-1.0, 1.0, size=5).tobytes() for s in seeds]
+def test_uniform_rows_draw_what_make_rng_draws(seeds, shape):
+    got = uniform_rows(seeds, -1.0, 1.0, shape)
+    want = [make_rng(s).uniform(-1.0, 1.0, size=shape) for s in seeds]
+    assert got.shape == (len(seeds), *shape)
+    assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
 
 
 @pytest.mark.parametrize("seeds", [[-1], [3, -1], [2**70, -2**70], [1.5], [2, "7"]])
@@ -101,4 +108,4 @@ def test_bad_seeds_are_refused_as_make_rng_refuses_them(seeds):
     with pytest.raises(ContractError):
         pcg64_states(seeds)
     with pytest.raises(ContractError):
-        list(make_rngs(seeds))
+        uniform_rows(seeds, -1.0, 1.0, (5,))
