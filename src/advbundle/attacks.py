@@ -76,7 +76,8 @@ class AttackConfig:
 
     def __post_init__(self):
         # variants beyond the built-in three are allowed so the bundler can
-        # drive externally supplied runners; they skip field validation
+        # drive externally supplied runners; of the variant fields they check
+        # only num_restarts, which sets their rows per example
         if not self.variant:
             raise ContractError("variant must be non-empty")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -91,13 +92,12 @@ class AttackConfig:
                 raise ContractError("pgd needs a finite positive step_size")
             if self.num_steps is None or self.num_steps < 0:
                 raise ContractError("pgd needs num_steps >= 0")
-            if self.num_restarts < 1:
-                raise ContractError("num_restarts must be >= 1")
             if self.restart_seeds is not None and len(self.restart_seeds) != self.num_restarts:
                 raise ContractError("restart_seeds must have one entry per restart")
-        else:
-            if self.restart_seeds is not None:
-                raise ContractError("restart_seeds only applies to pgd")
+        elif self.restart_seeds is not None:
+            raise ContractError("restart_seeds only applies to pgd")
+        if self.variant not in (FGSM, UNIFORM_NOISE) and self.num_restarts < 1:
+            raise ContractError("num_restarts must be >= 1")
         if self.variant == UNIFORM_NOISE:
             if self.num_samples is None or self.num_samples < 1:
                 raise ContractError("uniform_noise needs num_samples >= 1")
@@ -112,12 +112,13 @@ class Candidate:
 
 
 def rows_per_example(config: AttackConfig) -> int:
-    """Candidates one example yields: its restarts, its noise samples, or 1."""
-    if config.variant == PGD:
-        return config.num_restarts
+    """Rows, and so candidates, one example yields: its noise samples, 1 for
+    fgsm, else its restarts (pgd and any runner's variant)."""
     if config.variant == UNIFORM_NOISE:
         return config.num_samples
-    return 1
+    if config.variant == FGSM:
+        return 1
+    return config.num_restarts
 
 
 def _box(clean: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:

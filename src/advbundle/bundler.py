@@ -14,14 +14,13 @@ candidate under the reserved attack id "none", so a model that is wrong on
 clean data errs at perturbation zero and the bundled error rate is a true
 superset of the clean error rate.
 
-A round of a built-in attack (fgsm, pgd, uniform_noise) runs its active
-examples together on the row engine: their rows, one per restart or noise
-sample, go to `attacks.attack_rows` in blocks of whole examples, up to
-`ROW_BLOCK` rows (an example with more rows is a block of its own).
-Every row is computed exactly as a 1-row call would compute it, so the
-result equals running `attacks.run_attack` one example at a time, bit for
-bit. An attack with a `runners` entry (any variant beyond the built-in
-three) makes one block per example, one runner call each.
+A round runs its active examples together: their rows, one per restart
+or noise sample, come from one runner call per block of whole examples, up
+to `ROW_BLOCK` rows (an example with more rows is a block of its own). A
+runner is a row function like `attacks.attack_rows`, which runs every
+variant without a `runners` entry; it computes every row exactly as a 1-row
+call would, so the result equals running `attacks.run_attack` one example
+at a time, bit for bit.
 
 Every block takes the same tail: one `check_rows` call rejects rows outside
 the ball or [0, 1] and fails examples with a non-finite row, one
@@ -46,7 +45,7 @@ import numpy as np
 from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows,
                       is_int_or_none, rows_per_example)
 from .data import Dataset, Example
-from .errors import AttackFailedError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
                      predict, predict_stochastic, probs_rows, reduce_rows)
 from .seeding import derive_seeds, seed_words
@@ -65,7 +64,11 @@ MISCLASSIFY = "misclassify"
 MAX_CONFIDENCE = "max_confidence"
 MIN_NORM = "min_norm"
 
-Runner = Callable[[ModelParams, Example, AttackConfig, object, int], list[Candidate]]
+# run(params, config, clean (U, d), labels (U,), seeds (U,)) -> (adv, failed_at), as
+# `attacks.attack_rows`: rows_per_example(config) rows per example in example
+# order, and each row's failing step, -1 for a row that did not fail
+Runner = Callable[[ModelParams, AttackConfig, np.ndarray, np.ndarray, list],
+                  tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -377,7 +380,7 @@ def _goal_test(criterion: Criterion) -> Callable:
     return lambda s: s.misclassified & False  # min_norm never stops early
 
 
-def _block_seeds(root_seed: int, idx: list[int], config: AttackConfig) -> list:
+def _block_seeds(root_seed: int, idx: np.ndarray, config: AttackConfig) -> list:
     """Each example's seed, in one array pass: derive_seed(root_seed, i,
     attack_id), or with `restart_seeds` pinned, derive_seed(s, i) for each s."""
     idx = np.array(idx, dtype=np.uint64)
@@ -386,53 +389,32 @@ def _block_seeds(root_seed: int, idx: list[int], config: AttackConfig) -> list:
     return derive_seeds(root_seed, idx, config.attack_id).tolist()
 
 
-def _engine(params: ModelParams, config: AttackConfig, X: np.ndarray, y: np.ndarray,
-            members: list[int], root_seed: int) -> Iterator[tuple]:
-    """Run a built-in attack on the examples `members` in row blocks. Per block,
-    yield its examples, rows per example, restart indices, rows, failed flags."""
-    per = rows_per_example(config)
-    block = max(1, ROW_BLOCK // per)
-    for start in range(0, len(members), block):
-        idx = members[start:start + block]
-        adv, failed_at = attack_rows(params, config, X[idx], y[idx],
-                                     _block_seeds(root_seed, idx, config))
-        yield (idx, per, np.tile(np.arange(per), len(idx)), adv,
-               (failed_at >= 0).reshape(len(idx), per).any(axis=1))
-
-
-def _runner_blocks(runner: Runner, params: ModelParams, config: AttackConfig,
-                   dataset: Dataset, members: list[int], root_seed: int) -> Iterator[tuple]:
-    """Call a runner on each example of `members`; yield one block per example,
-    as `_engine` does."""
-    d = dataset.dimension
-    for i, seed in zip(members, _block_seeds(root_seed, members, config)):
-        try:
-            cands, failed = runner(params, dataset[i], config, seed, i), False
-        except AttackFailedError:
-            cands, failed = [], True
-        for c in cands:
-            if c.example_index != i:
-                raise ContractError(f"candidate belongs to example {c.example_index}, not {i}")
-            if np.shape(c.adversarial_input) != (d,):
-                raise ShapeError(f"candidate shape {np.shape(c.adversarial_input)} is not ({d},)")
-        yield ([i], len(cands), np.array([c.restart_index for c in cands], dtype=np.int64),
-               np.array([c.adversarial_input for c in cands]).reshape(-1, d), failed)
-
-
-def _checked(params: ModelParams, config: AttackConfig, code: int, X: np.ndarray,
-             y: np.ndarray, blocks: Iterator[tuple]
-             ) -> Iterator[tuple[list[int], np.ndarray, CandidateRows]]:
-    """Check and score the raw blocks of `_engine` or `_runner_blocks`. Per block,
-    yield its examples, each one's candidate count (-1 where it failed or gave a
-    non-finite row) and the scored candidates of the others. A block's rows are
+def _blocks(run: Runner, params: ModelParams, config: AttackConfig, code: int,
+            X: np.ndarray, y: np.ndarray, members: np.ndarray, root_seed: int
+            ) -> Iterator[tuple[np.ndarray, np.ndarray, CandidateRows]]:
+    """Run an attack on the examples `members` in blocks of whole examples, one
+    `run` call each, then check and score the rows. Per block, yield its
+    examples, each one's candidate count (-1 where a row failed or is not
+    finite) and the scored candidates of the others. A block's rows are
     indexed, and so copied, only when some example of it failed; unless the
     pool keeps them, they are dropped once the block is folded, so they never
     outlive the round."""
-    for idx, per, restarts, adv, failed in blocks:
-        norms = check_rows(adv.reshape(len(idx), per, X.shape[1]), X[idx][:, None, :],
+    per, d = rows_per_example(config), X.shape[1]
+    size = max(1, ROW_BLOCK // per)
+    for start in range(0, len(members), size):
+        idx = members[start:start + size]
+        adv, failed_at = run(params, config, X[idx], y[idx],
+                             _block_seeds(root_seed, idx, config))
+        rows = len(idx) * per
+        if np.shape(adv) != (rows, d) or np.shape(failed_at) != (rows,):
+            raise ShapeError(f"attack {config.attack_id!r} gave adv {np.shape(adv)} and "
+                             f"failed_at {np.shape(failed_at)}, not {(rows, d)} and {(rows,)}")
+        norms = check_rows(adv.reshape(len(idx), per, d), X[idx][:, None, :],
                            config.epsilon, config.attack_id)
-        failed = np.logical_or(failed, ~reduce_rows(np.logical_and, np.isfinite(norms)))
-        examples, norms = np.repeat(idx, per), norms.reshape(-1)
+        failed = ((failed_at >= 0).reshape(len(idx), per).any(axis=1)
+                  | ~reduce_rows(np.logical_and, np.isfinite(norms)))
+        examples, restarts = np.repeat(idx, per), np.tile(np.arange(per), len(idx))
+        norms = norms.reshape(-1)
         if failed.any():
             keep = np.repeat(~failed, per)
             examples, restarts, adv, norms = examples[keep], restarts[keep], adv[keep], norms[keep]
@@ -452,9 +434,9 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     contributes nothing; it never aborts the bundle. Deterministic given
     seed: every (example, attack, restart) draws from its own derive_seed
     stream, so no draw depends on the schedule or on which other examples
-    and attacks ran. Built-in variants without a `runners`
-    entry run on the row engine (see the module docstring); the result is
-    the same as with runners={variant: run_attack}.
+    and attacks ran. `runners` maps a variant to the row function that runs
+    it in place of `attacks.attack_rows` (see `Runner` and the module
+    docstring); any variant beyond fgsm, pgd and uniform_noise needs one.
     """
     attacks = tuple(attacks)
     ids = [a.attack_id for a in attacks]
@@ -521,13 +503,12 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
 
     done = int(units.min())
     while len(active := schedule(budget, len(attacks), done, goal_met, units)):
-        cfg, code, members = attacks[done], done + 1, active.tolist()
+        cfg, code = attacks[done], done + 1
         done += 1
         units[active] += 1
-        blocks = (_engine(params, cfg, X, y, members, seed) if cfg.variant not in runners
-                  else _runner_blocks(runners[cfg.variant], params, cfg, dataset, members, seed))
         winners = []
-        for idx, count, rows in _checked(params, cfg, code, X, y, blocks):
+        for idx, count, rows in _blocks(runners.get(cfg.variant, attack_rows), params, cfg,
+                                        code, X, y, active, seed):
             counts[idx, code - 1] = count
             if not len(rows.example_index):
                 continue

@@ -244,7 +244,11 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
         return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=attacks,
                                 **kwargs)
     except (ConfigError, ContractError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        # a check's message starts with the key it checks; name that key's line
+        # when the file sets it
+        key = str(exc).split(" ", 1)[0]
+        where = global_entries[key][1] if key in global_entries else source
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

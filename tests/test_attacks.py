@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
-from advbundle.attacks import attack_rows, check_rows, noise_rows, pgd_rows, run_attack
+from advbundle.attacks import (attack_rows, check_rows, noise_rows, pgd_rows, rows_per_example,
+                               run_attack)
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
 from advbundle.models import grad_rows, probs_rows
 from advbundle.seeding import make_rng
@@ -555,6 +556,15 @@ class TestAttackConfig:
                      lambda: ab.uniform_noise(ex, 0.3, 2.5, 0)):
             with pytest.raises(ContractError):
                 call()
+
+    def test_runner_variant_rows_are_its_restarts(self):
+        assert rows_per_example(ab.AttackConfig("x", "ext", 0.1, num_restarts=3)) == 3
+        with pytest.raises(ContractError, match="num_restarts must be >= 1"):
+            ab.AttackConfig("x", "ext", 0.1, num_restarts=0)
+        # fgsm and uniform_noise make their rows without restarts
+        assert rows_per_example(ab.AttackConfig("f", "fgsm", 0.1, num_restarts=0)) == 1
+        assert rows_per_example(ab.AttackConfig("n", "uniform_noise", 0.1, num_restarts=0,
+                                                num_samples=4)) == 4
 
     def test_restart_seeds_only_for_pgd(self):
         with pytest.raises(ContractError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle import bundler
-from advbundle.attacks import Candidate, run_attack
+from advbundle.attacks import Candidate, attack_rows, rows_per_example, run_attack
 from advbundle.bundler import CLEAN_ID
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
 
@@ -25,17 +25,32 @@ def two_example_dataset():
     return ab.Dataset([[0.35, 0.5], [0.65, 0.5]], [0, 1], num_classes=2)
 
 
-def flip_runner(target_example):
-    """Oracle attack: fools exactly `target_example` by crossing the boundary."""
+def flip_runner(x0):
+    """Oracle row runner: fools exactly the examples whose first feature is x0
+    by crossing the boundary; every other example gets its clean input."""
 
-    def runner(params, example, config, seed, example_index):
-        if example_index == target_example:
-            flipped = example.features.copy()
-            flipped[0] = 1.0 - flipped[0]
-            return [Candidate(example_index, flipped, config.attack_id, 0)]
-        return [Candidate(example_index, example.features.copy(), config.attack_id, 0)]
+    def runner(params, config, clean, labels, seeds):
+        adv, hit = clean.copy(), clean[:, 0] == x0
+        adv[hit, 0] = 1.0 - adv[hit, 0]
+        return adv, np.full(len(adv), -1)
 
     return runner
+
+
+def per_example(params, config, clean, labels, seeds):
+    """A row runner that calls run_attack one example at a time; an example
+    whose attack fails keeps its clean rows, failed at step 0."""
+    per = rows_per_example(config)
+    adv, failed_at = np.repeat(clean, per, axis=0), np.full(len(clean) * per, -1)
+    for u, (x, label, seed) in enumerate(zip(clean, labels.tolist(), seeds)):
+        rows = slice(u * per, (u + 1) * per)
+        try:
+            cands = run_attack(params, ab.Example(x, label), config, seed, u)
+        except AttackFailedError:
+            failed_at[rows] = 0
+            continue
+        adv[rows] = [c.adversarial_input for c in cands]
+    return adv, failed_at
 
 
 def scores_strategy():
@@ -252,7 +267,7 @@ class TestBundle:
                 ab.AttackConfig("attack-2", "oracle2", epsilon=0.5)]
 
     def oracle_runners(self):
-        return {"oracle1": flip_runner(0), "oracle2": flip_runner(1)}
+        return {"oracle1": flip_runner(0.35), "oracle2": flip_runner(0.65)}
 
     def test_complementary_attacks_bundle_to_full_error(self):
         # attack 1 fools only example 1, attack 2 only example 2:
@@ -347,13 +362,15 @@ class TestBundle:
         ds = two_example_dataset()
         attacks = [ab.AttackConfig("flaky", "flaky", epsilon=0.5)]
 
-        for failure in ("raises", "returns_nan"):
-            def failing(params, example, config, seed, example_index):
-                if example_index == 0 and failure == "raises":
-                    raise AttackFailedError(example_index, config.attack_id)
-                if example_index == 0:
-                    return [Candidate(example_index, np.full(2, np.nan), config.attack_id, 0)]
-                return flip_runner(1)(params, example, config, seed, example_index)
+        for failure in ("failed_at", "returns_nan"):
+            def failing(params, config, clean, labels, seeds):
+                adv, failed_at = flip_runner(0.65)(params, config, clean, labels, seeds)
+                first = clean[:, 0] == 0.35  # example 0
+                if failure == "failed_at":
+                    failed_at[first] = 0
+                else:
+                    adv[first] = np.nan
+                return adv, failed_at
 
             res = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(),
                             seed=0, runners={"flaky": failing})
@@ -364,52 +381,79 @@ class TestBundle:
             assert res.bundled_error_rate == 0.5, failure
 
     @pytest.mark.parametrize("bad,error", [
-        (lambda c: Candidate(1 - c.example_index, c.adversarial_input, c.attack_id, 0),
-         ContractError),
-        (lambda c: Candidate(c.example_index, np.full(3, 0.5), c.attack_id, 0), ShapeError),
-        (lambda c: Candidate(c.example_index, c.adversarial_input + 0.2, c.attack_id, 0),
-         ContractError),
-    ], ids=["other-example", "shape", "outside-ball"])
+        (lambda adv: adv[:, :1], ShapeError),
+        (lambda adv: adv + [0.0, 0.2], ContractError),
+    ], ids=["shape", "outside-ball"])
     def test_runner_candidate_checks(self, bad, error):
-        def runner(params, example, config, seed, example_index):
-            good = Candidate(example_index, example.features.copy(), config.attack_id, 0)
-            return [good, bad(good)]
+        def runner(params, config, clean, labels, seeds):
+            return bad(np.repeat(clean, 2, axis=0)), np.full(2 * len(clean), -1)
 
         with pytest.raises(error):
             ab.bundle(steep_boundary_model(), two_example_dataset(),
-                      [ab.AttackConfig("bad", "bad", epsilon=0.1)],
+                      [ab.AttackConfig("bad", "bad", epsilon=0.1, num_restarts=2)],
                       ab.Criterion.misclassify(), runners={"bad": runner})
 
+    @pytest.mark.parametrize("wrong", ["adv", "failed_at"])
+    def test_runner_shape_is_checked_before_any_scoring(self, monkeypatch, wrong):
+        def runner(params, config, clean, labels, seeds):
+            adv, failed_at = clean.copy(), np.full(len(clean), -1)
+            if wrong == "adv":
+                return adv[:, None, :], failed_at
+            return adv, failed_at[:1]
+
+        def refused(*args):
+            raise AssertionError("a block was checked or scored")
+
+        monkeypatch.setattr(bundler, "check_rows", refused)
+        monkeypatch.setattr(bundler, "_scored", refused)
+        with pytest.raises(ShapeError, match="attack 'odd' gave adv"):
+            ab.bundle(steep_boundary_model(), two_example_dataset(),
+                      [ab.AttackConfig("odd", "odd", epsilon=0.1)],
+                      ab.Criterion.misclassify(), runners={"odd": runner})
+
     def test_runner_nan_candidate_fails_its_unit(self):
-        def nan_runner(params, example, config, seed, example_index):
-            return [Candidate(example_index, example.features.copy(), config.attack_id, 0),
-                    Candidate(example_index, np.full(2, np.nan), config.attack_id, 1)]
+        def nan_runner(params, config, clean, labels, seeds):
+            adv = np.repeat(clean, 2, axis=0)  # restart 0 clean, restart 1 NaN
+            adv[1::2] = np.nan
+            return adv, np.full(len(adv), -1)
 
         res = ab.bundle(steep_boundary_model(), two_example_dataset(),
-                        [ab.AttackConfig("nan", "nan", epsilon=0.1)],
+                        [ab.AttackConfig("nan", "nan", epsilon=0.1, num_restarts=2)],
                         ab.Criterion.misclassify(), runners={"nan": nan_runner},
                         keep_candidates=True)
         assert [[(r.restarts_run, r.failed) for r in recs]
                 for recs in res.computation_log] == [[(0, True)], [(0, True)]]
         assert [len(pool) for pool in res.all_candidates] == [1, 1]
 
-    def test_runner_returning_no_candidates_is_an_empty_unit(self):
-        res = ab.bundle(steep_boundary_model(), two_example_dataset(),
-                        [ab.AttackConfig("empty", "empty", epsilon=0.5)],
-                        ab.Criterion.misclassify(), runners={"empty": lambda *args: []},
-                        keep_candidates=True)
-        assert [[(r.restarts_run, r.failed) for r in recs]
-                for recs in res.computation_log] == [[(0, False)], [(0, False)]]
-        assert res.rate_for("empty") == 0.0
-        assert [len(pool) for pool in res.all_candidates] == [1, 1]
-        assert [c.attack_id for c, _ in res.chosen] == [CLEAN_ID, CLEAN_ID]
+    def test_runner_runs_once_per_block(self, mlp_on_small_blobs, small_blobs):
+        # 80 examples of 60 rows: 68 fit in a block of 4096 rows, so two blocks
+        restarts = 60
+        assert len(small_blobs) * restarts > bundler.ROW_BLOCK
+        calls = []
+
+        def batched_pgd(params, config, clean, labels, seeds):
+            calls.append(len(clean))
+            return attack_rows(params, replace(config, variant="pgd"), clean, labels, seeds)
+
+        def looped_pgd(params, config, clean, labels, seeds):
+            return per_example(params, replace(config, variant="pgd"), clean, labels, seeds)
+
+        attacks = [ab.AttackConfig("ext", "ext", epsilon=0.3, step_size=0.1, num_steps=3,
+                                   num_restarts=restarts)]
+        args = (mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify())
+        batched = ab.bundle(*args, seed=6, runners={"ext": batched_pgd})
+        looped = ab.bundle(*args, seed=6, runners={"ext": looped_pgd})
+        assert calls == [68, 12]
+        assert np.all(batched.candidate_counts == restarts)
+        for got, want in zip(batched.chosen_rows, looped.chosen_rows):
+            assert got.tobytes() == want.tobytes()
 
     def test_variant_without_runner_fails_before_any_attack(self):
         calls = []
 
-        def recording(params, example, config, seed, example_index):
-            calls.append(example_index)
-            return flip_runner(0)(params, example, config, seed, example_index)
+        def recording(params, config, clean, labels, seeds):
+            calls.append(seeds)
+            return flip_runner(0.35)(params, config, clean, labels, seeds)
 
         attacks = self.oracle_attacks()
         with pytest.raises(ContractError, match="oracle2"):
@@ -470,7 +514,7 @@ class TestBundle:
                [[r.attack_id for r in recs] for recs in b.computation_log]
 
 
-PER_EXAMPLE = {v: run_attack for v in ("pgd", "fgsm", "uniform_noise")}
+PER_EXAMPLE = {v: per_example for v in ("pgd", "fgsm", "uniform_noise")}
 
 
 def _bits(candidate, candidate_score):
@@ -618,7 +662,7 @@ class TestScheduling:
         ds = two_example_dataset()
         attacks = [ab.AttackConfig("attack-1", "oracle1", epsilon=0.5),
                    ab.AttackConfig("attack-2", "oracle2", epsilon=0.5)]
-        runners = {"oracle1": flip_runner(0), "oracle2": flip_runner(1)}
+        runners = {"oracle1": flip_runner(0.35), "oracle2": flip_runner(0.65)}
         res = ab.bundle(m, ds, attacks, ab.Criterion.misclassify(), seed=0,
                         runners=runners)
         # example 0 is fooled by the first attack: one unit, stopped early
@@ -643,10 +687,10 @@ class TestScheduling:
         ds = ab.Dataset([[0.35, 0.5]], [0], num_classes=2)
 
         def move_to(x0):
-            def runner(params, example, config, seed, example_index):
-                moved = example.features.copy()
-                moved[0] = x0
-                return [Candidate(example_index, moved, config.attack_id, 0)]
+            def runner(params, config, clean, labels, seeds):
+                moved = clean.copy()
+                moved[:, 0] = x0
+                return moved, np.full(len(moved), -1)
             return runner
 
         weak_x0 = 0.5 + np.log(0.6 / 0.4) / gain   # wrong-class confidence 0.6
@@ -726,11 +770,16 @@ class TestScheduling:
             max(s.wrong_confidence for _, s in pool) for pool in res.all_candidates]
 
 
-def flaky_fgsm(params, example, config, seed, example_index):
-    """fgsm through the runner path, failing on every third example."""
-    if example_index % 3 == 0:
-        raise AttackFailedError(example_index, config.attack_id)
-    return run_attack(params, example, replace(config, variant="fgsm"), seed, example_index)
+# the seeds a bundle at root seed 3 gives attack "flaky" on every third example
+FLAKY_SEEDS = {ab.derive_seed(3, i, "flaky") for i in range(0, 80, 3)}
+
+
+def flaky_fgsm(params, config, clean, labels, seeds):
+    """fgsm through the runner path, failing on every third example of the
+    80 small blobs at root seed 3, which it knows by their seeds."""
+    adv, failed_at = attack_rows(params, replace(config, variant="fgsm"), clean, labels, seeds)
+    failed_at[[seed in FLAKY_SEEDS for seed in seeds]] = 0
+    return adv, failed_at
 
 
 def result_arrays(res):
@@ -807,7 +856,7 @@ class TestComplete:
         attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.05),
                    ab.AttackConfig("flip", "flip", epsilon=0.5)]
         primary = ab.bundle(self.MODEL, self.DATA, attacks, ab.Criterion.misclassify(),
-                            seed=0, runners={"flip": flip_runner(0)})
+                            seed=0, runners={"flip": flip_runner(0.35)})
         assert primary.stopped_early.tolist() == [False, False, True]
         calls = []
         monkeypatch.setattr(bundler, "attack_rows", lambda *args: calls.append(args))

@@ -216,6 +216,20 @@ class TestErrors:
             ab.parse_experiment_config(text)
         assert f":{last_line}:" in self.line_of(info) and reason in self.line_of(info)
 
+    @pytest.mark.parametrize("text,where", [
+        ("seed = 1\nsynth_n = 2\nsynth_k = 3\n", "exp.cfg:2"),
+        ("seed = 1\nsynth_k = 3\nsynth_n = 2\n", "exp.cfg:3"),
+        ("seed = 1\nsynth_k = 700\n", "exp.cfg"),  # synth_n keeps its default, 600
+        ("seed = 1\nmax_units = -1\n", "exp.cfg:2"),
+        ("seed = 1\ngap_ns = 0\n", "exp.cfg:2"),
+        ("seed = 1\nepsilon_grid = 0.3,0.1\n", "exp.cfg:2"),
+    ], ids=["synth_n_first", "synth_n_last", "synth_n_default", "max_units", "gap_ns",
+            "epsilon_grid"])
+    def test_range_check_names_the_line_of_its_key(self, text, where):
+        with pytest.raises(ConfigError) as info:
+            ab.parse_experiment_config(text, source="exp.cfg")
+        assert self.line_of(info).startswith(f"{where}: ")
+
     @pytest.mark.parametrize("value", ["0", "1,2,0", "-3"])
     def test_gap_ns_below_one_fails_at_parse_time(self, value):
         with pytest.raises(ConfigError) as info:

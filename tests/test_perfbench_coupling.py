@@ -11,7 +11,6 @@ import pytest
 
 import advbundle as ab
 from advbundle import bundler
-from advbundle.errors import AttackFailedError
 
 from conftest import binary_linear
 
@@ -54,36 +53,35 @@ def test_result_stats_reads_a_kept_candidate_bundle(child, mlp_on_small_blobs, s
     assert sum(counts[1] for counts in stats["per_attack"].values()) == chosen
 
 
-def _flip_every_example(params, example, config, seed, example_index):
-    flipped = example.features.copy()
-    flipped[0] = 1.0 - flipped[0]
-    return [ab.Candidate(example_index, flipped, config.attack_id, 0)]
+def _flip_every_example(params, config, clean, labels, seeds):
+    flipped = clean.copy()
+    flipped[:, 0] = 1.0 - flipped[:, 0]
+    return flipped, np.full(len(flipped), -1)
 
 
 def test_result_stats_counts_failed_units_and_early_stops(child):
-    # round 1: "flaky" fails on example 0, fools example 1 with 2 candidates
-    # (it stops early) and gives example 2 one unchanged candidate; round 2
-    # flips examples 0 and 2
-    def flaky(params, example, config, seed, example_index):
-        if example_index == 0:
-            raise AttackFailedError(example_index, config.attack_id)
-        if example_index == 1:
-            return _flip_every_example(params, example, config, seed, example_index) * 2
-        return [ab.Candidate(example_index, example.features.copy(), config.attack_id, 0)]
+    # round 1: "flaky" fails on example 0 (x0 = 0.35), fools example 1 (x0 = 0.65)
+    # with 2 candidates (it stops early) and gives example 2 two unchanged
+    # candidates; round 2 flips examples 0 and 2
+    def flaky(params, config, clean, labels, seeds):
+        adv = np.repeat(clean, 2, axis=0)  # two rows per example
+        x0 = adv[:, 0].copy()
+        adv[x0 == 0.65, 0] = 1.0 - 0.65
+        return adv, np.where(x0 == 0.35, 0, -1)
 
     model = binary_linear([40.0, 0.0], bias=-20.0)  # class 1 iff x0 > 0.5
     ds = ab.Dataset([[0.35, 0.5], [0.65, 0.5], [0.4, 0.5]], [0, 1, 0], num_classes=2)
-    attacks = [ab.AttackConfig("flaky", "flaky", epsilon=0.5),
+    attacks = [ab.AttackConfig("flaky", "flaky", epsilon=0.5, num_restarts=2),
                ab.AttackConfig("flip", "flip", epsilon=0.5)]
     res = ab.bundle(model, ds, attacks, ab.Criterion.misclassify(), seed=0,
                     runners={"flaky": flaky, "flip": _flip_every_example})
     # hand count of the candidate counts: -1 where the attack failed or never ran
-    counts = np.array([[-1, 1], [2, -1], [1, 1]])
+    counts = np.array([[-1, 1], [2, -1], [2, 1]])
     ran = np.arange(2) < np.array([[2], [1], [2]])  # example i ran attacks[:units[i]]
     stats = child._result_stats(res)
     assert stats["units"] == ran.sum() == 5
     assert stats["failed_units"] == (ran & (counts < 0)).sum() == 1
-    assert stats["candidates"] == counts[ran & (counts >= 0)].sum() == 5
+    assert stats["candidates"] == counts[ran & (counts >= 0)].sum() == 6
     assert stats["stopped_early"] == 1
     # per attack: units that gave candidates, examples whose choice it made
     assert stats["per_attack"] == {"flaky": [2, 1], "flip": [2, 2]}
