@@ -96,7 +96,8 @@ class AttackConfig:
                 raise ContractError("restart_seeds must have one entry per restart")
         elif self.restart_seeds is not None:
             raise ContractError("restart_seeds only applies to pgd")
-        if self.variant not in (FGSM, UNIFORM_NOISE) and self.num_restarts < 1:
+        if self.variant not in (FGSM, UNIFORM_NOISE) and (self.num_restarts is None
+                                                          or self.num_restarts < 1):
             raise ContractError("num_restarts must be >= 1")
         if self.variant == UNIFORM_NOISE:
             if self.num_samples is None or self.num_samples < 1:

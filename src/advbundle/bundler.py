@@ -23,14 +23,16 @@ call would, so the result equals running `attacks.run_attack` one example
 at a time, bit for bit.
 
 Every block takes the same tail: one `check_rows` call rejects rows outside
-the ball or [0, 1] and fails examples with a non-finite row, one
-`probs_rows` call scores the rest, and array operations fold them into the
-outcome matrix, the goal flags, each example's smallest error norm and its
-highest wrong-class confidence. The block keeps only each example's
-preferred row; at the end of the round one fold over the held choice, then
-those winners, picks the new choice. Scored candidates are columns
-(`CandidateRows`), not objects, and one stable sort (`_best`) defines the
-preference order for `prefer`, the blocks, the rounds and `reselect`.
+the ball or [0, 1] and fails examples with a non-finite row, and one
+`probs_rows` call scores the rest. A block holds the same number of rows for
+each of its examples, consecutive and in example order, so its scores form
+an examples x rows grid, and reductions along the grid's rows give the
+outcome matrix, the goal flags, each example's smallest error norm and
+highest wrong-class confidence, and its preferred row, which then replaces
+the held choice where it is preferred. Nothing is sorted or scattered.
+Scored candidates are columns (`CandidateRows`), not objects, and one grid
+function (`_grid_best`) defines the preference order for `prefer`, the
+blocks, the held choice and `reselect`.
 """
 
 from __future__ import annotations
@@ -134,27 +136,34 @@ def _concat(parts: Sequence[CandidateRows]) -> CandidateRows:
     return CandidateRows(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
-def _best(criterion: Criterion, rows: CandidateRows) -> np.ndarray:
-    """Position of each example's preferred row, examples in ascending order.
+def _grid_best(criterion: Criterion, mis: np.ndarray, wrong: np.ndarray,
+               norm: np.ndarray) -> np.ndarray:
+    """Each grid row's preferred column, from (U, m) score arrays.
 
-    The one definition of the preference order, as sort keys (smaller is
-    preferred): errors first, then under min_norm the smaller norm among
-    errors, else the higher wrong-class confidence. Scores hold no NaN, and
-    the sort is stable, so exact ties keep the earlier row as a `prefer` fold.
+    The one definition of the preference order: errors first, then under
+    min_norm the smaller norm among errors, else the higher wrong-class
+    confidence. Scores hold no NaN, and an exact tie keeps the first column,
+    as a `prefer` fold over the columns in order does.
     """
-    mis, wrong, group = rows.misclassified, rows.wrong_confidence, rows.example_index
-    keys = ([np.where(mis, 0.0, -wrong), np.where(mis, rows.perturbation_norm, 0.0)]
-            if criterion.variant == MIN_NORM else [-wrong])
-    order = np.lexsort(keys + [~mis, group])  # the last key sorts first
-    group = group[order]
-    return order[np.r_[True, group[1:] != group[:-1]]]
+    eligible = mis == mis.any(axis=1, keepdims=True)
+    key = np.where(mis, -norm, wrong) if criterion.variant == MIN_NORM else wrong
+    top = np.where(eligible, key, -np.inf).max(axis=1, keepdims=True)
+    return np.argmax(eligible & (key == top), axis=1)
 
 
-def _fold(criterion: Criterion, parts: Sequence[CandidateRows]) -> CandidateRows:
-    """Each example's preferred row among `parts`, examples in ascending order;
-    a tie goes to the earlier part."""
-    rows = _concat(parts)
-    return rows.take(_best(criterion, rows))
+def _fold_block(criterion: Criterion, held: CandidateRows, rows: CandidateRows,
+                per: int) -> None:
+    """Fold a block, `per` rows per example in example order, into the held
+    choice in place: each example's preferred row of its (U, per) grid meets
+    its held row as a (U, 2) grid, the held row first so it wins ties."""
+    ex = rows.example_index[::per]
+    won = np.arange(0, len(rows.example_index), per)
+    if per > 1:
+        won += _grid_best(criterion, *(col.reshape(len(ex), per) for col in rows[4:]))
+    beats = _grid_best(criterion, *(np.stack([mine[ex], new[won]], axis=1)
+                                    for mine, new in zip(held[4:], rows[4:]))) == 1
+    for mine, new in zip(held, rows):
+        mine[ex[beats]] = new[won[beats]]
 
 
 class _Pairs(Sequence):
@@ -365,9 +374,8 @@ def score_stochastic(params: ModelParams, spec: StochasticSpec, example: Example
 
 def prefer(a: CandidateScore, b: CandidateScore, criterion: Criterion) -> int:
     """Index (0 or 1) of the preferred score; exact ties keep the first."""
-    scores = (np.array(pair) for pair in zip(astuple(a), astuple(b)))
-    rows = CandidateRows(np.zeros(2, dtype=np.int64), None, None, None, *scores)
-    return int(_best(criterion, rows)[0])
+    return int(_grid_best(criterion, *(np.array([pair])
+                                       for pair in zip(astuple(a), astuple(b))))[0])
 
 
 def _goal_test(criterion: Criterion) -> Callable:
@@ -490,14 +498,19 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
              runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
     """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place.
 
-    Each block gives up its winners, at most one row per example, and a round
-    folds them once into the choice it holds, which comes first and so wins ties."""
-    attacks, budget, seed = result.attacks, result.budget, result.seed
+    A block holds `per` rows for each of its examples, in example order, so
+    its score columns reshape to a (U, per) grid, and each example's outcome
+    entry, goal flag, smallest error norm and highest confidence are
+    reductions along its grid row; `_fold_block` folds its preferred row into
+    the held choice. The held columns are copied once, as `bundle()`'s clean
+    rows alias the dataset and the pool."""
+    attacks, budget, seed, criterion = result.attacks, result.budget, result.seed, result.criterion
     for a in attacks:
         if a.variant not in VARIANTS and a.variant not in runners:
             raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
-    X, y, goal = dataset.features, dataset.labels, _goal_test(result.criterion)
-    chosen, entries = result.chosen_rows, result.outcome_matrix.entries
+    X, y, goal = dataset.features, dataset.labels, _goal_test(criterion)
+    chosen = CandidateRows(*(col.copy() for col in result.chosen_rows))
+    entries = result.outcome_matrix.entries
     counts, units = result.candidate_counts, result.units_spent
     goal_met = np.array(goal(chosen), dtype=bool)  # some candidate met it iff the choice did
 
@@ -506,7 +519,7 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
         cfg, code = attacks[done], done + 1
         done += 1
         units[active] += 1
-        winners = []
+        per = rows_per_example(cfg)
         for idx, count, rows in _blocks(runners.get(cfg.variant, attack_rows), params, cfg,
                                         code, X, y, active, seed):
             counts[idx, code - 1] = count
@@ -514,14 +527,15 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
                 continue
             if pool_blocks is not None:
                 pool_blocks.append(rows)
-            fooled = rows.example_index[rows.misclassified]
-            entries[fooled, code] = 1
-            np.minimum.at(result.error_norm, fooled, rows.perturbation_norm[rows.misclassified])
-            np.maximum.at(result.error_confidence, rows.example_index, rows.wrong_confidence)
-            goal_met[rows.example_index[goal(rows)]] = True
-            winners.append(rows.take(_best(result.criterion, rows)))
-        if winners:
-            chosen = _fold(result.criterion, [chosen] + winners)
+            ex = rows.example_index[::per]
+            mis, wrong, norm = (col.reshape(len(ex), per) for col in rows[4:])
+            entries[ex, code] = mis.any(axis=1)
+            result.error_norm[ex] = np.minimum(result.error_norm[ex],
+                                               np.where(mis, norm, np.inf).min(axis=1))
+            result.error_confidence[ex] = np.maximum(result.error_confidence[ex],
+                                                     wrong.max(axis=1))
+            goal_met[ex] |= goal(rows).reshape(len(ex), per).any(axis=1)
+            _fold_block(criterion, chosen, rows, per)
 
     result.chosen_rows = chosen
     result.pool = _concat(pool_blocks) if pool_blocks is not None else None
@@ -538,13 +552,31 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     attack must have run on every example, otherwise a criterion with a
     different stopping goal would have generated different candidates.
     Outcome matrix, rates, and spend are criterion-independent and carry over.
+    The pool is gathered by example with one stable argsort into a grid, in
+    any pool order, so a tie keeps the example's earliest candidate.
     """
     if result.pool is None:
         raise ContractError("reselect needs a result built with keep_candidates=True")
     if np.any(result.units_spent < len(result.attacks)):
         raise ContractError("reselect needs an exhaustive run (every attack on "
                             "every example)")
-    return replace(result, criterion=criterion, chosen_rows=_fold(criterion, [result.pool]))
+    pool, n = result.pool, len(result.units_spent)
+    # example i's candidates, in pool order, along row i of an (n, most rows)
+    # grid; the padding after them never wins: not misclassified, confidence -inf
+    order = np.argsort(pool.example_index, kind="stable")
+    sizes = np.bincount(pool.example_index, minlength=n)
+    ex = pool.example_index[order]
+    at, shape = (ex, np.arange(len(order)) - (np.cumsum(sizes) - sizes)[ex]), (n, sizes.max())
+
+    def grid(col, fill):
+        out = np.full(shape, fill, dtype=col.dtype)
+        out[at] = col[order]
+        return out
+
+    best = _grid_best(criterion, grid(pool.misclassified, False),
+                      grid(pool.wrong_confidence, -np.inf), grid(pool.perturbation_norm, 0.0))
+    rows = grid(np.arange(len(order)), 0)[np.arange(n), best]
+    return replace(result, criterion=criterion, chosen_rows=pool.take(rows))
 
 
 def select_by_ensemble(ensemble: Ensemble, example: Example,

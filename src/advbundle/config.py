@@ -103,7 +103,11 @@ class ExperimentConfig:
         if not all(n >= 1 for n in self.gap_ns):
             raise ConfigError("gap_ns entries must be >= 1")
         if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
+            raise ConfigError(f"architecture must be one of {', '.join(ARCHITECTURES)}, "
+                              f"got {self.architecture!r}")
+        # TrainParams names its own seed key, `seed`, which here is the bundling seed
+        if self.train_seed < 0:
+            raise ConfigError("train_seed must be >= 0")
         try:
             self.train_params
         except ContractError as exc:

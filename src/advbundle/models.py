@@ -130,12 +130,11 @@ class TrainParams:
     hidden: int = 16
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ContractError("training hyperparameters must be positive")
-        if self.hidden <= 0:
-            raise ContractError("hidden width must be positive")
+        for key in ("learning_rate", "epochs", "batch_size", "hidden"):
+            if getattr(self, key) <= 0:
+                raise ContractError(f"{key} must be positive")
         if self.seed < 0:
-            raise ContractError("training seed must be >= 0")
+            raise ContractError("seed must be >= 0")
 
 
 def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -561,6 +561,10 @@ class TestAttackConfig:
         assert rows_per_example(ab.AttackConfig("x", "ext", 0.1, num_restarts=3)) == 3
         with pytest.raises(ContractError, match="num_restarts must be >= 1"):
             ab.AttackConfig("x", "ext", 0.1, num_restarts=0)
+        with pytest.raises(ContractError, match="num_restarts must be >= 1"):
+            ab.AttackConfig("x", "ext", 0.1, num_restarts=None)
+        with pytest.raises(ContractError, match="num_restarts must be >= 1"):
+            ab.AttackConfig("x", "pgd", 0.1, step_size=0.1, num_steps=1, num_restarts=None)
         # fgsm and uniform_noise make their rows without restarts
         assert rows_per_example(ab.AttackConfig("f", "fgsm", 0.1, num_restarts=0)) == 1
         assert rows_per_example(ab.AttackConfig("n", "uniform_noise", 0.1, num_restarts=0,

@@ -830,6 +830,31 @@ class TestComplete:
         assert (full.candidate_counts[::3, 1] == -1).all()
         assert (full.candidate_counts[1::3, 1] >= 0).all() == (cap != 1)
 
+    def test_bundle_and_complete_sort_nothing(self, monkeypatch, mlp_on_small_blobs,
+                                              small_blobs):
+        """Blocks and rounds reduce grids of whole examples: no sort runs, and
+        the choice is what it is with sorting allowed."""
+        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.1),
+                   ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5,
+                                   num_restarts=3),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=4)]
+        args = (mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify())
+
+        def chosen():
+            primary = ab.bundle(*args, seed=3)
+            assert primary.stopped_early.any()
+            return ab.complete(primary, *args[:2]).chosen_rows
+
+        want = chosen()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bundle path sorted")
+
+        for name in ("lexsort", "argsort", "sort"):
+            monkeypatch.setattr(np, name, refuse)
+        got = chosen()
+        assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+
     def test_refuses_other_data(self, mlp_on_small_blobs, small_blobs):
         primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,
                             ab.Criterion.misclassify(), seed=3, runners=self.RUNNERS)
@@ -1093,12 +1118,17 @@ def reference_prefer(a, b, criterion):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_vectorized_selection_equals_sequential_prefer_fold(data):
-    """Block winners folded into the held choice, in one round or in several,
-    and reselect pick the row a prefer fold picks, on scores with heavy ties
-    and -inf wrong confidences."""
+    """Grid blocks (U examples x `per` rows each) folded one by one into the
+    held choice, so both the blocks of one round (disjoint examples) and
+    rounds after rounds (examples again), and reselect over their pool in
+    generation order pick the row a prefer fold picks, on scores with heavy
+    ties and -inf wrong confidences."""
     n = data.draw(st.integers(1, 4))
-    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
-    example = np.array(list(range(n)) + extra)  # one baseline row per example first
+    blocks = data.draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1), min_size=1),
+                                          st.integers(1, 4)), max_size=5))
+    # one baseline row per example first, then each block's rows, example-major
+    example = np.array(list(range(n)) + [i for members, per in blocks
+                                         for i in sorted(members) for _ in range(per)])
     m = len(example)
 
     def draw(values):
@@ -1113,7 +1143,7 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
     # a row's input is its own position, so a choice names the row it came from
     pool = bundler.CandidateRows(example, zeros, zeros, np.arange(m, dtype=float)[:, None],
                                  mis, wrong, norm)
-    cuts = sorted(data.draw(st.lists(st.integers(n, m), max_size=4)))
+    ends = np.cumsum([n] + [len(members) * per for members, per in blocks])
     for crit in (ab.Criterion.misclassify(), ab.Criterion.max_confidence(0.6),
                  ab.Criterion.min_norm()):
         best = list(range(n))
@@ -1124,19 +1154,10 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
             if expected == 1:
                 best[i] = r
 
-        def fold_rounds(rounds):
-            """Fold as `_advance` does: each block to its winners, then the
-            held choice and a round's winners at once."""
-            held = pool.take(np.arange(n))
-            for blocks in rounds:
-                winners = [b.take(bundler._best(crit, b)) for b in blocks]
-                held = bundler._fold(crit, [held] + winners)
-            return held.adversarial_input[:, 0].tolist()
-
-        blocks = [pool.take(np.arange(lo, hi)) for lo, hi in zip([n] + cuts, cuts + [m])
-                  if hi > lo]
-        assert fold_rounds([blocks]) == best  # one round
-        assert fold_rounds([[b] for b in blocks]) == best  # a round per block
+        held = pool.take(np.arange(n))
+        for (_, per), lo, hi in zip(blocks, ends, ends[1:]):
+            bundler._fold_block(crit, held, pool.take(np.arange(lo, hi)), per)
+        assert held.adversarial_input[:, 0].tolist() == best
 
         result = ab.BundleResult(crit, (), ab.BudgetPolicy(), 0, pool.take(np.arange(n)),
                                  ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]),

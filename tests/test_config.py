@@ -223,8 +223,15 @@ class TestErrors:
         ("seed = 1\nmax_units = -1\n", "exp.cfg:2"),
         ("seed = 1\ngap_ns = 0\n", "exp.cfg:2"),
         ("seed = 1\nepsilon_grid = 0.3,0.1\n", "exp.cfg:2"),
+        ("seed = 1\nlearning_rate = 0\n", "exp.cfg:2"),
+        ("seed = 1\nepochs = 0\n", "exp.cfg:2"),
+        ("seed = 1\nbatch_size = -1\n", "exp.cfg:2"),
+        ("seed = 1\nhidden = 0\n", "exp.cfg:2"),
+        ("seed = 1\narchitecture = bogus\n", "exp.cfg:2"),
+        ("seed = 1\ntrain_seed = -1\n", "exp.cfg:2"),
     ], ids=["synth_n_first", "synth_n_last", "synth_n_default", "max_units", "gap_ns",
-            "epsilon_grid"])
+            "epsilon_grid", "learning_rate", "epochs", "batch_size", "hidden", "architecture",
+            "train_seed"])
     def test_range_check_names_the_line_of_its_key(self, text, where):
         with pytest.raises(ConfigError) as info:
             ab.parse_experiment_config(text, source="exp.cfg")

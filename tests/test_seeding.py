@@ -103,6 +103,13 @@ def test_uniform_rows_draw_what_make_rng_draws(seeds, shape):
     assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
 
 
+def test_uniform_rows_refuse_the_range_make_rng_refuses():
+    with pytest.raises(OverflowError):
+        make_rng(3).uniform(-1e308, 1e308, (5,))
+    with pytest.raises(OverflowError):
+        uniform_rows([3, 4], -1e308, 1e308, (5,))
+
+
 @pytest.mark.parametrize("seeds", [[-1], [3, -1], [2**70, -2**70], [1.5], [2, "7"]])
 def test_bad_seeds_are_refused_as_make_rng_refuses_them(seeds):
     with pytest.raises(ContractError):
