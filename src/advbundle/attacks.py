@@ -80,8 +80,9 @@ class AttackConfig:
         # only num_restarts, which sets their rows per example
         if not self.variant:
             raise ContractError("variant must be non-empty")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ContractError("epsilon must be finite and positive")
+        # noise and PGD's random start draw from [-epsilon, epsilon]
+        if not 0 < self.epsilon <= np.finfo(np.float64).max / 2:
+            raise ContractError("epsilon must be positive, with 2 * epsilon finite")
         if not self.attack_id:
             raise ContractError("attack_id must be non-empty")
         for name in ("num_steps", "num_restarts", "num_samples"):
@@ -89,9 +90,9 @@ class AttackConfig:
                 raise ContractError(f"{name} must be an integer")
         if self.variant == PGD:
             if self.step_size is None or not (np.isfinite(self.step_size) and self.step_size > 0):
-                raise ContractError("pgd needs a finite positive step_size")
+                raise ContractError("step_size must be finite and positive for pgd")
             if self.num_steps is None or self.num_steps < 0:
-                raise ContractError("pgd needs num_steps >= 0")
+                raise ContractError("num_steps must be >= 0 for pgd")
             if self.restart_seeds is not None and len(self.restart_seeds) != self.num_restarts:
                 raise ContractError("restart_seeds must have one entry per restart")
         elif self.restart_seeds is not None:
@@ -101,7 +102,7 @@ class AttackConfig:
             raise ContractError("num_restarts must be >= 1")
         if self.variant == UNIFORM_NOISE:
             if self.num_samples is None or self.num_samples < 1:
-                raise ContractError("uniform_noise needs num_samples >= 1")
+                raise ContractError("num_samples must be >= 1 for uniform_noise")
 
 
 @dataclass(frozen=True)

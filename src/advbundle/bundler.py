@@ -27,12 +27,12 @@ the ball or [0, 1] and fails examples with a non-finite row, and one
 `probs_rows` call scores the rest. A block holds the same number of rows for
 each of its examples, consecutive and in example order, so its scores form
 an examples x rows grid, and reductions along the grid's rows give the
-outcome matrix, the goal flags, each example's smallest error norm and
-highest wrong-class confidence, and its preferred row, which then replaces
-the held choice where it is preferred. Nothing is sorted or scattered.
-Scored candidates are columns (`CandidateRows`), not objects, and one grid
-function (`_grid_best`) defines the preference order for `prefer`, the
-blocks, the held choice and `reselect`.
+outcome matrix, each example's smallest error norm and highest wrong-class
+confidence, and its preferred row, which then replaces the held choice
+where it is preferred; goal flags are read off the held choice. Nothing is
+sorted or scattered. Scored candidates are columns (`CandidateRows`), not
+objects, and one grid function (`_grid_best`) defines the preference order
+for `prefer` and for `_fold_block`, the one fold into the held choice.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ def _fold_block(criterion: Criterion, held: CandidateRows, rows: CandidateRows,
                 per: int) -> None:
     """Fold a block, `per` rows per example in example order, into the held
     choice in place: each example's preferred row of its (U, per) grid meets
-    its held row as a (U, 2) grid, the held row first so it wins ties."""
+    its held row as a (U, 2) grid, the held row first so it wins ties. An
+    empty block, every example of it failed, folds nothing."""
     ex = rows.example_index[::per]
-    won = np.arange(0, len(rows.example_index), per)
-    if per > 1:
-        won += _grid_best(criterion, *(col.reshape(len(ex), per) for col in rows[4:]))
+    won = np.arange(0, len(rows.example_index), per) + _grid_best(
+        criterion, *(col.reshape(len(ex), per) for col in rows[4:]))
     beats = _grid_best(criterion, *(np.stack([mine[ex], new[won]], axis=1)
                                     for mine, new in zip(held[4:], rows[4:]))) == 1
     for mine, new in zip(held, rows):
@@ -192,11 +192,12 @@ class OutcomeMatrix:
     attack_ids: list[str]
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int8)
-        if self.entries.ndim != 2:
+        entries = np.asarray(self.entries)
+        if entries.ndim != 2:
             raise ContractError("outcome matrix must be 2-D")
-        if not np.all((self.entries == 0) | (self.entries == 1)):
+        if not np.all((entries == 0) | (entries == 1)):  # the cast would truncate 0.5
             raise ContractError("outcome entries must be 0 or 1")
+        self.entries = entries.astype(np.int8, copy=False)
         if self.entries.shape[1] != len(self.attack_ids):
             raise ContractError("one attack id per column required")
 
@@ -262,7 +263,9 @@ class BundleResult:
     misclassified-candidate norm under any criterion (0.0 if the clean input
     errs, inf if none), error_confidence[i] its highest wrong-class confidence
     over every candidate, the clean input included, and pool (keep_candidates)
-    every scored candidate in generation order. candidate_counts[i, j] is how
+    every scored candidate in generation order: the n clean rows, example i
+    at row i, then each round's rows (attack codes never decrease), in example
+    order, `rows_per_example` for each example not failed. candidate_counts[i, j] is how
     many candidates attack j gave example i, or -1 where it failed or never
     ran; example i ran exactly attacks[:units_spent[i]]. The rates,
     `stopped_early`, `chosen`, `all_candidates` and `computation_log` are
@@ -500,10 +503,11 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
 
     A block holds `per` rows for each of its examples, in example order, so
     its score columns reshape to a (U, per) grid, and each example's outcome
-    entry, goal flag, smallest error norm and highest confidence are
-    reductions along its grid row; `_fold_block` folds its preferred row into
-    the held choice. The held columns are copied once, as `bundle()`'s clean
-    rows alias the dataset and the pool."""
+    entry, smallest error norm and highest confidence are reductions along
+    its grid row; `_fold_block` folds its preferred row into the held choice,
+    which meets the goal iff some candidate did, as it is preferred to all.
+    The held columns are copied once, as `bundle()`'s clean rows alias the
+    dataset and the pool."""
     attacks, budget, seed, criterion = result.attacks, result.budget, result.seed, result.criterion
     for a in attacks:
         if a.variant not in VARIANTS and a.variant not in runners:
@@ -512,10 +516,9 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
     chosen = CandidateRows(*(col.copy() for col in result.chosen_rows))
     entries = result.outcome_matrix.entries
     counts, units = result.candidate_counts, result.units_spent
-    goal_met = np.array(goal(chosen), dtype=bool)  # some candidate met it iff the choice did
 
     done = int(units.min())
-    while len(active := schedule(budget, len(attacks), done, goal_met, units)):
+    while len(active := schedule(budget, len(attacks), done, goal(chosen), units)):
         cfg, code = attacks[done], done + 1
         done += 1
         units[active] += 1
@@ -523,8 +526,6 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
         for idx, count, rows in _blocks(runners.get(cfg.variant, attack_rows), params, cfg,
                                         code, X, y, active, seed):
             counts[idx, code - 1] = count
-            if not len(rows.example_index):
-                continue
             if pool_blocks is not None:
                 pool_blocks.append(rows)
             ex = rows.example_index[::per]
@@ -534,7 +535,6 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
                                                np.where(mis, norm, np.inf).min(axis=1))
             result.error_confidence[ex] = np.maximum(result.error_confidence[ex],
                                                      wrong.max(axis=1))
-            goal_met[ex] |= goal(rows).reshape(len(ex), per).any(axis=1)
             _fold_block(criterion, chosen, rows, per)
 
     result.chosen_rows = chosen
@@ -552,8 +552,8 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     attack must have run on every example, otherwise a criterion with a
     different stopping goal would have generated different candidates.
     Outcome matrix, rates, and spend are criterion-independent and carry over.
-    The pool is gathered by example with one stable argsort into a grid, in
-    any pool order, so a tie keeps the example's earliest candidate.
+    The pool is refolded as `bundle()` folded it, from the clean rows one
+    round at a time, each round a slice of the pool (see `BundleResult`).
     """
     if result.pool is None:
         raise ContractError("reselect needs a result built with keep_candidates=True")
@@ -561,22 +561,11 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
         raise ContractError("reselect needs an exhaustive run (every attack on "
                             "every example)")
     pool, n = result.pool, len(result.units_spent)
-    # example i's candidates, in pool order, along row i of an (n, most rows)
-    # grid; the padding after them never wins: not misclassified, confidence -inf
-    order = np.argsort(pool.example_index, kind="stable")
-    sizes = np.bincount(pool.example_index, minlength=n)
-    ex = pool.example_index[order]
-    at, shape = (ex, np.arange(len(order)) - (np.cumsum(sizes) - sizes)[ex]), (n, sizes.max())
-
-    def grid(col, fill):
-        out = np.full(shape, fill, dtype=col.dtype)
-        out[at] = col[order]
-        return out
-
-    best = _grid_best(criterion, grid(pool.misclassified, False),
-                      grid(pool.wrong_confidence, -np.inf), grid(pool.perturbation_norm, 0.0))
-    rows = grid(np.arange(len(order)), 0)[np.arange(n), best]
-    return replace(result, criterion=criterion, chosen_rows=pool.take(rows))
+    ends = np.searchsorted(pool.attack_code, np.arange(len(result.attacks) + 1), side="right")
+    chosen = pool.take(np.arange(n))
+    for cfg, lo, hi in zip(result.attacks, ends, ends[1:]):
+        _fold_block(criterion, chosen, pool.take(slice(lo, hi)), rows_per_example(cfg))
+    return replace(result, criterion=criterion, chosen_rows=chosen)
 
 
 def select_by_ensemble(ensemble: Ensemble, example: Example,

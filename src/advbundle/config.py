@@ -188,6 +188,12 @@ def _convert(codecs: dict[str, tuple], entries: dict[str, tuple[str, str]]) -> d
     return out
 
 
+def _line_of(exc: Exception, entries: dict[str, tuple[str, str]], where: str) -> str:
+    """The line of the key a check's message starts with, else `where`."""
+    key = str(exc).split(" ", 1)[0]
+    return entries[key][1] if key in entries else where
+
+
 def _build_attack(attack_id: str, where: str,
                   entries: dict[str, tuple[str, str]]) -> AttackConfig:
     for f in fields(AttackConfig):
@@ -197,11 +203,11 @@ def _build_attack(attack_id: str, where: str,
         raise ConfigError(f"{where}: unknown variant {entries['variant'][0]!r}")
     try:
         config = AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
+        if rows_per_example(config) > MAX_ROWS_PER_EXAMPLE:
+            key = "num_restarts" if config.variant == PGD else "num_samples"
+            raise ContractError(f"{key} must be <= {MAX_ROWS_PER_EXAMPLE}")
     except ContractError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if rows_per_example(config) > MAX_ROWS_PER_EXAMPLE:
-        key = "num_restarts" if config.variant == PGD else "num_samples"
-        raise ConfigError(f"{entries[key][1]}: {key} must be <= {MAX_ROWS_PER_EXAMPLE}")
+        raise ConfigError(f"{_line_of(exc, entries, where)}: {exc}") from exc
     return config
 
 
@@ -248,11 +254,7 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
         return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=attacks,
                                 **kwargs)
     except (ConfigError, ContractError) as exc:
-        # a check's message starts with the key it checks; name that key's line
-        # when the file sets it
-        key = str(exc).split(" ", 1)[0]
-        where = global_entries[key][1] if key in global_entries else source
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{_line_of(exc, global_entries, source)}: {exc}") from exc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

@@ -557,6 +557,19 @@ class TestAttackConfig:
             with pytest.raises(ContractError):
                 call()
 
+    @pytest.mark.parametrize("epsilon", [0.0, np.inf, np.nan, 1e308,
+                                         np.nextafter(np.finfo(np.float64).max / 2, np.inf)])
+    def test_epsilon_needs_a_finite_draw_range(self, epsilon):
+        # noise and PGD's random start draw from [-epsilon, epsilon]
+        with pytest.raises(ContractError, match="^epsilon must be positive"):
+            ab.AttackConfig("a", "uniform_noise", epsilon=epsilon, num_samples=1)
+
+    def test_largest_epsilon_draws(self):
+        eps = np.finfo(np.float64).max / 2
+        cfg = ab.AttackConfig("a", "uniform_noise", epsilon=eps, num_samples=2)
+        adv, failed_at = attack_rows(None, cfg, np.full((1, 2), 0.5), np.zeros(1), [3])
+        assert ((adv >= 0) & (adv <= 1)).all() and (failed_at == -1).all()
+
     def test_runner_variant_rows_are_its_restarts(self):
         assert rows_per_example(ab.AttackConfig("x", "ext", 0.1, num_restarts=3)) == 3
         with pytest.raises(ContractError, match="num_restarts must be >= 1"):

@@ -832,8 +832,9 @@ class TestComplete:
 
     def test_bundle_and_complete_sort_nothing(self, monkeypatch, mlp_on_small_blobs,
                                               small_blobs):
-        """Blocks and rounds reduce grids of whole examples: no sort runs, and
-        the choice is what it is with sorting allowed."""
+        """Blocks and rounds reduce grids of whole examples, and reselect refolds
+        a kept pool round by round: no sort runs, and every choice is what it
+        is with sorting allowed."""
         attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.1),
                    ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5,
                                    num_restarts=3),
@@ -843,7 +844,11 @@ class TestComplete:
         def chosen():
             primary = ab.bundle(*args, seed=3)
             assert primary.stopped_early.any()
-            return ab.complete(primary, *args[:2]).chosen_rows
+            kept = ab.bundle(*args, ab.BudgetPolicy(early_stop=False), seed=3,
+                             keep_candidates=True)
+            return [ab.complete(primary, *args[:2]).chosen_rows,
+                    *(ab.reselect(kept, crit).chosen_rows
+                      for crit in (ab.Criterion.min_norm(), ab.Criterion.max_confidence(0.9)))]
 
         want = chosen()
 
@@ -853,7 +858,8 @@ class TestComplete:
         for name in ("lexsort", "argsort", "sort"):
             monkeypatch.setattr(np, name, refuse)
         got = chosen()
-        assert [col.tobytes() for col in got] == [col.tobytes() for col in want]
+        for rows, expected in zip(got, want):
+            assert [col.tobytes() for col in rows] == [col.tobytes() for col in expected]
 
     def test_refuses_other_data(self, mlp_on_small_blobs, small_blobs):
         primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,
@@ -919,17 +925,26 @@ class TestInvariants:
             assert ab.prefer(sb, sa, crit) == 0  # superset choice is never beaten
 
     def test_reselect_equals_a_fresh_bundle(self, mlp_on_small_blobs, small_blobs):
+        def fails_everywhere(params, config, clean, labels, seeds):
+            per = rows_per_example(config)
+            return np.repeat(clean, per, axis=0), np.zeros(len(clean) * per, dtype=np.int64)
+
+        # the middle round fails on every example, so its slice of the pool is empty
         attacks = [
             ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=20),
+            ab.AttackConfig("dud", "dud", epsilon=0.3, num_restarts=2),
             ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=15),
         ]
+        runners = {"dud": fails_everywhere}
         primary = ab.bundle(mlp_on_small_blobs, small_blobs, attacks,
                             ab.Criterion.max_confidence(0.9),
                             ab.BudgetPolicy(early_stop=False), seed=6,
-                            keep_candidates=True)
+                            runners=runners, keep_candidates=True)
+        assert (primary.candidate_counts[:, 1] == -1).all()
+        assert not (primary.pool.attack_code == 2).any()
         redone = ab.reselect(primary, ab.Criterion.min_norm())
         fresh = ab.bundle(mlp_on_small_blobs, small_blobs, attacks,
-                          ab.Criterion.min_norm(), seed=6)
+                          ab.Criterion.min_norm(), seed=6, runners=runners)
         assert redone.criterion == ab.Criterion.min_norm()
         for (ca, sa), (cb, sb) in zip(redone.chosen, fresh.chosen):
             assert np.array_equal(ca.adversarial_input, cb.adversarial_input)
@@ -1074,6 +1089,19 @@ class TestSelectByEnsemble:
             ab.select_by_ensemble(ens, ex, cands)
 
 
+class TestOutcomeMatrix:
+    @pytest.mark.parametrize("entries", [[[0.5, 1.0]], [[0, 1.7]], [[np.nan, 1]], [[0, 256]],
+                                         [[0, -1]]])
+    def test_entries_other_than_zero_or_one_are_refused(self, entries):
+        with pytest.raises(ContractError, match="outcome entries must be 0 or 1"):
+            ab.OutcomeMatrix(entries, ["none", "a"])
+
+    def test_zero_one_entries_of_any_dtype_become_int8(self):
+        for entries in ([[0.0, 1.0]], [[False, True]], np.array([[0, 1]], dtype=np.int8)):
+            matrix = ab.OutcomeMatrix(entries, ["none", "a"])
+            assert matrix.entries.dtype == np.int8 and matrix.entries.tolist() == [[0, 1]]
+
+
 class TestWatGapConstruction:
     def test_two_by_two_matches_the_motivating_table(self):
         matrix = ab.wat_gap_construction(2)
@@ -1139,10 +1167,14 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
     norm = draw([0.0, 0.1, 0.2])
     scores = [ab.CandidateScore(*row) for row in zip(mis.tolist(), wrong.tolist(),
                                                      norm.tolist())]
-    zeros = np.zeros(m, dtype=np.int64)
+    # block j is attack j + 1, with `per` rows for each example it did not fail on
+    code = np.repeat(np.arange(len(blocks) + 1), [n] + [len(members) * per
+                                                      for members, per in blocks])
+    attacks = tuple(ab.AttackConfig(f"a{j}", "rows", 0.1, num_restarts=per)
+                    for j, (_, per) in enumerate(blocks))
     # a row's input is its own position, so a choice names the row it came from
-    pool = bundler.CandidateRows(example, zeros, zeros, np.arange(m, dtype=float)[:, None],
-                                 mis, wrong, norm)
+    pool = bundler.CandidateRows(example, code, np.zeros(m, dtype=np.int64),
+                                 np.arange(m, dtype=float)[:, None], mis, wrong, norm)
     ends = np.cumsum([n] + [len(members) * per for members, per in blocks])
     for crit in (ab.Criterion.misclassify(), ab.Criterion.max_confidence(0.6),
                  ab.Criterion.min_norm()):
@@ -1159,9 +1191,13 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
             bundler._fold_block(crit, held, pool.take(np.arange(lo, hi)), per)
         assert held.adversarial_input[:, 0].tolist() == best
 
-        result = ab.BundleResult(crit, (), ab.BudgetPolicy(), 0, pool.take(np.arange(n)),
-                                 ab.OutcomeMatrix(np.zeros((n, 1)), [CLEAN_ID]),
-                                 np.full(n, np.inf), wrong[:n], np.zeros((n, 0), dtype=np.int64),
-                                 np.zeros(n, dtype=np.int64), np.ones(n), pool)
+        k = len(attacks)
+        result = ab.BundleResult(crit, attacks, ab.BudgetPolicy(early_stop=False), 0,
+                                 pool.take(np.arange(n)),
+                                 ab.OutcomeMatrix(np.zeros((n, k + 1)),
+                                                  [CLEAN_ID] + [a.attack_id for a in attacks]),
+                                 np.full(n, np.inf), wrong[:n],
+                                 np.zeros((n, k), dtype=np.int64), np.full(n, k), np.ones(n),
+                                 pool)
         redone = ab.reselect(result, crit).chosen_rows
         assert redone.adversarial_input[:, 0].tolist() == best

@@ -261,6 +261,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "run_out").exists()
 
+    def test_epsilon_with_an_infinite_draw_range_fails_before_training(self, tmp_path):
+        # 2 * 1e308 overflows the noise draw's range; the config refuses it at its line
+        text = FAST_CFG.replace("epsilon = 0.3", "epsilon = 1e308")
+        line = text.splitlines().index("epsilon = 1e308") + 1
+        done = run_capped("run", str(write_cfg(tmp_path, text=text)))
+        assert done.returncode == 2, done.stderr
+        assert f"config error: {tmp_path / 'exp.cfg'}:{line}: epsilon must be" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "run_out").exists()
+
     @pytest.mark.parametrize("old,new", [("synth_seed = 3", "synth_seed = -1"),
                                          ("train_seed = 1", "train_seed = -1")])
     def test_negative_seed_fails_before_any_output(self, tmp_path, capsys, old, new):

@@ -229,9 +229,18 @@ class TestErrors:
         ("seed = 1\nhidden = 0\n", "exp.cfg:2"),
         ("seed = 1\narchitecture = bogus\n", "exp.cfg:2"),
         ("seed = 1\ntrain_seed = -1\n", "exp.cfg:2"),
+        # attack-section checks name the line of their key too
+        ("seed = 1\n[attack a]\nvariant = pgd\nepsilon = 0.3\nstep_size = -1\n"
+         "num_steps = 1\n", "exp.cfg:5"),
+        ("seed = 1\n[attack a]\nvariant = pgd\nepsilon = 0.3\nstep_size = 0.1\n"
+         "num_steps = -1\n", "exp.cfg:6"),
+        ("[attack a]\nvariant = uniform_noise\nepsilon = 0.3\nnum_samples = 0\n", "exp.cfg:4"),
+        ("[attack a]\nvariant = fgsm\nepsilon = 1e308\n", "exp.cfg:3"),
+        ("[attack a]\nvariant = pgd\nepsilon = 0.3\nstep_size = 0.1\nnum_steps = 1\n"
+         "num_restarts = 0\n", "exp.cfg:6"),
     ], ids=["synth_n_first", "synth_n_last", "synth_n_default", "max_units", "gap_ns",
             "epsilon_grid", "learning_rate", "epochs", "batch_size", "hidden", "architecture",
-            "train_seed"])
+            "train_seed", "step_size", "num_steps", "num_samples", "epsilon", "num_restarts"])
     def test_range_check_names_the_line_of_its_key(self, text, where):
         with pytest.raises(ConfigError) as info:
             ab.parse_experiment_config(text, source="exp.cfg")

@@ -3,6 +3,8 @@ BundleResult fields; these tests fail when a refactor moves what it uses."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from advbundle import bundler
 
 from conftest import binary_linear
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +116,15 @@ def test_schedule_is_called_once_per_round_plus_once(monkeypatch, mlp_on_small_b
                     runners={"flip": _flip_every_example})
     assert calls == [2, 0]
     assert res.units_spent.tolist() == [1, 1] and res.stopped_early.all()
+
+
+def test_benchmark_selftest_passes():
+    # a few tiny benchmark runs, traced and untraced, through the benchmark's own
+    # output check; they write only under the ignored .bench_out/ and remove what
+    # they wrote
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.rstrip().endswith("selftest passed"), done.stdout
