@@ -22,17 +22,18 @@ variant without a `runners` entry; it computes every row exactly as a 1-row
 call would, so the result equals running `attacks.run_attack` one example
 at a time, bit for bit.
 
-Every block takes the same tail: one `check_rows` call rejects rows outside
-the ball or [0, 1] and fails examples with a non-finite row, and one
-`probs_rows` call scores the rest. A block holds the same number of rows for
-each of its examples, consecutive and in example order, so its scores form
-an examples x rows grid, and reductions along the grid's rows give the
-outcome matrix, each example's smallest error norm and highest wrong-class
-confidence, and its preferred row, which then replaces the held choice
-where it is preferred; goal flags are read off the held choice. Nothing is
-sorted or scattered. Scored candidates are columns (`CandidateRows`), not
-objects, and one grid function (`_grid_best`) defines the preference order
-for `prefer` and for `_fold_block`, the one fold into the held choice.
+Every block takes the same tail: `check_rows` rejects rows outside the ball
+or [0, 1] and fails examples with a non-finite row, and `probs_rows` scores
+the rest, each on up to `TAIL_BYTES` of rows at a time. A block holds the
+same number of rows for each of its examples, consecutive and in example
+order, so its scores form an examples x rows grid, and reductions along the
+grid's rows give the outcome matrix, each example's smallest error norm and
+highest wrong-class confidence, and its preferred row, which then replaces
+the held choice where it is preferred; goal flags are read off the held
+choice. Nothing is sorted or scattered. Scored candidates are columns
+(`CandidateRows`), not objects, and one grid function (`_grid_best`) defines
+the preference order for `prefer` and for `_fold_block`, the one fold into
+the held choice.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from copy import deepcopy
 from dataclasses import astuple, dataclass, replace
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,18 @@ CLEAN_ID = "none"
 # number of examples; blocks hold whole examples, so an example with more
 # rows than this (restarts or noise samples) is a block of its own
 ROW_BLOCK = 4096
+
+# most bytes of candidate rows checked or scored in one call. Each call's
+# temporaries are as wide as a candidate or a model layer, so a block of wide
+# candidates split into such pieces never holds twice its candidate array's
+# memory. glibc returns the top of its heap to the OS once that top exceeds
+# twice the largest array it has mapped and freed; below that, the next
+# block reuses this block's pages instead of faulting in fresh ones. In
+# `advbundle run` of wide-pool at bench size (blocks of 4,000 rows 32 wide,
+# 1 MB each), the bundle took about 5,400 minor faults unsplit and 900 split
+# in two (2-core VM, glibc 2.36). A smaller block is checked and scored
+# whole, as every call has a fixed cost.
+TAIL_BYTES = 1 << 19
 
 MISCLASSIFY = "misclassify"
 MAX_CONFIDENCE = "max_confidence"
@@ -340,11 +353,25 @@ def _scores(probs: np.ndarray, labels: np.ndarray,
     return defined & (probs.argmax(axis=1) != labels), wrong, norms
 
 
+def _piece_rows(adv: np.ndarray) -> int:
+    """How many rows of adv fill `TAIL_BYTES`, at least one."""
+    return max(1, TAIL_BYTES // max(1, adv.itemsize * adv.shape[-1]))
+
+
+def _in_pieces(f: Callable[[slice], np.ndarray], n: int, step: int) -> np.ndarray:
+    """f(s) over the consecutive slices s of range(n), `step` long (at least
+    one), concatenated; f(slice(0, step)) alone when n is 0."""
+    step = max(1, step)
+    return np.concatenate([f(slice(lo, lo + step)) for lo in range(0, max(n, 1), step)])
+
+
 def _scored(params: ModelParams, y: np.ndarray, example_index: np.ndarray, code: int,
             restart_index: np.ndarray, adv: np.ndarray, norms: np.ndarray) -> CandidateRows:
-    """Candidate rows of one attack, scored with one probs_rows call."""
+    """Candidate rows of one attack, scored by probs_rows `TAIL_BYTES` of rows
+    at a time."""
+    probs = _in_pieces(lambda s: probs_rows(params, adv[s]), len(adv), _piece_rows(adv))
     return CandidateRows(example_index, np.full(len(adv), code), restart_index, adv,
-                         *_scores(probs_rows(params, adv), y[example_index], norms))
+                         *_scores(probs, y[example_index], norms))
 
 
 def _score_from_prediction(pred: Prediction, example: Example,
@@ -400,37 +427,48 @@ def _block_seeds(root_seed: int, idx: np.ndarray, config: AttackConfig) -> list:
     return derive_seeds(root_seed, idx, config.attack_id).tolist()
 
 
-def _blocks(run: Runner, params: ModelParams, config: AttackConfig, code: int,
-            X: np.ndarray, y: np.ndarray, members: np.ndarray, root_seed: int
-            ) -> Iterator[tuple[np.ndarray, np.ndarray, CandidateRows]]:
-    """Run an attack on the examples `members` in blocks of whole examples, one
-    `run` call each, then check and score the rows. Per block, yield its
-    examples, each one's candidate count (-1 where a row failed or is not
-    finite) and the scored candidates of the others. A block's rows are
-    indexed, and so copied, only when some example of it failed; unless the
-    pool keeps them, they are dropped once the block is folded, so they never
-    outlive the round."""
-    per, d = rows_per_example(config), X.shape[1]
-    size = max(1, ROW_BLOCK // per)
-    for start in range(0, len(members), size):
-        idx = members[start:start + size]
-        adv, failed_at = run(params, config, X[idx], y[idx],
-                             _block_seeds(root_seed, idx, config))
-        rows = len(idx) * per
-        if np.shape(adv) != (rows, d) or np.shape(failed_at) != (rows,):
-            raise ShapeError(f"attack {config.attack_id!r} gave adv {np.shape(adv)} and "
-                             f"failed_at {np.shape(failed_at)}, not {(rows, d)} and {(rows,)}")
-        norms = check_rows(adv.reshape(len(idx), per, d), X[idx][:, None, :],
-                           config.epsilon, config.attack_id)
-        failed = ((failed_at >= 0).reshape(len(idx), per).any(axis=1)
-                  | ~reduce_rows(np.logical_and, np.isfinite(norms)))
-        examples, restarts = np.repeat(idx, per), np.tile(np.arange(per), len(idx))
-        norms = norms.reshape(-1)
-        if failed.any():
-            keep = np.repeat(~failed, per)
-            examples, restarts, adv, norms = examples[keep], restarts[keep], adv[keep], norms[keep]
-        yield idx, np.where(failed, -1, per), _scored(params, y, examples, code, restarts,
-                                                      adv, norms)
+def _run_block(result: BundleResult, pool_blocks: list | None, run: Runner,
+               params: ModelParams, config: AttackConfig, code: int, dataset: Dataset,
+               idx: np.ndarray) -> None:
+    """Run attack `config`, the result's attack `code`, on the examples `idx`
+    with one `run` call, check and score its rows, and fold them into
+    `result` in place (see `_advance`).
+
+    Each example's candidate count is -1 where a row failed or is not finite,
+    and only the other examples' rows are scored. The rows are indexed, and
+    so copied, only when some example failed. Unless `pool_blocks` keeps them,
+    the block's arrays are this call's locals, so they are freed at its fold,
+    before the next block is drawn.
+    """
+    y, d = dataset.labels, dataset.dimension
+    per, clean = rows_per_example(config), dataset.features[idx]
+    adv, failed_at = run(params, config, clean, y[idx], _block_seeds(result.seed, idx, config))
+    rows = len(idx) * per
+    if np.shape(adv) != (rows, d) or np.shape(failed_at) != (rows,):
+        raise ShapeError(f"attack {config.attack_id!r} gave adv {np.shape(adv)} and "
+                         f"failed_at {np.shape(failed_at)}, not {(rows, d)} and {(rows,)}")
+    grid = adv.reshape(len(idx), per, d)
+    norms = _in_pieces(lambda s: check_rows(grid[s], clean[s, None, :], config.epsilon,
+                                            config.attack_id),
+                       len(idx), _piece_rows(adv) // per)
+    failed = ((failed_at >= 0).reshape(len(idx), per).any(axis=1)
+              | ~reduce_rows(np.logical_and, np.isfinite(norms)))
+    result.candidate_counts[idx, code - 1] = np.where(failed, -1, per)
+    examples, restarts = np.repeat(idx, per), np.tile(np.arange(per), len(idx))
+    norms = norms.reshape(-1)
+    if failed.any():
+        keep = np.repeat(~failed, per)
+        examples, restarts, adv, norms = examples[keep], restarts[keep], adv[keep], norms[keep]
+    block = _scored(params, y, examples, code, restarts, adv, norms)
+    if pool_blocks is not None:
+        pool_blocks.append(block)
+    ex = examples[::per]
+    mis, wrong, norm = (col.reshape(len(ex), per) for col in block[4:])
+    result.outcome_matrix.entries[ex, code] = mis.any(axis=1)
+    result.error_norm[ex] = np.minimum(result.error_norm[ex],
+                                       np.where(mis, norm, np.inf).min(axis=1))
+    result.error_confidence[ex] = np.maximum(result.error_confidence[ex], wrong.max(axis=1))
+    _fold_block(result.criterion, result.chosen_rows, block, per)
 
 
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
@@ -501,45 +539,33 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
              runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
     """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place.
 
-    A block holds `per` rows for each of its examples, in example order, so
-    its score columns reshape to a (U, per) grid, and each example's outcome
-    entry, smallest error norm and highest confidence are reductions along
-    its grid row; `_fold_block` folds its preferred row into the held choice,
-    which meets the goal iff some candidate did, as it is preferred to all.
-    The held columns are copied once, as `bundle()`'s clean rows alias the
-    dataset and the pool."""
-    attacks, budget, seed, criterion = result.attacks, result.budget, result.seed, result.criterion
+    A round runs its active examples in blocks of whole examples, one
+    `_run_block` call each. A block holds `per` rows for each of its
+    examples, in example order, so its score columns reshape to a (U, per)
+    grid, and each example's outcome entry, smallest error norm and highest
+    confidence are reductions along its grid row; `_fold_block` folds its
+    preferred row into the held choice, which meets the goal iff some
+    candidate did, as it is preferred to all. The held columns are copied
+    once, as `bundle()`'s clean rows alias the dataset and the pool."""
+    attacks, budget = result.attacks, result.budget
     for a in attacks:
         if a.variant not in VARIANTS and a.variant not in runners:
             raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
-    X, y, goal = dataset.features, dataset.labels, _goal_test(criterion)
-    chosen = CandidateRows(*(col.copy() for col in result.chosen_rows))
-    entries = result.outcome_matrix.entries
-    counts, units = result.candidate_counts, result.units_spent
+    goal, units = _goal_test(result.criterion), result.units_spent
+    result.chosen_rows = CandidateRows(*(col.copy() for col in result.chosen_rows))
 
     done = int(units.min())
-    while len(active := schedule(budget, len(attacks), done, goal(chosen), units)):
+    while len(active := schedule(budget, len(attacks), done, goal(result.chosen_rows), units)):
         cfg, code = attacks[done], done + 1
         done += 1
         units[active] += 1
-        per = rows_per_example(cfg)
-        for idx, count, rows in _blocks(runners.get(cfg.variant, attack_rows), params, cfg,
-                                        code, X, y, active, seed):
-            counts[idx, code - 1] = count
-            if pool_blocks is not None:
-                pool_blocks.append(rows)
-            ex = rows.example_index[::per]
-            mis, wrong, norm = (col.reshape(len(ex), per) for col in rows[4:])
-            entries[ex, code] = mis.any(axis=1)
-            result.error_norm[ex] = np.minimum(result.error_norm[ex],
-                                               np.where(mis, norm, np.inf).min(axis=1))
-            result.error_confidence[ex] = np.maximum(result.error_confidence[ex],
-                                                     wrong.max(axis=1))
-            _fold_block(criterion, chosen, rows, per)
+        size = max(1, ROW_BLOCK // rows_per_example(cfg))
+        for start in range(0, len(active), size):
+            _run_block(result, pool_blocks, runners.get(cfg.variant, attack_rows), params,
+                       cfg, code, dataset, active[start:start + size])
 
-    result.chosen_rows = chosen
     result.pool = _concat(pool_blocks) if pool_blocks is not None else None
-    if result.bundled_error_rate != float(np.mean(chosen.misclassified)):
+    if result.bundled_error_rate != float(np.mean(result.chosen_rows.misclassified)):
         raise ContractError("bundled error rate (row-wise OR of the outcome matrix) "
                             "disagrees with the chosen candidates")
     return result
@@ -553,7 +579,8 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     different stopping goal would have generated different candidates.
     Outcome matrix, rates, and spend are criterion-independent and carry over.
     The pool is refolded as `bundle()` folded it, from the clean rows one
-    round at a time, each round a slice of the pool (see `BundleResult`).
+    round at a time, each round a slice of the pool (see `BundleResult`); a
+    pool in any other layout is refused.
     """
     if result.pool is None:
         raise ContractError("reselect needs a result built with keep_candidates=True")
@@ -561,10 +588,18 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
         raise ContractError("reselect needs an exhaustive run (every attack on "
                             "every example)")
     pool, n = result.pool, len(result.units_spent)
-    ends = np.searchsorted(pool.attack_code, np.arange(len(result.attacks) + 1), side="right")
+    pers = [rows_per_example(cfg) for cfg in result.attacks]
+    ran = [np.repeat(np.flatnonzero(counts != -1), per)
+           for counts, per in zip(result.candidate_counts.T, pers)]
+    sizes = [n] + [len(rows) for rows in ran]
+    if not (np.array_equal(pool.attack_code, np.repeat(np.arange(len(sizes)), sizes))
+            and np.array_equal(pool.example_index, np.concatenate([np.arange(n)] + ran))):
+        raise ContractError("reselect needs the pool in bundle() order: the n clean rows, "
+                            "then each attack's rows for the examples it did not fail on")
+    ends = np.cumsum(sizes)
     chosen = pool.take(np.arange(n))
-    for cfg, lo, hi in zip(result.attacks, ends, ends[1:]):
-        _fold_block(criterion, chosen, pool.take(slice(lo, hi)), rows_per_example(cfg))
+    for per, lo, hi in zip(pers, ends, ends[1:]):
+        _fold_block(criterion, chosen, pool.take(slice(lo, hi)), per)
     return replace(result, criterion=criterion, chosen_rows=chosen)
 
 

@@ -8,7 +8,8 @@ and every prediction path is pure, so one trained model serves every
 attack and scoring call unchanged.
 
 A model is its list of (W, b) layers, `ModelParams.layers`; one forward pass,
-`_forward`, serves scoring, input gradients and training.
+`_logits` and then `_softmax` in place, serves scoring, input gradients and
+training.
 
 Conventions, fixed here and relied on by tests:
   * softmax subtracts the max logit before exponentiating
@@ -133,6 +134,8 @@ class TrainParams:
         for key in ("learning_rate", "epochs", "batch_size", "hidden"):
             if getattr(self, key) <= 0:
                 raise ContractError(f"{key} must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise ContractError("learning_rate must be finite")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
 
@@ -176,13 +179,13 @@ def reduce_rows(reduce: np.ufunc, a: np.ndarray) -> np.ndarray:
     return reduce.reduce(np.ascontiguousarray(a.T), axis=0)
 
 
-def _forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,
-             matmul: Callable) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Class probabilities for the rows of X, and each layer's input: X, then
-    each hidden activation (> 0 exactly where its pre-activation is).
+def _logits(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,
+            matmul: Callable) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits for the rows of X, and each layer's input: X, then each hidden
+    activation (> 0 exactly where its pre-activation is).
 
-    ReLU between layers, softmax after the last, each in place on the product
-    matmul(A, W) = A @ W, so no layer allocates a second (B, width) array.
+    ReLU between layers, each in place on the product matmul(A, W) = A @ W,
+    so no layer allocates a second (B, width) array.
     """
     inputs = [X]
     for W, b in layers[:-1]:
@@ -192,10 +195,15 @@ def _forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], X: np.ndarray,
     W, b = layers[-1]
     logits = matmul(inputs[-1], W)
     logits += b
+    return logits, inputs
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row of logits, in place; returns logits."""
     logits -= reduce_rows(np.maximum, logits)[:, None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits, inputs
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
 def probs_rows(params: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -203,7 +211,7 @@ def probs_rows(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
     Row r is bit-identical to predict(params, X[r]).probabilities for any B.
     """
-    return _forward(params.layers, X, _by_row)[0]
+    return _softmax(_logits(params.layers, X, _by_row)[0])
 
 
 def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -213,7 +221,8 @@ def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndar
     is zero where the floor is active, and NaN/inf where the model overflows.
     """
     rows = np.arange(len(X))
-    probs, inputs = _forward(params.layers, X, _by_row)
+    logits, inputs = _logits(params.layers, X, _by_row)
+    probs = _softmax(logits)
     picked = probs[rows, labels]
     grad = probs
     grad[rows, labels] = picked - 1.0
@@ -241,47 +250,79 @@ def input_gradient(params: ModelParams, x: np.ndarray, target_label: int) -> np.
     return grad_rows(params, x[None, :], np.array([target_label]))[0]
 
 
+def _layer_views(flat: np.ndarray, widths: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into the flat buffer, W then b for each layer in order, for
+    layers of widths[0] -> widths[1] -> ... units."""
+    views, at = [], 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        W = flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out)
+        at += fan_in * fan_out
+        views.append((W, flat[at:at + fan_out]))
+        at += fan_out
+    return views
+
+
 def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
-    """Minibatch SGD on cross-entropy. Deterministic given hp.seed."""
+    """Minibatch SGD on cross-entropy. Deterministic given hp.seed.
+
+    The (W, b) layers are views into one flat float64 buffer, and each batch
+    writes its gradients into the same views of a second one, so a step
+    updates every layer with two calls. X and the one-hot labels are permuted
+    once per epoch, and each batch is a slice of them.
+
+    After each epoch, training stops with TrainingDivergedError naming it if
+    some row's largest logit is not finite. That is exactly when the loss is
+    not finite: a softmax row is NaN iff its largest logit is NaN or +-inf,
+    and otherwise its floored log is finite. The loss itself is computed
+    before and after the loop, and a final loss above the initial one also
+    raises. Overflow in between shows only as that error, never as a warning.
+    """
     if len(dataset) == 0:
         raise ContractError("cannot train on an empty dataset")
     X, y = dataset.features, dataset.labels
     n, d, k = len(dataset), dataset.dimension, dataset.num_classes
+    if architecture not in ARCHITECTURES:
+        raise ContractError(f"unknown architecture {architecture!r}")
+    widths = (d, hp.hidden, k) if architecture == MLP1 else (d, k)
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+    flat, step = np.zeros(size), np.empty(size)
+    layers, grads = _layer_views(flat, widths), _layer_views(step, widths)
     rng = make_rng(hp.seed)
+    if architecture == MLP1:
+        for W, _ in layers:
+            W[:] = rng.normal(0.0, 1.0 / np.sqrt(W.shape[0]), size=W.shape)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
 
-    if architecture == SOFTMAX_LINEAR:
-        layers = [(np.zeros((d, k)), np.zeros(k))]
-    elif architecture == MLP1:
-        h = hp.hidden
-        layers = [(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)), np.zeros(h)),
-                  (rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, k)), np.zeros(k))]
-    else:
-        raise ContractError(f"unknown architecture {architecture!r}")
-
     def loss_now() -> float:
-        probs = _forward(layers, X, np.matmul)[0]
+        probs = _softmax(_logits(layers, X, np.matmul)[0])
         picked = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
         return float(-np.log(picked).mean())
 
-    initial = final = loss_now()
-    for epoch in range(hp.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = perm[start:start + hp.batch_size]
-            probs, inputs = _forward(layers, X[idx], np.matmul)
-            g = (probs - onehot[idx]) / len(idx)
-            for i in reversed(range(len(layers))):
-                W, b = layers[i]
-                gW, gb = inputs[i].T @ g, g.sum(axis=0)
-                if i:
-                    g = (g @ W.T) * (inputs[i] > 0.0)
-                W -= hp.learning_rate * gW
-                b -= hp.learning_rate * gb
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial = loss_now()
+        for epoch in range(hp.epochs):
+            perm = rng.permutation(n)
+            X_epoch, Y_epoch = X[perm], onehot[perm]
+            for start in range(0, n, hp.batch_size):
+                batch = slice(start, start + hp.batch_size)
+                logits, inputs = _logits(layers, X_epoch[batch], np.matmul)
+                g = _softmax(logits)
+                g -= Y_epoch[batch]
+                g /= len(g)
+                for i in reversed(range(len(layers))):
+                    gW, gb = grads[i]
+                    np.matmul(inputs[i].T, g, out=gW)
+                    np.add.reduce(g, axis=0, out=gb)
+                    if i:
+                        g = g @ layers[i][0].T
+                        g *= inputs[i] > 0.0
+                step *= hp.learning_rate
+                flat -= step
+            if not np.isfinite(reduce_rows(np.maximum,
+                                           _logits(layers, X, np.matmul)[0])).all():
+                raise TrainingDivergedError(epoch)
         final = loss_now()
-        if not np.isfinite(final):
-            raise TrainingDivergedError(epoch)
 
     if final > initial:
         raise TrainingDivergedError(hp.epochs - 1,

@@ -1,5 +1,6 @@
 import copy
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -625,6 +626,48 @@ class TestRowEngine:
         # pgd in one block, noise in two: 4096 rows hold 68 examples of 60
         assert counts == {"blocks": 3, "bit_generators": 3}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("setup", ["blobs", "overflow"])
+    def test_a_block_checked_and_scored_in_pieces_equals_it_whole(self, monkeypatch, setup,
+                                                                   mlp_on_small_blobs,
+                                                                   small_blobs):
+        # "overflow" fails some examples' units, so their rows are dropped first
+        params, ds = ((mlp_on_small_blobs, small_blobs) if setup == "blobs"
+                      else _overflow_setup())
+        attacks = self.three_attacks(restarts=3)
+
+        def run():
+            res = ab.bundle(params, ds, attacks, ab.Criterion.min_norm(),
+                            ab.BudgetPolicy(early_stop=False), seed=2, keep_candidates=True)
+            return [col.tobytes() for col in (*res.chosen_rows, *res.pool,
+                                              res.outcome_matrix.entries, res.error_norm,
+                                              res.error_confidence, res.candidate_counts)]
+
+        whole = run()
+        # 16 rows of 16 bytes a piece: checks of 1 noise, 5 pgd or 16 fgsm examples
+        monkeypatch.setattr(bundler, "TAIL_BYTES", 256)
+        assert run() == whole
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_a_block_is_freed_at_its_fold_unless_the_pool_keeps_it(
+            self, monkeypatch, keep, mlp_on_small_blobs, small_blobs):
+        monkeypatch.setattr(bundler, "ROW_BLOCK", 200)  # 20 examples of 10 rows a block
+        blocks, alive = [], []
+
+        def noise(params, config, clean, labels, seeds):
+            if blocks:
+                alive.append(blocks[-1]() is not None)
+            adv, failed_at = attack_rows(params, config, clean, labels, seeds)
+            # the array that owns adv's memory, which every view of adv keeps alive
+            blocks.append(weakref.ref(adv if adv.base is None else adv.base))
+            return adv, failed_at
+
+        attacks = [ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=10)]
+        res = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                        seed=1, runners={"uniform_noise": noise}, keep_candidates=keep)
+        assert len(blocks) == len(small_blobs) // 20 and (res.candidate_counts == 10).all()
+        assert alive == [keep] * (len(blocks) - 1)
+
     def test_noise_spanning_several_blocks(self, monkeypatch, mlp_on_small_blobs,
                                            small_blobs):
         samples = 60
@@ -965,6 +1008,47 @@ class TestInvariants:
         with pytest.raises(ContractError):
             ab.reselect(kept, ab.Criterion.min_norm())
 
+    def test_reselect_refuses_a_pool_bundle_cannot_make(self, mlp_on_small_blobs,
+                                                        small_blobs):
+        attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=10,
+                                   num_restarts=2),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=3)]
+        kept = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                         ab.BudgetPolicy(early_stop=False), seed=3, keep_candidates=True)
+        for crit in (ab.Criterion.min_norm(), ab.Criterion.max_confidence(0.9),
+                     ab.Criterion.misclassify()):
+            fresh = ab.bundle(mlp_on_small_blobs, small_blobs, attacks, crit,
+                              ab.BudgetPolicy(early_stop=False), seed=3)
+            redone = ab.reselect(kept, crit)
+            assert [c.tobytes() for c in redone.chosen_rows] == \
+                   [c.tobytes() for c in fresh.chosen_rows]
+
+        n, pool = len(small_blobs), kept.pool
+        rows = np.arange(len(pool.example_index))
+        swapped, reordered = rows.copy(), rows.copy()
+        swapped[[n - 1, n]] = n, n - 1  # a pgd row before the last clean row
+        reordered[[n, n + 2]] = n + 2, n  # a pgd row of example 1 before one of example 0
+        bad_pools = [pool.take(swapped), pool.take(reordered),
+                     pool.take(slice(0, -1)),  # the last noise row missing
+                     pool.take(np.r_[rows, 0])]  # a clean row again at the end
+        for bad in bad_pools:
+            with pytest.raises(ContractError, match=r"bundle\(\) order"):
+                ab.reselect(replace(kept, pool=bad), ab.Criterion.min_norm())
+
+        # every row code 0 and no attacks: a prefer fold would pick row 1, so
+        # refolding only the n = 1 clean rows would silently pick row 0
+        one = bundler.CandidateRows(np.array([0, 0]), np.array([0, 0]), np.array([0, 0]),
+                                    np.array([[0.0], [1.0]]), np.array([False, True]),
+                                    np.array([0.2, 0.7]), np.array([0.0, 0.1]))
+        hand_built = ab.BundleResult(ab.Criterion.misclassify(), (),
+                                     ab.BudgetPolicy(early_stop=False), 0, one.take([0]),
+                                     ab.OutcomeMatrix(np.zeros((1, 1)), [CLEAN_ID]),
+                                     np.full(1, np.inf), np.array([0.2]),
+                                     np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=int),
+                                     np.ones(1), one)
+        with pytest.raises(ContractError, match=r"bundle\(\) order"):
+            ab.reselect(hand_built, ab.Criterion.misclassify())
+
     def test_restart_splitting_is_exact_bundling(self, mlp_on_small_blobs, small_blobs):
         # one n-restart config and n single-restart configs pinned to the same
         # derived seeds must produce identical chosen candidates
@@ -1176,6 +1260,9 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
     pool = bundler.CandidateRows(example, code, np.zeros(m, dtype=np.int64),
                                  np.arange(m, dtype=float)[:, None], mis, wrong, norm)
     ends = np.cumsum([n] + [len(members) * per for members, per in blocks])
+    # -1 where a block did not hold the example, as for a failed unit
+    counts = np.array([[per if i in members else -1 for members, per in blocks]
+                       for i in range(n)], dtype=np.int64).reshape(n, len(blocks))
     for crit in (ab.Criterion.misclassify(), ab.Criterion.max_confidence(0.6),
                  ab.Criterion.min_norm()):
         best = list(range(n))
@@ -1196,8 +1283,7 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
                                  pool.take(np.arange(n)),
                                  ab.OutcomeMatrix(np.zeros((n, k + 1)),
                                                   [CLEAN_ID] + [a.attack_id for a in attacks]),
-                                 np.full(n, np.inf), wrong[:n],
-                                 np.zeros((n, k), dtype=np.int64), np.full(n, k), np.ones(n),
-                                 pool)
+                                 np.full(n, np.inf), wrong[:n], counts, np.full(n, k),
+                                 np.ones(n), pool)
         redone = ab.reselect(result, crit).chosen_rows
         assert redone.adversarial_input[:, 0].tolist() == best

@@ -323,13 +323,26 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 3
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergent_training_is_numeric_failure(self, tmp_path, capsys):
+    def test_divergent_training_is_numeric_failure(self, tmp_path):
+        # overflow while training shows as the numeric failure alone, with no
+        # raw numpy warning before it
         text = FAST_CFG.replace("learning_rate = 0.2", "learning_rate = 1e150")
         text = text.replace("architecture = softmax_linear", "architecture = mlp1")
-        cfg = write_cfg(tmp_path, text=text)
-        assert main(["run", str(cfg)]) == 4
-        assert "numeric failure" in capsys.readouterr().err
+        done = run_capped("run", str(write_cfg(tmp_path, text=text)))
+        assert done.returncode == 4, done.stderr
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("numeric failure: training diverged at epoch 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_fails_at_its_line(self, tmp_path, capsys, value):
+        text = FAST_CFG.replace("learning_rate = 0.2", f"learning_rate = {value}")
+        line = text.splitlines().index(f"learning_rate = {value}") + 1
+        assert main(["run", str(write_cfg(tmp_path, text=text))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {tmp_path / 'exp.cfg'}:{line}: learning_rate must be finite\n"
+        assert not (tmp_path / "run_out").exists()
 
 
 class TestOtherCommands:

@@ -152,7 +152,10 @@ def test_row_functions_equal_single_calls_bitwise(arch, batch):
 
 
 def _reference_sgd(X, y, k, architecture, hp):
-    """Minibatch SGD written out per architecture, the order `train` follows."""
+    """Minibatch SGD written out per architecture, the order `train` follows,
+    with the full-data loss after every epoch: a non-finite one raises
+    TrainingDivergedError naming the epoch, as does a final loss above the
+    initial one."""
     rng = np.random.Generator(np.random.PCG64(hp.seed))
     n, d = X.shape
     onehot = np.eye(k)[y]
@@ -163,25 +166,42 @@ def _reference_sgd(X, y, k, architecture, hp):
         h = hp.hidden
         W1, b1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)), np.zeros(h)
         W2, b2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, k)), np.zeros(k)
-    for _ in range(hp.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = perm[start:start + hp.batch_size]
-            Xb, Yb, m = X[idx], onehot[idx], len(idx)
-            if architecture == "softmax_linear":
-                g_logits = (stable_softmax(Xb @ W1 + b1) - Yb) / m
-                W1 -= hp.learning_rate * (Xb.T @ g_logits)
-                b1 -= hp.learning_rate * g_logits.sum(axis=0)
-            else:
-                z1 = Xb @ W1 + b1
-                a1 = np.maximum(z1, 0.0)
-                g_logits = (stable_softmax(a1 @ W2 + b2) - Yb) / m
-                gW2, gb2 = a1.T @ g_logits, g_logits.sum(axis=0)
-                g_hidden = (g_logits @ W2.T) * (z1 > 0.0)
-                W2 -= hp.learning_rate * gW2
-                b2 -= hp.learning_rate * gb2
-                W1 -= hp.learning_rate * (Xb.T @ g_hidden)
-                b1 -= hp.learning_rate * g_hidden.sum(axis=0)
+
+    def loss():
+        logits = X @ W1 + b1
+        if architecture != "softmax_linear":
+            logits = np.maximum(logits, 0.0) @ W2 + b2
+        picked = np.maximum(stable_softmax(logits)[np.arange(n), y], 1e-12)
+        return float(-np.log(picked).mean())
+
+    with np.errstate(all="ignore"):
+        initial = loss()
+        for epoch in range(hp.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, hp.batch_size):
+                idx = perm[start:start + hp.batch_size]
+                Xb, Yb, m = X[idx], onehot[idx], len(idx)
+                if architecture == "softmax_linear":
+                    g_logits = (stable_softmax(Xb @ W1 + b1) - Yb) / m
+                    W1 -= hp.learning_rate * (Xb.T @ g_logits)
+                    b1 -= hp.learning_rate * g_logits.sum(axis=0)
+                else:
+                    z1 = Xb @ W1 + b1
+                    a1 = np.maximum(z1, 0.0)
+                    g_logits = (stable_softmax(a1 @ W2 + b2) - Yb) / m
+                    gW2, gb2 = a1.T @ g_logits, g_logits.sum(axis=0)
+                    g_hidden = (g_logits @ W2.T) * (z1 > 0.0)
+                    W2 -= hp.learning_rate * gW2
+                    b2 -= hp.learning_rate * gb2
+                    W1 -= hp.learning_rate * (Xb.T @ g_hidden)
+                    b1 -= hp.learning_rate * g_hidden.sum(axis=0)
+            final = loss()
+            if not np.isfinite(final):
+                raise TrainingDivergedError(epoch)
+    if final > initial:
+        raise TrainingDivergedError(hp.epochs - 1,
+                                    f"training raised the loss ({initial:.6g} -> {final:.6g}); "
+                                    "lower the learning rate")
     return [W1, b1, W2, b2]
 
 
@@ -197,6 +217,31 @@ def test_train_matches_reference_sgd(arch):
             assert got is None
         else:
             assert np.array_equal(got, ref)
+
+
+def _outcome(fit):
+    """The bytes of the weights fit() returns, or the epoch and message of its
+    TrainingDivergedError."""
+    try:
+        return [None if a is None else a.tobytes() for a in fit()]
+    except TrainingDivergedError as exc:
+        return exc.epoch, str(exc)
+
+
+@pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])
+def test_train_meets_reference_sgd_over_a_learning_rate_sweep(arch):
+    # from learning, through a raised loss, to overflow in each epoch; no
+    # warning escapes train, as the suite turns warnings into errors
+    ds = ab.synth_dataset(30, 3, 3, seed=4)
+    kinds = set()
+    for lr in [*10.0 ** np.arange(-1.0, 308.0, 7.0), 1e308, 1.7e308]:
+        hp = ab.TrainParams(learning_rate=lr, epochs=4, batch_size=8, seed=9, hidden=5)
+        want = _outcome(lambda: _reference_sgd(ds.features, ds.labels, 3, arch, hp))
+        got = _outcome(lambda: [getattr(ab.train(ds, arch, hp), name)
+                                for name in ("W1", "b1", "W2", "b2")])
+        assert got == want, lr
+        kinds.add("fit" if isinstance(want, list) else want[1].split(" ")[1])
+    assert kinds == {"fit", "raised", "diverged"}
 
 
 def test_gradient_rejects_bad_label():
@@ -244,7 +289,6 @@ class TestTrain:
         final = np.mean([oracle_loss(m, X[i], y[i]) for i in range(len(y))])
         assert final <= initial + 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_epoch(self, blobs_2c):
         hp = ab.TrainParams(learning_rate=1e150, epochs=5, batch_size=16, seed=0)
         with pytest.raises(TrainingDivergedError) as info:

@@ -1,8 +1,11 @@
 """The benchmark's child process patches names in advbundle modules and reads
-BundleResult fields; these tests fail when a refactor moves what it uses."""
+BundleResult fields; these tests fail when a refactor moves what it uses. The
+benchmark's workloads must also still write its reference bytes."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,24 +16,47 @@ import pytest
 
 import advbundle as ab
 from advbundle import bundler
+from advbundle.cli import run_experiment
+from advbundle.config import parse_experiment_config, with_output_dir
 
 from conftest import binary_linear
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-CHILD = PERFBENCH / "child.py"
 
 
-@pytest.fixture(scope="module")
-def child():
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # no __pycache__ under perfbench/
+    # no __pycache__ under perfbench/; dataclasses look their module up by name
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def child():
+    return _load("child")
+
+
+def test_bench_workloads_write_the_reference_bytes(tmp_path):
+    # both workloads at bench size and workload seed 0, as the benchmark runs
+    # them, must write the artifacts whose hashes it checks
+    workloads = _load("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert sorted(reference) == sorted(workloads.WORKLOADS)
+    for name, expected in reference.items():
+        text = workloads.config_text(workloads.WORKLOADS[name], 0)
+        config = with_output_dir(parse_experiment_config(text, name), str(tmp_path / name))
+        paths = run_experiment(config)
+        got = {artifact: hashlib.sha256(paths[artifact].read_bytes()).hexdigest()
+               for artifact in expected}
+        assert got == expected, name
 
 
 def test_every_traced_name_resolves(child):
