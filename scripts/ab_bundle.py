@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""In-process A/B check of `bundle()` between two source trees.
+
+    python scripts/ab_bundle.py PARENT_SRC CHANGE_SRC [--pairs N]
+
+Each SRC is a directory holding the `advbundle` package (a checkout's `src/`)
+or the package directory itself. Both trees are imported in one process,
+under the package names `ab_parent` and `ab_change`. For each benchmark
+workload at bench size and workload seed 0 (`perfbench/workloads.py`), each
+side parses the config, builds the dataset, trains and bundles with its own
+code. The script first asserts that both sides' models and every
+`BundleResult` array, the pool of every scored candidate included, are
+byte-identical. It then times N pairs of
+`bundle()` calls, alternating which side goes first, and prints each side's
+median and the quartiles of the per-pair time ratio change / parent.
+
+It takes 15-30 s at the default 151 pairs on a 2-core VM. It is a quick check before
+perfbench's process-level pairs, not a replacement for them: it leaves out
+process start, the numpy import and training.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def _load_package(name: str, src: str):
+    """The advbundle package under src, imported as `name` with its submodules."""
+    path = Path(src)
+    if (path / "advbundle" / "__init__.py").exists():
+        path = path / "advbundle"
+    init = path / "__init__.py"
+    if not init.exists():
+        raise SystemExit(f"no advbundle package at {src}")
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(path)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("ab_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _setup(package, text: str, name: str):
+    """The bundle() arguments of one workload config, built by one side."""
+    config = package.parse_experiment_config(text, name)
+    dataset = importlib.import_module(package.__name__ + ".cli")._load_dataset(config)
+    model = package.train(dataset, config.architecture, config.train_params)
+    budget = package.BudgetPolicy(config.max_units, config.early_stop)
+    return (model, dataset, config.attacks, config.criterion, budget), config.seed
+
+
+def _arrays(value, name: str = "result") -> dict[str, np.ndarray]:
+    """Every array value holds, by its dotted path: walks a BundleResult's
+    dataclass and named-tuple fields, so a new field is compared too."""
+    if isinstance(value, np.ndarray):
+        return {name: value}
+    if hasattr(value, "_asdict"):
+        items = value._asdict().items()
+    elif dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    else:
+        return {}
+    named = {}
+    for key, item in items:
+        named.update(_arrays(item, f"{name}.{key}"))
+    return named
+
+
+def _check_identical(name: str, results: dict, models: dict) -> None:
+    for (W_a, b_a), (W_b, b_b) in zip(models["parent"].layers, models["change"].layers):
+        if W_a.tobytes() != W_b.tobytes() or b_a.tobytes() != b_b.tobytes():
+            raise SystemExit(f"{name}: the trained models differ")
+    a, b = (_arrays(results[side]) for side in SIDES)
+    if a.keys() != b.keys():
+        raise SystemExit(f"{name}: the results hold different arrays")
+    for key in a:
+        if a[key].dtype != b[key].dtype or a[key].shape != b[key].shape \
+                or a[key].tobytes() != b[key].tobytes():
+            raise SystemExit(f"{name}: {key} differs")
+
+
+def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str, list]:
+    times = {side: [] for side in SIDES}
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                start = time.perf_counter()
+                packages[side].bundle(*args[side], seed=seeds[side])
+                times[side].append(time.perf_counter() - start)
+            gc.collect()
+    finally:
+        gc.enable()
+    return times
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--pairs", type=int, default=151,
+                        help="timed bundle() pairs per workload (default 151)")
+    opts = parser.parse_args()
+    if opts.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
+    packages = {side: _load_package(f"ab_{side}", src)
+                for side, src in zip(SIDES, (opts.parent_src, opts.change_src))}
+    workloads = _load_workloads()
+    for name, workload in workloads.WORKLOADS.items():
+        text = workloads.config_text(workload, 0)
+        args, seeds, results = {}, {}, {}
+        for side in SIDES:
+            args[side], seeds[side] = _setup(packages[side], text, name)
+            results[side] = packages[side].bundle(*args[side], seed=seeds[side],
+                                                  keep_candidates=True)
+        _check_identical(name, results, {side: args[side][0] for side in SIDES})
+        times = _time_pairs(packages, args, seeds, opts.pairs)
+        ratio = np.array(times["change"]) / np.array(times["parent"])
+        q1, q2, q3 = np.percentile(ratio, [25, 50, 75])
+        wins = int(np.count_nonzero(ratio < 1.0))
+        print(f"{name}: identical bytes; bundle() median parent "
+              f"{np.median(times['parent']) * 1e3:.2f} ms, change "
+              f"{np.median(times['change']) * 1e3:.2f} ms; change/parent quartiles "
+              f"{q1:.3f} {q2:.3f} {q3:.3f}; change faster in {wins} of {opts.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

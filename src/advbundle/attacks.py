@@ -127,6 +127,19 @@ def _box(clean: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(clean - epsilon, 0.0), np.minimum(clean + epsilon, 1.0)
 
 
+def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """x clamped into a box `_box` made, in place, with two ufunc calls and
+    without np.clip's Python wrapper; returns x.
+
+    The values are np.clip(x, lo, hi)'s: a NaN entry stays NaN. The one case
+    where the two forms could pick different zeros, a -0.0 entry on a +0.0
+    face, does not arise: `_box` makes no -0.0 face, and the x clamped here
+    are sums with a nonzero or +0.0 term (a draw, a step), never -0.0.
+    """
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
+
+
 def project(x: np.ndarray, clean: np.ndarray, epsilon: float) -> np.ndarray:
     """Clamp x into the feasible box around clean. Idempotent."""
     x = np.asarray(x, dtype=np.float64)
@@ -147,10 +160,17 @@ def check_rows(adv: np.ndarray, clean: np.ndarray, epsilon: float,
     outside the epsilon ball or [0, 1] raises ContractError. The range is
     tested row by row only when the whole block's NaN-skipping min or max
     leaves [0, 1].
+
+    The max is taken over the `int64` view of |adv - clean|, computed in
+    float64 whatever a runner's dtype: non-negative doubles order as their
+    bit patterns do, and a NaN, whose sign `abs` clears, orders above +inf,
+    so a finite row gets numpy's float max bit for bit and a non-finite row
+    stays non-finite.
     """
-    diff = adv - clean
+    diff = np.subtract(adv, clean, dtype=np.float64)
     np.abs(diff, out=diff)
-    dist = reduce_rows(np.maximum, diff.reshape(-1, diff.shape[-1])).reshape(diff.shape[:-1])
+    bits = reduce_rows(np.maximum, diff.reshape(-1, diff.shape[-1]).view(np.int64))
+    dist = bits.view(np.float64).reshape(diff.shape[:-1])
     finite = np.isfinite(dist)
     if np.any(dist[finite] > epsilon + 1e-9):
         raise ContractError(f"candidate from {attack_id!r} leaves the epsilon ball")
@@ -194,8 +214,7 @@ def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
     x = uniform_rows(seeds, -epsilon, epsilon, (num_samples, clean.shape[1]))
     x += clean[:, None, :]
     lo, hi = _box(clean, epsilon)
-    np.clip(x, lo[:, None, :], hi[:, None, :], out=x)
-    return x.reshape(-1, clean.shape[1])
+    return _clamp(x, lo[:, None, :], hi[:, None, :]).reshape(-1, clean.shape[1])
 
 
 def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
@@ -228,15 +247,15 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     x = clean
     if config.random_init:
         # only the random start reads the seeds, so only it derives them
-        x = np.clip(clean + uniform_rows(_restart_seeds(seeds, r), -config.epsilon,
-                                         config.epsilon, clean.shape[1:]), lo, hi)
+        x = _clamp(clean + uniform_rows(_restart_seeds(seeds, r), -config.epsilon,
+                                        config.epsilon, clean.shape[1:]), lo, hi)
     failed_at = np.full(len(x), -1)
     out = np.empty_like(x)
     live = np.arange(len(x))
     prev = x
     for step in range(config.num_steps):
         grad = grad_rows(params, x, labels)
-        stepped = np.clip(x + config.step_size * np.sign(grad), lo, hi)
+        stepped = _clamp(x + config.step_size * np.sign(grad), lo, hi)
         if not np.isfinite(grad).all():
             # a failed row stays put from here on; matching its prev, it retires now
             failed = ~np.isfinite(grad).all(axis=1)

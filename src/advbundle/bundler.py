@@ -173,10 +173,11 @@ def _fold_block(criterion: Criterion, held: CandidateRows, rows: CandidateRows,
     ex = rows.example_index[::per]
     won = np.arange(0, len(rows.example_index), per) + _grid_best(
         criterion, *(col.reshape(len(ex), per) for col in rows[4:]))
-    beats = _grid_best(criterion, *(np.stack([mine[ex], new[won]], axis=1)
+    beats = _grid_best(criterion, *(np.array([mine[ex], new[won]]).T
                                     for mine, new in zip(held[4:], rows[4:]))) == 1
+    to, taken = ex[beats], won[beats]
     for mine, new in zip(held, rows):
-        mine[ex[beats]] = new[won[beats]]
+        mine[to] = new[taken]
 
 
 class _Pairs(Sequence):

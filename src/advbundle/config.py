@@ -48,6 +48,10 @@ MAX_HIDDEN = 10_000
 # engine holds them in one block, so a stray 10**8 must fail here, not as a
 # MemoryError after training
 MAX_ROWS_PER_EXAMPLE = 100_000
+# most training epochs and PGD steps: each costs a pass over the data or the
+# attack's rows, so a stray 10**20 must fail here, not run without end
+MAX_EPOCHS = 100_000
+MAX_NUM_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class ExperimentConfig:
         if self.synth_seed < 0:
             raise ConfigError("synth_seed must be >= 0")
         for key, bound in (("synth_n", MAX_SYNTH_N), ("synth_d", MAX_SYNTH_D),
-                           ("hidden", MAX_HIDDEN)):
+                           ("hidden", MAX_HIDDEN), ("epochs", MAX_EPOCHS)):
             if getattr(self, key) > bound:
                 raise ConfigError(f"{key} must be <= {bound}")
         if self.synth_k < 2:
@@ -206,6 +210,8 @@ def _build_attack(attack_id: str, where: str,
         if rows_per_example(config) > MAX_ROWS_PER_EXAMPLE:
             key = "num_restarts" if config.variant == PGD else "num_samples"
             raise ContractError(f"{key} must be <= {MAX_ROWS_PER_EXAMPLE}")
+        if config.variant == PGD and config.num_steps > MAX_NUM_STEPS:
+            raise ContractError(f"num_steps must be <= {MAX_NUM_STEPS}")
     except ContractError as exc:
         raise ConfigError(f"{_line_of(exc, entries, where)}: {exc}") from exc
     return config

@@ -74,6 +74,8 @@ class Dataset:
         if feats.ndim != 2 or labels.shape != feats.shape[:1]:
             raise ContractError(f"need features (n, d) and labels (n,), got shapes "
                                 f"{feats.shape} and {labels.shape}")
+        if feats.shape[1] < 1:  # the CSV reader refuses d = 0 too
+            raise ContractError("need at least one feature column, got d = 0")
         bad = _invalid_row(feats, labels, self.num_classes)
         if bad is not None:
             raise ContractError(f"example {bad[0]}: {bad[1]}")

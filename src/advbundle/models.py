@@ -70,6 +70,9 @@ class ModelParams:
             if W.ndim != 2 or b.shape != (W.shape[1],) or width not in (None, W.shape[0]):
                 raise ContractError(f"inconsistent {self.architecture} shapes")
             width = W.shape[1]
+        if self.dimension < 1 or self.num_classes < 1:
+            raise ContractError(f"{self.architecture} model needs d >= 1 and k >= 1, got "
+                                f"d = {self.dimension} and k = {self.num_classes}")
 
     @cached_property
     def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -171,8 +174,10 @@ def reduce_rows(reduce: np.ufunc, a: np.ndarray) -> np.ndarray:
     numpy reduces a narrow last axis one short row at a time, so up to
     `NARROW_AXIS` wide the rows of a are reduced as the columns of a
     contiguous transpose instead. These reductions do not depend on order,
-    so the values are numpy's, except that a max of zeros may differ in the
-    sign of the zero. Sums keep numpy's own order and never come here.
+    so the values are numpy's, except that a float max of zeros may differ
+    in the sign of the zero. Sums keep numpy's own order and never come
+    here. An integer max is exact at any width: `attacks.check_rows` takes
+    its distances as the max of non-negative doubles' bit patterns.
     """
     if a.shape[-1] > NARROW_AXIS:
         return reduce.reduce(a, axis=-1)

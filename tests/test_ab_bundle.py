@@ -1,0 +1,47 @@
+"""scripts/ab_bundle.py builds both sides the way the CLI does and compares
+every array of their BundleResults; these tests fail when a refactor of the
+CLI or of BundleResult leaves it timing or comparing something else."""
+
+import dataclasses
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import advbundle as ab
+
+from conftest import binary_linear
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "ab_bundle.py"
+
+
+def test_ab_bundle_runs_one_pair_of_the_same_tree():
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(ROOT / "src"), str(ROOT / "src"),
+                           "--pairs", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["desk-default", "wide-pool"]
+    assert all("identical bytes" in line for line in lines)
+
+
+def test_ab_bundle_compares_every_array_field():
+    script = runpy.run_path(str(SCRIPT), run_name="ab_bundle")
+    model = binary_linear([2.0, -1.0])
+    data = ab.Dataset(np.array([[0.2, 0.6], [0.7, 0.4]]), [0, 1], num_classes=2)
+    attack = ab.AttackConfig("noise", "uniform_noise", 0.1, num_samples=3)
+    result = ab.bundle(model, data, [attack], ab.Criterion.misclassify(), seed=5,
+                       keep_candidates=True)
+    named = script["_arrays"](result)
+    for f in dataclasses.fields(result):
+        if isinstance(getattr(result, f.name), np.ndarray):
+            assert f"result.{f.name}" in named
+    assert {"result.pool.adversarial_input", "result.chosen_rows.wrong_confidence",
+            "result.outcome_matrix.entries"} <= named.keys()
+    changed = dataclasses.replace(result, clean_confidence=result.clean_confidence / 2)
+    with pytest.raises(SystemExit, match="result.clean_confidence differs"):
+        script["_check_identical"]("toy", {"parent": result, "change": changed},
+                                   {"parent": model, "change": model})

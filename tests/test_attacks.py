@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
-from advbundle.attacks import (attack_rows, check_rows, noise_rows, pgd_rows, rows_per_example,
-                               run_attack)
+from advbundle.attacks import (_box, _clamp, attack_rows, check_rows, noise_rows, pgd_rows,
+                               rows_per_example, run_attack)
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
 from advbundle.models import grad_rows, probs_rows
 from advbundle.seeding import make_rng
@@ -461,6 +461,50 @@ def test_pgd_random_init_equals_a_generator_per_row(seeds):
     assert adv.tobytes() == want.tobytes()
 
 
+def test_box_clamp_equals_np_clip_on_faces_zeros_and_nan():
+    # the sums the kernels clamp (clean plus a draw, a step or +0.0, clean -0.0
+    # included), values on, just inside and just outside each face, and NaN
+    # rows, in both the row form and noise_rows' (U, S, d) against (U, 1, d)
+    rng = np.random.default_rng(9)
+    eps = 0.3
+    clean = np.array([[-0.0, 0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0]])
+    lo, hi = _box(clean, eps)
+    assert not np.signbit(lo).any() and not np.signbit(hi).any()
+    offsets = np.vstack([np.zeros(8), np.full(8, eps), np.full(8, -eps),
+                         0.1 * np.sign(rng.normal(size=(8, 8))),
+                         rng.uniform(-eps, eps, (30, 8)), rng.uniform(-2.0, 2.0, (30, 8))])
+    faces = np.vstack([lo, hi] + [np.nextafter(face, to) for face in (lo, hi)
+                                  for to in (-np.inf, np.inf)])
+    partly_nan = np.where(np.arange(8) % 2, np.nan, 0.5)
+    x = np.vstack([clean + offsets, faces, np.full(8, np.nan), partly_nan,
+                   np.array([np.inf, -np.inf] * 4)])
+    want = np.clip(x, lo, hi)
+    got = _clamp(x.copy(), lo, hi)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[0]).tolist() == [False] * 8  # -0.0 + 0.0 is +0.0
+    blocks = x.reshape(2, -1, 8)
+    clean2 = np.vstack([clean, clean[:, ::-1]])
+    lo2, hi2 = _box(clean2, eps)
+    want = np.clip(blocks, lo2[:, None, :], hi2[:, None, :])
+    assert _clamp(blocks.copy(), lo2[:, None, :], hi2[:, None, :]).tobytes() == want.tobytes()
+
+
+def test_kernels_on_negative_zero_clean_equal_their_np_clip_references(desk_mlp):
+    # noise, PGD's random start and PGD's steps from clean inputs holding -0.0
+    model, _ = desk_mlp
+    clean = np.array([[-0.0, 0.4], [0.3, -0.0], [-0.0, -0.0], [1.0, -0.0]])
+    seeds = [3, 2**63, 2**64 - 1, 0]
+    assert noise_rows(clean, 0.3, seeds, 5).tobytes() == \
+        _noise_loop(clean, 0.3, seeds, 5).tobytes()
+    labels = np.array([0, 1, 2, 0])
+    for random_init in (True, False):
+        cfg = _pgd_cfg(num_steps=7, num_restarts=2, random_init=random_init)
+        adv, failed_at = pgd_rows(model, clean, labels, seeds, cfg)
+        want, want_failed_at = _reference_pgd(model, clean, labels, seeds, cfg)
+        assert adv.tobytes() == want.tobytes()
+        assert np.array_equal(failed_at, want_failed_at)
+
+
 def test_negative_or_non_integer_seed_is_a_contract_error():
     ex = ab.Example(np.array([0.5, 0.5]), 0)
     with pytest.raises(ContractError):
@@ -527,6 +571,39 @@ class TestCheckRows:
             assert np.any(finite & ((adv.min(axis=-1) < 0) | (adv.max(axis=-1) > 1)))
         else:
             assert np.array_equal(dist, want, equal_nan=True)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 17, 32])
+    def test_integer_view_distance_is_the_float_max_bit_for_bit(self, d):
+        # grid form, as a bundle block passes it: (U, per, d) against (U, 1, d)
+        rng = np.random.default_rng(d)
+        clean = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], (6, 1, d))
+        clean[0, 0, 0] = -0.0
+        adv = np.clip(clean + rng.uniform(-0.2, 0.2, (6, 9, d)), 0.0, 1.0)
+        adv[1, :3] = clean[1]                      # rows at distance zero
+        adv[2, 0, -1], adv[2, 1, 0] = np.nan, np.inf
+        adv[3, 2] = -np.inf
+        adv[4, 4, :] = np.nan
+        adv[5, 5, d // 2] = np.inf
+        adv[5, 5, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            want = np.abs(adv - clean).max(axis=-1)
+        dist = check_rows(adv, clean, 0.3, "a")
+        finite = np.isfinite(want)
+        assert not finite.all() and finite.sum() > 40
+        assert dist[finite].tobytes() == want[finite].tobytes()
+        assert not np.isfinite(dist[~finite]).any()
+        assert np.array_equal(np.isnan(dist), np.isnan(want))
+        assert not np.signbit(dist[finite]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.longdouble, np.int64])
+    def test_distance_of_another_dtype_is_taken_in_float64(self, dtype):
+        # a runner may return any real dtype; the bit-pattern max needs doubles
+        adv = np.array([[1.0, 0.0], [0.0, 1.0]]).astype(dtype)
+        clean = np.array([[0.9, 0.25], [0.0, 0.75]])
+        dist = check_rows(adv, clean, 0.3, "a")
+        assert dist.dtype == np.float64
+        assert dist.tobytes() == check_rows(adv.astype(np.float64), clean, 0.3, "a").tobytes()
 
 
 class TestAttackConfig:

@@ -290,6 +290,14 @@ class TestBundle:
         assert res.bundled_error_rate == pytest.approx(float(clean_err), abs=0)
         assert res.outcome_matrix.attack_ids == [CLEAN_ID]
 
+    def test_zero_features_are_refused_before_any_attack(self):
+        # the distance check cannot reduce a row of no features; a dataset or
+        # model without them is refused where it is built
+        with pytest.raises(ContractError, match="d = 0"):
+            ab.Dataset(np.zeros((3, 0)), [0, 1, 0], num_classes=2)
+        with pytest.raises(ContractError, match="d = 0"):
+            ab.ModelParams("softmax_linear", np.zeros((0, 2)), np.zeros(2))
+
     def test_matches_exhaustive_reselection_oracle(self, mlp_on_small_blobs, small_blobs):
         m, ds = mlp_on_small_blobs, small_blobs
         attacks = [
@@ -903,6 +911,33 @@ class TestComplete:
         got = chosen()
         for rows, expected in zip(got, want):
             assert [col.tobytes() for col in rows] == [col.tobytes() for col in expected]
+
+    def test_bundle_and_complete_call_no_np_clip(self, monkeypatch, mlp_on_small_blobs,
+                                                 small_blobs):
+        """Every box clamp in a block is two in-place ufuncs: with np.clip
+        refused, bundle() and complete() give the same bytes."""
+        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.1),
+                   ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5,
+                                   num_restarts=3),
+                   ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=4)]
+        args = (mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify())
+
+        def arrays():
+            primary = ab.bundle(*args, seed=3, keep_candidates=True)
+            assert primary.stopped_early.any()
+            full = ab.complete(primary, *args[:2])
+            return [col.tobytes() for res in (primary, full)
+                    for col in (*res.chosen_rows, res.outcome_matrix.entries, res.error_norm,
+                                res.error_confidence, res.candidate_counts)] + \
+                [col.tobytes() for col in primary.pool]
+
+        want = arrays()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bundle path called np.clip")
+
+        monkeypatch.setattr(np, "clip", refuse)
+        assert arrays() == want
 
     def test_refuses_other_data(self, mlp_on_small_blobs, small_blobs):
         primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,

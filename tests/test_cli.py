@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle.cli import ARTIFACTS, main, run_experiment
+from advbundle.config import with_output_dir
 
 FAST_CFG = """
 dataset = synthetic
@@ -228,6 +231,20 @@ class TestExitCodes:
         done = run_capped("run", str(cfg))
         assert done.returncode == 2, done.stderr
         assert "config error:" in done.stderr and f":{line}: {key} must be <= " in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("old", ["epochs = 60", "num_steps = 15"])
+    def test_endless_training_or_attack_is_a_config_error(self, tmp_path, old):
+        # 10**23 epochs or steps would run without end (run_capped's timeout
+        # would fail the test); the config refuses the value before training
+        new = old.split(" = ")[0] + " = 99999999999999999999999"
+        text = FAST_CFG.replace(old, new)
+        line = text.splitlines().index(new) + 1
+        done = run_capped("run", str(write_cfg(tmp_path, text=text)))
+        assert done.returncode == 2, done.stderr
+        assert f"config error: {tmp_path / 'exp.cfg'}:{line}: {old.split()[0]} must be <= " \
+            in done.stderr
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "run_out").exists()
 
@@ -475,6 +492,18 @@ def test_optimised_python_runs_every_check_and_writes_the_same_bytes(tmp_path):
     for name in ARTIFACTS:
         assert (tmp_path / "plain" / name).read_bytes() == \
             (tmp_path / "optimised" / name).read_bytes(), name
+
+
+def test_default_config_writes_the_recorded_bytes(tmp_path):
+    # the full-size default run, ten 4,000-row noise blocks included, must write
+    # the artifacts whose SHA-256 the file records; the hashes hold for one
+    # OpenBLAS core, as perfbench's reference does
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "tests" / "default_cfg_sha256.json").read_text())
+    config = ab.load_experiment_config(root / "configs" / "default.cfg")
+    paths = run_experiment(with_output_dir(config, str(tmp_path)))
+    got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
+    assert got == expected
 
 
 def test_a_run_never_imports_numpy_ma(tmp_path):

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
-from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_ROWS_PER_EXAMPLE,
-                              serialize_experiment_config, with_output_dir)
+from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_EPOCHS, MAX_NUM_STEPS,
+                              MAX_ROWS_PER_EXAMPLE, serialize_experiment_config,
+                              with_output_dir)
 from advbundle.errors import ConfigError
 
 MINIMAL = """
@@ -262,12 +263,34 @@ class TestErrors:
             ab.parse_experiment_config(text.format(MAX_ROWS_PER_EXAMPLE + 1))
         assert f":6: {key} must be <= {MAX_ROWS_PER_EXAMPLE}" in self.line_of(info)
 
+    @pytest.mark.parametrize("key,bound,line,text", [
+        ("epochs", MAX_EPOCHS, 2, "seed = 1\nepochs = {}\n"),
+        ("num_steps", MAX_NUM_STEPS, 4,
+         "[attack a]\nvariant = pgd\nepsilon = 0.3\nnum_steps = {}\nstep_size = 0.1\n"),
+    ])
+    def test_epochs_and_num_steps_above_the_bound_name_their_line(self, key, bound, line,
+                                                                  text):
+        # both set how long a run takes; each bound sits far above its default
+        assert bound >= 100 * {"epochs": 120, "num_steps": 1000}[key]
+        ab.parse_experiment_config(text.format(bound))
+        for value in (bound + 1, 10 ** 23):
+            with pytest.raises(ConfigError) as info:
+                ab.parse_experiment_config(text.format(value))
+            assert f":{line}: {key} must be <= {bound}" in self.line_of(info)
+
     def test_fgsm_ignores_num_restarts_whatever_its_size(self):
         # fgsm makes one row per example whatever its restart fields say
         huge = 10 * MAX_ROWS_PER_EXAMPLE
         config = ab.parse_experiment_config(
             f"[attack f]\nvariant = fgsm\nepsilon = 0.3\nnum_restarts = {huge}\n")
         assert config.attacks[0].num_restarts == huge
+
+    def test_fgsm_ignores_num_steps_whatever_its_size(self):
+        # fgsm takes one step whatever its num_steps says, so only pgd is bounded
+        huge = 10 ** 23
+        config = ab.parse_experiment_config(
+            f"[attack f]\nvariant = fgsm\nepsilon = 0.3\nnum_steps = {huge}\n")
+        assert config.attacks[0].num_steps == huge
 
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError):

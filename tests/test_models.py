@@ -92,6 +92,13 @@ def test_reduce_rows_on_strided_rows_either_side_of_the_crossover():
         assert np.array_equal(reduce_rows(np.maximum, a[:, :width]), a[:, :width].max(axis=1))
 
 
+def test_a_model_without_inputs_or_classes_is_refused():
+    # such a model cannot score a row; it is refused where it is built
+    for W in (np.zeros((0, 2)), np.zeros((2, 0))):
+        with pytest.raises(ContractError, match="needs d >= 1 and k >= 1"):
+            ab.ModelParams("softmax_linear", W, np.zeros(W.shape[1]))
+
+
 @pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])
 def test_input_gradient_matches_finite_differences(arch):
     rng = np.random.default_rng(42)

@@ -60,6 +60,28 @@ def test_restart_seeds_equal_derive_seed_per_restart(case):
     assert got == expected and all(type(s) is int for s in got)
 
 
+WORDS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("part", [None, "noise", 0, 2**63, 2**64 - 1, WORDS],
+                         ids=["root-only", "str", "0", "2**63", "2**64-1", "array"])
+def test_derive_seeds_on_arrays_equal_derive_seed(part):
+    # roots and parts at the edges of uint64, a list part as a column that
+    # broadcasts against the roots, against the scalar definition; the mix
+    # leaves its input arrays as they were
+    roots = np.array(WORDS, dtype=np.uint64)
+    array_part = isinstance(part, list)
+    parts = () if part is None else (roots[:, None] if array_part else part,)
+    before = roots.copy()
+    got = ab.seeding.derive_seeds(roots, *parts)
+    assert np.array_equal(roots, before) and got.dtype == np.uint64
+    if array_part:
+        want = [[ab.derive_seed(r, p) for r in WORDS] for p in WORDS]
+    else:
+        want = [ab.derive_seed(r, *parts) for r in WORDS]
+    assert got.tolist() == want
+
+
 def test_numpy_integer_roots_match_python_ints():
     roots = [np.uint64(2**64 - 1), np.int64(-1), np.uint64(2**63)]
     assert _restart_seeds(roots, 2) == _restart_seeds([int(s) for s in roots], 2)
