@@ -10,9 +10,12 @@ workload at bench size and workload seed 0 (`perfbench/workloads.py`), each
 side parses the config, builds the dataset, trains and bundles with its own
 code. The script first asserts that both sides' models and every
 `BundleResult` array, the pool of every scored candidate included, are
-byte-identical. It then times N pairs of
-`bundle()` calls, alternating which side goes first, and prints each side's
-median and the quartiles of the per-pair time ratio change / parent.
+byte-identical, and so are the single-example API's outputs on the first
+`SINGLE_EXAMPLES` examples: `run_attack`'s candidates under each configured
+attack, and `predict` and `input_gradient` at the clean inputs. It then
+times N pairs of `bundle()` calls, alternating which side goes first, and
+prints each side's median and the quartiles of the per-pair time ratio
+change / parent.
 
 It takes 15-30 s at the default 151 pairs on a 2-core VM. It is a quick check before
 perfbench's process-level pairs, not a replacement for them: it leaves out
@@ -34,6 +37,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# examples whose single-example outputs are compared; they are not timed
+SINGLE_EXAMPLES = 8
 
 
 def _load_package(name: str, src: str):
@@ -100,6 +105,30 @@ def _check_identical(name: str, results: dict, models: dict) -> None:
             raise SystemExit(f"{name}: {key} differs")
 
 
+def _single_example_bytes(package, model, dataset, attacks) -> dict[str, bytes]:
+    """The single-example API's outputs on the first `SINGLE_EXAMPLES` examples,
+    by call: each attack's `run_attack` candidates, seeded with the example's
+    index, and `predict` and `input_gradient` at the clean input."""
+    run_attack = importlib.import_module(package.__name__ + ".attacks").run_attack
+    out = {}
+    for i in range(min(SINGLE_EXAMPLES, len(dataset))):
+        example = dataset[i]
+        out[f"predict[{i}]"] = package.predict(model, example.features).probabilities.tobytes()
+        out[f"input_gradient[{i}]"] = package.input_gradient(model, example.features,
+                                                             example.label).tobytes()
+        for config in attacks:
+            out[f"run_attack[{config.attack_id}, {i}]"] = b"".join(
+                c.adversarial_input.tobytes() for c in run_attack(model, example, config, i, i))
+    return out
+
+
+def _check_single_example(name: str, packages: dict, args: dict) -> None:
+    a, b = (_single_example_bytes(packages[side], *args[side][:3]) for side in SIDES)
+    for key in a:
+        if a[key] != b[key]:
+            raise SystemExit(f"{name}: {key} differs")
+
+
 def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str, list]:
     times = {side: [] for side in SIDES}
     gc.collect()
@@ -139,6 +168,7 @@ def main() -> int:
             results[side] = packages[side].bundle(*args[side], seed=seeds[side],
                                                   keep_candidates=True)
         _check_identical(name, results, {side: args[side][0] for side in SIDES})
+        _check_single_example(name, packages, args)
         times = _time_pairs(packages, args, seeds, opts.pairs)
         ratio = np.array(times["change"]) / np.array(times["parent"])
         q1, q2, q3 = np.percentile(ratio, [25, 50, 75])

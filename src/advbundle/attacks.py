@@ -10,14 +10,16 @@ Each attack runs on rows, one per (example, restart) or (example, noise
 sample), each with its own box and seed stream, in one of two kernels that
 `attack_rows` dispatches to: `noise_rows` draws samples and `pgd_rows` takes
 signed-gradient steps (FGSM is one PGD step of size epsilon from the clean
-input). Both draw their randomness, the samples and PGD's random start, as
-`seeding.uniform_rows` offsets from the clean row, one seed per row.
+input). `noise_rows` is the one random kernel: its samples are
+`seeding.uniform_rows` offsets from the clean row, one seed per row, and
+PGD's random start is its one-sample draw, one seed per restart.
 All rows step together, and every model call computes a row exactly as a
 1-row call would, so a row's candidate is bit-identical whatever else is in
 the batch. `run_attack` is the per-example adapter over the row functions:
-one example's rows become `Candidate`s and its first failed row is raised
-as `AttackFailedError`. `fgsm` and `pgd` call it; `uniform_noise`, which
-takes no model, draws from `noise_rows` directly. Each of them checks its
+one example, checked by `models._one_row`, yields its rows as `Candidate`s
+and raises its first failed row as `AttackFailedError`. `fgsm` and `pgd`
+call it; `uniform_noise`, which takes no model, draws from `noise_rows`
+directly. Each of them checks its
 fields through an `AttackConfig`.
 
 PGD moves each coordinate by +-step_size and clips it to the box, so a row
@@ -37,7 +39,7 @@ import numpy as np
 
 from .data import Example
 from .errors import AttackFailedError, ContractError, ShapeError
-from .models import ModelParams, grad_rows, reduce_rows
+from .models import ModelParams, _one_row, grad_rows, reduce_rows
 from .seeding import derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .seeding import derive_seed  # noqa: F401
@@ -247,8 +249,7 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     x = clean
     if config.random_init:
         # only the random start reads the seeds, so only it derives them
-        x = _clamp(clean + uniform_rows(_restart_seeds(seeds, r), -config.epsilon,
-                                        config.epsilon, clean.shape[1:]), lo, hi)
+        x = noise_rows(clean, config.epsilon, _restart_seeds(seeds, r), 1)
     failed_at = np.full(len(x), -1)
     out = np.empty_like(x)
     live = np.arange(len(x))
@@ -297,17 +298,6 @@ def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,
     raise ContractError(f"no runner for variant {config.variant!r}")
 
 
-def _one_example(params: ModelParams, example: Example) -> tuple[np.ndarray, np.ndarray]:
-    """An example as a 1-row batch, after the checks the row functions skip."""
-    clean = example.features
-    if clean.shape != (params.dimension,):
-        raise ShapeError(f"example dimension {clean.shape[0]} does not match model "
-                         f"dimension {params.dimension}")
-    if not 0 <= example.label < params.num_classes:
-        raise ContractError(f"label {example.label} out of range")
-    return clean[None, :], np.array([example.label])
-
-
 def fgsm(params: ModelParams, example: Example, epsilon: float,
          attack_id: str = FGSM, example_index: int = 0) -> Candidate:
     """Single signed-gradient step of size epsilon, then projection."""
@@ -339,10 +329,11 @@ def run_attack(params: ModelParams, example: Example, config: AttackConfig,
                seed: int | Sequence[int], example_index: int = 0) -> list[Candidate]:
     """Run a built-in attack on one example; one candidate per row.
 
-    The example is a 1-row batch for `attack_rows`. The first failed row
-    raises AttackFailedError naming its step and restart.
+    The example is a checked 1-row batch (`models._one_row`) for
+    `attack_rows`. The first failed row raises AttackFailedError naming its
+    step and restart.
     """
-    clean, labels = _one_example(params, example)
+    clean, labels = _one_row(params, example.features, example.label)
     adv, failed_at = attack_rows(params, config, clean, labels, [seed])
     for r, step in enumerate(failed_at.tolist()):
         if step >= 0:

@@ -49,11 +49,12 @@ from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows
                       is_int_or_none, rows_per_example)
 from .data import Dataset, Example
 from .errors import ContractError, ShapeError
-from .models import (Ensemble, ModelParams, Prediction, StochasticSpec, _check_input,
-                     predict, predict_stochastic, probs_rows, reduce_rows)
+from .models import (Ensemble, ModelParams, StochasticSpec, _one_row, predict_stochastic,
+                     probs_rows, reduce_rows)
 from .seeding import derive_seeds, seed_words
 # perfbench/child.py wraps these names when it traces a run; nothing here calls them
 from .attacks import run_attack, validate_candidate  # noqa: F401
+from .models import predict  # noqa: F401
 from .seeding import derive_seed  # noqa: F401
 
 CLEAN_ID = "none"
@@ -375,32 +376,32 @@ def _scored(params: ModelParams, y: np.ndarray, example_index: np.ndarray, code:
                          *_scores(probs, y[example_index], norms))
 
 
-def _score_from_prediction(pred: Prediction, example: Example,
-                           candidate: Candidate) -> CandidateScore:
-    norm = np.max(np.abs(candidate.adversarial_input - example.features))
-    scores = _scores(pred.probabilities[None, :], np.array([example.label]), np.array([norm]))
-    return CandidateScore(*(v.item() for v in scores))
+def _score(params: ModelParams, example: Example, candidate: Candidate,
+           example_index: int | None, probs_of: Callable) -> CandidateScore:
+    """The score of one candidate, as `_scores` scores a 1-row batch:
+    probs_of maps the checked candidate (1, d) to its probabilities (1, k)."""
+    if example_index is not None and candidate.example_index != example_index:
+        raise ContractError(
+            f"candidate belongs to example {candidate.example_index}, not {example_index}")
+    clean, label = _one_row(params, example.features, example.label)
+    adv, _ = _one_row(params, candidate.adversarial_input)
+    norm = np.abs(adv - clean).max(axis=1)
+    return CandidateScore(*(v.item() for v in _scores(probs_of(adv), label, norm)))
 
 
 def score(params: ModelParams, example: Example, candidate: Candidate,
           example_index: int | None = None) -> CandidateScore:
     """Misclassification flag, best wrong-class probability, and L-inf norm."""
-    if example_index is not None and candidate.example_index != example_index:
-        raise ContractError(
-            f"candidate belongs to example {candidate.example_index}, not {example_index}")
-    pred = predict(params, candidate.adversarial_input)
-    return _score_from_prediction(pred, example, candidate)
+    return _score(params, example, candidate, example_index,
+                  lambda adv: probs_rows(params, adv))
 
 
 def score_stochastic(params: ModelParams, spec: StochasticSpec, example: Example,
                      candidate: Candidate, seed: int,
                      example_index: int | None = None) -> CandidateScore:
     """Like score, but against the mean probabilities of the noisy model."""
-    if example_index is not None and candidate.example_index != example_index:
-        raise ContractError(
-            f"candidate belongs to example {candidate.example_index}, not {example_index}")
-    pred = predict_stochastic(params, spec, candidate.adversarial_input, seed)
-    return _score_from_prediction(pred, example, candidate)
+    return _score(params, example, candidate, example_index,
+                  lambda adv: predict_stochastic(params, spec, adv[0], seed).probabilities[None])
 
 
 def prefer(a: CandidateScore, b: CandidateScore, criterion: Criterion) -> int:
@@ -472,6 +473,8 @@ def _run_block(result: BundleResult, pool_blocks: list | None, run: Runner,
     _fold_block(result.criterion, result.chosen_rows, block, per)
 
 
+# an overflowing model shows in the scores (`_scores`) and failed units, not as warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
            criterion: Criterion, budget: BudgetPolicy | None = None, seed: int = 0,
            runners: Mapping[str, Runner] | None = None,
@@ -536,6 +539,7 @@ def complete(result: BundleResult, params: ModelParams, dataset: Dataset,
                     runners or {}, None)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `bundle`
 def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
              runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
     """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place.
@@ -612,10 +616,10 @@ def select_by_ensemble(ensemble: Ensemble, example: Example,
     wrong-class confidence -inf."""
     if not candidates:
         raise ContractError("select_by_ensemble needs at least one candidate")
-    X = np.stack([_check_input(ensemble.members[0], c.adversarial_input)
-                  for c in candidates])
-    labels = np.full(len(X), example.label)
-    fooled, wrong, _ = zip(*(_scores(probs_rows(member, X), labels, None)
+    first = ensemble.members[0]
+    _, label = _one_row(first, example.features, example.label)
+    X = np.concatenate([_one_row(first, c.adversarial_input)[0] for c in candidates])
+    fooled, wrong, _ = zip(*(_scores(probs_rows(member, X), label.repeat(len(X)), None)
                              for member in ensemble.members))
     # members on the contiguous last axis: each mean sums as np.mean of a list
     keys = list(zip(np.sum(fooled, axis=0).tolist(),

@@ -11,6 +11,10 @@ A model is its list of (W, b) layers, `ModelParams.layers`; one forward pass,
 `_logits` and then `_softmax` in place, serves scoring, input gradients and
 training.
 
+The row functions `probs_rows` and `grad_rows` check nothing; every
+single-example function, here and in `attacks` and `bundler`, takes its
+inputs through `_one_row`, the one check of width, finiteness and label.
+
 Conventions, fixed here and relied on by tests:
   * softmax subtracts the max logit before exponentiating
   * probabilities are floored at 1e-12 before taking logs, and the input
@@ -143,13 +147,22 @@ class TrainParams:
             raise ContractError("seed must be >= 0")
 
 
-def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
+def _one_row(params: ModelParams, x: np.ndarray,
+             label: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """x and label as the 1-row batch (1, d) and (1,) the row functions take,
+    after the checks they skip: x must be as wide as the model and finite,
+    else ShapeError; label must be one of the model's classes, else
+    ContractError."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.dimension,):
         raise ShapeError(f"input shape {x.shape} does not match model dimension {params.dimension}")
     if not np.all(np.isfinite(x)):
         raise ShapeError("input must be finite")
-    return x
+    if (not isinstance(label, (int, np.integer)) or isinstance(label, bool)
+            or not 0 <= label < params.num_classes):
+        raise ContractError(f"label {label!r} is not one of the model's "
+                            f"{params.num_classes} classes")
+    return x[None, :], np.array([label])
 
 
 def _by_row(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -239,20 +252,19 @@ def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndar
     return grad
 
 
-def predict(params: ModelParams, x: np.ndarray) -> Prediction:
-    """Class probabilities, argmax class (lowest index on ties), confidence."""
-    x = _check_input(params, x)
-    probs = probs_rows(params, x[None, :])[0]
+def _prediction(probs: np.ndarray) -> Prediction:
     cls = int(np.argmax(probs))
     return Prediction(probs, cls, float(probs[cls]))
 
 
+def predict(params: ModelParams, x: np.ndarray) -> Prediction:
+    """Class probabilities, argmax class (lowest index on ties), confidence."""
+    return _prediction(probs_rows(params, _one_row(params, x)[0])[0])
+
+
 def input_gradient(params: ModelParams, x: np.ndarray, target_label: int) -> np.ndarray:
     """Gradient of the floored cross-entropy -log p(target_label | x) with respect to x."""
-    x = _check_input(params, x)
-    if not 0 <= target_label < params.num_classes:
-        raise ContractError(f"label {target_label} out of range")
-    return grad_rows(params, x[None, :], np.array([target_label]))[0]
+    return grad_rows(params, *_one_row(params, x, target_label))[0]
 
 
 def _layer_views(flat: np.ndarray, widths: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -343,17 +355,13 @@ def predict_stochastic(params: ModelParams, spec: StochasticSpec, x: np.ndarray,
     Each call adds fresh Uniform(-noise_scale, noise_scale) noise, clips to
     [0, 1], and evaluates the model; the mean vector is re-normalized.
     """
-    x = _check_input(params, x)
+    X, _ = _one_row(params, x)
     if spec.noise_scale == 0.0:
-        probs = probs_rows(params, x[None, :])[0]
-    else:
-        rng = make_rng(seed)
-        noise = rng.uniform(-spec.noise_scale, spec.noise_scale, size=(spec.calls, x.shape[0]))
-        noisy = np.clip(x[None, :] + noise, 0.0, 1.0)
-        probs = probs_rows(params, noisy).mean(axis=0)
-        probs = probs / probs.sum()
-    cls = int(np.argmax(probs))
-    return Prediction(probs, cls, float(probs[cls]))
+        return _prediction(probs_rows(params, X)[0])
+    rng = make_rng(seed)
+    noise = rng.uniform(-spec.noise_scale, spec.noise_scale, size=(spec.calls, X.shape[1]))
+    probs = probs_rows(params, np.clip(X + noise, 0.0, 1.0)).mean(axis=0)
+    return _prediction(probs / probs.sum())
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:

@@ -176,21 +176,17 @@ def uniform_rows(seeds: Sequence[int], low: float, high: float, shape: tuple) ->
 
     numpy draws `low + (high - low) * next_double`: each row is filled in
     place with `random(out=)`, numpy's `next_double` stream, and the block is
-    scaled once. numpy seeds one Generator for the first seed, so one seed
-    costs what `make_rng` does, and `pcg64_states` gives the others' states
-    in one pass."""
+    scaled once. One Generator draws every row, each from the state
+    `pcg64_states` gives its seed in one pass."""
     out = np.empty((len(seeds), *shape))
-    if not len(seeds):
-        return out
     if not np.isfinite(high - low):  # numpy's own refusal, which scaling would skip
         raise OverflowError("high - low range exceeds valid bounds")
-    bit_generator = np.random.PCG64(_check_seed(seeds[0]))
+    bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    rng.random(out=out[0])
-    for u, (state, inc) in enumerate(pcg64_states(seeds[1:]), start=1):
+    for row, (state, inc) in zip(out, pcg64_states(seeds)):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        rng.random(out=out[u])
+        rng.random(out=row)
     out *= high - low
     out += low
     return out

@@ -634,7 +634,6 @@ class TestRowEngine:
         # pgd in one block, noise in two: 4096 rows hold 68 examples of 60
         assert counts == {"blocks": 3, "bit_generators": 3}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("setup", ["blobs", "overflow"])
     def test_a_block_checked_and_scored_in_pieces_equals_it_whole(self, monkeypatch, setup,
                                                                    mlp_on_small_blobs,
@@ -685,7 +684,6 @@ class TestRowEngine:
         self.check(monkeypatch, mlp_on_small_blobs, small_blobs, attacks,
                    ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_on_some_rows_fails_only_their_units(self, monkeypatch):
         m, ds = _overflow_setup()
         res = self.check(monkeypatch, m, ds, self.three_attacks(),
@@ -696,7 +694,6 @@ class TestRowEngine:
         assert 0 < failed["pgd"] < len(ds)
         assert failed["noise"] == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_units_mark_their_columns_incomplete(self):
         m, ds = _overflow_setup()
         res = ab.bundle(m, ds, self.three_attacks(), ab.Criterion.misclassify(),
@@ -1322,3 +1319,43 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
                                  np.ones(n), pool)
         redone = ab.reselect(result, crit).chosen_rows
         assert redone.adversarial_input[:, 0].tolist() == best
+
+
+_GOOD = np.array([0.5, 0.5])
+# an example (features, label) and a candidate, each bad for the 2-feature,
+# 2-class model in one way
+_BAD_INPUTS = {"label k": (_GOOD, 2, _GOOD),
+               "one feature wider": (np.full(3, 0.5), 0, _GOOD),
+               "one feature narrower": (np.full(1, 0.5), 0, _GOOD),
+               "NaN candidate": (_GOOD, 0, np.array([np.nan, 0.5]))}
+_PGD = ab.AttackConfig("pgd", "pgd", epsilon=0.1, step_size=0.05, num_steps=2)
+_NOISY = ab.StochasticSpec(0.1, 3)
+# each function on (model, example, candidate); a function of one input takes
+# the candidate, or the example's features where only they are bad
+_SINGLE_EXAMPLE = {
+    "predict": lambda m, ex, adv: ab.predict(m, adv),
+    "predict_stochastic": lambda m, ex, adv: ab.predict_stochastic(m, _NOISY, adv, 0),
+    "input_gradient": lambda m, ex, adv: ab.input_gradient(m, adv, ex.label),
+    "run_attack": lambda m, ex, adv: run_attack(m, ex, _PGD, 0),
+    "fgsm": lambda m, ex, adv: ab.fgsm(m, ex, 0.1),
+    "pgd": lambda m, ex, adv: ab.pgd(m, ex, _PGD, 0),
+    "score": lambda m, ex, adv: ab.score(m, ex, Candidate(0, adv, "a")),
+    "score_stochastic": lambda m, ex, adv: ab.score_stochastic(
+        m, _NOISY, ex, Candidate(0, adv, "a"), 0),
+    "select_by_ensemble": lambda m, ex, adv: ab.select_by_ensemble(
+        ab.Ensemble((m,)), ex, [Candidate(0, _GOOD, "a"), Candidate(0, adv, "a", 1)]),
+}
+_ONE_INPUT = ("predict", "predict_stochastic", "input_gradient")
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in _SINGLE_EXAMPLE for case in _BAD_INPUTS
+    # predict takes no label; an attack takes no candidate, and an Example refuses NaN
+    if not ((name.startswith("predict") and case == "label k")
+            or (name in ("run_attack", "fgsm", "pgd") and case == "NaN candidate"))])
+def test_every_single_example_function_refuses_every_bad_input(name, case):
+    x, label, adv = _BAD_INPUTS[case]
+    if name in _ONE_INPUT and adv is _GOOD:
+        adv = x
+    with pytest.raises((ShapeError, ContractError)):
+        _SINGLE_EXAMPLE[name](binary_linear([1.0, -1.0]), ab.Example(x, label), adv)

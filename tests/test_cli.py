@@ -1,17 +1,21 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
+from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
 from advbundle.config import with_output_dir
 
@@ -454,21 +458,31 @@ num_samples = 5
 """
 _TINY_KEY_LINES = [i for i, line in enumerate(TINY_CFG.splitlines()) if " = " in line]
 # no large integers: no run may allocate more than the tiny config does
-_FUZZ_VALUES = ["-1", "nan", "inf", "1e400", "abc", "1:0:3", ""]
+_FUZZ_VALUES = ["-1", "nan", "inf", "1e400", "abc", "1:0:3", "", "1e308", "-0", "0", "+3",
+                "1_0", "10^23", "none"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(st.dictionaries(st.sampled_from(_TINY_KEY_LINES), st.sampled_from(_FUZZ_VALUES),
                        min_size=1, max_size=3))
+# trains until the weights overflow
+@example({TINY_CFG.splitlines().index("learning_rate = 0.3"): "1e308"})
 @settings(max_examples=100, deadline=None)
 def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations):
+    # a documented exit code and a one-line typed message, never a traceback or
+    # a warning, and a config error before any training
     lines = TINY_CFG.splitlines()
     for i, value in mutations.items():
         lines[i] = f"{lines[i].split(' = ')[0]} = {value}"
     work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "exp.cfg"
     cfg.write_text("\n".join(lines) + "\n")
-    assert main(["run", str(cfg), "--output-dir", str(work / "out")]) in (0, 2, 3, 4)
+    stderr = io.StringIO()
+    with mock.patch.object(cli, "train", wraps=cli.train) as train, \
+            contextlib.redirect_stderr(stderr):
+        code = main(["run", str(cfg), "--output-dir", str(work / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
+    assert code != 2 or not train.called
 
 
 def test_library_has_no_assert_statement():
