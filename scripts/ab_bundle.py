@@ -13,9 +13,10 @@ code. The script first asserts that both sides' models and every
 byte-identical, and so are the single-example API's outputs on the first
 `SINGLE_EXAMPLES` examples: `run_attack`'s candidates under each configured
 attack, and `predict` and `input_gradient` at the clean inputs. It then
-times N pairs of `bundle()` calls, alternating which side goes first, and
-prints each side's median and the quartiles of the per-pair time ratio
-change / parent.
+runs one untimed `bundle()` per side under `tracemalloc`, times N pairs of
+`bundle()` calls, alternating which side goes first, and prints each side's
+median, the quartiles of the per-pair time ratio change / parent, and each
+side's peak of traced memory within its one `bundle()`.
 
 It takes 15-30 s at the default 151 pairs on a 2-core VM. It is a quick check before
 perfbench's process-level pairs, not a replacement for them: it leaves out
@@ -31,6 +32,7 @@ import importlib
 import importlib.util
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,17 @@ def _check_single_example(name: str, packages: dict, args: dict) -> None:
             raise SystemExit(f"{name}: {key} differs")
 
 
+def _peak_kib(package, args: tuple, seed: int) -> float:
+    """Peak memory, in KiB, that tracemalloc traces within one bundle() call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        package.bundle(*args, seed=seed)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str, list]:
     times = {side: [] for side in SIDES}
     gc.collect()
@@ -169,6 +182,7 @@ def main() -> int:
                                                   keep_candidates=True)
         _check_identical(name, results, {side: args[side][0] for side in SIDES})
         _check_single_example(name, packages, args)
+        peaks = {side: _peak_kib(packages[side], args[side], seeds[side]) for side in SIDES}
         times = _time_pairs(packages, args, seeds, opts.pairs)
         ratio = np.array(times["change"]) / np.array(times["parent"])
         q1, q2, q3 = np.percentile(ratio, [25, 50, 75])
@@ -176,7 +190,8 @@ def main() -> int:
         print(f"{name}: identical bytes; bundle() median parent "
               f"{np.median(times['parent']) * 1e3:.2f} ms, change "
               f"{np.median(times['change']) * 1e3:.2f} ms; change/parent quartiles "
-              f"{q1:.3f} {q2:.3f} {q3:.3f}; change faster in {wins} of {opts.pairs}")
+              f"{q1:.3f} {q2:.3f} {q3:.3f}; change faster in {wins} of {opts.pairs}; "
+              f"peak parent {peaks['parent']:.0f} KiB, change {peaks['change']:.0f} KiB")
     return 0
 
 

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Example
-from .errors import AttackFailedError, ContractError, ShapeError
+from .errors import AttackFailedError, ContractError, ShapeError, is_int_or_none
 from .models import ModelParams, _one_row, grad_rows, reduce_rows
 from .seeding import derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
@@ -48,12 +48,6 @@ FGSM = "fgsm"
 PGD = "pgd"
 UNIFORM_NOISE = "uniform_noise"
 VARIANTS = (FGSM, PGD, UNIFORM_NOISE)
-
-
-def is_int_or_none(value) -> bool:
-    """Whether value is None or an integer (a bool is not a count)."""
-    return value is None or (isinstance(value, (int, np.integer))
-                             and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,13 @@ variant without a `runners` entry; it computes every row exactly as a 1-row
 call would, so the result equals running `attacks.run_attack` one example
 at a time, bit for bit.
 
-Every block takes the same tail: `check_rows` rejects rows outside the ball
-or [0, 1] and fails examples with a non-finite row, and `probs_rows` scores
-the rest, each on up to `TAIL_BYTES` of rows at a time. A block holds the
-same number of rows for each of its examples, consecutive and in example
-order, so its scores form an examples x rows grid, and reductions along the
-grid's rows give the outcome matrix, each example's smallest error norm and
+Every block takes the same tail, one loop over pieces of whole examples,
+up to `TAIL_BYTES` of rows each: `check_rows` rejects rows outside the ball
+or [0, 1], and `probs_rows` scores the piece. An example with a non-finite
+row fails, and its rows leave the scored block. A block holds the same
+number of rows for each of its examples, consecutive and in example order,
+so its scores form an examples x rows grid, and reductions along the grid's
+rows give the outcome matrix, each example's smallest error norm and
 highest wrong-class confidence, and its preferred row, which then replaces
 the held choice where it is preferred; goal flags are read off the held
 choice. Nothing is sorted or scattered. Scored candidates are columns
@@ -41,14 +42,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from copy import deepcopy
 from dataclasses import astuple, dataclass, replace
+from numbers import Real
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .attacks import (VARIANTS, AttackConfig, Candidate, attack_rows, check_rows,
-                      is_int_or_none, rows_per_example)
+from .attacks import VARIANTS, AttackConfig, Candidate, attack_rows, check_rows, rows_per_example
 from .data import Dataset, Example
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, is_int_or_none
 from .models import (Ensemble, ModelParams, StochasticSpec, _one_row, predict_stochastic,
                      probs_rows, reduce_rows)
 from .seeding import derive_seeds, seed_words
@@ -64,10 +65,11 @@ CLEAN_ID = "none"
 # rows than this (restarts or noise samples) is a block of its own
 ROW_BLOCK = 4096
 
-# most bytes of candidate rows checked or scored in one call. Each call's
-# temporaries are as wide as a candidate or a model layer, so a block of wide
-# candidates split into such pieces never holds twice its candidate array's
-# memory. glibc returns the top of its heap to the OS once that top exceeds
+# most bytes of candidate rows checked and scored in one piece; a piece holds
+# whole examples, so an example with more rows is a piece of its own. Each
+# call's temporaries are as wide as a candidate or a model layer, so a block
+# of wide candidates split into such pieces never holds twice its candidate
+# array's memory. glibc returns the top of its heap to the OS once that top exceeds
 # twice the largest array it has mapped and freed; below that, the next
 # block reuses this block's pages instead of faulting in fresh ones. In
 # `advbundle run` of wide-pool at bench size (blocks of 4,000 rows 32 wide,
@@ -104,8 +106,8 @@ class Criterion:
         if self.variant not in (MISCLASSIFY, MAX_CONFIDENCE, MIN_NORM):
             raise ContractError(f"unknown criterion {self.variant!r}")
         if self.variant == MAX_CONFIDENCE:
-            if self.threshold is None or not 0.5 <= self.threshold < 1.0:
-                raise ContractError("max_confidence threshold must lie in [0.5, 1)")
+            if not isinstance(self.threshold, Real) or not 0.5 <= self.threshold < 1.0:
+                raise ContractError("max_confidence threshold must be a number in [0.5, 1)")
         elif self.threshold is not None:
             raise ContractError(f"{self.variant} takes no threshold")
 
@@ -355,27 +357,6 @@ def _scores(probs: np.ndarray, labels: np.ndarray,
     return defined & (probs.argmax(axis=1) != labels), wrong, norms
 
 
-def _piece_rows(adv: np.ndarray) -> int:
-    """How many rows of adv fill `TAIL_BYTES`, at least one."""
-    return max(1, TAIL_BYTES // max(1, adv.itemsize * adv.shape[-1]))
-
-
-def _in_pieces(f: Callable[[slice], np.ndarray], n: int, step: int) -> np.ndarray:
-    """f(s) over the consecutive slices s of range(n), `step` long (at least
-    one), concatenated; f(slice(0, step)) alone when n is 0."""
-    step = max(1, step)
-    return np.concatenate([f(slice(lo, lo + step)) for lo in range(0, max(n, 1), step)])
-
-
-def _scored(params: ModelParams, y: np.ndarray, example_index: np.ndarray, code: int,
-            restart_index: np.ndarray, adv: np.ndarray, norms: np.ndarray) -> CandidateRows:
-    """Candidate rows of one attack, scored by probs_rows `TAIL_BYTES` of rows
-    at a time."""
-    probs = _in_pieces(lambda s: probs_rows(params, adv[s]), len(adv), _piece_rows(adv))
-    return CandidateRows(example_index, np.full(len(adv), code), restart_index, adv,
-                         *_scores(probs, y[example_index], norms))
-
-
 def _score(params: ModelParams, example: Example, candidate: Candidate,
            example_index: int | None, probs_of: Callable) -> CandidateScore:
     """The score of one candidate, as `_scores` scores a 1-row batch:
@@ -436,11 +417,12 @@ def _run_block(result: BundleResult, pool_blocks: list | None, run: Runner,
     with one `run` call, check and score its rows, and fold them into
     `result` in place (see `_advance`).
 
-    Each example's candidate count is -1 where a row failed or is not finite,
-    and only the other examples' rows are scored. The rows are indexed, and
-    so copied, only when some example failed. Unless `pool_blocks` keeps them,
-    the block's arrays are this call's locals, so they are freed at its fold,
-    before the next block is drawn.
+    One loop checks and scores the rows, piece by piece (see `TAIL_BYTES`).
+    An example with a failed or non-finite row counts -1; its rows are scored
+    with the rest, each as a 1-row call would score it, and leave the block
+    in one `take`, which copies the rows only when some example failed.
+    Unless `pool_blocks` keeps them, the block's arrays are this call's
+    locals, so they are freed at its fold, before the next block is drawn.
     """
     y, d = dataset.labels, dataset.dimension
     per, clean = rows_per_example(config), dataset.features[idx]
@@ -449,22 +431,24 @@ def _run_block(result: BundleResult, pool_blocks: list | None, run: Runner,
     if np.shape(adv) != (rows, d) or np.shape(failed_at) != (rows,):
         raise ShapeError(f"attack {config.attack_id!r} gave adv {np.shape(adv)} and "
                          f"failed_at {np.shape(failed_at)}, not {(rows, d)} and {(rows,)}")
-    grid = adv.reshape(len(idx), per, d)
-    norms = _in_pieces(lambda s: check_rows(grid[s], clean[s, None, :], config.epsilon,
-                                            config.attack_id),
-                       len(idx), _piece_rows(adv) // per)
+    grid, norms, probs = adv.reshape(len(idx), per, d), [], []
+    step = max(1, TAIL_BYTES // (adv.itemsize * d * per))  # examples a piece holds
+    for lo in range(0, len(idx), step):
+        norms.append(check_rows(grid[lo:lo + step], clean[lo:lo + step, None, :],
+                                config.epsilon, config.attack_id))
+        probs.append(probs_rows(params, adv[lo * per:(lo + step) * per]))
+    norms, probs = np.concatenate(norms), np.concatenate(probs)
     failed = ((failed_at >= 0).reshape(len(idx), per).any(axis=1)
               | ~reduce_rows(np.logical_and, np.isfinite(norms)))
     result.candidate_counts[idx, code - 1] = np.where(failed, -1, per)
-    examples, restarts = np.repeat(idx, per), np.tile(np.arange(per), len(idx))
-    norms = norms.reshape(-1)
+    block = CandidateRows(np.repeat(idx, per), np.full(rows, code),
+                          np.tile(np.arange(per), len(idx)), adv,
+                          *_scores(probs, y[idx].repeat(per), norms.reshape(-1)))
     if failed.any():
-        keep = np.repeat(~failed, per)
-        examples, restarts, adv, norms = examples[keep], restarts[keep], adv[keep], norms[keep]
-    block = _scored(params, y, examples, code, restarts, adv, norms)
+        block = block.take(np.repeat(~failed, per))
     if pool_blocks is not None:
         pool_blocks.append(block)
-    ex = examples[::per]
+    ex = block.example_index[::per]
     mis, wrong, norm = (col.reshape(len(ex), per) for col in block[4:])
     result.outcome_matrix.entries[ex, code] = mis.any(axis=1)
     result.error_norm[ex] = np.minimum(result.error_norm[ex],

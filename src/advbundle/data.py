@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, is_int
 from .seeding import make_rng
 
 # most classes a CSV dataset may have: k is inferred from the largest label,
@@ -64,8 +64,8 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ContractError(f"need at least 2 classes, got {self.num_classes}")
+        if not is_int(self.num_classes) or self.num_classes < 2:
+            raise ContractError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         try:
             feats = np.array(self.features, dtype=np.float64)
         except ValueError as exc:

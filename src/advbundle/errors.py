@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test every
+check of a count or a seed uses."""
+
+import numpy as np
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_int_or_none(value) -> bool:
+    return value is None or is_int(value)
 
 
 class ShapeError(ValueError):

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import ContractError, DataError, ShapeError, TrainingDivergedError
+from .errors import ContractError, DataError, ShapeError, TrainingDivergedError, is_int
 from .seeding import make_rng
 
 SOFTMAX_LINEAR = "softmax_linear"
@@ -109,10 +109,11 @@ class StochasticSpec:
     calls: int = 1
 
     def __post_init__(self):
-        if self.noise_scale < 0:
-            raise ContractError("noise_scale must be >= 0")
-        if self.calls < 1:
-            raise ContractError("calls must be >= 1")
+        # the noise is drawn from [-noise_scale, noise_scale]
+        if not 0 <= self.noise_scale <= np.finfo(np.float64).max / 2:
+            raise ContractError("noise_scale must be >= 0, with 2 * noise_scale finite")
+        if not is_int(self.calls) or self.calls < 1:
+            raise ContractError("calls must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,9 @@ class TrainParams:
     hidden: int = 16
 
     def __post_init__(self):
+        for key in ("epochs", "batch_size", "hidden", "seed"):
+            if not is_int(getattr(self, key)):
+                raise ContractError(f"{key} must be an integer")
         for key in ("learning_rate", "epochs", "batch_size", "hidden"):
             if getattr(self, key) <= 0:
                 raise ContractError(f"{key} must be positive")

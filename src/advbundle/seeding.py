@@ -29,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_int
 
 _MASK = (1 << 64) - 1
 
@@ -91,7 +91,7 @@ def derive_seeds(root: int | np.ndarray, *parts: int | str | np.ndarray):
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if not is_int(seed):
         raise ContractError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")

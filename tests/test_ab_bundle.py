@@ -3,6 +3,7 @@ every array of their BundleResults; these tests fail when a refactor of the
 CLI or of BundleResult leaves it timing or comparing something else."""
 
 import dataclasses
+import re
 import runpy
 import subprocess
 import sys
@@ -26,6 +27,7 @@ def test_ab_bundle_runs_one_pair_of_the_same_tree():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["desk-default", "wide-pool"]
     assert all("identical bytes" in line for line in lines)
+    assert all(re.search(r"peak parent \d+ KiB, change \d+ KiB$", line) for line in lines)
 
 
 def test_ab_bundle_compares_every_array_field():

@@ -13,6 +13,7 @@ from advbundle import bundler
 from advbundle.attacks import Candidate, attack_rows, rows_per_example, run_attack
 from advbundle.bundler import CLEAN_ID
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
+from advbundle.models import probs_rows
 
 from conftest import binary_linear, random_linear
 
@@ -411,14 +412,23 @@ class TestBundle:
             return adv, failed_at[:1]
 
         def refused(*args):
-            raise AssertionError("a block was checked or scored")
+            raise AssertionError("a block was checked")
+
+        scored = []
+
+        def clean_pass_only(params, X):
+            if scored:
+                raise AssertionError("a block was scored")
+            scored.append(len(X))
+            return probs_rows(params, X)
 
         monkeypatch.setattr(bundler, "check_rows", refused)
-        monkeypatch.setattr(bundler, "_scored", refused)
+        monkeypatch.setattr(bundler, "probs_rows", clean_pass_only)
         with pytest.raises(ShapeError, match="attack 'odd' gave adv"):
             ab.bundle(steep_boundary_model(), two_example_dataset(),
                       [ab.AttackConfig("odd", "odd", epsilon=0.1)],
                       ab.Criterion.misclassify(), runners={"odd": runner})
+        assert scored == [2]  # the clean inputs of both examples
 
     def test_runner_nan_candidate_fails_its_unit(self):
         def nan_runner(params, config, clean, labels, seeds):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
@@ -462,18 +462,13 @@ _FUZZ_VALUES = ["-1", "nan", "inf", "1e400", "abc", "1:0:3", "", "1e308", "-0", 
                 "1_0", "10^23", "none"]
 
 
-@given(st.dictionaries(st.sampled_from(_TINY_KEY_LINES), st.sampled_from(_FUZZ_VALUES),
-                       min_size=1, max_size=3))
-# trains until the weights overflow
-@example({TINY_CFG.splitlines().index("learning_rate = 0.3"): "1e308"})
-@settings(max_examples=100, deadline=None)
-def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations):
-    # a documented exit code and a one-line typed message, never a traceback or
-    # a warning, and a config error before any training
+def _run_mutated(work: Path, mutations: dict[int, str]) -> None:
+    """Run TINY_CFG with the value on each line i in `mutations` replaced: a
+    documented exit code and a one-line typed message, never a traceback or a
+    warning, and a config error before any training."""
     lines = TINY_CFG.splitlines()
     for i, value in mutations.items():
         lines[i] = f"{lines[i].split(' = ')[0]} = {value}"
-    work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "exp.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     stderr = io.StringIO()
@@ -483,6 +478,22 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
     assert code != 2 or not train.called
+
+
+# every one-key mutation, learning_rate = 1e308 (trains until the weights overflow) included
+@pytest.mark.parametrize("value", _FUZZ_VALUES)
+@pytest.mark.parametrize("line", _TINY_KEY_LINES,
+                         ids=[f"line{i + 1}-{TINY_CFG.splitlines()[i].split(' = ')[0]}"
+                              for i in _TINY_KEY_LINES])
+def test_config_with_one_key_mutated_exits_with_a_documented_code(tmp_path, line, value):
+    _run_mutated(tmp_path, {line: value})
+
+
+@given(st.dictionaries(st.sampled_from(_TINY_KEY_LINES), st.sampled_from(_FUZZ_VALUES),
+                       min_size=2, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations):
+    _run_mutated(tmp_path_factory.mktemp("fuzz"), mutations)
 
 
 def test_library_has_no_assert_statement():

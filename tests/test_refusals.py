@@ -1,0 +1,111 @@
+"""Every public record and entry point refuses a bad input with a typed error."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import advbundle as ab
+from advbundle import attacks, seeding
+from advbundle.errors import AttackFailedError, ConfigError, ContractError, DataError, ShapeError
+
+from conftest import binary_linear
+
+TRAIN = dict(learning_rate=0.1, epochs=2, batch_size=4, seed=0, hidden=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ab.StochasticSpec(noise_scale=math.inf),
+    lambda: ab.StochasticSpec(noise_scale=math.nan),
+    lambda: ab.StochasticSpec(noise_scale=1e308),  # 2 * noise_scale overflows
+    lambda: ab.StochasticSpec(noise_scale=0.1, calls=2.5),
+    lambda: ab.TrainParams(**{**TRAIN, "epochs": 2.5}),
+    lambda: ab.TrainParams(**{**TRAIN, "batch_size": 4.5}),
+    lambda: ab.TrainParams(**{**TRAIN, "hidden": 2.5}),
+    lambda: ab.TrainParams(**{**TRAIN, "seed": 1.5}),
+    lambda: ab.Criterion.max_confidence("0.9"),
+    lambda: ab.Dataset([[0.1], [0.9]], [0, 1], num_classes=2.5),
+    lambda: seeding._check_seed(True),
+], ids=["noise-inf", "noise-nan", "noise-overflows", "calls", "epochs", "batch_size",
+        "hidden", "train-seed", "threshold-str", "num_classes", "seed-bool"])
+def test_numeric_fields_of_records_are_refused_when_not_numbers(make):
+    with pytest.raises(ContractError):
+        make()
+
+
+def _file(name, text, load):
+    """A call that writes text to the file `name` and loads it."""
+    def call():
+        Path(name).write_text(text)
+        return load(Path(name))
+    return call
+
+
+def _model_file(text):
+    return _file("model.txt", text, ab.load_model)
+
+
+def _csv(text):
+    return _file("data.csv", text, ab.load_dataset_csv)
+
+
+MODEL = binary_linear([1.0, 0.0])
+EXAMPLE = ab.Example(np.array([0.5, 0.5]), 0)
+W, b = np.zeros((2, 2)), np.zeros(2)
+
+# (id, call, exception type, line number of a file error); a call runs in a fresh directory
+REFUSALS = [
+    ("attack-empty-variant", lambda: ab.AttackConfig("a", "", 0.1), ContractError, None),
+    ("pgd-of-fgsm", lambda: ab.pgd(MODEL, EXAMPLE, ab.AttackConfig("f", "fgsm", 0.1), 0),
+     ContractError, None),
+    ("validate-shape", lambda: attacks.validate_candidate(
+        ab.Candidate(0, np.array([0.5]), "a"), EXAMPLE.features, 0.1), ShapeError, None),
+    ("validate-ball", lambda: attacks.validate_candidate(
+        ab.Candidate(0, np.array([0.9, 0.5]), "a"), EXAMPLE.features, 0.1),
+     ContractError, None),
+    ("validate-non-finite", lambda: attacks.validate_candidate(
+        ab.Candidate(0, np.array([np.nan, 0.5]), "a"), EXAMPLE.features, 0.1),
+     AttackFailedError, None),
+    ("outcome-1d", lambda: ab.OutcomeMatrix(np.zeros(3), ["a"]), ContractError, None),
+    ("outcome-ids", lambda: ab.OutcomeMatrix(np.zeros((2, 2)), ["a"]), ContractError, None),
+    ("bundle-empty", lambda: ab.bundle(MODEL, ab.Dataset(np.zeros((0, 2)), [], num_classes=2),
+                                       [], ab.Criterion.misclassify()), ContractError, None),
+    ("config-unterminated", lambda: ab.parse_experiment_config("seed = 1\n[attack a\n"),
+     ConfigError, 2),
+    ("config-no-variant", lambda: ab.parse_experiment_config("[attack a]\nepsilon = 0.1\n"),
+     ConfigError, 1),
+    ("config-no-epsilon", lambda: ab.parse_experiment_config(
+        "seed = 1\n\n[attack a]\nvariant = fgsm\n"), ConfigError, 3),
+    ("example-2d", lambda: ab.Example(np.zeros((1, 2)), 0), ContractError, None),
+    ("model-architecture", lambda: ab.ModelParams("svm", W, b), ContractError, None),
+    ("model-non-finite", lambda: ab.ModelParams("softmax_linear", W, np.array([0.0, np.inf])),
+     ContractError, None),
+    ("model-shapes", lambda: ab.ModelParams("softmax_linear", W, np.zeros(3)),
+     ContractError, None),
+    ("stochastic-negative", lambda: ab.StochasticSpec(-0.1), ContractError, None),
+    ("stochastic-calls", lambda: ab.StochasticSpec(0.1, calls=0), ContractError, None),
+    ("ensemble-empty", lambda: ab.Ensemble(()), ContractError, None),
+    ("ensemble-mixed", lambda: ab.Ensemble((MODEL, binary_linear([1.0]))), ContractError, None),
+    ("train-seed", lambda: ab.TrainParams(**{**TRAIN, "seed": -1}), ContractError, None),
+    ("train-architecture", lambda: ab.train(ab.synth_dataset(6, 2, 2, seed=0), "svm",
+                                            ab.TrainParams(**TRAIN)), ContractError, None),
+    ("wat-report", lambda: ab.wat_underestimation_report([0]), ContractError, None),
+    # the blank line is skipped but counted
+    ("csv-non-numeric", _csv("f0,label\n0.1,0\n\n0.2,x\n"), DataError, 4),
+    ("csv-one-column", _csv("0.1,0\n1\n"), DataError, 2),
+    ("csv-no-rows", _csv("f0,label\n\n"), DataError, None),
+    ("model-not-a-model", _model_file("W1 2 2\n0 0 0 0\n"), DataError, None),
+    ("model-bad-header", _model_file("architecture softmax_linear\nW1 2\n0 0\n"), DataError, 2),
+]
+
+
+@pytest.mark.parametrize("call,error,line", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_bad_input_raises_its_typed_error(monkeypatch, tmp_path, call, error, line):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    if line is not None:
+        assert f":{line}: " in str(raised.value)
