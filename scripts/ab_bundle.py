@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""In-process A/B check of `bundle()` between two source trees.
+"""In-process A/B check of `bundle()` between two source trees, and of their import.
 
-    python scripts/ab_bundle.py PARENT_SRC CHANGE_SRC [--pairs N]
+    python scripts/ab_bundle.py PARENT_SRC CHANGE_SRC [--pairs N] [--import-pairs M]
 
 Each SRC is a directory holding the `advbundle` package (a checkout's `src/`)
 or the package directory itself. Both trees are imported in one process,
@@ -18,9 +18,17 @@ runs one untimed `bundle()` per side under `tracemalloc`, times N pairs of
 median, the quartiles of the per-pair time ratio change / parent, and each
 side's peak of traced memory within its one `bundle()`.
 
-It takes 15-30 s at the default 151 pairs on a 2-core VM. It is a quick check before
-perfbench's process-level pairs, not a replacement for them: it leaves out
-process start, the numpy import and training.
+Last it times M pairs of fresh interpreters, alternating which side goes
+first, each with one tree on `PYTHONPATH`: each imports numpy, then
+`advbundle.cli` under the clock, from bytecode cached in a temporary
+directory (`sys.pycache_prefix`; one untimed pair writes it), as perfbench's
+runs import it. It prints each side's median and quartiles and the number of
+pairs the change won. The package directory must then be named `advbundle`.
+
+It takes 15-30 s at the default 151 pairs, and about 15 s more at the default
+21 import pairs, on a 2-core VM. It is a quick check before perfbench's
+process-level pairs, not a replacement for them: it leaves out process start,
+the numpy import and training.
 """
 
 from __future__ import annotations
@@ -30,7 +38,10 @@ import dataclasses
 import gc
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -43,15 +54,29 @@ SIDES = ("parent", "change")
 SINGLE_EXAMPLES = 8
 
 
-def _load_package(name: str, src: str):
-    """The advbundle package under src, imported as `name` with its submodules."""
-    path = Path(src)
+# run in a fresh interpreter: seconds `import advbundle.cli` takes after numpy
+IMPORT_TIMER = """import sys, time, numpy
+sys.pycache_prefix, sys.dont_write_bytecode = sys.argv[1], False
+start = time.perf_counter()
+import advbundle.cli
+print(time.perf_counter() - start)
+"""
+
+
+def _package_dir(src: str) -> Path:
+    """The advbundle package directory src names: a checkout's `src/` or the package itself."""
+    path = Path(src).resolve()
     if (path / "advbundle" / "__init__.py").exists():
         path = path / "advbundle"
-    init = path / "__init__.py"
-    if not init.exists():
+    if not (path / "__init__.py").exists():
         raise SystemExit(f"no advbundle package at {src}")
-    spec = importlib.util.spec_from_file_location(name, init,
+    return path
+
+
+def _load_package(name: str, src: str):
+    """The advbundle package under src, imported as `name` with its submodules."""
+    path = _package_dir(src)
+    spec = importlib.util.spec_from_file_location(name, path / "__init__.py",
                                                   submodule_search_locations=[str(path)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
@@ -159,6 +184,26 @@ def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str
     return times
 
 
+def _time_imports(srcs: dict, pairs: int) -> dict[str, list]:
+    """Seconds each side's fresh interpreters took to import advbundle.cli after numpy."""
+    roots = {}
+    for side, src in srcs.items():
+        package = _package_dir(src)
+        if package.name != "advbundle":
+            raise SystemExit(f"{package}: timing the import needs a directory named advbundle")
+        roots[side] = str(package.parent)
+    times = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as cache:
+        for i in range(pairs + 1):  # pair 0 writes the bytecode and is not timed
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                proc = subprocess.run([sys.executable, "-c", IMPORT_TIMER, cache],
+                                      env={**os.environ, "PYTHONPATH": roots[side]},
+                                      capture_output=True, text=True, check=True)
+                if i:
+                    times[side].append(float(proc.stdout))
+    return times
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -166,12 +211,14 @@ def main() -> int:
     parser.add_argument("change_src")
     parser.add_argument("--pairs", type=int, default=151,
                         help="timed bundle() pairs per workload (default 151)")
+    parser.add_argument("--import-pairs", type=int, default=21,
+                        help="timed pairs of fresh-interpreter imports (default 21)")
     opts = parser.parse_args()
-    if opts.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    if opts.pairs < 1 or opts.import_pairs < 1:
+        parser.error("--pairs and --import-pairs must be >= 1")
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
-    packages = {side: _load_package(f"ab_{side}", src)
-                for side, src in zip(SIDES, (opts.parent_src, opts.change_src))}
+    srcs = dict(zip(SIDES, (opts.parent_src, opts.change_src)))
+    packages = {side: _load_package(f"ab_{side}", src) for side, src in srcs.items()}
     workloads = _load_workloads()
     for name, workload in workloads.WORKLOADS.items():
         text = workloads.config_text(workload, 0)
@@ -192,6 +239,13 @@ def main() -> int:
               f"{np.median(times['change']) * 1e3:.2f} ms; change/parent quartiles "
               f"{q1:.3f} {q2:.3f} {q3:.3f}; change faster in {wins} of {opts.pairs}; "
               f"peak parent {peaks['parent']:.0f} KiB, change {peaks['change']:.0f} KiB")
+    times = _time_imports(srcs, opts.import_pairs)
+    ms = {side: np.percentile(times[side], [25, 50, 75]) * 1e3 for side in SIDES}
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    print("import: advbundle.cli after numpy, cached bytecode; "
+          + "; ".join(f"{side} median {ms[side][1]:.2f} ms, quartiles {ms[side][0]:.2f} "
+                      f"{ms[side][2]:.2f}" for side in SIDES)
+          + f"; change faster in {wins} of {opts.import_pairs}")
     return 0
 
 

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Example
-from .errors import AttackFailedError, ContractError, ShapeError, is_int_or_none
+from .errors import AttackFailedError, ContractError, ShapeError, is_int_or_none, is_real
 from .models import ModelParams, _one_row, grad_rows, reduce_rows
 from .seeding import derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
@@ -77,7 +77,7 @@ class AttackConfig:
         if not self.variant:
             raise ContractError("variant must be non-empty")
         # noise and PGD's random start draw from [-epsilon, epsilon]
-        if not 0 < self.epsilon <= np.finfo(np.float64).max / 2:
+        if not (is_real(self.epsilon) and 0 < self.epsilon <= np.finfo(np.float64).max / 2):
             raise ContractError("epsilon must be positive, with 2 * epsilon finite")
         if not self.attack_id:
             raise ContractError("attack_id must be non-empty")
@@ -85,8 +85,11 @@ class AttackConfig:
             if not is_int_or_none(getattr(self, name)):
                 raise ContractError(f"{name} must be an integer")
         if self.variant == PGD:
-            if self.step_size is None or not (np.isfinite(self.step_size) and self.step_size > 0):
+            if not (is_real(self.step_size) and np.isfinite(self.step_size)
+                    and self.step_size > 0):
                 raise ContractError("step_size must be finite and positive for pgd")
+            if not isinstance(self.random_init, (bool, np.bool_)):
+                raise ContractError("random_init must be true or false for pgd")
             if self.num_steps is None or self.num_steps < 0:
                 raise ContractError("num_steps must be >= 0 for pgd")
             if self.restart_seeds is not None and len(self.restart_seeds) != self.num_restarts:
@@ -101,8 +104,10 @@ class AttackConfig:
                 raise ContractError("num_samples must be >= 1 for uniform_noise")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Candidate:
+    """One attack output: example example_index's adversarial input, from restart_index."""
+
     example_index: int
     adversarial_input: np.ndarray
     attack_id: str

@@ -35,21 +35,25 @@ choice. Nothing is sorted or scattered. Scored candidates are columns
 (`CandidateRows`), not objects, and one grid function (`_grid_best`) defines
 the preference order for `prefer` and for `_fold_block`, the one fold into
 the held choice.
+
+Records of plain values, `CandidateScore` and `computation_log`'s
+`ComputationRecord`, are named tuples: they unpack and compare by value.
+`OutcomeMatrix` and `BundleResult` hold arrays, so they compare and hash by
+identity.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from copy import deepcopy
-from dataclasses import astuple, dataclass, replace
-from numbers import Real
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .attacks import VARIANTS, AttackConfig, Candidate, attack_rows, check_rows, rows_per_example
 from .data import Dataset, Example
-from .errors import ContractError, ShapeError, is_int_or_none
+from .errors import ContractError, ShapeError, is_int, is_int_or_none, is_real
 from .models import (Ensemble, ModelParams, StochasticSpec, _one_row, predict_stochastic,
                      probs_rows, reduce_rows)
 from .seeding import derive_seeds, seed_words
@@ -106,7 +110,7 @@ class Criterion:
         if self.variant not in (MISCLASSIFY, MAX_CONFIDENCE, MIN_NORM):
             raise ContractError(f"unknown criterion {self.variant!r}")
         if self.variant == MAX_CONFIDENCE:
-            if not isinstance(self.threshold, Real) or not 0.5 <= self.threshold < 1.0:
+            if not is_real(self.threshold) or not 0.5 <= self.threshold < 1.0:
                 raise ContractError("max_confidence threshold must be a number in [0.5, 1)")
         elif self.threshold is not None:
             raise ContractError(f"{self.variant} takes no threshold")
@@ -124,8 +128,7 @@ class Criterion:
         return cls(MIN_NORM)
 
 
-@dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(NamedTuple):
     misclassified: bool
     wrong_confidence: float
     perturbation_norm: float
@@ -201,7 +204,7 @@ class _Pairs(Sequence):
                                float(c.perturbation_norm[r])))
 
 
-@dataclass
+@dataclass(eq=False)
 class OutcomeMatrix:
     """Binary example-by-attack error indicators."""
 
@@ -225,8 +228,7 @@ class OutcomeMatrix:
         return float(self.entries.any(axis=1).mean())
 
 
-@dataclass
-class ComputationRecord:
+class ComputationRecord(NamedTuple):
     attack_id: str
     restarts_run: int
     failed: bool = False
@@ -248,6 +250,8 @@ class BudgetPolicy:
         cap = self.max_attack_units_per_example
         if not is_int_or_none(cap) or (cap is not None and cap < 0):
             raise ContractError("max_attack_units_per_example must be an integer >= 0")
+        if not isinstance(self.early_stop, (bool, np.bool_)):
+            raise ContractError("early_stop must be true or false")
 
     def allowed(self, num_attacks: int) -> int:
         """Units each example may spend on a bundle of `num_attacks` attacks."""
@@ -271,7 +275,7 @@ def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.nda
     return np.flatnonzero(ready & ~goal_met if budget.early_stop else ready)
 
 
-@dataclass
+@dataclass(eq=False)
 class BundleResult:
     """What a bundle ran under, chose and spent, as arrays over its n examples.
 
@@ -387,8 +391,7 @@ def score_stochastic(params: ModelParams, spec: StochasticSpec, example: Example
 
 def prefer(a: CandidateScore, b: CandidateScore, criterion: Criterion) -> int:
     """Index (0 or 1) of the preferred score; exact ties keep the first."""
-    return int(_grid_best(criterion, *(np.array([pair])
-                                       for pair in zip(astuple(a), astuple(b))))[0])
+    return int(_grid_best(criterion, *(np.array([pair]) for pair in zip(a, b)))[0])
 
 
 def _goal_test(criterion: Criterion) -> Callable:
@@ -617,7 +620,7 @@ def wat_gap_construction(n: int) -> OutcomeMatrix:
     Every per-attack error rate is 1/n while the bundled rate is 1, so the
     worst single attack understates the bundled attacker by 1 - 1/n.
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
+    if not is_int(n) or n < 1:
+        raise ContractError(f"n must be an integer >= 1, got {n!r}")
     return OutcomeMatrix(np.eye(n, dtype=np.int8),
                          [f"attack-{i + 1}" for i in range(n)])

@@ -56,6 +56,8 @@ MAX_NUM_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of one `advbundle run`: data, model, training, bundle and reports."""
+
     dataset: str = "synthetic"
     csv_path: str | None = None
     synth_n: int = 600

@@ -40,7 +40,7 @@ def _invalid_row(features: np.ndarray, labels: np.ndarray,
     return i, f"label {labels[i]} >= k={num_classes}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Example:
     """One labelled input; every feature must lie in [0, 1]."""
 
@@ -52,6 +52,8 @@ class Example:
         object.__setattr__(self, "features", feats)
         if feats.ndim != 1:
             raise ContractError(f"features must be a vector, got shape {feats.shape}")
+        if not is_int(self.label):
+            raise ContractError(f"label must be an integer, got {self.label!r}")
         bad = _invalid_row(feats[None, :], np.array([self.label]), None)
         if bad is not None:
             raise ContractError(bad[1])
@@ -59,6 +61,8 @@ class Example:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Read-only features (n, d) in [0, 1] and labels (n,) in [0, num_classes)."""
+
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
@@ -101,6 +105,9 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
     along the axis for d=1), so a linear model separates them easily. Labels
     round-robin over classes, which keeps them balanced up to rounding.
     """
+    for name, value in (("n", n), ("d", d), ("k", k)):
+        if not is_int(value):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
     if k < 2 or n < k or d < 1:
         raise ContractError(f"need n >= k >= 2 and d >= 1, got n={n}, d={d}, k={k}")
     rng = make_rng(seed)

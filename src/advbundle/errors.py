@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer test every
-check of a count or a seed uses."""
+"""Exception types shared across the package, and the integer and real-number
+tests every check of a count, a seed or a magnitude uses."""
+
+from numbers import Real
 
 import numpy as np
 
@@ -7,6 +9,11 @@ import numpy as np
 def is_int(value) -> bool:
     """Whether value is an integer; a bool is not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number; a bool is not a magnitude."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def is_int_or_none(value) -> bool:

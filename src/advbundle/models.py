@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import ContractError, DataError, ShapeError, TrainingDivergedError, is_int
+from .errors import (ContractError, DataError, ShapeError, TrainingDivergedError, is_int,
+                     is_real)
 from .seeding import make_rng
 
 SOFTMAX_LINEAR = "softmax_linear"
@@ -49,7 +50,7 @@ PROB_FLOOR = 1e-12
 NARROW_AXIS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Weights for one classifier. Shapes: W1 (d,k) or (d,h), W2 (h,k)."""
 
@@ -94,8 +95,10 @@ class ModelParams:
         return self.layers[-1][1].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
+    """One input's class probabilities, its argmax class and that class's probability."""
+
     probabilities: np.ndarray
     predicted_class: int
     confidence: float
@@ -110,14 +113,17 @@ class StochasticSpec:
 
     def __post_init__(self):
         # the noise is drawn from [-noise_scale, noise_scale]
-        if not 0 <= self.noise_scale <= np.finfo(np.float64).max / 2:
+        if not (is_real(self.noise_scale)
+                and 0 <= self.noise_scale <= np.finfo(np.float64).max / 2):
             raise ContractError("noise_scale must be >= 0, with 2 * noise_scale finite")
         if not is_int(self.calls) or self.calls < 1:
             raise ContractError("calls must be an integer >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
+    """Models that share an input dimension and a class count."""
+
     members: tuple[ModelParams, ...]
 
     def __post_init__(self):
@@ -132,6 +138,8 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class TrainParams:
+    """Minibatch SGD settings: step size, passes, batch size, seed, and mlp1's hidden width."""
+
     learning_rate: float
     epochs: int
     batch_size: int
@@ -142,6 +150,8 @@ class TrainParams:
         for key in ("epochs", "batch_size", "hidden", "seed"):
             if not is_int(getattr(self, key)):
                 raise ContractError(f"{key} must be an integer")
+        if not is_real(self.learning_rate):
+            raise ContractError("learning_rate must be a number")
         for key in ("learning_rate", "epochs", "batch_size", "hidden"):
             if getattr(self, key) <= 0:
                 raise ContractError(f"{key} must be positive")
@@ -162,8 +172,7 @@ def _one_row(params: ModelParams, x: np.ndarray,
         raise ShapeError(f"input shape {x.shape} does not match model dimension {params.dimension}")
     if not np.all(np.isfinite(x)):
         raise ShapeError("input must be finite")
-    if (not isinstance(label, (int, np.integer)) or isinstance(label, bool)
-            or not 0 <= label < params.num_classes):
+    if not is_int(label) or not 0 <= label < params.num_classes:
         raise ContractError(f"label {label!r} is not one of the model's "
                             f"{params.num_classes} classes")
     return x[None, :], np.array([label])

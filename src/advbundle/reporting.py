@@ -11,7 +11,9 @@ construction from `wat_gap_construction` the gap between them is exactly
 1 - 1/n. Curves: the success-fail curve sweeps a confidence threshold t,
 pairing the clean covered-and-correct rate with the adversarial
 misclassified-above-t rate; the norm curve reads error rate as a function
-of the perturbation budget off each example's smallest error norm. All CSV
+of the perturbation budget off each example's smallest error norm. A table
+is a `RateTable`, checked when built; its `AttackRate` rows and the two
+curves hold only plain values and are named tuples, compared by value. All CSV
 column names are fixed and all floats are written with shortest round-trip
 decimals, so identical runs produce byte-identical files.
 """
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bundler import CLEAN_ID, BundleResult, OutcomeMatrix
-from .errors import ContractError
+from .errors import ContractError, is_int
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .models import predict  # noqa: F401
 
@@ -39,8 +41,7 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
-class AttackRate:
+class AttackRate(NamedTuple):
     attack_id: str
     error_rate: float
     complete: bool = True
@@ -48,6 +49,8 @@ class AttackRate:
 
 @dataclass(frozen=True)
 class RateTable:
+    """A MAT, WAT or BUNDLED table of clean and per-attack rates, with its max or bundled rate."""
+
     kind: str
     clean_error: float | None
     per_attack: tuple[AttackRate, ...]
@@ -67,13 +70,11 @@ class RateTable:
                 raise ContractError("bundled rate below a per-attack rate")
 
 
-@dataclass(frozen=True)
-class SuccessFailCurve:
+class SuccessFailCurve(NamedTuple):
     points: tuple[tuple[float, float, float], ...]  # (t, success_rate, failure_rate)
 
 
-@dataclass(frozen=True)
-class NormCurve:
+class NormCurve(NamedTuple):
     points: tuple[tuple[float, float], ...]  # (epsilon, error_rate)
 
 
@@ -155,8 +156,9 @@ def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
 def wat_underestimation_report(n_values: Sequence[int]) -> list[tuple[int, float, float, float]]:
     """Rows (n, wat, bundled, gap) of `wat_gap_construction(n)`, in closed form without
     its n x n matrix: each attack fools 1/n of the examples, the bundle all, gap = 1 - 1/n."""
-    if any(n < 1 for n in n_values):
-        raise ContractError("n must be >= 1")
+    for n in n_values:
+        if not is_int(n) or n < 1:
+            raise ContractError(f"n must be an integer >= 1, got {n!r}")
     return [(n, 1 / n, 1.0, 1.0 - 1 / n) for n in n_values]
 
 

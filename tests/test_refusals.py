@@ -27,8 +27,27 @@ TRAIN = dict(learning_rate=0.1, epochs=2, batch_size=4, seed=0, hidden=3)
     lambda: ab.Criterion.max_confidence("0.9"),
     lambda: ab.Dataset([[0.1], [0.9]], [0, 1], num_classes=2.5),
     lambda: seeding._check_seed(True),
+    lambda: ab.TrainParams(**{**TRAIN, "learning_rate": "0.1"}),
+    lambda: ab.TrainParams(**{**TRAIN, "learning_rate": True}),
+    lambda: ab.StochasticSpec("0.1"),
+    lambda: ab.StochasticSpec(True),
+    lambda: ab.AttackConfig("a", "fgsm", "0.1"),
+    lambda: ab.AttackConfig("a", "fgsm", True),
+    lambda: ab.AttackConfig("a", "pgd", 0.1, step_size="0.1", num_steps=1),
+    lambda: ab.AttackConfig("a", "pgd", 0.1, step_size=0.1, num_steps=1, random_init="no"),
+    lambda: ab.BudgetPolicy(early_stop="no"),
+    lambda: ab.Example(np.array([0.1]), 0.5),
+    lambda: ab.synth_dataset(10.5, 2, 2, 0),
+    lambda: ab.synth_dataset(10, 2.5, 2, 0),
+    lambda: ab.synth_dataset(10, 2, 2.5, 0),
+    lambda: ab.wat_gap_construction(2.5),
+    lambda: ab.wat_underestimation_report([2.5]),
 ], ids=["noise-inf", "noise-nan", "noise-overflows", "calls", "epochs", "batch_size",
-        "hidden", "train-seed", "threshold-str", "num_classes", "seed-bool"])
+        "hidden", "train-seed", "threshold-str", "num_classes", "seed-bool",
+        "learning_rate-str", "learning_rate-bool", "noise-str", "noise-bool", "epsilon-str",
+        "epsilon-bool", "step_size-str", "random_init-str", "early_stop-str", "label-float",
+        "synth-n-float", "synth-d-float", "synth-k-float", "wat-gap-float",
+        "wat-report-float"])
 def test_numeric_fields_of_records_are_refused_when_not_numbers(make):
     with pytest.raises(ContractError):
         make()
