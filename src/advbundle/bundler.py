@@ -5,9 +5,9 @@ an attacker can do: the attacker picks the best candidate for every clean
 example individually and only then averages. This module implements that
 selection, the example-by-attack outcome matrix behind it, and the rounds
 that run the attacks: round r runs attack r on every example still active,
-and an example leaves once its goal is met. A result records the attacks,
-budget and seed it ran under, and `complete` later runs from it, under
-them, only the units such examples skipped, never a unit twice.
+and an example leaves once its goal is met. A result records the model, data,
+attacks, runners, budget and seed it ran under; `complete` later runs from it,
+under them, only the units such examples skipped, never a unit twice.
 
 The clean input always participates as a zero-perturbation baseline
 candidate under the reserved attack id "none", so a model that is wrong on
@@ -279,24 +279,27 @@ def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.nda
 class BundleResult:
     """What a bundle ran under, chose and spent, as arrays over its n examples.
 
-    attacks, budget and seed are what it was bundled with. chosen_rows holds
-    example i's choice at row i, error_norm[i] its smallest
-    misclassified-candidate norm under any criterion (0.0 if the clean input
-    errs, inf if none), error_confidence[i] its highest wrong-class confidence
-    over every candidate, the clean input included, and pool (keep_candidates)
-    every scored candidate in generation order: the n clean rows, example i
-    at row i, then each round's rows (attack codes never decrease), in example
-    order, `rows_per_example` for each example not failed. candidate_counts[i, j] is how
-    many candidates attack j gave example i, or -1 where it failed or never
-    ran; example i ran exactly attacks[:units_spent[i]]. The rates,
-    `stopped_early`, `chosen`, `all_candidates` and `computation_log` are
-    read-only views of them.
+    params (the model), dataset, attacks, runners (a dict), budget and seed
+    are what it was bundled with. chosen_rows holds example i's choice at row
+    i, error_norm[i] its smallest misclassified-candidate norm under any
+    criterion (0.0 if the clean input errs, inf if none), error_confidence[i]
+    its highest wrong-class confidence over every candidate, the clean input
+    included, and pool (keep_candidates) every scored candidate in generation
+    order: the n clean rows, example i at row i, then each round's rows
+    (attack codes never decrease), in example order, `rows_per_example` for
+    each example not failed. candidate_counts[i, j] is how many candidates
+    attack j gave example i, or -1 where it failed or never ran; example i ran
+    exactly attacks[:units_spent[i]]. The rates, `stopped_early`, `chosen`,
+    `all_candidates` and `computation_log` are read-only views of them.
     """
 
     criterion: Criterion
     attacks: tuple[AttackConfig, ...]
     budget: BudgetPolicy
     seed: int
+    params: ModelParams
+    dataset: Dataset
+    runners: dict[str, Runner]
     chosen_rows: CandidateRows
     outcome_matrix: OutcomeMatrix
     error_norm: np.ndarray
@@ -413,12 +416,11 @@ def _block_seeds(root_seed: int, idx: np.ndarray, config: AttackConfig) -> list:
     return derive_seeds(root_seed, idx, config.attack_id).tolist()
 
 
-def _run_block(result: BundleResult, pool_blocks: list | None, run: Runner,
-               params: ModelParams, config: AttackConfig, code: int, dataset: Dataset,
+def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
                idx: np.ndarray) -> None:
-    """Run attack `config`, the result's attack `code`, on the examples `idx`
-    with one `run` call, check and score its rows, and fold them into
-    `result` in place (see `_advance`).
+    """Run the result's attack `code` on the examples `idx` with one call of
+    its runner, check and score its rows, and fold them into `result` in
+    place (see `_advance`).
 
     One loop checks and scores the rows, piece by piece (see `TAIL_BYTES`).
     An example with a failed or non-finite row counts -1; its rows are scored
@@ -427,8 +429,10 @@ def _run_block(result: BundleResult, pool_blocks: list | None, run: Runner,
     Unless `pool_blocks` keeps them, the block's arrays are this call's
     locals, so they are freed at its fold, before the next block is drawn.
     """
+    params, dataset, config = result.params, result.dataset, result.attacks[code - 1]
     y, d = dataset.labels, dataset.dimension
     per, clean = rows_per_example(config), dataset.features[idx]
+    run = result.runners.get(config.variant, attack_rows)
     adv, failed_at = run(params, config, clean, y[idx], _block_seeds(result.seed, idx, config))
     rows = len(idx) * per
     if np.shape(adv) != (rows, d) or np.shape(failed_at) != (rows,):
@@ -499,36 +503,33 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     zeros = np.zeros(n, dtype=np.int64)
     clean = CandidateRows(np.arange(n), zeros, zeros, X, *_scores(probs, y, np.zeros(n)))
     start = BundleResult(criterion, attacks, budget if budget is not None else BudgetPolicy(),
-                         seed, clean,
+                         seed, params, dataset, dict(runners or {}), clean,
                          OutcomeMatrix(np.c_[clean.misclassified, np.zeros((n, len(attacks)))],
                                        [CLEAN_ID] + ids),
                          np.where(clean.misclassified, 0.0, np.inf), clean.wrong_confidence.copy(),
                          np.full((n, len(attacks)), -1, dtype=np.int64), zeros.copy(),
                          probs.max(axis=1))
-    return _advance(start, params, dataset, runners or {}, [clean] if keep_candidates else None)
+    return _advance(start, [clean] if keep_candidates else None)
 
 
-def complete(result: BundleResult, params: ModelParams, dataset: Dataset,
-             runners: Mapping[str, Runner] | None = None) -> BundleResult:
+def complete(result: BundleResult) -> BundleResult:
     """Run, on a copy of `result`, only the units its early-stopped examples skipped.
 
-    Returns what `bundle` returns for the result's attacks and seed under its
-    budget with early stopping off, array for array, with no pool: each
-    (example, attack, restart) has its own seed stream, and each round folds
-    each example's candidates into its choice in the same order. Returns `result`
-    itself when no example stopped early."""
-    if len(dataset) != len(result.units_spent):
-        raise ContractError("complete needs the dataset the result was bundled with")
+    Returns what `bundle` returns for the result's model, data, attacks,
+    runners and seed under its budget with early stopping off, array for
+    array, with no pool: each (example, attack, restart) has its own seed
+    stream, and each round folds each example's candidates into its choice
+    in the same order. The copy shares the model, data and runners. Returns
+    `result` itself when no example stopped early."""
     if not result.stopped_early.any():
         return result
+    shared = {id(v): v for v in (result.params, result.dataset, result.runners)}
     exhaustive = replace(result.budget, early_stop=False)
-    return _advance(deepcopy(replace(result, budget=exhaustive, pool=None)), params, dataset,
-                    runners or {}, None)
+    return _advance(deepcopy(replace(result, budget=exhaustive, pool=None), shared), None)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `bundle`
-def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
-             runners: Mapping[str, Runner], pool_blocks: list | None) -> BundleResult:
+def _advance(result: BundleResult, pool_blocks: list | None) -> BundleResult:
     """Run the rounds `schedule` picks from `units_spent.min()`, folding into `result` in place.
 
     A round runs its active examples in blocks of whole examples, one
@@ -541,7 +542,7 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
     once, as `bundle()`'s clean rows alias the dataset and the pool."""
     attacks, budget = result.attacks, result.budget
     for a in attacks:
-        if a.variant not in VARIANTS and a.variant not in runners:
+        if a.variant not in VARIANTS and a.variant not in result.runners:
             raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
     goal, units = _goal_test(result.criterion), result.units_spent
     result.chosen_rows = CandidateRows(*(col.copy() for col in result.chosen_rows))
@@ -553,8 +554,7 @@ def _advance(result: BundleResult, params: ModelParams, dataset: Dataset,
         units[active] += 1
         size = max(1, ROW_BLOCK // rows_per_example(cfg))
         for start in range(0, len(active), size):
-            _run_block(result, pool_blocks, runners.get(cfg.variant, attack_rows), params,
-                       cfg, code, dataset, active[start:start + size])
+            _run_block(result, pool_blocks, code, active[start:start + size])
 
     result.pool = _concat(pool_blocks) if pool_blocks is not None else None
     if result.bundled_error_rate != float(np.mean(result.chosen_rows.misclassified)):

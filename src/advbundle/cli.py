@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .bundler import BudgetPolicy, BundleResult, bundle, complete
-from .config import (ExperimentConfig, load_experiment_config, with_output_dir)
+from .config import (MAX_SYNTH_D, MAX_SYNTH_N, ExperimentConfig, load_experiment_config,
+                     with_output_dir)
 from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
@@ -87,7 +88,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
     mat, wat, bundled_table = make_tables(primary)
     # both curves need every allowed attack run on every example
-    full = complete(primary, model, dataset)
+    full = complete(primary)
     sf = success_fail_curve(full, config.threshold_grid)
     curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
@@ -127,6 +128,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # the bounds `run` holds synth_n and synth_d to, checked before anything is drawn
+    for name, value, bound in (("n", args.n, MAX_SYNTH_N), ("d", args.d, MAX_SYNTH_D)):
+        if value > bound:
+            raise ContractError(f"{name} must be <= {bound}, got {value}")
     dataset = synth_dataset(args.n, args.d, args.k, args.seed)
     save_dataset_csv(args.out, dataset)
     print(f"wrote {len(dataset)} examples to {args.out}")

@@ -100,6 +100,9 @@ class ExperimentConfig:
             raise ConfigError("synth_n must be >= synth_k")
         if self.max_units is not None and self.max_units < 0:
             raise ConfigError("max_units must be >= 0")
+        for key in ("threshold_grid", "epsilon_grid"):
+            if np.isnan(getattr(self, key)).any():
+                raise ConfigError(f"{key} must hold no NaN")
         if not all(0.5 <= t < 1.0 for t in self.threshold_grid):
             raise ConfigError("threshold_grid must lie in [0.5, 1)")
         if not _is_sorted(self.threshold_grid):

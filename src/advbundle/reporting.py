@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,6 +121,8 @@ def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFa
     if result.stopped_early.any():
         raise ContractError("success_fail_curve needs a result where no example stopped early")
     grid = [float(t) for t in grid]
+    if np.isnan(grid).any():
+        raise ContractError("threshold grid must hold no NaN")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ContractError("threshold grid must be sorted ascending")
     if grid and not (0.5 <= grid[0] and grid[-1] < 1.0):
@@ -145,6 +147,8 @@ def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
     if result.stopped_early.any():
         raise ContractError("norm_curve needs a result where no example stopped early")
     epsilons = [float(e) for e in epsilons]
+    if np.isnan(epsilons).any():
+        raise ContractError("epsilons must hold no NaN")
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ContractError("epsilons must be sorted ascending")
     norms = result.error_norm
@@ -153,9 +157,10 @@ def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
     return NormCurve(tuple(points))
 
 
-def wat_underestimation_report(n_values: Sequence[int]) -> list[tuple[int, float, float, float]]:
+def wat_underestimation_report(n_values: Iterable[int]) -> list[tuple[int, float, float, float]]:
     """Rows (n, wat, bundled, gap) of `wat_gap_construction(n)`, in closed form without
     its n x n matrix: each attack fools 1/n of the examples, the bundle all, gap = 1 - 1/n."""
+    n_values = list(n_values)  # the check and the rows read an iterator's values once
     for n in n_values:
         if not is_int(n) or n < 1:
             raise ContractError(f"n must be an integer >= 1, got {n!r}")

@@ -865,7 +865,7 @@ class TestComplete:
         primary = ab.bundle(*args, ab.BudgetPolicy(cap), seed=3, runners=self.RUNNERS,
                             keep_candidates=True)
         before = copy.deepcopy(primary)
-        full = ab.complete(primary, *args[:2], runners=self.RUNNERS)
+        full = ab.complete(primary)
         exhaustive = ab.bundle(*args, ab.BudgetPolicy(cap, early_stop=False), seed=3,
                                runners=self.RUNNERS)
         assert primary.stopped_early.any() == (cap != 1)
@@ -904,7 +904,7 @@ class TestComplete:
             assert primary.stopped_early.any()
             kept = ab.bundle(*args, ab.BudgetPolicy(early_stop=False), seed=3,
                              keep_candidates=True)
-            return [ab.complete(primary, *args[:2]).chosen_rows,
+            return [ab.complete(primary).chosen_rows,
                     *(ab.reselect(kept, crit).chosen_rows
                       for crit in (ab.Criterion.min_norm(), ab.Criterion.max_confidence(0.9)))]
 
@@ -932,7 +932,7 @@ class TestComplete:
         def arrays():
             primary = ab.bundle(*args, seed=3, keep_candidates=True)
             assert primary.stopped_early.any()
-            full = ab.complete(primary, *args[:2])
+            full = ab.complete(primary)
             return [col.tobytes() for res in (primary, full)
                     for col in (*res.chosen_rows, res.outcome_matrix.entries, res.error_norm,
                                 res.error_confidence, res.candidate_counts)] + \
@@ -946,12 +946,22 @@ class TestComplete:
         monkeypatch.setattr(np, "clip", refuse)
         assert arrays() == want
 
-    def test_refuses_other_data(self, mlp_on_small_blobs, small_blobs):
+    def test_continues_under_what_the_result_recorded(self, mlp_on_small_blobs, small_blobs):
         primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,
-                            ab.Criterion.misclassify(), seed=3, runners=self.RUNNERS)
-        fewer = ab.Dataset(small_blobs.features[:10], small_blobs.labels[:10], num_classes=3)
-        with pytest.raises(ContractError, match="complete needs"):
-            ab.complete(primary, mlp_on_small_blobs, fewer, runners=self.RUNNERS)
+                            ab.Criterion.max_confidence(0.6), seed=3, runners=self.RUNNERS)
+        assert primary.stopped_early.any()
+        assert primary.params is mlp_on_small_blobs and primary.dataset is small_blobs
+        assert primary.runners == self.RUNNERS and type(primary.runners) is dict
+        full = ab.complete(primary)
+        assert full is not primary
+        for name in ("params", "dataset", "runners"):
+            assert getattr(full, name) is getattr(primary, name), name
+        mine, theirs = result_arrays(full), result_arrays(primary)
+        for name, value in mine.items():
+            assert not np.shares_memory(value, theirs[name]), name
+        # the model and data come only from the result, so two runs cannot mix
+        with pytest.raises(TypeError):
+            ab.complete(primary, mlp_on_small_blobs, small_blobs)
 
     # class 1 iff x0 > 0.5; example 2 is misclassified clean, so its goal is met before
     # any attack runs, and fgsm at 0.05 flips no other example
@@ -964,21 +974,9 @@ class TestComplete:
                             ab.BudgetPolicy(1), seed=0)
         assert primary.units_spent.tolist() == [1, 1, 0]
         assert primary.stopped_early.tolist() == [False, False, True]
-        full = ab.complete(primary, self.MODEL, self.DATA)
+        full = ab.complete(primary)
         assert full.units_spent.tolist() == [1, 1, 1]
         assert full.budget == ab.BudgetPolicy(1, early_stop=False)
-
-    def test_missing_runner_refused_before_any_round(self, monkeypatch):
-        attacks = [ab.AttackConfig("fgsm", "fgsm", epsilon=0.05),
-                   ab.AttackConfig("flip", "flip", epsilon=0.5)]
-        primary = ab.bundle(self.MODEL, self.DATA, attacks, ab.Criterion.misclassify(),
-                            seed=0, runners={"flip": flip_runner(0.35)})
-        assert primary.stopped_early.tolist() == [False, False, True]
-        calls = []
-        monkeypatch.setattr(bundler, "attack_rows", lambda *args: calls.append(args))
-        with pytest.raises(ContractError, match="no runner for variant 'flip'"):
-            ab.complete(primary, self.MODEL, self.DATA)
-        assert calls == []
 
 
 class TestInvariants:
@@ -1083,7 +1081,8 @@ class TestInvariants:
                                     np.array([[0.0], [1.0]]), np.array([False, True]),
                                     np.array([0.2, 0.7]), np.array([0.0, 0.1]))
         hand_built = ab.BundleResult(ab.Criterion.misclassify(), (),
-                                     ab.BudgetPolicy(early_stop=False), 0, one.take([0]),
+                                     ab.BudgetPolicy(early_stop=False), 0, None, None, {},
+                                     one.take([0]),
                                      ab.OutcomeMatrix(np.zeros((1, 1)), [CLEAN_ID]),
                                      np.full(1, np.inf), np.array([0.2]),
                                      np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=int),
@@ -1322,7 +1321,7 @@ def test_vectorized_selection_equals_sequential_prefer_fold(data):
 
         k = len(attacks)
         result = ab.BundleResult(crit, attacks, ab.BudgetPolicy(early_stop=False), 0,
-                                 pool.take(np.arange(n)),
+                                 None, None, {}, pool.take(np.arange(n)),
                                  ab.OutcomeMatrix(np.zeros((n, k + 1)),
                                                   [CLEAN_ID] + [a.attack_id for a in attacks]),
                                  np.full(n, np.inf), wrong[:n], counts, np.full(n, k),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import advbundle as ab
 from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
-from advbundle.config import with_output_dir
+from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N, with_output_dir
 
 FAST_CFG = """
 dataset = synthetic
@@ -264,6 +265,17 @@ class TestExitCodes:
         assert "data error:" in done.stderr and f"{data}:3:" in done.stderr
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_huge_synth_sizes_are_refused_before_any_draw(self, tmp_path):
+        # 7.45 GiB of labels for n = 10**9, 2.24 GiB of class means for d = 10**8:
+        # synth refuses the sizes `run` refuses, with the config's bounds
+        for args, bound in ((["1000000000", "2", "3"], f"n must be <= {MAX_SYNTH_N}"),
+                            (["10", "100000000", "3"], f"d must be <= {MAX_SYNTH_D}")):
+            done = run_capped("synth", *args, "0", str(tmp_path / "out.csv"))
+            assert done.returncode == 2, done.stderr
+            assert done.stderr.startswith(f"error: {bound}")
+            assert "Traceback" not in done.stderr
+            assert not (tmp_path / "out.csv").exists()
 
     def test_bad_gap_ns_fails_before_any_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, text=FAST_CFG.replace("gap_ns = 1,2,10", "gap_ns = 1,0,10"))
@@ -529,6 +541,23 @@ def test_default_config_writes_the_recorded_bytes(tmp_path):
     paths = run_experiment(with_output_dir(config, str(tmp_path)))
     got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
     assert got == expected
+
+
+def test_default_config_with_early_stop_writes_the_recorded_bytes(tmp_path):
+    # the one run path where `complete` runs units: 311 examples stop early, and
+    # the curves come from their completion, so only chosen.csv and rates.csv
+    # differ from the exhaustive run's recorded bytes
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "tests" / "default_cfg_early_stop_sha256.json").read_text())
+    exhaustive = json.loads((root / "tests" / "default_cfg_sha256.json").read_text())
+    assert {name for name in expected if expected[name] != exhaustive[name]} == \
+        {"chosen.csv", "rates.csv"}
+    config = ab.load_experiment_config(root / "configs" / "default.cfg")
+    config = replace(with_output_dir(config, str(tmp_path)), early_stop=True)
+    paths = run_experiment(config)
+    got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
+    assert got == expected
+    assert " 311 examples stopped early" in paths["summary.txt"].read_text()
 
 
 def test_a_run_never_imports_numpy_ma(tmp_path):

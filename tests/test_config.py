@@ -191,6 +191,7 @@ class TestErrors:
                                       "threshold_grid = 0.5:0.99:10001",
                                       "threshold_grid = 0.9,0.6",
                                       "epsilon_grid = 0.3,0.1",
+                                      "epsilon_grid = nan",
                                       "max_units = -1",
                                       "synth_seed = -1",
                                       "synth_k = 1",
@@ -209,8 +210,11 @@ class TestErrors:
         ("seed = 1\nthreshold_grid = 0.6:0.9:-2\n", "needs a count of at least 1"),
         ("seed = 1\nepsilon_grid = 0.1:0.3\n", "expected lo:hi:count, got 2"),
         ("seed = 1\nepsilon_grid = 0.1:0.2:0.3:4\n", "expected lo:hi:count, got 4"),
+        ("seed = 1\nthreshold_grid = 0.6,nan,0.7\n", "threshold_grid must hold no NaN"),
+        ("seed = 1\nepsilon_grid = 0.1,nan\n", "epsilon_grid must hold no NaN"),
     ], ids=["grid_count", "grid_count_format", "float_format", "grid_count_zero",
-            "grid_count_negative", "grid_two_fields", "grid_four_fields"])
+            "grid_count_negative", "grid_two_fields", "grid_four_fields", "threshold_grid_nan",
+            "epsilon_grid_nan"])
     def test_bad_value_names_its_reason(self, text, reason):
         last_line = text.count("\n")
         with pytest.raises(ConfigError) as info:

@@ -148,7 +148,7 @@ class TestSuccessFailCurve:
         assert res.stopped_early.any()
         with pytest.raises(ContractError, match="stopped early"):
             ab.success_fail_curve(res, [0.5])
-        full = ab.complete(res, mlp_on_small_blobs, small_blobs)
+        full = ab.complete(res)
         exhaustive = ab.bundle(mlp_on_small_blobs, small_blobs, attacks,
                                ab.Criterion.misclassify(), ab.BudgetPolicy(early_stop=False),
                                seed=0)
@@ -169,6 +169,9 @@ class TestSuccessFailCurve:
             ab.success_fail_curve(res, [0.9, 0.6])
         with pytest.raises(ContractError):
             ab.success_fail_curve(res, [0.4, 0.6])
+        # NaN compares false with every point, so no order or range check sees it
+        with pytest.raises(ContractError, match="NaN"):
+            ab.success_fail_curve(res, [0.6, np.nan, 0.7])
 
 
 class TestNormCurve:
@@ -229,6 +232,8 @@ class TestNormCurve:
         _, _, _, min_norm = desk_run
         with pytest.raises(ContractError):
             ab.norm_curve(min_norm, [0.3, 0.0])
+        with pytest.raises(ContractError, match="NaN"):
+            ab.norm_curve(min_norm, [0.0, np.nan, 0.3])
 
 
 class TestGapReport:
@@ -243,6 +248,10 @@ class TestGapReport:
         rows = dict((n, gap) for n, _, _, gap in ab.wat_underestimation_report([1, 2]))
         assert rows[1] == 0.0
         assert rows[2] == 0.5
+        # an iterator or generator gives the same rows: the check does not consume it
+        want = ab.wat_underestimation_report([1, 2])
+        assert ab.wat_underestimation_report(iter([1, 2])) == want
+        assert ab.wat_underestimation_report(n for n in (1, 2)) == want
 
 
 class TestCsvOutput:
