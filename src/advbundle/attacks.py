@@ -40,7 +40,7 @@ import numpy as np
 from .data import Example
 from .errors import AttackFailedError, ContractError, ShapeError, is_int_or_none, is_real
 from .models import ModelParams, _one_row, grad_rows, reduce_rows
-from .seeding import derive_seeds, seed_words, uniform_rows
+from .seeding import MAX_HALF_RANGE, derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .seeding import derive_seed  # noqa: F401
 
@@ -48,6 +48,11 @@ FGSM = "fgsm"
 PGD = "pgd"
 UNIFORM_NOISE = "uniform_noise"
 VARIANTS = (FGSM, PGD, UNIFORM_NOISE)
+NORM_SLACK = 1e-9  # how far past epsilon a candidate's L-inf distance may round
+# most rows (restarts or noise samples) of one example, held in one block, and
+# most PGD steps: a stray 10**8 must fail here, not as a MemoryError or endless run
+MAX_ROWS_PER_EXAMPLE = 100_000
+MAX_NUM_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,13 @@ class AttackConfig:
         if not self.variant:
             raise ContractError("variant must be non-empty")
         # noise and PGD's random start draw from [-epsilon, epsilon]
-        if not (is_real(self.epsilon) and 0 < self.epsilon <= np.finfo(np.float64).max / 2):
+        if not (is_real(self.epsilon) and 0 < self.epsilon <= MAX_HALF_RANGE):
             raise ContractError("epsilon must be positive, with 2 * epsilon finite")
-        if not self.attack_id:
-            raise ContractError("attack_id must be non-empty")
+        if not (isinstance(self.attack_id, str) and self.attack_id):
+            raise ContractError("attack_id must be a non-empty string")
+        if any(ch in ',"\r\n' for ch in self.attack_id):  # rates.csv and chosen.csv hold it
+            raise ContractError(f"attack_id {self.attack_id!r} must hold no comma, double quote "
+                                "or line break")
         for name in ("num_steps", "num_restarts", "num_samples"):
             if not is_int_or_none(getattr(self, name)):
                 raise ContractError(f"{name} must be an integer")
@@ -92,6 +100,8 @@ class AttackConfig:
                 raise ContractError("random_init must be true or false for pgd")
             if self.num_steps is None or self.num_steps < 0:
                 raise ContractError("num_steps must be >= 0 for pgd")
+            if self.num_steps > MAX_NUM_STEPS:
+                raise ContractError(f"num_steps must be <= {MAX_NUM_STEPS}")
             if self.restart_seeds is not None and len(self.restart_seeds) != self.num_restarts:
                 raise ContractError("restart_seeds must have one entry per restart")
         elif self.restart_seeds is not None:
@@ -102,6 +112,9 @@ class AttackConfig:
         if self.variant == UNIFORM_NOISE:
             if self.num_samples is None or self.num_samples < 1:
                 raise ContractError("num_samples must be >= 1 for uniform_noise")
+        if rows_per_example(self) > MAX_ROWS_PER_EXAMPLE:
+            key = "num_samples" if self.variant == UNIFORM_NOISE else "num_restarts"
+            raise ContractError(f"{key} must be <= {MAX_ROWS_PER_EXAMPLE}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +186,7 @@ def check_rows(adv: np.ndarray, clean: np.ndarray, epsilon: float,
     bits = reduce_rows(np.maximum, diff.reshape(-1, diff.shape[-1]).view(np.int64))
     dist = bits.view(np.float64).reshape(diff.shape[:-1])
     finite = np.isfinite(dist)
-    if np.any(dist[finite] > epsilon + 1e-9):
+    if np.any(dist[finite] > epsilon + NORM_SLACK):
         raise ContractError(f"candidate from {attack_id!r} leaves the epsilon ball")
     # fmin and fmax skip NaN, so a NaN row cannot hide another row's range
     if adv.size and (np.fmin.reduce(adv, axis=None) < 0.0

@@ -63,6 +63,7 @@ from .models import predict  # noqa: F401
 from .seeding import derive_seed  # noqa: F401
 
 CLEAN_ID = "none"
+THRESHOLD_RANGE = (0.5, 1.0)  # [low, high) of a confidence threshold
 
 # most rows the engine holds at once, so peak memory does not grow with the
 # number of examples; blocks hold whole examples, so an example with more
@@ -110,8 +111,10 @@ class Criterion:
         if self.variant not in (MISCLASSIFY, MAX_CONFIDENCE, MIN_NORM):
             raise ContractError(f"unknown criterion {self.variant!r}")
         if self.variant == MAX_CONFIDENCE:
-            if not is_real(self.threshold) or not 0.5 <= self.threshold < 1.0:
-                raise ContractError("max_confidence threshold must be a number in [0.5, 1)")
+            low, high = THRESHOLD_RANGE
+            if not is_real(self.threshold) or not low <= self.threshold < high:
+                raise ContractError(f"max_confidence threshold must be a number in "
+                                    f"[{low:g}, {high:g})")
         elif self.threshold is not None:
             raise ContractError(f"{self.variant} takes no threshold")
 
@@ -464,6 +467,15 @@ def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
     _fold_block(result.criterion, result.chosen_rows, block, per)
 
 
+def check_attack_ids(ids: Sequence[str]) -> None:
+    """Refuse a bundle's attack ids unless they are unique and none is `CLEAN_ID`."""
+    for i, attack_id in enumerate(ids):
+        if attack_id == CLEAN_ID:
+            raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
+        if attack_id in ids[:i]:
+            raise ContractError(f"duplicate attack id {attack_id!r}")
+
+
 # an overflowing model shows in the scores (`_scores`) and failed units, not as warnings
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig],
@@ -484,10 +496,7 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     """
     attacks = tuple(attacks)
     ids = [a.attack_id for a in attacks]
-    if len(set(ids)) != len(ids):
-        raise ContractError("attack_ids must be unique within a bundle")
-    if CLEAN_ID in ids:
-        raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
+    check_attack_ids(ids)
     if len(dataset) == 0:
         raise ContractError("cannot bundle over an empty dataset")
     if dataset.dimension != params.dimension:
@@ -614,13 +623,20 @@ def select_by_ensemble(ensemble: Ensemble, example: Example,
     return candidates[max(range(len(keys)), key=keys.__getitem__)]
 
 
+def check_gap_size(n: int, name: str = "n") -> None:
+    """Refuse a gap size, the n of `wat_gap_construction(n)`, unless it is an integer >= 1."""
+    if not is_int(n):
+        raise ContractError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ContractError(f"{name} must be >= 1")
+
+
 def wat_gap_construction(n: int) -> OutcomeMatrix:
     """The n-attack, n-example diagonal where attack i fools only example i.
 
     Every per-attack error rate is 1/n while the bundled rate is 1, so the
     worst single attack understates the bundled attacker by 1 - 1/n.
     """
-    if not is_int(n) or n < 1:
-        raise ContractError(f"n must be an integer >= 1, got {n!r}")
+    check_gap_size(n)
     return OutcomeMatrix(np.eye(n, dtype=np.int8),
                          [f"attack-{i + 1}" for i in range(n)])

@@ -1,7 +1,9 @@
 """Command-line driver: synth data, train, run bundles, emit reports.
 
-Exit codes: 0 success, 2 config error, 3 data error (a ShapeError, data that
-does not fit the model, included), 4 numeric failure.
+Exit codes: 0 success, 2 config error (an output directory that cannot be
+made included), 3 data error (a dataset or model file that cannot be read or
+written, and a ShapeError, data that does not fit the model, included), 4
+numeric failure.
 ADVBUNDLE_OUTPUT_DIR overrides the config's output directory; the
 --output-dir flag overrides both.
 """
@@ -13,9 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bundler import BudgetPolicy, BundleResult, bundle, complete
-from .config import (MAX_SYNTH_D, MAX_SYNTH_N, ExperimentConfig, load_experiment_config,
-                     with_output_dir)
+from .bundler import BundleResult, bundle, complete
+from .config import ExperimentConfig, load_experiment_config, with_output_dir
 from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
@@ -77,14 +78,25 @@ def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
     return "\n".join(lines) + "\n"
 
 
+def _output_dir(config: ExperimentConfig) -> Path:
+    """The config's output directory, refused before any work unless it is a
+    directory or can be made one; nothing is created here."""
+    outdir = Path(config.output_dir)
+    nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), outdir)
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {outdir} cannot be made: {nearest} is not a "
+                          "directory")
+    return outdir
+
+
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Train, bundle, and write the full artifact set to the output dir."""
+    outdir = _output_dir(config)
     dataset = _load_dataset(config)
     model = train(dataset, config.architecture, config.train_params)
 
-    primary = bundle(model, dataset, config.attacks, config.criterion,
-                     BudgetPolicy(config.max_units, config.early_stop), seed=config.seed,
-                     keep_candidates=config.dump_candidates)
+    primary = bundle(model, dataset, config.attacks, config.criterion, config.budget,
+                     seed=config.seed, keep_candidates=config.dump_candidates)
 
     mat, wat, bundled_table = make_tables(primary)
     # both curves need every allowed attack run on every example
@@ -93,7 +105,6 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 
-    outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {name: outdir / name for name in ARTIFACTS}
     save_model(paths["model.txt"], model)
@@ -128,10 +139,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    # the bounds `run` holds synth_n and synth_d to, checked before anything is drawn
-    for name, value, bound in (("n", args.n, MAX_SYNTH_N), ("d", args.d, MAX_SYNTH_D)):
-        if value > bound:
-            raise ContractError(f"{name} must be <= {bound}, got {value}")
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # refused before the draw, not at the write
+        raise DataError(f"cannot write dataset file {out}: it must be a file in an existing "
+                        "directory")
     dataset = synth_dataset(args.n, args.d, args.k, args.seed)
     save_dataset_csv(args.out, dataset)
     print(f"wrote {len(dataset)} examples to {args.out}")
@@ -141,9 +152,9 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     config = _resolve_output_dir(config, args.output_dir)
+    outdir = _output_dir(config)
     dataset = _load_dataset(config)
     model = train(dataset, config.architecture, config.train_params)
-    outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     model_path = outdir / "model.txt"
     save_model(model_path, model)

@@ -10,6 +10,15 @@ each field's annotation picks its parse and format functions from
 `_CODECS`. Only the criterion (keys `criterion` and `threshold`), the
 attack list (the sections) and an attack's id (its section header) are
 handled by name.
+
+A rule on a value has one definition, in the module that uses the value, and
+parsing calls it: `AttackConfig`, `Criterion`, `TrainParams` and
+`BudgetPolicy` (`train_params`, `budget`) check their fields, `check_grid`
+the grids, `check_gap_size` the gap sizes and `check_attack_ids` each
+section's id, so a config the parser accepts passes every check the run makes
+later. Only the integer ranges no consumer checks are the config's own
+(`_INT_RANGES`). A failed check names the line of the key its message starts
+with, else the section header or the file.
 """
 
 from __future__ import annotations
@@ -19,11 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import PGD, VARIANTS, AttackConfig, rows_per_example
-from .bundler import MAX_CONFIDENCE, MISCLASSIFY, Criterion
-from .errors import ConfigError, ContractError
+from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, VARIANTS, AttackConfig  # noqa: F401
+from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
+                      check_attack_ids, check_gap_size)
+from .data import MAX_SYNTH_D, MAX_SYNTH_N
+from .errors import ConfigError, ContractError, unreadable
 from .models import ARCHITECTURES, TrainParams
-from .reporting import fmt
+from .reporting import check_grid, fmt
 
 
 def _default_threshold_grid() -> tuple[float, ...]:
@@ -34,24 +45,15 @@ def _default_epsilon_grid() -> tuple[float, ...]:
     return tuple(float(e) for e in np.linspace(0.0, 0.3, 31))
 
 
-def _is_sorted(values: tuple[float, ...]) -> bool:
-    return all(a <= b for a, b in zip(values, values[1:]))
-
-
-# largest synthetic dataset and model a config may ask for: synth_dataset and
-# train allocate (synth_n, synth_d) and (synth_d, hidden) arrays up front, so a
-# stray 10**9 must fail here, not as a MemoryError after parsing
-MAX_SYNTH_N = 1_000_000
-MAX_SYNTH_D = 10_000
+# widest hidden layer, allocated up front, and most training epochs, each a pass
+# over the data: a stray 10**9 must fail here, not as a MemoryError or endless run
 MAX_HIDDEN = 10_000
-# most rows (restarts or noise samples) one example's attack may make: the
-# engine holds them in one block, so a stray 10**8 must fail here, not as a
-# MemoryError after training
-MAX_ROWS_PER_EXAMPLE = 100_000
-# most training epochs and PGD steps: each costs a pass over the data or the
-# attack's rows, so a stray 10**20 must fail here, not run without end
 MAX_EPOCHS = 100_000
-MAX_NUM_STEPS = 1_000_000
+# (low, high) of each integer key no consumer checks (TrainParams names train_seed
+# `seed`, the bundling seed's key), None for no bound; a str low names its bound's key
+_INT_RANGES = {"synth_seed": (0, None), "synth_n": ("synth_k", MAX_SYNTH_N),
+               "synth_d": (1, MAX_SYNTH_D), "synth_k": (2, None), "hidden": (None, MAX_HIDDEN),
+               "epochs": (None, MAX_EPOCHS), "max_units": (0, None), "train_seed": (0, None)}
 
 
 @dataclass(frozen=True)
@@ -86,39 +88,22 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset = csv requires csv_path")
-        if self.synth_seed < 0:
-            raise ConfigError("synth_seed must be >= 0")
-        for key, bound in (("synth_n", MAX_SYNTH_N), ("synth_d", MAX_SYNTH_D),
-                           ("hidden", MAX_HIDDEN), ("epochs", MAX_EPOCHS)):
-            if getattr(self, key) > bound:
-                raise ConfigError(f"{key} must be <= {bound}")
-        if self.synth_k < 2:
-            raise ConfigError("synth_k must be >= 2")
-        if self.synth_d < 1:
-            raise ConfigError("synth_d must be >= 1")
-        if self.synth_n < self.synth_k:
-            raise ConfigError("synth_n must be >= synth_k")
-        if self.max_units is not None and self.max_units < 0:
-            raise ConfigError("max_units must be >= 0")
-        for key in ("threshold_grid", "epsilon_grid"):
-            if np.isnan(getattr(self, key)).any():
-                raise ConfigError(f"{key} must hold no NaN")
-        if not all(0.5 <= t < 1.0 for t in self.threshold_grid):
-            raise ConfigError("threshold_grid must lie in [0.5, 1)")
-        if not _is_sorted(self.threshold_grid):
-            raise ConfigError("threshold_grid must be sorted ascending")
-        if not _is_sorted(self.epsilon_grid):
-            raise ConfigError("epsilon_grid must be sorted ascending")
-        if not all(n >= 1 for n in self.gap_ns):
-            raise ConfigError("gap_ns entries must be >= 1")
+        for key, (low, high) in _INT_RANGES.items():
+            value, floor = getattr(self, key), getattr(self, low) if isinstance(low, str) else low
+            if value is not None and high is not None and value > high:
+                raise ConfigError(f"{key} must be <= {high}")
+            if value is not None and floor is not None and value < floor:
+                raise ConfigError(f"{key} must be >= {low}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {', '.join(ARCHITECTURES)}, "
                               f"got {self.architecture!r}")
-        # TrainParams names its own seed key, `seed`, which here is the bundling seed
-        if self.train_seed < 0:
-            raise ConfigError("train_seed must be >= 0")
-        try:
-            self.train_params
+        try:  # the rules of the values' consumers, so a run fails none after parsing
+            check_grid("threshold_grid", self.threshold_grid, THRESHOLD_RANGE)
+            check_grid("epsilon_grid", self.epsilon_grid)
+            for n in self.gap_ns:
+                check_gap_size(n, "gap_ns entries")
+            check_attack_ids([attack.attack_id for attack in self.attacks])
+            self.train_params, self.budget
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -126,6 +111,10 @@ class ExperimentConfig:
     def train_params(self) -> TrainParams:
         return TrainParams(self.learning_rate, self.epochs, self.batch_size,
                            self.train_seed, hidden=self.hidden)
+
+    @property
+    def budget(self) -> BudgetPolicy:
+        return BudgetPolicy(self.max_units, self.early_stop)
 
 
 def _parse_bool(value: str) -> bool:
@@ -150,7 +139,8 @@ def _parse_grid(value: str) -> tuple[float, ...]:
             raise ValueError("a lo:hi:count grid needs a count of at least 1")
         if int(count) > MAX_GRID_POINTS:
             raise ValueError(f"more than {MAX_GRID_POINTS} grid points")
-        return tuple(float(t) for t in np.linspace(float(lo), float(hi), int(count)))
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN point fails the grid rule
+            return tuple(float(t) for t in np.linspace(float(lo), float(hi), int(count)))
     return tuple(float(v) for v in value.split(","))
 
 
@@ -203,30 +193,25 @@ def _line_of(exc: Exception, entries: dict[str, tuple[str, str]], where: str) ->
     return entries[key][1] if key in entries else where
 
 
-def _build_attack(attack_id: str, where: str,
-                  entries: dict[str, tuple[str, str]]) -> AttackConfig:
+def _build_attack(attack_id: str, where: str, entries: dict[str, tuple[str, str]],
+                  earlier_ids: list[str]) -> AttackConfig:
     for f in fields(AttackConfig):
         if f.name in _ATTACK_KEYS and f.default is MISSING and f.name not in entries:
             raise ConfigError(f"{where}: attack section needs {f.name}")
     if entries["variant"][0] not in VARIANTS:  # a config cannot supply runners
         raise ConfigError(f"{where}: unknown variant {entries['variant'][0]!r}")
     try:
-        config = AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
-        if rows_per_example(config) > MAX_ROWS_PER_EXAMPLE:
-            key = "num_restarts" if config.variant == PGD else "num_samples"
-            raise ContractError(f"{key} must be <= {MAX_ROWS_PER_EXAMPLE}")
-        if config.variant == PGD and config.num_steps > MAX_NUM_STEPS:
-            raise ContractError(f"num_steps must be <= {MAX_NUM_STEPS}")
+        check_attack_ids(earlier_ids + [attack_id])
+        return AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
     except ContractError as exc:
         raise ConfigError(f"{_line_of(exc, entries, where)}: {exc}") from exc
-    return config
 
 
 def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse config text; errors carry the offending line number."""
     global_entries: dict[str, tuple[str, str]] = {}
     entries, known = global_entries, _TOP_KEYS.keys()
-    sections: list[tuple[str, str, dict[str, tuple[str, str]]]] = []
+    sections: list[tuple[str, str, dict[str, tuple[str, str]], list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -240,10 +225,8 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
             if len(header) != 2 or header[0] != "attack":
                 raise ConfigError(f"{where}: section header must be [attack <id>]")
             attack_id = header[1]
-            if any(existing == attack_id for existing, _, _ in sections):
-                raise ConfigError(f"{where}: duplicate attack id {attack_id!r}")
             entries, known = {}, _ATTACK_KEYS.keys()
-            sections.append((attack_id, where, entries))
+            sections.append((attack_id, where, entries, [section[0] for section in sections]))
             continue
         if "=" not in line:
             raise ConfigError(f"{where}: expected key = value")
@@ -272,7 +255,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_experiment_config(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(unreadable(path, exc)) from exc
+    return parse_experiment_config(text, source=str(path))
 
 
 def _key_lines(obj, codecs: dict[str, tuple]) -> list[str]:

@@ -11,17 +11,21 @@ header row is optional on read and always written on save.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, is_int
+from .errors import ContractError, DataError, is_int, unreadable
 from .seeding import make_rng
 
-# most classes a CSV dataset may have: k is inferred from the largest label,
-# and training allocates (n, k) arrays, so one stray huge label must fail here
+# most classes a CSV dataset may have (k is inferred from the largest label),
+# and largest synthetic n and d: training and synth_dataset allocate (n, k) and
+# (n, d) arrays up front, so one stray huge value must fail before them
 MAX_CLASSES = 10_000
+MAX_SYNTH_N = 1_000_000
+MAX_SYNTH_D = 10_000
 
 
 def _invalid_row(features: np.ndarray, labels: np.ndarray,
@@ -105,9 +109,11 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
     along the axis for d=1), so a linear model separates them easily. Labels
     round-robin over classes, which keeps them balanced up to rounding.
     """
-    for name, value in (("n", n), ("d", d), ("k", k)):
+    for name, value, bound in (("n", n, MAX_SYNTH_N), ("d", d, MAX_SYNTH_D), ("k", k, None)):
         if not is_int(value):
             raise ContractError(f"{name} must be an integer, got {value!r}")
+        if bound is not None and value > bound:
+            raise ContractError(f"{name} must be <= {bound}, got {value}")
     if k < 2 or n < k or d < 1:
         raise ContractError(f"need n >= k >= 2 and d >= 1, got n={n}, d={d}, k={k}")
     rng = make_rng(seed)
@@ -132,29 +138,34 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(unreadable(path, exc)) from exc
     linenos, rows = [], []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = [float(c) for c in line.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise DataError(f"{path}:{lineno}: non-numeric value")
-            if len(values) < 2:
-                raise DataError(f"{path}:{lineno}: need at least one feature column")
-            if rows and len(values) != len(rows[0]):
-                raise DataError(f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}")
-            if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
-                raise DataError(f"{path}:{lineno}: label must be an integer, got {values[-1]}")
-            if values[-1] >= MAX_CLASSES:
-                raise DataError(f"{path}:{lineno}: label {int(values[-1])} >= "
-                                f"MAX_CLASSES={MAX_CLASSES}")
-            linenos.append(lineno)
-            rows.append(values)
+    # lines split as iterating the file splits them: at \n, \r and \r\n only
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values = [float(c) for c in line.split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise DataError(f"{path}:{lineno}: non-numeric value")
+        if len(values) < 2:
+            raise DataError(f"{path}:{lineno}: need at least one feature column")
+        if rows and len(values) != len(rows[0]):
+            raise DataError(f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}")
+        if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
+            raise DataError(f"{path}:{lineno}: label must be an integer, got {values[-1]}")
+        if values[-1] >= MAX_CLASSES:
+            raise DataError(f"{path}:{lineno}: label {int(values[-1])} >= "
+                            f"MAX_CLASSES={MAX_CLASSES}")
+        linenos.append(lineno)
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.array(rows)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer and real-number
-tests every check of a count, a seed or a magnitude uses."""
+"""Exception types shared across the package, the integer and real-number
+tests every check of a count, a seed or a magnitude uses, and the message of
+an input file that cannot be read."""
 
 from numbers import Real
 
@@ -18,6 +19,13 @@ def is_real(value) -> bool:
 
 def is_int_or_none(value) -> bool:
     return value is None or is_int(value)
+
+
+def unreadable(path, exc: OSError | UnicodeDecodeError) -> str:
+    """Why the text file at path could not be read, naming it."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"{path}: not UTF-8 text"
+    return f"{path}: cannot read: {exc.strerror or exc}"
 
 
 class ShapeError(ValueError):

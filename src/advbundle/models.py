@@ -35,8 +35,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (ContractError, DataError, ShapeError, TrainingDivergedError, is_int,
-                     is_real)
-from .seeding import make_rng
+                     is_real, unreadable)
+from .seeding import MAX_HALF_RANGE, _check_seed, make_rng, uniform_rows
 
 SOFTMAX_LINEAR = "softmax_linear"
 MLP1 = "mlp1"
@@ -113,8 +113,7 @@ class StochasticSpec:
 
     def __post_init__(self):
         # the noise is drawn from [-noise_scale, noise_scale]
-        if not (is_real(self.noise_scale)
-                and 0 <= self.noise_scale <= np.finfo(np.float64).max / 2):
+        if not (is_real(self.noise_scale) and 0 <= self.noise_scale <= MAX_HALF_RANGE):
             raise ContractError("noise_scale must be >= 0, with 2 * noise_scale finite")
         if not is_int(self.calls) or self.calls < 1:
             raise ContractError("calls must be an integer >= 1")
@@ -147,7 +146,7 @@ class TrainParams:
     hidden: int = 16
 
     def __post_init__(self):
-        for key in ("epochs", "batch_size", "hidden", "seed"):
+        for key in ("epochs", "batch_size", "hidden"):
             if not is_int(getattr(self, key)):
                 raise ContractError(f"{key} must be an integer")
         if not is_real(self.learning_rate):
@@ -157,8 +156,7 @@ class TrainParams:
                 raise ContractError(f"{key} must be positive")
         if not np.isfinite(self.learning_rate):
             raise ContractError("learning_rate must be finite")
-        if self.seed < 0:
-            raise ContractError("seed must be >= 0")
+        _check_seed(self.seed)
 
 
 def _one_row(params: ModelParams, x: np.ndarray,
@@ -371,8 +369,8 @@ def predict_stochastic(params: ModelParams, spec: StochasticSpec, x: np.ndarray,
     X, _ = _one_row(params, x)
     if spec.noise_scale == 0.0:
         return _prediction(probs_rows(params, X)[0])
-    rng = make_rng(seed)
-    noise = rng.uniform(-spec.noise_scale, spec.noise_scale, size=(spec.calls, X.shape[1]))
+    scale = spec.noise_scale
+    noise = uniform_rows([seed], -scale, scale, (spec.calls, X.shape[1]))[0]
     probs = probs_rows(params, np.clip(X + noise, 0.0, 1.0)).mean(axis=0)
     return _prediction(probs / probs.sum())
 
@@ -392,9 +390,13 @@ _ARRAY_NDIM = {"W1": 2, "b1": 1, "W2": 2, "b2": 1}
 
 
 def load_model(path: str | Path) -> ModelParams:
-    """Read a save_model file; a malformed one raises DataError naming its line."""
+    """Read a save_model file; an unreadable or malformed one raises DataError naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(unreadable(path, exc)) from exc
     rows = [(lineno, line.split()) for lineno, line
-            in enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
+            in enumerate(text.splitlines(), start=1) if line.strip()]
     if not rows or len(rows[0][1]) != 2 or rows[0][1][0] != "architecture":
         raise DataError(f"{path}: not a model file")
     arrays: dict[str, np.ndarray] = {}

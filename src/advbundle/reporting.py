@@ -11,7 +11,10 @@ construction from `wat_gap_construction` the gap between them is exactly
 1 - 1/n. Curves: the success-fail curve sweeps a confidence threshold t,
 pairing the clean covered-and-correct rate with the adversarial
 misclassified-above-t rate; the norm curve reads error rate as a function
-of the perturbation budget off each example's smallest error norm. A table
+of the perturbation budget off each example's smallest error norm. Their
+grids' one rule, `check_grid` (no NaN, ascending, thresholds in
+`bundler.THRESHOLD_RANGE`), and the gap table's, `bundler.check_gap_size`,
+are the rules the config checks at parse time. A table
 is a `RateTable`, checked when built; its `AttackRate` rows and the two
 curves hold only plain values and are named tuples, compared by value. All CSV
 column names are fixed and all floats are written with shortest round-trip
@@ -26,8 +29,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bundler import CLEAN_ID, BundleResult, OutcomeMatrix
-from .errors import ContractError, is_int
+from .attacks import NORM_SLACK
+from .bundler import CLEAN_ID, THRESHOLD_RANGE, BundleResult, OutcomeMatrix, check_gap_size
+from .errors import ContractError
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .models import predict  # noqa: F401
 
@@ -109,6 +113,18 @@ def make_tables(source: BundleResult | OutcomeMatrix) -> tuple[RateTable, RateTa
             RateTable(BUNDLED, clean_error, per_attack, bundled_rate=bundled))
 
 
+def check_grid(name: str, grid: Iterable[float], within: tuple | None = None) -> list[float]:
+    """grid as floats if it holds no NaN, lies in [low, high) = within and is ascending."""
+    grid = [float(t) for t in grid]
+    if np.isnan(grid).any():
+        raise ContractError(f"{name} must hold no NaN")
+    if within and not all(within[0] <= t < within[1] for t in grid):
+        raise ContractError(f"{name} must lie in [{within[0]:g}, {within[1]:g})")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ContractError(f"{name} must be sorted ascending")
+    return grid
+
+
 def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFailCurve:
     """Sweep thresholds t over [0.5, 1).
 
@@ -120,13 +136,7 @@ def success_fail_curve(result: BundleResult, grid: Sequence[float]) -> SuccessFa
     """
     if result.stopped_early.any():
         raise ContractError("success_fail_curve needs a result where no example stopped early")
-    grid = [float(t) for t in grid]
-    if np.isnan(grid).any():
-        raise ContractError("threshold grid must hold no NaN")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ContractError("threshold grid must be sorted ascending")
-    if grid and not (0.5 <= grid[0] and grid[-1] < 1.0):
-        raise ContractError("threshold grid must lie in [0.5, 1)")
+    grid = check_grid("threshold grid", grid, THRESHOLD_RANGE)
     correct, confidence = result.outcome_matrix.entries[:, 0] == 0, result.clean_confidence
     return SuccessFailCurve(tuple((t, float(np.mean(correct & (confidence > t))),
                                    float(np.mean(result.error_confidence > t))) for t in grid))
@@ -140,20 +150,16 @@ def norm_curve(result: BundleResult, epsilons: Sequence[float]) -> NormCurve:
     eps, not even inf. No example may have stopped early. The smallest norm
     found only upper-bounds the truly minimal adversarial perturbation, so
     each point is a lower bound on the true error rate at that budget. Norms
-    get the same 1e-9 slack candidates are validated with, so the curve
+    get the same `NORM_SLACK` candidates are validated with, so the curve
     reaches the bundled rate at the attack budget even when a projected
     candidate sits one rounding step past it.
     """
     if result.stopped_early.any():
         raise ContractError("norm_curve needs a result where no example stopped early")
-    epsilons = [float(e) for e in epsilons]
-    if np.isnan(epsilons).any():
-        raise ContractError("epsilons must hold no NaN")
-    if any(b < a for a, b in zip(epsilons, epsilons[1:])):
-        raise ContractError("epsilons must be sorted ascending")
+    epsilons = check_grid("epsilons", epsilons)
     norms = result.error_norm
     fooled = norms < np.inf
-    points = [(e, float(np.mean(fooled & (norms <= e + 1e-9)))) for e in epsilons]
+    points = [(e, float(np.mean(fooled & (norms <= e + NORM_SLACK)))) for e in epsilons]
     return NormCurve(tuple(points))
 
 
@@ -162,8 +168,7 @@ def wat_underestimation_report(n_values: Iterable[int]) -> list[tuple[int, float
     its n x n matrix: each attack fools 1/n of the examples, the bundle all, gap = 1 - 1/n."""
     n_values = list(n_values)  # the check and the rows read an iterator's values once
     for n in n_values:
-        if not is_int(n) or n < 1:
-            raise ContractError(f"n must be an integer >= 1, got {n!r}")
+        check_gap_size(n)
     return [(n, 1 / n, 1.0, 1.0 - 1 / n) for n in n_values]
 
 

@@ -13,10 +13,10 @@ multi-restart attack.
 block of examples or restarts gets its seeds in one array pass, bit for bit
 what `derive_seed` gives each of them.
 
-`make_rng` builds the Generator for one seed. `uniform_rows` draws a row
-of uniforms per seed, bit for bit what `make_rng(seed)` draws, from one
-Generator set to each seed's starting state in turn; it is the only code
-that resets a Generator. `pcg64_states` computes those states in one array
+`make_rng` builds one seed's Generator for normal draws and permutations.
+`uniform_rows` makes every uniform draw, a row per seed, bit for bit what
+`make_rng(seed)` draws, from one Generator set to each seed's starting state
+in turn; it alone resets a Generator. `pcg64_states` computes those states in one array
 pass: numpy's `SeedSequence` hash on `uint32` columns, then PCG64's set-seq
 seeding (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation").
@@ -41,6 +41,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MAX_HALF_RANGE = np.finfo(np.float64).max / 2  # widest h of a [-h, h] draw: 2 * h is finite
 
 
 def _mix(z):

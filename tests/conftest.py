@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,21 @@ def oracle_loss(params, x, label):
         logits = hidden @ params.W2 + params.b2
     p = stable_softmax(logits)[label]
     return -np.log(max(float(p), 1e-12))
+
+
+def openblas_core() -> str:
+    """The core (kernel set) numpy's bundled OpenBLAS runs on this host, such as
+    SkylakeX, or "unknown" where its library or the symbol is absent. Recorded
+    output bytes hold for one core, so a golden-byte failure names it."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 @pytest.fixture(scope="session")

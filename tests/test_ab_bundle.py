@@ -1,5 +1,5 @@
 """scripts/ab_bundle.py builds both sides the way the CLI does and compares
-every array of their BundleResults; these tests fail when a refactor of the
+every array both BundleResults hold; these tests fail when a refactor of the
 CLI or of BundleResult leaves it timing or comparing something else."""
 
 import dataclasses
@@ -35,13 +35,17 @@ def test_ab_bundle_runs_one_pair_of_the_same_tree():
                         r"change faster in [01] of 1", imports)
 
 
-def test_ab_bundle_compares_every_array_field():
-    script = runpy.run_path(str(SCRIPT), run_name="ab_bundle")
+def _toy_bundle():
     model = binary_linear([2.0, -1.0])
     data = ab.Dataset(np.array([[0.2, 0.6], [0.7, 0.4]]), [0, 1], num_classes=2)
     attack = ab.AttackConfig("noise", "uniform_noise", 0.1, num_samples=3)
-    result = ab.bundle(model, data, [attack], ab.Criterion.misclassify(), seed=5,
-                       keep_candidates=True)
+    return model, ab.bundle(model, data, [attack], ab.Criterion.misclassify(), seed=5,
+                            keep_candidates=True)
+
+
+def test_ab_bundle_compares_every_array_field():
+    script = runpy.run_path(str(SCRIPT), run_name="ab_bundle")
+    model, result = _toy_bundle()
     named = script["_arrays"](result)
     for f in dataclasses.fields(result):
         if isinstance(getattr(result, f.name), np.ndarray):
@@ -52,3 +56,25 @@ def test_ab_bundle_compares_every_array_field():
     with pytest.raises(SystemExit, match="result.clean_confidence differs"):
         script["_check_identical"]("toy", {"parent": result, "change": changed},
                                    {"parent": model, "change": model})
+
+
+def test_ab_bundle_compares_the_arrays_both_results_hold():
+    # a tree that adds a result field is compared on the fields both hold; the
+    # new field is reported, and a shared field that differs still stops it
+    script = runpy.run_path(str(SCRIPT), run_name="ab_bundle")
+    model, result = _toy_bundle()
+
+    @dataclasses.dataclass(eq=False)
+    class Grown(type(result)):
+        extra: np.ndarray | None = None
+
+    grown = Grown(**{f.name: getattr(result, f.name) for f in dataclasses.fields(result)},
+                  extra=np.zeros(2))
+    check, models = script["_check_identical"], {"parent": model, "change": model}
+    assert check("toy", {"parent": result, "change": grown}, models) == \
+        {"parent": [], "change": ["result.extra"]}
+    assert check("toy", {"parent": grown, "change": result}, models) == \
+        {"parent": ["result.extra"], "change": []}
+    changed = dataclasses.replace(grown, units_spent=result.units_spent + 1)
+    with pytest.raises(SystemExit, match="result.units_spent differs"):
+        check("toy", {"parent": result, "change": changed}, models)

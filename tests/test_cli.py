@@ -20,6 +20,8 @@ from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
 from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N, with_output_dir
 
+from conftest import openblas_core
+
 FAST_CFG = """
 dataset = synthetic
 synth_n = 40
@@ -367,6 +369,16 @@ class TestExitCodes:
         assert len(done.stderr.splitlines()) == 1, done.stderr
         assert done.stderr.startswith("numeric failure: training diverged at epoch 0")
 
+    @pytest.mark.parametrize("value", ["0:inf:3", "-1e308:1e308:3"])
+    def test_a_grid_of_non_finite_points_fails_at_its_line_with_no_warning(self, tmp_path,
+                                                                         capsys, value):
+        new = f"epsilon_grid = {value}"
+        text = FAST_CFG.replace("epsilon_grid = 0.0:0.3:7", new)
+        assert main(["run", str(write_cfg(tmp_path, text=text))]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {tmp_path / 'exp.cfg'}:{text.splitlines().index(new) + 1}: " \
+            "epsilon_grid must hold no NaN\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_learning_rate_fails_at_its_line(self, tmp_path, capsys, value):
         text = FAST_CFG.replace("learning_rate = 0.2", f"learning_rate = {value}")
@@ -375,6 +387,61 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: {tmp_path / 'exp.cfg'}:{line}: learning_rate must be finite\n"
+        assert not (tmp_path / "run_out").exists()
+
+
+class TestUnusableFiles:
+    """A file the run cannot read or write is refused with its exit code and a
+    one-line message naming it, before any work and with no traceback."""
+
+    def _run(self, capsys, *argv):
+        with mock.patch.object(cli, "synth_dataset", wraps=cli.synth_dataset) as synth, \
+                mock.patch.object(cli, "train", wraps=cli.train) as train:
+            code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert not synth.called and not train.called
+        return code, err
+
+    def test_a_directory_or_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_bytes(b"seed = 1\n\xff\n")
+        for path, reason in ((tmp_path, "cannot read"), (tmp_path / "bad.cfg", "not UTF-8")):
+            code, err = self._run(capsys, "run", str(path))
+            assert code == 2 and err.startswith(f"config error: {path}: {reason}")
+
+    def test_a_directory_or_non_utf8_dataset_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_bytes(b"f0,label\n0.5,\xff\n")
+        for data, reason in ((tmp_path, "cannot read"), (tmp_path / "bad.csv", "not UTF-8")):
+            cfg = write_cfg(tmp_path, text=f"dataset = csv\ncsv_path = {data}\n"
+                                           "output_dir = {out}\n")
+            code, err = self._run(capsys, "run", str(cfg))
+            assert code == 3 and err.startswith(f"data error: {data}: {reason}")
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("out", ["adir", "missing/data.csv", "afile/data.csv"])
+    def test_synth_refuses_an_unwritable_path_before_the_draw(self, tmp_path, capsys, out):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("x")
+        code, err = self._run(capsys, "synth", "10", "2", "3", "0", str(tmp_path / out))
+        assert code == 3 and err.startswith(f"data error: cannot write dataset file "
+                                            f"{tmp_path / out}: ")
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
+    def test_an_output_dir_that_cannot_be_made_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, where, outdir):
+        (tmp_path / "afile").write_text("x")
+        path = tmp_path / outdir
+        cfg = write_cfg(tmp_path, out=path if where == "config" else "run_out")
+        argv = [command, str(cfg)] + (["--output-dir", str(path)] if where == "flag" else [])
+        if where == "env":
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(path))
+        code, err = self._run(capsys, *argv)
+        assert code == 2
+        assert err == (f"config error: output directory {path} cannot be made: "
+                       f"{tmp_path / 'afile'} is not a directory\n")
+        assert (tmp_path / "afile").read_text() == "x"
         assert not (tmp_path / "run_out").exists()
 
 
@@ -508,6 +575,33 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, mutations
     _run_mutated(tmp_path_factory.mktemp("fuzz"), mutations)
 
 
+_TINY_HEADER_LINES = [i for i, line in enumerate(TINY_CFG.splitlines()) if line.startswith("[")]
+
+
+@pytest.mark.parametrize("attack_id", ["none", "a,b", 'a"b', "duplicate"])
+@pytest.mark.parametrize("line", _TINY_HEADER_LINES,
+                         ids=[f"line{i + 1}" for i in _TINY_HEADER_LINES])
+def test_a_bad_attack_id_fails_at_its_header_before_training(tmp_path, line, attack_id):
+    # `none` is the clean baseline's id, and a comma or a quote would break the
+    # CSV rows that hold the id; a duplicate is reported at the later header
+    lines = TINY_CFG.splitlines()
+    at = line + 1
+    if attack_id == "duplicate":
+        other = next(i for i in _TINY_HEADER_LINES if i != line)
+        attack_id, at = lines[other][len("[attack "):-1], max(_TINY_HEADER_LINES) + 1
+    lines[line] = f"[attack {attack_id}]"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    stderr = io.StringIO()
+    with mock.patch.object(cli, "train", wraps=cli.train) as train, \
+            contextlib.redirect_stderr(stderr):
+        code = main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 2 and not train.called
+    assert stderr.getvalue().startswith(f"config error: {cfg}:{at}: ")
+    assert len(stderr.getvalue().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_library_has_no_assert_statement():
     # python -O strips assert statements, so a check written as one would vanish
     paths = sorted(Path(ab.__file__).parent.glob("*.py"))
@@ -534,13 +628,13 @@ def test_optimised_python_runs_every_check_and_writes_the_same_bytes(tmp_path):
 def test_default_config_writes_the_recorded_bytes(tmp_path):
     # the full-size default run, ten 4,000-row noise blocks included, must write
     # the artifacts whose SHA-256 the file records; the hashes hold for one
-    # OpenBLAS core, as perfbench's reference does
+    # OpenBLAS core, as perfbench's reference does, so a failure names the core
     root = Path(__file__).resolve().parents[1]
     expected = json.loads((root / "tests" / "default_cfg_sha256.json").read_text())
     config = ab.load_experiment_config(root / "configs" / "default.cfg")
     paths = run_experiment(with_output_dir(config, str(tmp_path)))
     got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
-    assert got == expected
+    assert got == expected, f"OpenBLAS core {openblas_core()}"
 
 
 def test_default_config_with_early_stop_writes_the_recorded_bytes(tmp_path):
@@ -556,7 +650,7 @@ def test_default_config_with_early_stop_writes_the_recorded_bytes(tmp_path):
     config = replace(with_output_dir(config, str(tmp_path)), early_stop=True)
     paths = run_experiment(config)
     got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
-    assert got == expected
+    assert got == expected, f"OpenBLAS core {openblas_core()}"
     assert " 311 examples stopped early" in paths["summary.txt"].read_text()
 
 

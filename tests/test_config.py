@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_EPOCHS, MAX_NUM_STEPS,
-                              MAX_ROWS_PER_EXAMPLE, serialize_experiment_config,
-                              with_output_dir)
-from advbundle.errors import ConfigError
+                              MAX_ROWS_PER_EXAMPLE, _parse_grid, _parse_int_list,
+                              serialize_experiment_config, with_output_dir)
+from advbundle.errors import ConfigError, ContractError
+
+from conftest import binary_linear
 
 MINIMAL = """
 dataset = synthetic
@@ -296,6 +299,12 @@ class TestErrors:
             f"[attack f]\nvariant = fgsm\nepsilon = 0.3\nnum_steps = {huge}\n")
         assert config.attacks[0].num_steps == huge
 
+    @pytest.mark.parametrize("ids", [("a", "a"), ("none",)])
+    def test_a_config_built_in_code_refuses_bad_attack_ids(self, ids):
+        # as the parser does, so run_experiment never trains for a bundle() that refuses
+        with pytest.raises(ConfigError):
+            ab.ExperimentConfig(attacks=tuple(ab.AttackConfig(i, "fgsm", 0.3) for i in ids))
+
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config("dataset = csv\n")
@@ -324,3 +333,45 @@ def test_arbitrary_values_parse_or_raise_config_error(pairs):
         ab.parse_experiment_config(text)
     except ConfigError:
         pass
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except (ConfigError, ContractError):
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def unstopped_result():
+    # a bundle of no attacks: no example stops early, so both curves take it
+    data = ab.Dataset([[0.2, 0.6], [0.7, 0.4]], [0, 1], num_classes=2)
+    return ab.bundle(binary_linear([1.0, -1.0]), data, [], ab.Criterion.misclassify())
+
+
+# each rule's edges, and any float
+_EDGES = [0.5, 1.0, float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.0, 0.0)), 0.0, -0.0,
+          np.inf, -np.inf, np.nan, 1e308]
+_POINT = st.sampled_from(_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+_GRID = (st.lists(_POINT, min_size=1, max_size=6).map(lambda ts: ",".join(map(repr, ts)))
+         | st.tuples(_POINT, _POINT, st.integers(1, 8)).map(
+             lambda lhc: f"{lhc[0]!r}:{lhc[1]!r}:{lhc[2]}"))
+
+
+@given(value=_GRID)
+@settings(max_examples=300, deadline=None)
+def test_parser_accepts_a_grid_exactly_when_its_curve_does(unstopped_result, value):
+    grid = _parse_grid(value)
+    for key, curve in (("threshold_grid", ab.success_fail_curve),
+                       ("epsilon_grid", ab.norm_curve)):
+        parsed = _accepts(lambda: ab.parse_experiment_config(f"{key} = {value}\n"))
+        assert parsed == _accepts(lambda: curve(unstopped_result, grid)), key
+
+
+@given(st.lists(st.integers(-3, 3) | st.integers(-10**30, 10**30), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_parser_accepts_gap_sizes_exactly_when_the_gap_table_does(sizes):
+    value = ",".join(map(str, sizes))
+    parsed = _accepts(lambda: ab.parse_experiment_config(f"gap_ns = {value}\n"))
+    assert parsed == _accepts(lambda: ab.wat_underestimation_report(_parse_int_list(value)))

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import advbundle as ab
+from advbundle.data import MAX_SYNTH_D, MAX_SYNTH_N
 from advbundle.errors import ContractError, DataError
 
 
@@ -17,6 +23,28 @@ class TestSynth:
         ds = ab.synth_dataset(50, 3, 4, seed=seed)
         X = ds.features
         assert X.min() >= 0.0 and X.max() <= 1.0
+
+    @pytest.mark.parametrize("n,d,message", [
+        (10**9, 2, f"n must be <= {MAX_SYNTH_N}, got 1000000000"),  # 7.45 GiB of labels
+        (10, 10**8, f"d must be <= {MAX_SYNTH_D}, got 100000000"),  # 2.24 GiB of class means
+    ], ids=["n", "d"])
+    def test_huge_sizes_are_refused_before_any_draw(self, n, d, message):
+        # under a 1 GiB address space, an allocation would fail as a MemoryError
+        limit = 1 << 30
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                "import advbundle as ab\n"
+                "from advbundle.errors import ContractError\n"
+                "try:\n"
+                f"    ab.synth_dataset({n}, {d}, 3, 0)\n"
+                "except ContractError as exc:\n"
+                "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(ab.__file__).parent.parent),
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == message + "\n"
 
     def test_deterministic_per_seed(self):
         a = ab.synth_dataset(30, 2, 2, seed=5)

@@ -343,6 +343,17 @@ class TestPredictStochastic:
         want = ab.predict(m, np.clip(x + noise[0], 0, 1))
         assert np.allclose(got.probabilities, want.probabilities, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 77, 2**63, 2**64 - 1, 2**130])
+    def test_noise_is_the_pcg64_uniform_draw_bit_for_bit(self, mlp_on_small_blobs, seed):
+        # seeds of one to five 32-bit words, each drawn as its own Generator draws
+        m = mlp_on_small_blobs
+        x = np.array([0.4, 0.6])
+        got = ab.predict_stochastic(m, ab.StochasticSpec(noise_scale=0.1, calls=7), x, seed)
+        noise = np.random.Generator(np.random.PCG64(seed)).uniform(-0.1, 0.1, size=(7, 2))
+        probs = np.stack([ab.predict(m, np.clip(x + row, 0.0, 1.0)).probabilities
+                          for row in noise]).mean(axis=0)
+        assert got.probabilities.tobytes() == (probs / probs.sum()).tobytes()
+
     def test_mean_probabilities_match_monte_carlo_oracle(self, mlp_on_small_blobs):
         m = mlp_on_small_blobs
         x = np.array([0.45, 0.55])

@@ -19,7 +19,7 @@ from advbundle import bundler
 from advbundle.cli import run_experiment
 from advbundle.config import parse_experiment_config, with_output_dir
 
-from conftest import binary_linear
+from conftest import binary_linear, openblas_core
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,7 +56,7 @@ def test_bench_workloads_write_the_reference_bytes(tmp_path):
         paths = run_experiment(config)
         got = {artifact: hashlib.sha256(paths[artifact].read_bytes()).hexdigest()
                for artifact in expected}
-        assert got == expected, name
+        assert got == expected, f"{name} (OpenBLAS core {openblas_core()})"
 
 
 def test_every_traced_name_resolves(child):

@@ -69,6 +69,14 @@ def _csv(text):
     return _file("data.csv", text, ab.load_dataset_csv)
 
 
+def _not_utf8(load):
+    """A call that writes a file holding a byte no UTF-8 text has and loads it."""
+    def call():
+        Path("file.txt").write_bytes(b"architecture \xff\n")
+        return load(Path("file.txt"))
+    return call
+
+
 MODEL = binary_linear([1.0, 0.0])
 EXAMPLE = ab.Example(np.array([0.5, 0.5]), 0)
 W, b = np.zeros((2, 2)), np.zeros(2)
@@ -116,6 +124,15 @@ REFUSALS = [
     ("csv-no-rows", _csv("f0,label\n\n"), DataError, None),
     ("model-not-a-model", _model_file("W1 2 2\n0 0 0 0\n"), DataError, None),
     ("model-bad-header", _model_file("architecture softmax_linear\nW1 2\n0 0\n"), DataError, 2),
+    # an attack id a CSV row cannot hold
+    ("attack-id-comma", lambda: ab.AttackConfig("a,b", "fgsm", 0.1), ContractError, None),
+    ("attack-id-quote", lambda: ab.AttackConfig('a"b', "fgsm", 0.1), ContractError, None),
+    ("attack-id-newline", lambda: ab.AttackConfig("a\nb", "fgsm", 0.1), ContractError, None),
+    ("attack-id-not-str", lambda: ab.AttackConfig(1, "fgsm", 0.1), ContractError, None),
+    # model files that are a directory, missing or not UTF-8
+    ("model-directory", lambda: ab.load_model(Path(".")), DataError, None),
+    ("model-missing", lambda: ab.load_model(Path("model.txt")), DataError, None),
+    ("model-not-utf8", _not_utf8(ab.load_model), DataError, None),
 ]
 
 

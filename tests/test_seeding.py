@@ -17,9 +17,10 @@ from advbundle.seeding import make_rng, pcg64_states, uniform_rows
 EDGES = [0, 2**63 - 1, 2**63, 2**64 - 1]
 # derive_seed takes a root mod 2**64, so roots outside [0, 2**64) are valid too
 ROOTS = st.one_of(st.sampled_from(EDGES), st.integers(-2**65, 2**66))
-# ids of one 8-byte word, of several, and with multi-byte UTF-8
+# ids of one 8-byte word, of several, and with multi-byte UTF-8; an AttackConfig
+# refuses a comma, a double quote or a line break in its id
 IDS = st.one_of(st.sampled_from(["pgd", "pgd-expensive", "bruit-é", "攻撃-θ-✓"]),
-                st.text(min_size=1, max_size=24))
+                st.text(st.characters(blacklist_characters=',"\r\n'), min_size=1, max_size=24))
 
 
 @given(root=ROOTS, idx=st.lists(st.integers(0, 10**6), max_size=16), attack_id=IDS,
