@@ -99,9 +99,7 @@ def _setup(package, text: str, name: str):
     config = package.parse_experiment_config(text, name)
     dataset = importlib.import_module(package.__name__ + ".cli")._load_dataset(config)
     model = package.train(dataset, config.architecture, config.train_params)
-    # built here, not read off the config: an older tree's config has no `budget`
-    budget = package.BudgetPolicy(config.max_units, config.early_stop)
-    return (model, dataset, config.attacks, config.criterion, budget), config.seed
+    return (model, dataset, config.attacks, config.criterion, config.budget), config.seed
 
 
 def _arrays(value, name: str = "result") -> dict[str, np.ndarray]:

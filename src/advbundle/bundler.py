@@ -467,13 +467,30 @@ def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
     _fold_block(result.criterion, result.chosen_rows, block, per)
 
 
-def check_attack_ids(ids: Sequence[str]) -> None:
-    """Refuse a bundle's attack ids unless they are unique and none is `CLEAN_ID`."""
-    for i, attack_id in enumerate(ids):
-        if attack_id == CLEAN_ID:
+def check_attacks(attacks: Sequence[AttackConfig],
+                  runners: Mapping[str, Runner] | None = None) -> None:
+    """Refuse an attack list unless it holds `AttackConfig`s with unique ids,
+    none of them `CLEAN_ID`, and `attacks.attack_rows` or `runners` runs each
+    variant."""
+    for i, a in enumerate(attacks):
+        if not isinstance(a, AttackConfig):
+            raise ContractError(f"attacks must hold AttackConfig entries, got {a!r}")
+        if a.attack_id == CLEAN_ID:
             raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
-        if attack_id in ids[:i]:
-            raise ContractError(f"duplicate attack id {attack_id!r}")
+        if a.attack_id in [b.attack_id for b in attacks[:i]]:
+            raise ContractError(f"duplicate attack id {a.attack_id!r}")
+        if a.variant not in VARIANTS and a.variant not in (runners or {}):
+            raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
+
+
+def _check_run(criterion: Criterion, budget: BudgetPolicy | None = None, seed: int = 0) -> None:
+    """Refuse a criterion, budget or root seed of the wrong type, naming the argument."""
+    if not isinstance(criterion, Criterion):
+        raise ContractError(f"criterion must be a Criterion, got {criterion!r}")
+    if not (budget is None or isinstance(budget, BudgetPolicy)):
+        raise ContractError(f"budget must be a BudgetPolicy or None, got {budget!r}")
+    if not is_int(seed):
+        raise ContractError(f"seed must be an integer, got {seed!r}")
 
 
 # an overflowing model shows in the scores (`_scores`) and failed units, not as warnings
@@ -493,10 +510,13 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     and attacks ran. `runners` maps a variant to the row function that runs
     it in place of `attacks.attack_rows` (see `Runner` and the module
     docstring); any variant beyond fgsm, pgd and uniform_noise needs one.
+    The attack list (`check_attacks`), criterion, budget and seed
+    (`_check_run`) are refused, if bad, before any model call.
     """
     attacks = tuple(attacks)
+    check_attacks(attacks, runners)
+    _check_run(criterion, budget, seed)
     ids = [a.attack_id for a in attacks]
-    check_attack_ids(ids)
     if len(dataset) == 0:
         raise ContractError("cannot bundle over an empty dataset")
     if dataset.dimension != params.dimension:
@@ -529,9 +549,11 @@ def complete(result: BundleResult) -> BundleResult:
     array, with no pool: each (example, attack, restart) has its own seed
     stream, and each round folds each example's candidates into its choice
     in the same order. The copy shares the model, data and runners. Returns
-    `result` itself when no example stopped early."""
+    `result` itself when no example stopped early; refuses, before the copy,
+    attacks that `check_attacks` refuses under the result's runners."""
     if not result.stopped_early.any():
         return result
+    check_attacks(result.attacks, result.runners)
     shared = {id(v): v for v in (result.params, result.dataset, result.runners)}
     exhaustive = replace(result.budget, early_stop=False)
     return _advance(deepcopy(replace(result, budget=exhaustive, pool=None), shared), None)
@@ -550,9 +572,6 @@ def _advance(result: BundleResult, pool_blocks: list | None) -> BundleResult:
     candidate did, as it is preferred to all. The held columns are copied
     once, as `bundle()`'s clean rows alias the dataset and the pool."""
     attacks, budget = result.attacks, result.budget
-    for a in attacks:
-        if a.variant not in VARIANTS and a.variant not in result.runners:
-            raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
     goal, units = _goal_test(result.criterion), result.units_spent
     result.chosen_rows = CandidateRows(*(col.copy() for col in result.chosen_rows))
 
@@ -583,6 +602,7 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     round at a time, each round a slice of the pool (see `BundleResult`); a
     pool in any other layout is refused.
     """
+    _check_run(criterion)
     if result.pool is None:
         raise ContractError("reselect needs a result built with keep_candidates=True")
     if np.any(result.units_spent < len(result.attacks)):

@@ -12,13 +12,15 @@ attack list (the sections) and an attack's id (its section header) are
 handled by name.
 
 A rule on a value has one definition, in the module that uses the value, and
-parsing calls it: `AttackConfig`, `Criterion`, `TrainParams` and
+`ExperimentConfig` calls it, so a config built in code is refused before any
+training, as a file is: `AttackConfig`, `Criterion`, `TrainParams` and
 `BudgetPolicy` (`train_params`, `budget`) check their fields, `check_grid`
-the grids, `check_gap_size` the gap sizes and `check_attack_ids` each
-section's id, so a config the parser accepts passes every check the run makes
-later. Only the integer ranges no consumer checks are the config's own
-(`_INT_RANGES`). A failed check names the line of the key its message starts
-with, else the section header or the file.
+the grids, `check_gap_size` the gap sizes, `bundler._check_run` the types of
+the criterion and the seed, and `check_attacks` the attack list, which the
+parser also checks as each section extends it. So a config the parser accepts
+passes every check the run makes later. The config's own rules are the
+integer ranges of `_INT_RANGES`. A failed check names the line of the key its
+message starts with, else the section header or the file.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, VARIANTS, AttackConfig  # noqa: F401
+from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, AttackConfig  # noqa: F401
 from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
-                      check_attack_ids, check_gap_size)
+                      _check_run, check_attacks, check_gap_size)
 from .data import MAX_SYNTH_D, MAX_SYNTH_N
 from .errors import ConfigError, ContractError, unreadable
 from .models import ARCHITECTURES, TrainParams
@@ -49,8 +51,10 @@ def _default_epsilon_grid() -> tuple[float, ...]:
 # over the data: a stray 10**9 must fail here, not as a MemoryError or endless run
 MAX_HIDDEN = 10_000
 MAX_EPOCHS = 100_000
-# (low, high) of each integer key no consumer checks (TrainParams names train_seed
-# `seed`, the bundling seed's key), None for no bound; a str low names its bound's key
+# (low, high) of integer keys, None for no bound; a str low names its bound's key. Each
+# message names the config key, at its line, before a consumer's differently worded
+# check: synth_dataset checks the synth_* keys, BudgetPolicy max_units, and TrainParams
+# train_seed as `seed`, the bundling seed's key
 _INT_RANGES = {"synth_seed": (0, None), "synth_n": ("synth_k", MAX_SYNTH_N),
                "synth_d": (1, MAX_SYNTH_D), "synth_k": (2, None), "hidden": (None, MAX_HIDDEN),
                "epochs": (None, MAX_EPOCHS), "max_units": (0, None), "train_seed": (0, None)}
@@ -98,11 +102,12 @@ class ExperimentConfig:
             raise ConfigError(f"architecture must be one of {', '.join(ARCHITECTURES)}, "
                               f"got {self.architecture!r}")
         try:  # the rules of the values' consumers, so a run fails none after parsing
+            _check_run(self.criterion, seed=self.seed)
             check_grid("threshold_grid", self.threshold_grid, THRESHOLD_RANGE)
             check_grid("epsilon_grid", self.epsilon_grid)
             for n in self.gap_ns:
                 check_gap_size(n, "gap_ns entries")
-            check_attack_ids([attack.attack_id for attack in self.attacks])
+            check_attacks(self.attacks)  # a config cannot supply runners
             self.train_params, self.budget
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc
@@ -193,16 +198,15 @@ def _line_of(exc: Exception, entries: dict[str, tuple[str, str]], where: str) ->
     return entries[key][1] if key in entries else where
 
 
-def _build_attack(attack_id: str, where: str, entries: dict[str, tuple[str, str]],
-                  earlier_ids: list[str]) -> AttackConfig:
+def _build_attack(earlier: list[AttackConfig], attack_id: str, where: str,
+                  entries: dict[str, tuple[str, str]]) -> AttackConfig:
     for f in fields(AttackConfig):
         if f.name in _ATTACK_KEYS and f.default is MISSING and f.name not in entries:
             raise ConfigError(f"{where}: attack section needs {f.name}")
-    if entries["variant"][0] not in VARIANTS:  # a config cannot supply runners
-        raise ConfigError(f"{where}: unknown variant {entries['variant'][0]!r}")
     try:
-        check_attack_ids(earlier_ids + [attack_id])
-        return AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
+        attack = AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
+        check_attacks(earlier + [attack])
+        return attack
     except ContractError as exc:
         raise ConfigError(f"{_line_of(exc, entries, where)}: {exc}") from exc
 
@@ -211,7 +215,7 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
     """Parse config text; errors carry the offending line number."""
     global_entries: dict[str, tuple[str, str]] = {}
     entries, known = global_entries, _TOP_KEYS.keys()
-    sections: list[tuple[str, str, dict[str, tuple[str, str]], list[str]]] = []
+    sections: list[tuple[str, str, dict[str, tuple[str, str]]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,7 +230,7 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
                 raise ConfigError(f"{where}: section header must be [attack <id>]")
             attack_id = header[1]
             entries, known = {}, _ATTACK_KEYS.keys()
-            sections.append((attack_id, where, entries, [section[0] for section in sections]))
+            sections.append((attack_id, where, entries))
             continue
         if "=" not in line:
             raise ConfigError(f"{where}: expected key = value")
@@ -243,9 +247,11 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
     kwargs = _convert(_TOP_KEYS, global_entries)
     variant = kwargs.pop("criterion", MISCLASSIFY)
     threshold = kwargs.pop("threshold", 0.9 if variant == MAX_CONFIDENCE else None)
-    attacks = tuple(_build_attack(*section) for section in sections)
+    attacks: list[AttackConfig] = []
+    for section in sections:
+        attacks.append(_build_attack(attacks, *section))
     try:
-        return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=attacks,
+        return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=tuple(attacks),
                                 **kwargs)
     except (ConfigError, ContractError) as exc:
         raise ConfigError(f"{_line_of(exc, global_entries, source)}: {exc}") from exc

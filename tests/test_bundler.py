@@ -480,6 +480,14 @@ class TestBundle:
                       ab.Criterion.misclassify(), runners={"oracle1": recording})
         assert calls == []
 
+    def test_variant_without_runner_fails_before_any_model_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bundler, "probs_rows", lambda *args: calls.append(args))
+        with pytest.raises(ContractError, match="no runner for variant 'oracle2'"):
+            ab.bundle(steep_boundary_model(), two_example_dataset(), self.oracle_attacks(),
+                      ab.Criterion.misclassify(), runners={"oracle1": flip_runner(0.35)})
+        assert calls == []
+
     def test_pool_lengths_build_no_candidates(self, monkeypatch, mlp_on_small_blobs,
                                               small_blobs):
         attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=5,
@@ -962,6 +970,23 @@ class TestComplete:
         # the model and data come only from the result, so two runs cannot mix
         with pytest.raises(TypeError):
             ab.complete(primary, mlp_on_small_blobs, small_blobs)
+
+    def test_runners_lacking_a_variant_are_refused_before_any_unit(
+            self, monkeypatch, mlp_on_small_blobs, small_blobs):
+        primary = ab.bundle(mlp_on_small_blobs, small_blobs, self.ATTACKS,
+                            ab.Criterion.misclassify(), seed=3, runners=self.RUNNERS)
+        assert primary.stopped_early.any()
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return flaky_fgsm(*args)
+
+        monkeypatch.setattr(bundler, "attack_rows", recording)
+        for runners in ({}, {"other": recording}):
+            with pytest.raises(ContractError, match="no runner for variant 'flaky'"):
+                ab.complete(replace(primary, runners=runners))
+        assert calls == []
 
     # class 1 iff x0 > 0.5; example 2 is misclassified clean, so its goal is met before
     # any attack runs, and fgsm at 0.05 flips no other example

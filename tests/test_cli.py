@@ -19,6 +19,7 @@ import advbundle as ab
 from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
 from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N, with_output_dir
+from advbundle.errors import ConfigError
 
 from conftest import openblas_core
 
@@ -329,6 +330,16 @@ class TestExitCodes:
         assert err.startswith("config error:") and "custom" in err
         assert f":{text.splitlines().index('[attack mine]') + 1}:" in err
         assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("field", [{"attacks": (ab.AttackConfig("x", "custom", 0.3),)},
+                                       {"criterion": "misclassify"}],
+                             ids=["no-runner", "criterion-str"])
+    def test_a_config_built_in_code_is_refused_before_training(self, tmp_path, field):
+        with mock.patch.object(cli, "train", wraps=cli.train) as train, \
+                pytest.raises(ConfigError):
+            run_experiment(ab.ExperimentConfig(output_dir=str(tmp_path / "out"), **field))
+        assert not train.called
+        assert not (tmp_path / "out").exists()
 
     def test_model_data_shape_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
         import advbundle.cli as cli

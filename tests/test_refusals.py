@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import advbundle as ab
-from advbundle import attacks, seeding
+from advbundle import attacks, bundler, seeding
 from advbundle.errors import AttackFailedError, ConfigError, ContractError, DataError, ShapeError
 
 from conftest import binary_linear
@@ -133,6 +133,15 @@ REFUSALS = [
     ("model-directory", lambda: ab.load_model(Path(".")), DataError, None),
     ("model-missing", lambda: ab.load_model(Path("model.txt")), DataError, None),
     ("model-not-utf8", _not_utf8(ab.load_model), DataError, None),
+    # a config built in code passes the checks a parsed one does
+    ("config-criterion-str", lambda: ab.ExperimentConfig(criterion="misclassify"),
+     ConfigError, None),
+    ("config-seed-str", lambda: ab.ExperimentConfig(seed="0"), ConfigError, None),
+    ("config-seed-float", lambda: ab.ExperimentConfig(seed=-1.5), ConfigError, None),
+    ("config-attack-str", lambda: ab.ExperimentConfig(attacks=("a",)), ConfigError, None),
+    ("config-no-runner",
+     lambda: ab.ExperimentConfig(attacks=(ab.AttackConfig("x", "custom", 0.3),)),
+     ConfigError, None),
 ]
 
 
@@ -145,3 +154,36 @@ def test_bad_input_raises_its_typed_error(monkeypatch, tmp_path, call, error, li
     assert type(raised.value) is error
     if line is not None:
         assert f":{line}: " in str(raised.value)
+
+
+DATA = ab.Dataset([[0.2, 0.5], [0.8, 0.5]], [0, 1], num_classes=2)
+FGSM = ab.AttackConfig("f", "fgsm", 0.1)
+CRITERION = ab.Criterion.misclassify()
+
+# (id, call on a kept exhaustive result, the argument the message names)
+WRONG_TYPES = [
+    ("bundle-attack-str", lambda kept: ab.bundle(MODEL, DATA, ["a"], CRITERION), "attacks"),
+    ("bundle-criterion-str", lambda kept: ab.bundle(MODEL, DATA, [FGSM], "misclassify"),
+     "criterion"),
+    ("bundle-budget-int", lambda kept: ab.bundle(MODEL, DATA, [FGSM], CRITERION, 3), "budget"),
+    ("bundle-seed-str", lambda kept: ab.bundle(MODEL, DATA, [FGSM], CRITERION, seed="0"),
+     "seed"),
+    ("bundle-seed-float", lambda kept: ab.bundle(MODEL, DATA, [FGSM], CRITERION, seed=-1.5),
+     "seed"),
+    ("check-attacks-str", lambda kept: bundler.check_attacks([FGSM, "a"]), "attacks"),
+    ("reselect-criterion-str", lambda kept: ab.reselect(kept, "min_norm"), "criterion"),
+]
+
+
+@pytest.mark.parametrize("call,name", [case[1:] for case in WRONG_TYPES],
+                         ids=[case[0] for case in WRONG_TYPES])
+def test_an_argument_of_the_wrong_type_is_named_before_any_model_call(monkeypatch, call,
+                                                                      name):
+    kept = ab.bundle(MODEL, DATA, [FGSM], CRITERION, ab.BudgetPolicy(early_stop=False),
+                     keep_candidates=True)
+    calls = []
+    monkeypatch.setattr(bundler, "probs_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(bundler, "attack_rows", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=f"^{name} must ") as raised:
+        call(kept)
+    assert type(raised.value) is ContractError and calls == []
