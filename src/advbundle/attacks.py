@@ -38,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import Example
-from .errors import AttackFailedError, ContractError, ShapeError, is_int_or_none, is_real
+from .errors import (AttackFailedError, ContractError, ShapeError, is_int, is_int_or_none,
+                     is_real)
 from .models import ModelParams, _one_row, grad_rows, reduce_rows
 from .seeding import MAX_HALF_RANGE, derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
@@ -59,10 +60,11 @@ MAX_NUM_STEPS = 1_000_000
 class AttackConfig:
     """Declarative attack spec; attack_id must be unique within a bundle.
 
-    restart_seeds pins the base RNG seed of each restart directly. The
-    bundler mixes each entry with the example index, so a single-restart
-    config carrying seed s reproduces exactly the restart that an n-restart
-    config would have run with restart_seeds[r] = s.
+    restart_seeds, a sequence of integers kept as a tuple, pins the base RNG
+    seed of each restart directly. The bundler mixes each entry with the
+    example index, so a single-restart config carrying seed s reproduces
+    exactly the restart that an n-restart config would have run with
+    restart_seeds[r] = s.
     """
 
     attack_id: str
@@ -92,6 +94,12 @@ class AttackConfig:
         for name in ("num_steps", "num_restarts", "num_samples"):
             if not is_int_or_none(getattr(self, name)):
                 raise ContractError(f"{name} must be an integer")
+        if self.restart_seeds is not None:
+            if not (isinstance(self.restart_seeds, Sequence)
+                    and all(is_int(s) for s in self.restart_seeds)):
+                raise ContractError(f"restart_seeds must be a sequence of integers, got "
+                                    f"{self.restart_seeds!r}")
+            object.__setattr__(self, "restart_seeds", tuple(self.restart_seeds))
         if self.variant == PGD:
             if not (is_real(self.step_size) and np.isfinite(self.step_size)
                     and self.step_size > 0):

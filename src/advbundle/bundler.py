@@ -469,16 +469,20 @@ def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
 
 def check_attacks(attacks: Sequence[AttackConfig],
                   runners: Mapping[str, Runner] | None = None) -> None:
-    """Refuse an attack list unless it holds `AttackConfig`s with unique ids,
-    none of them `CLEAN_ID`, and `attacks.attack_rows` or `runners` runs each
-    variant."""
-    for i, a in enumerate(attacks):
+    """Refuse an attack list unless it is a sequence of `AttackConfig`s with
+    unique ids, none of them `CLEAN_ID`, and `attacks.attack_rows` or `runners`
+    runs each variant. Linear in the length of the list."""
+    if not isinstance(attacks, Sequence):
+        raise ContractError(f"attacks must be a sequence of AttackConfig entries, got {attacks!r}")
+    seen = set()
+    for a in attacks:
         if not isinstance(a, AttackConfig):
             raise ContractError(f"attacks must hold AttackConfig entries, got {a!r}")
         if a.attack_id == CLEAN_ID:
             raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
-        if a.attack_id in [b.attack_id for b in attacks[:i]]:
+        if a.attack_id in seen:
             raise ContractError(f"duplicate attack id {a.attack_id!r}")
+        seen.add(a.attack_id)
         if a.variant not in VARIANTS and a.variant not in (runners or {}):
             raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
 

@@ -1,9 +1,9 @@
 """Command-line driver: synth data, train, run bundles, emit reports.
 
 Exit codes: 0 success, 2 config error (an output directory that cannot be
-made included), 3 data error (a dataset or model file that cannot be read or
-written, and a ShapeError, data that does not fit the model, included), 4
-numeric failure.
+made or an output file that is a directory, refused before data loads), 3
+data error (a file that cannot be read or written, and a ShapeError), 4
+numeric failure. Every file, and `run`'s stdout, is UTF-8 whatever the locale.
 ADVBUNDLE_OUTPUT_DIR overrides the config's output directory; the
 --output-dir flag overrides both.
 """
@@ -17,12 +17,12 @@ from pathlib import Path
 
 from .bundler import BundleResult, bundle, complete
 from .config import ExperimentConfig, load_experiment_config, with_output_dir
-from .data import Dataset, load_dataset_csv, save_dataset_csv, synth_dataset
+from .data import Dataset, fmt, load_dataset_csv, save_dataset_csv, synth_dataset, write_lines
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
 from .models import probs_rows, save_model, train
-from .reporting import (dump_candidates_csv, fmt, make_tables, norm_curve,
-                        success_fail_curve, wat_gap_csv, wat_underestimation_report,
+from .reporting import (dump_candidates_csv, make_tables, norm_curve,
+                        success_fail_curve, wat_gap_lines, wat_underestimation_report,
                         write_chosen_csv, write_norm_curve_csv, write_rates_csv,
                         write_sf_curve_csv, write_wat_gap_csv)
 # perfbench/child.py wraps these names when it traces a run; nothing here calls them
@@ -42,8 +42,8 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     return load_dataset_csv(config.csv_path)
 
 
-def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
-                  result: BundleResult) -> str:
+def _summary_lines(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
+                   result: BundleResult) -> list[str]:
     lines = ["attack bundling experiment", ""]
     if config.dataset == "synthetic":
         lines.append(f"dataset: synthetic blobs n={config.synth_n} d={config.synth_d} "
@@ -75,23 +75,27 @@ def _summary_text(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled,
                  f"{stopped} examples stopped early")
     lines.append("")
     lines.append("artifacts: " + " ".join(ARTIFACTS))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _output_dir(config: ExperimentConfig) -> Path:
+def _output_dir(config: ExperimentConfig, names: tuple[str, ...]) -> Path:
     """The config's output directory, refused before any work unless it is a
-    directory or can be made one; nothing is created here."""
+    directory or can be made one and holds no directory named in `names`."""
     outdir = Path(config.output_dir)
     nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), outdir)
     if not nearest.is_dir():
         raise ConfigError(f"output directory {outdir} cannot be made: {nearest} is not a "
                           "directory")
+    for name in names:
+        if (outdir / name).is_dir():
+            raise ConfigError(f"output file {outdir / name} cannot be written: it is a directory")
     return outdir
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Train, bundle, and write the full artifact set to the output dir."""
-    outdir = _output_dir(config)
+    names = ARTIFACTS + (("candidates.csv",) if config.dump_candidates else ())
+    outdir = _output_dir(config, names)
     dataset = _load_dataset(config)
     model = train(dataset, config.architecture, config.train_params)
 
@@ -106,7 +110,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     gap_rows = wat_underestimation_report(config.gap_ns)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {name: outdir / name for name in ARTIFACTS}
+    paths = {name: outdir / name for name in names}
     save_model(paths["model.txt"], model)
     write_rates_csv(paths["rates.csv"], mat, wat, bundled_table)
     write_sf_curve_csv(paths["sf_curve.csv"], sf)
@@ -114,10 +118,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     write_wat_gap_csv(paths["wat_gap.csv"], gap_rows)
     write_chosen_csv(paths["chosen.csv"], primary)
     if config.dump_candidates:
-        dump_candidates_csv(outdir / "candidates.csv", primary)
-        paths["candidates.csv"] = outdir / "candidates.csv"
-    paths["summary.txt"].write_text(
-        _summary_text(config, dataset, mat, wat, bundled_table, primary))
+        dump_candidates_csv(paths["candidates.csv"], primary)
+    write_lines(paths["summary.txt"],
+                _summary_lines(config, dataset, mat, wat, bundled_table, primary))
     return paths
 
 
@@ -134,7 +137,8 @@ def _cmd_run(args) -> int:
     config = load_experiment_config(args.config)
     config = _resolve_output_dir(config, args.output_dir)
     paths = run_experiment(config)
-    print(Path(paths["summary.txt"]).read_text(), end="")
+    sys.stdout.flush()
+    sys.stdout.buffer.write(paths["summary.txt"].read_bytes())
     return 0
 
 
@@ -152,7 +156,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     config = _resolve_output_dir(config, args.output_dir)
-    outdir = _output_dir(config)
+    outdir = _output_dir(config, ("model.txt",))
     dataset = _load_dataset(config)
     model = train(dataset, config.architecture, config.train_params)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -165,7 +169,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    print(wat_gap_csv(wat_underestimation_report(args.n)), end="")
+    print("\n".join(wat_gap_lines(wat_underestimation_report(args.n))))
     return 0
 
 

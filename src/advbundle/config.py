@@ -6,8 +6,9 @@ or lo:hi:count (inclusive linspace, 1 <= count <= MAX_GRID_POINTS). parse ->
 serialize -> parse is exact.
 
 The config keys are the fields of `ExperimentConfig` and `AttackConfig`;
-each field's annotation picks its parse and format functions from
-`_CODECS`. Only the criterion (keys `criterion` and `threshold`), the
+each field's annotation picks its parse and format functions, and the
+kind test `ExperimentConfig` applies to the field before any other rule,
+from `_CODECS`. Only the criterion (keys `criterion` and `threshold`), the
 attack list (the sections) and an attack's id (its section header) are
 handled by name.
 
@@ -18,13 +19,14 @@ training, as a file is: `AttackConfig`, `Criterion`, `TrainParams` and
 the grids, `check_gap_size` the gap sizes, `bundler._check_run` the types of
 the criterion and the seed, and `check_attacks` the attack list, which the
 parser also checks as each section extends it. So a config the parser accepts
-passes every check the run makes later. The config's own rules are the
-integer ranges of `_INT_RANGES`. A failed check names the line of the key its
-message starts with, else the section header or the file.
+passes every check the run makes later. The config's own rules are the kind
+tests and the integer ranges of `_INT_RANGES`. A failed check names the line
+of the key its message starts with, else the section header or the file.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,10 +35,10 @@ import numpy as np
 from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, AttackConfig  # noqa: F401
 from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
                       _check_run, check_attacks, check_gap_size)
-from .data import MAX_SYNTH_D, MAX_SYNTH_N
-from .errors import ConfigError, ContractError, unreadable
-from .models import ARCHITECTURES, TrainParams
-from .reporting import check_grid, fmt
+from .data import MAX_SYNTH_D, MAX_SYNTH_N, fmt, read_text
+from .errors import ConfigError, ContractError, is_int, is_real
+from .models import ARCHITECTURES, MAX_EPOCHS, MAX_HIDDEN, TrainParams  # noqa: F401
+from .reporting import check_grid
 
 
 def _default_threshold_grid() -> tuple[float, ...]:
@@ -47,17 +49,13 @@ def _default_epsilon_grid() -> tuple[float, ...]:
     return tuple(float(e) for e in np.linspace(0.0, 0.3, 31))
 
 
-# widest hidden layer, allocated up front, and most training epochs, each a pass
-# over the data: a stray 10**9 must fail here, not as a MemoryError or endless run
-MAX_HIDDEN = 10_000
-MAX_EPOCHS = 100_000
 # (low, high) of integer keys, None for no bound; a str low names its bound's key. Each
 # message names the config key, at its line, before a consumer's differently worded
 # check: synth_dataset checks the synth_* keys, BudgetPolicy max_units, and TrainParams
 # train_seed as `seed`, the bundling seed's key
 _INT_RANGES = {"synth_seed": (0, None), "synth_n": ("synth_k", MAX_SYNTH_N),
-               "synth_d": (1, MAX_SYNTH_D), "synth_k": (2, None), "hidden": (None, MAX_HIDDEN),
-               "epochs": (None, MAX_EPOCHS), "max_units": (0, None), "train_seed": (0, None)}
+               "synth_d": (1, MAX_SYNTH_D), "synth_k": (2, None), "max_units": (0, None),
+               "train_seed": (0, None)}
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,9 @@ class ExperimentConfig:
     attacks: tuple[AttackConfig, ...] = ()
 
     def __post_init__(self):
+        for key, (_, _, kind, noun) in _EXPERIMENT_KEYS.items():
+            if not kind(getattr(self, key)):
+                raise ConfigError(f"{key} must be {noun}, got {getattr(self, key)!r}")
         if self.dataset not in ("synthetic", "csv"):
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
@@ -153,20 +154,31 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
     return tuple(int(v) for v in value.split(","))
 
 
+def _sequence_of(is_kind):
+    """The kind test of a sequence (not a str) whose entries pass is_kind."""
+    return lambda v: (isinstance(v, Sequence) and not isinstance(v, str)
+                      and all(is_kind(t) for t in v))
+
+
 # field annotation (a string under `from __future__ import annotations`)
-# -> (parse, format); parse raises ValueError on a malformed value
+# -> (parse, format, kind, noun); parse raises ValueError on a malformed value, and
+# ExperimentConfig refuses a field whose value fails kind, which parse never returns
 _CODECS = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (float, fmt),
-    "bool": (_parse_bool, lambda v: str(v).lower()),
-    "tuple[float, ...]": (_parse_grid, lambda v: ",".join(fmt(t) for t in v)),
-    "tuple[int, ...]": (_parse_int_list, lambda v: ",".join(str(n) for n in v)),
+    "str": (str, str, lambda v: isinstance(v, str), "a string"),
+    "int": (int, str, is_int, "an integer"),
+    "float": (float, fmt, is_real, "a number"),
+    "bool": (_parse_bool, lambda v: str(v).lower(),
+             lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "tuple[float, ...]": (_parse_grid, lambda v: ",".join(fmt(t) for t in v),
+                          _sequence_of(is_real), "a sequence of numbers"),
+    "tuple[int, ...]": (_parse_int_list, lambda v: ",".join(str(n) for n in v),
+                        _sequence_of(is_int), "a sequence of integers"),
 }
 # an optional field reads "none" as None; serialize leaves None fields out
 _CODECS.update({
-    f"{name} | None": (lambda v, parse=parse: None if v.lower() == "none" else parse(v), form)
-    for name, (parse, form) in _CODECS.items()
+    f"{name} | None": (lambda v, parse=parse: None if v.lower() == "none" else parse(v), form,
+                       lambda v, kind=kind: v is None or kind(v), f"{noun} or none")
+    for name, (parse, form, kind, noun) in _CODECS.items()
 })
 
 
@@ -259,13 +271,7 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(unreadable(path, exc)) from exc
-    return parse_experiment_config(text, source=str(path))
+    return parse_experiment_config(read_text(path, ConfigError, "config file"), str(path))
 
 
 def _key_lines(obj, codecs: dict[str, tuple]) -> list[str]:

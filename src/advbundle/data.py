@@ -7,17 +7,21 @@ label in [0, k)); an Example is checked as a 1-row batch.
 
 CSV layout: d feature columns followed by one integer label column. A
 header row is optional on read and always written on save.
+
+Every file the package reads or writes goes through `read_text` and
+`write_lines`, as UTF-8 whatever the host's locale; floats are written by `fmt`.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, is_int, unreadable
+from .errors import ContractError, DataError, is_int
 from .seeding import make_rng
 
 # most classes a CSV dataset may have (k is inferred from the largest label),
@@ -26,6 +30,40 @@ from .seeding import make_rng
 MAX_CLASSES = 10_000
 MAX_SYNTH_N = 1_000_000
 MAX_SYNTH_D = 10_000
+
+
+def fmt(x: float) -> str:
+    """Shortest decimal that round-trips to the same float."""
+    return repr(float(x))
+
+
+def read_text(path: str | Path, error: type[Exception], what: str) -> str:
+    """The file's UTF-8 text, line ends kept; else `error` naming the file."""
+    if not Path(path).exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a `\\n` as UTF-8, as lines yields it; else DataError naming path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise DataError(f"{path}: cannot write: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The header, then each row: floats by `fmt`, every other value by `str`."""
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join([fmt(v) if isinstance(v, float) else str(v) for v in row])
 
 
 def _invalid_row(features: np.ndarray, labels: np.ndarray,
@@ -136,13 +174,7 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
 def load_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset, inferring k from the largest label seen (2 to MAX_CLASSES)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(unreadable(path, exc)) from exc
+    text = read_text(path, DataError, "dataset file")
     linenos, rows = [], []
     # lines split as iterating the file splits them: at \n, \r and \r\n only
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
@@ -178,7 +210,6 @@ def load_dataset_csv(path: str | Path) -> Dataset:
 
 
 def save_dataset_csv(path: str | Path, dataset: Dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"f{j}" for j in range(dataset.dimension)] + ["label"]) + "\n")
-        for x, label in zip(dataset.features.tolist(), dataset.labels.tolist()):
-            fh.write(",".join(map(repr, x)) + f",{label}\n")
+    header = [f"f{j}" for j in range(dataset.dimension)] + ["label"]
+    write_lines(path, csv_lines(header, (x + [label] for x, label in zip(
+        dataset.features.tolist(), dataset.labels.tolist()))))

@@ -33,9 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
-from .errors import (ContractError, DataError, ShapeError, TrainingDivergedError, is_int,
-                     is_real, unreadable)
+from .data import Dataset, fmt, read_text, write_lines
+from .errors import ContractError, DataError, ShapeError, TrainingDivergedError, is_int, is_real
 from .seeding import MAX_HALF_RANGE, _check_seed, make_rng, uniform_rows
 
 SOFTMAX_LINEAR = "softmax_linear"
@@ -43,6 +42,12 @@ MLP1 = "mlp1"
 ARCHITECTURES = (SOFTMAX_LINEAR, MLP1)
 
 PROB_FLOOR = 1e-12
+
+# widest hidden layer, allocated up front, and most training epochs, each a pass
+# over the data: a stray 10**9 must fail in TrainParams, not as a MemoryError or
+# an endless run
+MAX_HIDDEN = 10_000
+MAX_EPOCHS = 100_000
 
 # widest last axis `reduce_rows` reduces as columns. A max over 4,000 rows
 # (2-core x86 box, numpy 2.4) took 33 us as columns against 269 us as rows at
@@ -137,7 +142,8 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class TrainParams:
-    """Minibatch SGD settings: step size, passes, batch size, seed, and mlp1's hidden width."""
+    """Minibatch SGD settings: step size, passes (at most `MAX_EPOCHS`), batch
+    size, seed, and mlp1's hidden width (at most `MAX_HIDDEN`)."""
 
     learning_rate: float
     epochs: int
@@ -154,6 +160,9 @@ class TrainParams:
         for key in ("learning_rate", "epochs", "batch_size", "hidden"):
             if getattr(self, key) <= 0:
                 raise ContractError(f"{key} must be positive")
+        for key, bound in (("hidden", MAX_HIDDEN), ("epochs", MAX_EPOCHS)):
+            if getattr(self, key) > bound:
+                raise ContractError(f"{key} must be <= {bound}")
         if not np.isfinite(self.learning_rate):
             raise ContractError("learning_rate must be finite")
         _check_seed(self.seed)
@@ -381,8 +390,8 @@ def save_model(path: str | Path, params: ModelParams) -> None:
     for i, (W, b) in enumerate(params.layers, start=1):
         for name, arr in ((f"W{i}", W), (f"b{i}", b)):
             lines.append(f"{name} " + " ".join(str(s) for s in arr.shape))
-            lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
-    Path(path).write_text("\n".join(lines) + "\n")
+            lines.append(" ".join(map(fmt, arr.ravel().tolist())))
+    write_lines(path, lines)
 
 
 # dimensions of each array in a model file
@@ -391,10 +400,7 @@ _ARRAY_NDIM = {"W1": 2, "b1": 1, "W2": 2, "b2": 1}
 
 def load_model(path: str | Path) -> ModelParams:
     """Read a save_model file; an unreadable or malformed one raises DataError naming it."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(unreadable(path, exc)) from exc
+    text = read_text(path, DataError, "model file")
     rows = [(lineno, line.split()) for lineno, line
             in enumerate(text.splitlines(), start=1) if line.strip()]
     if not rows or len(rows[0][1]) != 2 or rows[0][1][0] != "architecture":

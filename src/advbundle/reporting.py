@@ -17,20 +17,21 @@ grids' one rule, `check_grid` (no NaN, ascending, thresholds in
 are the rules the config checks at parse time. A table
 is a `RateTable`, checked when built; its `AttackRate` rows and the two
 curves hold only plain values and are named tuples, compared by value. All CSV
-column names are fixed and all floats are written with shortest round-trip
-decimals, so identical runs produce byte-identical files.
+column names are fixed, and every file is written by `data.write_lines` from
+`data.csv_lines`, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .attacks import NORM_SLACK
 from .bundler import CLEAN_ID, THRESHOLD_RANGE, BundleResult, OutcomeMatrix, check_gap_size
+from .data import csv_lines, fmt, write_lines  # noqa: F401 (fmt: reporting.fmt stays importable)
 from .errors import ContractError
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .models import predict  # noqa: F401
@@ -38,11 +39,6 @@ from .models import predict  # noqa: F401
 MAT = "MAT"
 WAT = "WAT"
 BUNDLED = "BUNDLED"
-
-
-def fmt(x: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(x))
 
 
 class AttackRate(NamedTuple):
@@ -174,52 +170,42 @@ def wat_underestimation_report(n_values: Iterable[int]) -> list[tuple[int, float
 
 def write_rates_csv(path: str | Path, mat: RateTable, wat: RateTable,
                     bundled: RateTable) -> None:
-    lines = ["kind,attack_id,rate"]
-    for table in (mat, wat, bundled):
-        for r in table.per_attack:
-            lines.append(f"{table.kind},{r.attack_id},{fmt(r.error_rate)}")
-        if table.wat_max is not None:
-            lines.append(f"{table.kind},max,{fmt(table.wat_max)}")
-        if table.bundled_rate is not None:
-            lines.append(f"{table.kind},bundled,{fmt(table.bundled_rate)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = []
+    for t in (mat, wat, bundled):
+        extra = (("max", t.wat_max), ("bundled", t.bundled_rate))
+        rows += [(t.kind, r.attack_id, r.error_rate) for r in t.per_attack]
+        rows += [(t.kind, name, rate) for name, rate in extra if rate is not None]
+    write_lines(path, csv_lines(["kind", "attack_id", "rate"], rows))
 
 
 def write_sf_curve_csv(path: str | Path, curve: SuccessFailCurve) -> None:
-    lines = ["t,success_rate,failure_rate"]
-    for t, success, failure in curve.points:
-        lines.append(f"{fmt(t)},{fmt(success)},{fmt(failure)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, csv_lines(["t", "success_rate", "failure_rate"], curve.points))
 
 
 def write_norm_curve_csv(path: str | Path, curve: NormCurve) -> None:
-    lines = ["epsilon,error_rate"]
-    for eps, rate in curve.points:
-        lines.append(f"{fmt(eps)},{fmt(rate)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, csv_lines(["epsilon", "error_rate"], curve.points))
 
 
-def wat_gap_csv(rows: Sequence[tuple[int, float, float, float]]) -> str:
-    """The text of wat_gap.csv for `wat_underestimation_report` rows."""
-    return "".join(["n,wat,bundled,gap\n"] + [f"{n},{fmt(wat)},{fmt(bundled)},{fmt(gap)}\n"
-                                              for n, wat, bundled, gap in rows])
+def wat_gap_lines(rows: Sequence[tuple[int, float, float, float]]) -> Iterator[str]:
+    """The lines of wat_gap.csv for `wat_underestimation_report` rows."""
+    return csv_lines(["n", "wat", "bundled", "gap"], rows)
 
 
 def write_wat_gap_csv(path: str | Path, rows: Sequence[tuple[int, float, float, float]]) -> None:
-    Path(path).write_text(wat_gap_csv(rows))
+    write_lines(path, wat_gap_lines(rows))
 
 
 def write_chosen_csv(path: str | Path, result: BundleResult) -> None:
     """Per-example chosen candidate and spend."""
     rows, ids = result.chosen_rows, result.outcome_matrix.attack_ids
-    lines = ["index,attack_id,restart_index,misclassified,wrong_confidence,"
-             "perturbation_norm,units_spent"]
-    for i, (code, restart, mis, wrong, norm, units) in enumerate(zip(
+    header = ["index", "attack_id", "restart_index", "misclassified", "wrong_confidence",
+              "perturbation_norm", "units_spent"]
+    write_lines(path, csv_lines(header, (
+        (i, ids[code], restart, int(mis), wrong, norm, units)
+        for i, (code, restart, mis, wrong, norm, units) in enumerate(zip(
             rows.attack_code.tolist(), rows.restart_index.tolist(),
             rows.misclassified.tolist(), rows.wrong_confidence.tolist(),
-            rows.perturbation_norm.tolist(), result.units_spent.tolist())):
-        lines.append(f"{i},{ids[code]},{restart},{int(mis)},{fmt(wrong)},{fmt(norm)},{units}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            rows.perturbation_norm.tolist(), result.units_spent.tolist())))))
 
 
 def dump_candidates_csv(path: str | Path, result: BundleResult) -> None:
@@ -231,11 +217,8 @@ def dump_candidates_csv(path: str | Path, result: BundleResult) -> None:
     pool, ids = result.pool, result.outcome_matrix.attack_ids
     order = np.argsort(pool.example_index, kind="stable")
     d = pool.adversarial_input.shape[1]
-    with open(path, "w", newline="") as fh:
-        header = ["example_index", "attack_id", "restart_index"] + [f"x{j}" for j in range(d)]
-        fh.write(",".join(header) + "\n")
-        columns = (pool.example_index, pool.attack_code, pool.restart_index,
-                   pool.adversarial_input)
-        for example, code, restart, x in zip(*(col[order].tolist() for col in columns)):
-            fh.write(",".join([str(example), ids[code], str(restart)] + [repr(v) for v in x])
-                     + "\n")
+    header = ["example_index", "attack_id", "restart_index"] + [f"x{j}" for j in range(d)]
+    columns = (pool.example_index, pool.attack_code, pool.restart_index, pool.adversarial_input)
+    write_lines(path, csv_lines(header, (
+        [example, ids[code], restart, *x]
+        for example, code, restart, x in zip(*(col[order].tolist() for col in columns)))))

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -403,7 +404,8 @@ class TestExitCodes:
 
 class TestUnusableFiles:
     """A file the run cannot read or write is refused with its exit code and a
-    one-line message naming it, before any work and with no traceback."""
+    one-line message naming it, with no traceback, and before any work unless
+    only the write itself can show it."""
 
     def _run(self, capsys, *argv):
         with mock.patch.object(cli, "synth_dataset", wraps=cli.synth_dataset) as synth, \
@@ -454,6 +456,58 @@ class TestUnusableFiles:
                        f"{tmp_path / 'afile'} is not a directory\n")
         assert (tmp_path / "afile").read_text() == "x"
         assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("command,name", [("run", name) for name in ARTIFACTS]
+                             + [("run", "candidates.csv"), ("train", "model.txt")])
+    def test_an_output_file_that_is_a_directory_is_refused_before_any_work(
+            self, tmp_path, capsys, command, name):
+        text = FAST_CFG.replace("seed = 5", "seed = 5\ndump_candidates = true")
+        cfg = write_cfg(tmp_path, text=text)
+        (tmp_path / "run_out" / name).mkdir(parents=True)
+        code, err = self._run(capsys, command, str(cfg))
+        assert code == 2
+        assert err == (f"config error: output file {tmp_path / 'run_out' / name} cannot be "
+                       "written: it is a directory\n")
+        assert os.listdir(tmp_path / "run_out") == [name]
+
+    @pytest.mark.parametrize("command", ["run", "train", "synth"])
+    def test_a_full_disk_is_a_data_error_naming_the_file(self, tmp_path, capsys, command):
+        real_open = open
+
+        def full_disk(file, mode="r", **kwargs):
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+            return real_open(file, mode, **kwargs)
+
+        cfg = write_cfg(tmp_path)
+        argv = {"run": ["run", str(cfg)], "train": ["train", str(cfg)],
+                "synth": ["synth", "10", "2", "3", "0", str(tmp_path / "data.csv")]}[command]
+        with mock.patch("advbundle.data.open", full_disk, create=True):
+            code = main(argv)
+        out, err = capsys.readouterr()
+        first = tmp_path / "data.csv" if command == "synth" else tmp_path / "run_out" / "model.txt"
+        assert code == 3 and out == ""
+        assert err == f"data error: {first}: cannot write: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_a_non_ascii_attack_id_writes_the_same_bytes_under_an_ascii_locale(self, tmp_path):
+        # every file is UTF-8 and stdout is summary.txt's bytes, whatever the locale says
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(TINY_CFG.replace("[attack pgd]", "[attack \u00e9]").encode("utf-8"))
+        env = {**os.environ, "PYTHONPATH": str(Path(ab.__file__).parent.parent)}
+        ascii_env = {**env, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+        runs = {name: subprocess.run([sys.executable, "-m", "advbundle", "run", str(cfg),
+                                      "--output-dir", str(tmp_path / name)],
+                                     env=run_env, capture_output=True, timeout=120)
+                for name, run_env in (("ascii", ascii_env), ("default", env))}
+        for done in runs.values():
+            assert done.returncode == 0 and done.stderr == b"", done.stderr
+        assert runs["ascii"].stdout == runs["default"].stdout
+        assert runs["ascii"].stdout == (tmp_path / "ascii" / "summary.txt").read_bytes()
+        assert "  \u00e9 ".encode("utf-8") in runs["ascii"].stdout
+        assert sorted(os.listdir(tmp_path / "ascii")) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert (tmp_path / "ascii" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes(), name
 
 
 class TestOtherCommands:

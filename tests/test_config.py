@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,23 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ab.ExperimentConfig(attacks=tuple(ab.AttackConfig(i, "fgsm", 0.3) for i in ids))
 
+    @pytest.mark.parametrize("key,value", [
+        ("dump_candidates", "no"), ("output_dir", 3), ("threshold_grid", (0.6, "0.7")),
+        ("synth_n", "10"), ("gap_ns", 5), ("attacks", None), ("max_units", 2.5)])
+    def test_a_config_built_in_code_names_a_field_of_the_wrong_kind(self, key, value):
+        # a truthy string once turned dumping on, and a str synth_n raised a raw TypeError
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            ab.ExperimentConfig(**{key: value})
+
+    def test_many_attack_sections_parse_in_linear_time(self):
+        # each section's id is checked against the ones before it; a list scan
+        # per check made 1,000 sections take seconds and 2,000 nearly a minute
+        text = "".join(f"[attack a{i}]\nvariant = fgsm\nepsilon = 0.1\n" for i in range(2000))
+        start = time.perf_counter()
+        config = ab.parse_experiment_config(text)
+        assert time.perf_counter() - start < 5.0
+        assert [a.attack_id for a in config.attacks] == [f"a{i}" for i in range(2000)]
+
     def test_csv_requires_path(self):
         with pytest.raises(ConfigError):
             ab.parse_experiment_config("dataset = csv\n")
@@ -315,7 +334,7 @@ class TestErrors:
         assert ":2:" in self.line_of(info)
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config file not found: "):
             ab.load_experiment_config(tmp_path / "none.cfg")
 
 

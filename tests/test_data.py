@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import advbundle as ab
-from advbundle.data import MAX_SYNTH_D, MAX_SYNTH_N
+from advbundle.data import MAX_SYNTH_D, MAX_SYNTH_N, csv_lines, read_text, write_lines
 from advbundle.errors import ContractError, DataError
 
 
@@ -128,6 +129,29 @@ class TestCsv:
         path = tmp_path / "one.csv"
         path.write_text("0.1,0.2,0\n0.3,0.4,0\n")
         assert ab.load_dataset_csv(path).num_classes == 2
+
+
+class TestFiles:
+    def test_write_lines_writes_utf8_with_newline_ends(self, tmp_path):
+        write_lines(tmp_path / "f.txt", iter(["\u00e9,1", "x"]))
+        assert (tmp_path / "f.txt").read_bytes() == b"\xc3\xa9,1\nx\n"
+
+    def test_read_text_keeps_line_ends(self, tmp_path):
+        (tmp_path / "f.txt").write_bytes(b"a\r\nb\rc\n\xc3\xa9")
+        assert read_text(tmp_path / "f.txt", DataError, "text file") == "a\r\nb\rc\n\u00e9"
+
+    def test_each_file_error_names_the_file(self, tmp_path):
+        with pytest.raises(DataError, match=f"^model file not found: {re.escape(str(tmp_path / 'm.txt'))}$"):
+            ab.load_model(tmp_path / "m.txt")
+        with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}: cannot write: "):
+            write_lines(tmp_path, ["x"])
+        with pytest.raises(DataError, match=": cannot write: .*surrogates not allowed"):
+            write_lines(tmp_path / "f.txt", ["\ud800"])
+
+    def test_csv_lines_writes_floats_shortest_and_the_rest_as_str(self):
+        rows = [(1, "a", 0.1, np.float64(1e-05), float("inf"), True)]
+        assert list(csv_lines(["n", "id", "x", "y", "z", "b"], rows)) == \
+            ["n,id,x,y,z,b", "1,a,0.1,1e-05,inf,True"]
 
 
 class TestTypes:

@@ -142,6 +142,11 @@ REFUSALS = [
     ("config-no-runner",
      lambda: ab.ExperimentConfig(attacks=(ab.AttackConfig("x", "custom", 0.3),)),
      ConfigError, None),
+    # a width or an epoch count that would exhaust memory or time before any check
+    ("train-hidden-huge", lambda: ab.TrainParams(**{**TRAIN, "hidden": 10**8}),
+     ContractError, None),
+    ("train-epochs-huge", lambda: ab.TrainParams(**{**TRAIN, "epochs": 10**9}),
+     ContractError, None),
 ]
 
 
@@ -160,6 +165,12 @@ DATA = ab.Dataset([[0.2, 0.5], [0.8, 0.5]], [0, 1], num_classes=2)
 FGSM = ab.AttackConfig("f", "fgsm", 0.1)
 CRITERION = ab.Criterion.misclassify()
 
+
+def _pgd_seeds(seed):
+    """A one-restart PGD attack pinned to restart seed `seed`."""
+    return ab.AttackConfig("p", "pgd", 0.1, step_size=0.05, num_steps=2, restart_seeds=(seed,))
+
+
 # (id, call on a kept exhaustive result, the argument the message names)
 WRONG_TYPES = [
     ("bundle-attack-str", lambda kept: ab.bundle(MODEL, DATA, ["a"], CRITERION), "attacks"),
@@ -172,6 +183,12 @@ WRONG_TYPES = [
      "seed"),
     ("check-attacks-str", lambda kept: bundler.check_attacks([FGSM, "a"]), "attacks"),
     ("reselect-criterion-str", lambda kept: ab.reselect(kept, "min_norm"), "criterion"),
+    ("restart-seeds-str", lambda kept: ab.bundle(MODEL, DATA, [_pgd_seeds("a")], CRITERION),
+     "restart_seeds"),
+    ("restart-seeds-float", lambda kept: ab.bundle(MODEL, DATA, [_pgd_seeds(1.5)], CRITERION),
+     "restart_seeds"),
+    ("restart-seeds-bool", lambda kept: ab.bundle(MODEL, DATA, [_pgd_seeds(True)], CRITERION),
+     "restart_seeds"),
 ]
 
 
@@ -187,3 +204,9 @@ def test_an_argument_of_the_wrong_type_is_named_before_any_model_call(monkeypatc
     with pytest.raises(ContractError, match=f"^{name} must ") as raised:
         call(kept)
     assert type(raised.value) is ContractError and calls == []
+
+
+def test_restart_seeds_are_kept_as_a_tuple_of_the_given_integers():
+    attack = ab.AttackConfig("p", "pgd", 0.1, step_size=0.05, num_steps=2, num_restarts=2,
+                             restart_seeds=[3, np.int64(4)])
+    assert attack.restart_seeds == (3, 4) and type(attack.restart_seeds) is tuple
