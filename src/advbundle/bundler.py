@@ -108,15 +108,17 @@ class Criterion:
     threshold: float | None = None
 
     def __post_init__(self):
+        # each message starts with its config key, so the parser reports the key's line
         if self.variant not in (MISCLASSIFY, MAX_CONFIDENCE, MIN_NORM):
-            raise ContractError(f"unknown criterion {self.variant!r}")
+            raise ContractError(f"criterion must be one of {MISCLASSIFY}, {MAX_CONFIDENCE}, "
+                                f"{MIN_NORM}, got {self.variant!r}")
         if self.variant == MAX_CONFIDENCE:
             low, high = THRESHOLD_RANGE
             if not is_real(self.threshold) or not low <= self.threshold < high:
-                raise ContractError(f"max_confidence threshold must be a number in "
-                                    f"[{low:g}, {high:g})")
+                raise ContractError(f"threshold must be a number in [{low:g}, {high:g}) "
+                                    f"for {MAX_CONFIDENCE}")
         elif self.threshold is not None:
-            raise ContractError(f"{self.variant} takes no threshold")
+            raise ContractError(f"threshold applies only to {MAX_CONFIDENCE}, not {self.variant}")
 
     @classmethod
     def misclassify(cls) -> "Criterion":
@@ -467,24 +469,33 @@ def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
     _fold_block(result.criterion, result.chosen_rows, block, per)
 
 
+def _check_attack(a: AttackConfig, seen: set[str],
+                  runners: Mapping[str, Runner] | None = None) -> None:
+    """Refuse one entry of an attack list whose earlier entries' ids are `seen`
+    (see `check_attacks`), then add its id to `seen`."""
+    if not isinstance(a, AttackConfig):
+        raise ContractError(f"attacks must hold AttackConfig entries, got {a!r}")
+    if a.attack_id == CLEAN_ID:
+        raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
+    if a.attack_id in seen:
+        raise ContractError(f"duplicate attack id {a.attack_id!r}")
+    seen.add(a.attack_id)
+    if a.variant not in VARIANTS and a.variant not in (runners or {}):
+        raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
+
+
 def check_attacks(attacks: Sequence[AttackConfig],
                   runners: Mapping[str, Runner] | None = None) -> None:
     """Refuse an attack list unless it is a sequence of `AttackConfig`s with
     unique ids, none of them `CLEAN_ID`, and `attacks.attack_rows` or `runners`
-    runs each variant. Linear in the length of the list."""
+    runs each variant. One `_check_attack` per entry, against one set of the
+    ids before it, so linear in the length of the list; the config parser
+    makes the same calls as it reads each section."""
     if not isinstance(attacks, Sequence):
         raise ContractError(f"attacks must be a sequence of AttackConfig entries, got {attacks!r}")
     seen = set()
     for a in attacks:
-        if not isinstance(a, AttackConfig):
-            raise ContractError(f"attacks must hold AttackConfig entries, got {a!r}")
-        if a.attack_id == CLEAN_ID:
-            raise ContractError(f"attack_id {CLEAN_ID!r} is reserved for the clean baseline")
-        if a.attack_id in seen:
-            raise ContractError(f"duplicate attack id {a.attack_id!r}")
-        seen.add(a.attack_id)
-        if a.variant not in VARIANTS and a.variant not in (runners or {}):
-            raise ContractError(f"no runner for variant {a.variant!r} (attack {a.attack_id!r})")
+        _check_attack(a, seen, runners)
 
 
 def _check_run(criterion: Criterion, budget: BudgetPolicy | None = None, seed: int = 0) -> None:
@@ -517,9 +528,9 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     The attack list (`check_attacks`), criterion, budget and seed
     (`_check_run`) are refused, if bad, before any model call.
     """
-    attacks = tuple(attacks)
     check_attacks(attacks, runners)
     _check_run(criterion, budget, seed)
+    attacks = tuple(attacks)
     ids = [a.attack_id for a in attacks]
     if len(dataset) == 0:
         raise ContractError("cannot bundle over an empty dataset")

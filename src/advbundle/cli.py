@@ -1,11 +1,15 @@
 """Command-line driver: synth data, train, run bundles, emit reports.
 
+`run` and `train` share one prologue (`_experiment`, then `_prepare`): the
+config, with ADVBUNDLE_OUTPUT_DIR overriding its output directory and the
+--output-dir flag overriding both, then each artifact path, vetted before the
+dataset loads, then the dataset and the trained model.
+
 Exit codes: 0 success, 2 config error (an output directory that cannot be
-made or an output file that is a directory, refused before data loads), 3
-data error (a file that cannot be read or written, and a ShapeError), 4
-numeric failure. Every file, and `run`'s stdout, is UTF-8 whatever the locale.
-ADVBUNDLE_OUTPUT_DIR overrides the config's output directory; the
---output-dir flag overrides both.
+made, a name in it the file system cannot hold, or an output file that is a
+directory), 3 data error (a file that cannot be read or written, and a
+ShapeError), 4 numeric failure. Every file, and `run`'s stdout, is UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -78,26 +82,48 @@ def _summary_lines(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled
     return lines
 
 
-def _output_dir(config: ExperimentConfig, names: tuple[str, ...]) -> Path:
-    """The config's output directory, refused before any work unless it is a
-    directory or can be made one and holds no directory named in `names`."""
+def _experiment(args) -> ExperimentConfig:
+    """The config file's experiment, writing to --output-dir if given, else to
+    $ADVBUNDLE_OUTPUT_DIR if set, else to the config's output_dir."""
+    config = load_experiment_config(args.config)
+    output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    return with_output_dir(config, output_dir) if output_dir else config
+
+
+def _prepare(config: ExperimentConfig, names: tuple[str, ...]):
+    """The prologue of `run` and `train`: the path of each of `names` in the output
+    directory, refused before any work unless `mkdir` and the writes can succeed
+    (each path encodes in the file-system encoding and holds no NUL, each name to be
+    made fits the file system, the nearest existing ancestor is a directory and no
+    artifact path is one), then the dataset and the model trained on it."""
     outdir = Path(config.output_dir)
-    nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), outdir)
-    if not nearest.is_dir():
-        raise ConfigError(f"output directory {outdir} cannot be made: {nearest} is not a "
-                          "directory")
-    for name in names:
-        if (outdir / name).is_dir():
-            raise ConfigError(f"output file {outdir / name} cannot be written: it is a directory")
-    return outdir
+    paths = {name: outdir / name for name in names}
+    refused = f"output directory {outdir} cannot be made"
+    try:
+        if b"\0" in os.fsencode(outdir):
+            raise ConfigError(f"{refused}: its name holds a NUL byte")
+        nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), outdir)
+        if not nearest.is_dir():
+            raise ConfigError(f"{refused}: {nearest} is not a directory")
+        limit = os.pathconf(nearest, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+        for name in (*outdir.parts[len(nearest.parts):], *names):
+            if 0 < limit < len(os.fsencode(name)):  # -1: the file system sets no limit
+                raise ConfigError(f"{refused}: a name in it is longer than {limit} bytes")
+        for path in paths.values():  # the stat also refuses a path over the system's limit
+            if path.is_dir():
+                raise ConfigError(f"output file {path} cannot be written: it is a directory")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{refused}: its name is not {sys.getfilesystemencoding()} text") from exc
+    except OSError as exc:
+        raise ConfigError(f"{refused}: {exc.strerror}") from exc
+    dataset = _load_dataset(config)
+    return paths, dataset, train(dataset, config.architecture, config.train_params)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Train, bundle, and write the full artifact set to the output dir."""
     names = ARTIFACTS + (("candidates.csv",) if config.dump_candidates else ())
-    outdir = _output_dir(config, names)
-    dataset = _load_dataset(config)
-    model = train(dataset, config.architecture, config.train_params)
+    paths, dataset, model = _prepare(config, names)
 
     primary = bundle(model, dataset, config.attacks, config.criterion, config.budget,
                      seed=config.seed, keep_candidates=config.dump_candidates)
@@ -109,8 +135,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = {name: outdir / name for name in names}
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     save_model(paths["model.txt"], model)
     write_rates_csv(paths["rates.csv"], mat, wat, bundled_table)
     write_sf_curve_csv(paths["sf_curve.csv"], sf)
@@ -124,19 +149,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     return paths
 
 
-def _resolve_output_dir(config: ExperimentConfig, flag_value: str | None) -> ExperimentConfig:
-    if flag_value:
-        return with_output_dir(config, flag_value)
-    env_value = os.environ.get(OUTPUT_DIR_ENV)
-    if env_value:
-        return with_output_dir(config, env_value)
-    return config
-
-
 def _cmd_run(args) -> int:
-    config = load_experiment_config(args.config)
-    config = _resolve_output_dir(config, args.output_dir)
-    paths = run_experiment(config)
+    paths = run_experiment(_experiment(args))
     sys.stdout.flush()
     sys.stdout.buffer.write(paths["summary.txt"].read_bytes())
     return 0
@@ -144,7 +158,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_synth(args) -> int:
     out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():  # refused before the draw, not at the write
+    try:  # refused before the draw, not at the write; the stat refuses a name too long
+        usable = out.parent.is_dir() and not out.is_dir()
+    except OSError as exc:
+        raise DataError(f"cannot write dataset file {out}: {exc.strerror}") from exc
+    if not usable:
         raise DataError(f"cannot write dataset file {out}: it must be a file in an existing "
                         "directory")
     dataset = synth_dataset(args.n, args.d, args.k, args.seed)
@@ -154,17 +172,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = load_experiment_config(args.config)
-    config = _resolve_output_dir(config, args.output_dir)
-    outdir = _output_dir(config, ("model.txt",))
-    dataset = _load_dataset(config)
-    model = train(dataset, config.architecture, config.train_params)
-    outdir.mkdir(parents=True, exist_ok=True)
-    model_path = outdir / "model.txt"
-    save_model(model_path, model)
+    config = _experiment(args)
+    paths, dataset, model = _prepare(config, ("model.txt",))
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    save_model(paths["model.txt"], model)
     correct = (probs_rows(model, dataset.features).argmax(axis=1) == dataset.labels).sum()
     print(f"trained {config.architecture} on {len(dataset)} examples; "
-          f"clean error {(1 - correct / len(dataset)) * 100:.2f}%; saved to {model_path}")
+          f"clean error {(1 - correct / len(dataset)) * 100:.2f}%; saved to {paths['model.txt']}")
     return 0
 
 

@@ -17,11 +17,12 @@ A rule on a value has one definition, in the module that uses the value, and
 training, as a file is: `AttackConfig`, `Criterion`, `TrainParams` and
 `BudgetPolicy` (`train_params`, `budget`) check their fields, `check_grid`
 the grids, `check_gap_size` the gap sizes, `bundler._check_run` the types of
-the criterion and the seed, and `check_attacks` the attack list, which the
-parser also checks as each section extends it. So a config the parser accepts
-passes every check the run makes later. The config's own rules are the kind
-tests and the integer ranges of `_INT_RANGES`. A failed check names the line
-of the key its message starts with, else the section header or the file.
+the criterion and the seed, and `check_attacks` the attack list, whose
+per-entry check the parser also makes as it reads each section. So a config
+the parser accepts passes every check the run makes later. The config's own
+rules are the kind tests and the integer ranges of `_INT_RANGES`. A failed
+check names the line of the key its message starts with, else the section
+header or the file.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, AttackConfig  # noqa: F401
 from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
-                      _check_run, check_attacks, check_gap_size)
+                      _check_attack, _check_run, check_attacks, check_gap_size)
 from .data import MAX_SYNTH_D, MAX_SYNTH_N, fmt, read_text
 from .errors import ConfigError, ContractError, is_int, is_real
 from .models import ARCHITECTURES, MAX_EPOCHS, MAX_HIDDEN, TrainParams  # noqa: F401
@@ -210,14 +211,14 @@ def _line_of(exc: Exception, entries: dict[str, tuple[str, str]], where: str) ->
     return entries[key][1] if key in entries else where
 
 
-def _build_attack(earlier: list[AttackConfig], attack_id: str, where: str,
+def _build_attack(seen: set[str], attack_id: str, where: str,
                   entries: dict[str, tuple[str, str]]) -> AttackConfig:
     for f in fields(AttackConfig):
         if f.name in _ATTACK_KEYS and f.default is MISSING and f.name not in entries:
             raise ConfigError(f"{where}: attack section needs {f.name}")
     try:
         attack = AttackConfig(attack_id, **_convert(_ATTACK_KEYS, entries))
-        check_attacks(earlier + [attack])
+        _check_attack(attack, seen)  # a config cannot supply runners
         return attack
     except ContractError as exc:
         raise ConfigError(f"{_line_of(exc, entries, where)}: {exc}") from exc
@@ -259,11 +260,10 @@ def parse_experiment_config(text: str, source: str = "<config>") -> ExperimentCo
     kwargs = _convert(_TOP_KEYS, global_entries)
     variant = kwargs.pop("criterion", MISCLASSIFY)
     threshold = kwargs.pop("threshold", 0.9 if variant == MAX_CONFIDENCE else None)
-    attacks: list[AttackConfig] = []
-    for section in sections:
-        attacks.append(_build_attack(attacks, *section))
+    seen: set[str] = set()
+    attacks = tuple(_build_attack(seen, *section) for section in sections)
     try:
-        return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=tuple(attacks),
+        return ExperimentConfig(criterion=Criterion(variant, threshold), attacks=attacks,
                                 **kwargs)
     except (ConfigError, ContractError) as exc:
         raise ConfigError(f"{_line_of(exc, global_entries, source)}: {exc}") from exc

@@ -431,7 +431,9 @@ class TestUnusableFiles:
             assert code == 3 and err.startswith(f"data error: {data}: {reason}")
         assert not (tmp_path / "run_out").exists()
 
-    @pytest.mark.parametrize("out", ["adir", "missing/data.csv", "afile/data.csv"])
+    @pytest.mark.parametrize("out", ["adir", "missing/data.csv", "afile/data.csv",
+                                     "x" * 300 + ".csv"],
+                             ids=["adir", "missing/data.csv", "afile/data.csv", "name-too-long"])
     def test_synth_refuses_an_unwritable_path_before_the_draw(self, tmp_path, capsys, out):
         (tmp_path / "adir").mkdir()
         (tmp_path / "afile").write_text("x")
@@ -456,6 +458,44 @@ class TestUnusableFiles:
                        f"{tmp_path / 'afile'} is not a directory\n")
         assert (tmp_path / "afile").read_text() == "x"
         assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    def test_an_output_dir_name_too_long_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, where):
+        path = tmp_path / "run_out" / ("x" * 300)
+        cfg = write_cfg(tmp_path, out=path if where == "config" else "elsewhere")
+        argv = [command, str(cfg)] + (["--output-dir", str(path)] if where == "flag" else [])
+        if where == "env":
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(path))
+        code, err = self._run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"config error: output directory {path} cannot be made: ")
+        assert not (tmp_path / "run_out").exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_an_output_dir_name_holding_a_nul_byte_is_refused_before_any_work(
+            self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, out="run\0out")
+        code, err = self._run(capsys, command, str(cfg))
+        assert code == 2
+        assert err == (f"config error: output directory {tmp_path / 'run'}\0out cannot be "
+                       "made: its name holds a NUL byte\n")
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_an_output_dir_name_the_locale_cannot_encode_is_refused_before_any_work(
+            self, tmp_path, command):
+        (tmp_path / "exp.cfg").write_bytes(
+            TINY_CFG.replace("output_dir = out", "output_dir = out\u00e9").encode("utf-8"))
+        env = {**os.environ, "PYTHONPATH": str(Path(ab.__file__).parent.parent),
+               "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+        done = subprocess.run([sys.executable, "-m", "advbundle", command, "exp.cfg"],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(b"config error: output directory out")
+        assert b"Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
     @pytest.mark.parametrize("command,name", [("run", name) for name in ARTIFACTS]
                              + [("run", "candidates.csv"), ("train", "model.txt")])

@@ -174,6 +174,7 @@ def _pgd_seeds(seed):
 # (id, call on a kept exhaustive result, the argument the message names)
 WRONG_TYPES = [
     ("bundle-attack-str", lambda kept: ab.bundle(MODEL, DATA, ["a"], CRITERION), "attacks"),
+    ("bundle-attacks-none", lambda kept: ab.bundle(MODEL, DATA, None, CRITERION), "attacks"),
     ("bundle-criterion-str", lambda kept: ab.bundle(MODEL, DATA, [FGSM], "misclassify"),
      "criterion"),
     ("bundle-budget-int", lambda kept: ab.bundle(MODEL, DATA, [FGSM], CRITERION, 3), "budget"),
