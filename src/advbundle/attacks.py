@@ -88,9 +88,10 @@ class AttackConfig:
             raise ContractError("epsilon must be positive, with 2 * epsilon finite")
         if not (isinstance(self.attack_id, str) and self.attack_id):
             raise ContractError("attack_id must be a non-empty string")
-        if any(ch in ',"\r\n' for ch in self.attack_id):  # rates.csv and chosen.csv hold it
-            raise ContractError(f"attack_id {self.attack_id!r} must hold no comma, double quote "
-                                "or line break")
+        # rates.csv and chosen.csv hold it, and derive_seed hashes its UTF-8 bytes
+        if any(ch in ',"\r\n' or "\ud800" <= ch <= "\udfff" for ch in self.attack_id):
+            raise ContractError(f"attack_id {self.attack_id!r} must hold no comma, double quote, "
+                                "line break or lone surrogate")
         for name in ("num_steps", "num_restarts", "num_samples"):
             if not is_int_or_none(getattr(self, name)):
                 raise ContractError(f"{name} must be an integer")

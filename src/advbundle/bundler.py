@@ -239,6 +239,12 @@ class ComputationRecord(NamedTuple):
     failed: bool = False
 
 
+def check_unit_cap(cap: int | None, name: str = "max_attack_units_per_example") -> None:
+    """Refuse a cap on the attack units per example unless it is None (no cap) or >= 0."""
+    if not is_int_or_none(cap) or (cap is not None and cap < 0):
+        raise ContractError(f"{name} must be an integer >= 0, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class BudgetPolicy:
     """Attack executions allowed per example; one execution is one unit.
@@ -252,9 +258,7 @@ class BudgetPolicy:
     early_stop: bool = True
 
     def __post_init__(self):
-        cap = self.max_attack_units_per_example
-        if not is_int_or_none(cap) or (cap is not None and cap < 0):
-            raise ContractError("max_attack_units_per_example must be an integer >= 0")
+        check_unit_cap(self.max_attack_units_per_example)
         if not isinstance(self.early_stop, (bool, np.bool_)):
             raise ContractError("early_stop must be true or false")
 

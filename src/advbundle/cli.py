@@ -7,9 +7,9 @@ dataset loads, then the dataset and the trained model.
 
 Exit codes: 0 success, 2 config error (an output directory that cannot be
 made, a name in it the file system cannot hold, or an output file that is a
-directory), 3 data error (a file that cannot be read or written, and a
-ShapeError), 4 numeric failure. Every file, and `run`'s stdout, is UTF-8
-whatever the locale.
+directory), 3 data error (a file that cannot be read or written, a
+ShapeError, and a run out of memory), 4 numeric failure. Every file, and
+`run`'s stdout, is UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -226,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DataError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # not 2: the run may have trained and bundled before it
+        print("data error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,17 +12,13 @@ from `_CODECS`. Only the criterion (keys `criterion` and `threshold`), the
 attack list (the sections) and an attack's id (its section header) are
 handled by name.
 
-A rule on a value has one definition, in the module that uses the value, and
-`ExperimentConfig` calls it, so a config built in code is refused before any
-training, as a file is: `AttackConfig`, `Criterion`, `TrainParams` and
-`BudgetPolicy` (`train_params`, `budget`) check their fields, `check_grid`
-the grids, `check_gap_size` the gap sizes, `bundler._check_run` the types of
-the criterion and the seed, and `check_attacks` the attack list, whose
-per-entry check the parser also makes as it reads each section. So a config
-the parser accepts passes every check the run makes later. The config's own
-rules are the kind tests and the integer ranges of `_INT_RANGES`. A failed
-check names the line of the key its message starts with, else the section
-header or the file.
+A rule on a value has one definition, in the module that uses the value, which
+takes the value's name. `ExperimentConfig` calls each with its key, so a config
+built in code is refused before any training, as a file is, and a config the
+parser accepts passes every check the run makes later; the parser also makes
+`check_attacks`' per-entry check as it reads each section. The config's own
+rules are the kind tests and the dataset source. A failed check names the line
+of the key its message starts with, else the section header or the file.
 """
 
 from __future__ import annotations
@@ -35,11 +31,12 @@ import numpy as np
 
 from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, AttackConfig  # noqa: F401
 from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
-                      _check_attack, _check_run, check_attacks, check_gap_size)
-from .data import MAX_SYNTH_D, MAX_SYNTH_N, fmt, read_text
+                      _check_attack, _check_run, check_attacks, check_gap_size, check_unit_cap)
+from .data import MAX_SYNTH_D, MAX_SYNTH_N, check_synth, fmt, read_text  # noqa: F401
 from .errors import ConfigError, ContractError, is_int, is_real
-from .models import ARCHITECTURES, MAX_EPOCHS, MAX_HIDDEN, TrainParams  # noqa: F401
+from .models import MAX_EPOCHS, MAX_HIDDEN, TrainParams, check_architecture  # noqa: F401
 from .reporting import check_grid
+from .seeding import _check_seed
 
 
 def _default_threshold_grid() -> tuple[float, ...]:
@@ -48,15 +45,6 @@ def _default_threshold_grid() -> tuple[float, ...]:
 
 def _default_epsilon_grid() -> tuple[float, ...]:
     return tuple(float(e) for e in np.linspace(0.0, 0.3, 31))
-
-
-# (low, high) of integer keys, None for no bound; a str low names its bound's key. Each
-# message names the config key, at its line, before a consumer's differently worded
-# check: synth_dataset checks the synth_* keys, BudgetPolicy max_units, and TrainParams
-# train_seed as `seed`, the bundling seed's key
-_INT_RANGES = {"synth_seed": (0, None), "synth_n": ("synth_k", MAX_SYNTH_N),
-               "synth_d": (1, MAX_SYNTH_D), "synth_k": (2, None), "max_units": (0, None),
-               "train_seed": (0, None)}
 
 
 @dataclass(frozen=True)
@@ -94,22 +82,17 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset = csv requires csv_path")
-        for key, (low, high) in _INT_RANGES.items():
-            value, floor = getattr(self, key), getattr(self, low) if isinstance(low, str) else low
-            if value is not None and high is not None and value > high:
-                raise ConfigError(f"{key} must be <= {high}")
-            if value is not None and floor is not None and value < floor:
-                raise ConfigError(f"{key} must be >= {low}")
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"architecture must be one of {', '.join(ARCHITECTURES)}, "
-                              f"got {self.architecture!r}")
         try:  # the rules of the values' consumers, so a run fails none after parsing
+            check_synth(self.synth_n, self.synth_d, self.synth_k, self.synth_seed, "synth_")
+            check_architecture(self.architecture)
+            check_unit_cap(self.max_units, "max_units")
             _check_run(self.criterion, seed=self.seed)
             check_grid("threshold_grid", self.threshold_grid, THRESHOLD_RANGE)
             check_grid("epsilon_grid", self.epsilon_grid)
             for n in self.gap_ns:
                 check_gap_size(n, "gap_ns entries")
             check_attacks(self.attacks)  # a config cannot supply runners
+            _check_seed(self.train_seed, "train_seed")  # else TrainParams names it `seed`
             self.train_params, self.budget
         except ContractError as exc:
             raise ConfigError(str(exc)) from exc

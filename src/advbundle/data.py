@@ -2,8 +2,8 @@
 
 A Dataset is two read-only arrays, `features` (n, d) float64 and `labels`
 (n,) int64, plus `num_classes`; `dataset[i]` is the `Example` for row i.
-`_invalid_row` alone defines a valid example (features finite and in [0, 1],
-label in [0, k)); an Example is checked as a 1-row batch.
+`_invalid_row` alone defines a valid example (features finite and in [0, 1], label
+an integer in [0, k)), checked before any cast; an Example is checked as a 1-row batch.
 
 CSV layout: d feature columns followed by one integer label column. A
 header row is optional on read and always written on save.
@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, is_int
-from .seeding import make_rng
+from .seeding import _check_seed, make_rng
 
-# most classes a CSV dataset may have (k is inferred from the largest label),
+# most classes a dataset may have (a CSV's k is inferred from its largest label),
 # and largest synthetic n and d: training and synth_dataset allocate (n, k) and
 # (n, d) arrays up front, so one stray huge value must fail before them
 MAX_CLASSES = 10_000
@@ -52,6 +52,8 @@ def read_text(path: str | Path, error: type[Exception], what: str) -> str:
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line and a `\\n` as UTF-8, as lines yields it; else DataError naming path."""
+    if "\0" in str(path):  # open raises a bare ValueError for it
+        raise DataError(f"{path}: cannot write: embedded null byte")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(line + "\n" for line in lines)
@@ -66,20 +68,24 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
         yield ",".join([fmt(v) if isinstance(v, float) else str(v) for v in row])
 
 
-def _invalid_row(features: np.ndarray, labels: np.ndarray,
-                 num_classes: int | None) -> tuple[int, str] | None:
-    """The first invalid row and why, or None; num_classes None: no label bound."""
+def _invalid_row(features: np.ndarray, labels: np.ndarray, num_classes: float,
+                 name: str = "k") -> tuple[int, str] | None:
+    """The first invalid row and why, or None; a float label must hold an int64 value."""
     feats_ok = ((features >= 0.0) & (features <= 1.0)).all(axis=1)  # False for NaN
-    labels_ok = (labels >= 0) & (labels < (np.inf if num_classes is None else num_classes))
+    whole = ((np.abs(labels) < 2.0 ** 63) & (np.floor(labels) == labels)  # False for NaN, inf
+             if labels.dtype.kind == "f" else np.ones(labels.shape, bool))
+    labels_ok = whole & (labels >= 0) & (labels < num_classes)
     bad = np.flatnonzero(~(feats_ok & labels_ok))
     if not bad.size:
         return None
     i = int(bad[0])
     if not feats_ok[i]:
         return i, "features must be finite and lie in [0, 1]"
+    if not whole[i]:
+        return i, f"label must be an integer, got {labels[i]}"
     if labels[i] < 0:
-        return i, f"label {labels[i]} is negative"
-    return i, f"label {labels[i]} >= k={num_classes}"
+        return i, f"label {int(labels[i])} is negative"
+    return i, f"label {int(labels[i])} >= {name}={num_classes}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,35 +102,38 @@ class Example:
             raise ContractError(f"features must be a vector, got shape {feats.shape}")
         if not is_int(self.label):
             raise ContractError(f"label must be an integer, got {self.label!r}")
-        bad = _invalid_row(feats[None, :], np.array([self.label]), None)
+        bad = _invalid_row(feats[None, :], np.array([self.label]), np.inf)
         if bad is not None:
             raise ContractError(bad[1])
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Read-only features (n, d) in [0, 1] and labels (n,) in [0, num_classes)."""
+    """Read-only features (n, d) in [0, 1] and labels (n,) in [0, num_classes <= MAX_CLASSES)."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        if not is_int(self.num_classes) or self.num_classes < 2:
-            raise ContractError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
+        if not (is_int(self.num_classes) and 2 <= self.num_classes <= MAX_CLASSES):
+            raise ContractError(f"num_classes must be an integer in [2, {MAX_CLASSES}], "
+                                f"got {self.num_classes!r}")
         try:
             feats = np.array(self.features, dtype=np.float64)
+            labels = np.array(self.labels)  # checked as given, then cast to int64
         except ValueError as exc:
-            raise ContractError(f"features must be an (n, d) array: {exc}") from exc
-        labels = np.array(self.labels, dtype=np.int64)
-        if feats.ndim != 2 or labels.shape != feats.shape[:1]:
-            raise ContractError(f"need features (n, d) and labels (n,), got shapes "
-                                f"{feats.shape} and {labels.shape}")
+            raise ContractError(f"need features (n, d) and labels (n,) as arrays: {exc}") from exc
+        # a label is an integer or float number, not a bool, a str or another object
+        if feats.ndim != 2 or labels.shape != feats.shape[:1] or labels.dtype.kind not in "iuf":
+            raise ContractError(f"need features (n, d) and numeric labels (n,), got shapes "
+                                f"{feats.shape} and {labels.shape}, labels of {labels.dtype}")
         if feats.shape[1] < 1:  # the CSV reader refuses d = 0 too
             raise ContractError("need at least one feature column, got d = 0")
         bad = _invalid_row(feats, labels, self.num_classes)
         if bad is not None:
             raise ContractError(f"example {bad[0]}: {bad[1]}")
+        labels = labels.astype(np.int64, copy=False)
         feats.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -140,6 +149,19 @@ class Dataset:
         return Example(self.features[i], int(self.labels[i]))
 
 
+def check_synth(n: int, d: int, k: int, seed: int, prefix: str = "") -> None:
+    """Refuse `synth_dataset`'s n, d, k or seed out of range, naming it prefix + its name."""
+    for name, value, low, shown, high in (("k", k, 2, 2, MAX_CLASSES), ("d", d, 1, 1, MAX_SYNTH_D),
+                                          ("n", n, k, f"{prefix}k = {k}", MAX_SYNTH_N)):
+        if not is_int(value):  # k first: it is n's low
+            raise ContractError(f"{prefix}{name} must be an integer, got {value!r}")
+        if value > high:
+            raise ContractError(f"{prefix}{name} must be <= {high}, got {value}")
+        if value < low:
+            raise ContractError(f"{prefix}{name} must be >= {shown}, got {value}")
+    _check_seed(seed, prefix + "seed")
+
+
 def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
     """Draw k Gaussian blobs and squash each coordinate into [0, 1].
 
@@ -147,13 +169,7 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
     along the axis for d=1), so a linear model separates them easily. Labels
     round-robin over classes, which keeps them balanced up to rounding.
     """
-    for name, value, bound in (("n", n, MAX_SYNTH_N), ("d", d, MAX_SYNTH_D), ("k", k, None)):
-        if not is_int(value):
-            raise ContractError(f"{name} must be an integer, got {value!r}")
-        if bound is not None and value > bound:
-            raise ContractError(f"{name} must be <= {bound}, got {value}")
-    if k < 2 or n < k or d < 1:
-        raise ContractError(f"need n >= k >= 2 and d >= 1, got n={n}, d={d}, k={k}")
+    check_synth(n, d, k, seed)
     rng = make_rng(seed)
     sep = 3.0
     means = np.zeros((k, d))
@@ -191,22 +207,16 @@ def load_dataset_csv(path: str | Path) -> Dataset:
             raise DataError(f"{path}:{lineno}: need at least one feature column")
         if rows and len(values) != len(rows[0]):
             raise DataError(f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}")
-        if not (values[-1].is_integer() and abs(values[-1]) < 2.0 ** 63):
-            raise DataError(f"{path}:{lineno}: label must be an integer, got {values[-1]}")
-        if values[-1] >= MAX_CLASSES:
-            raise DataError(f"{path}:{lineno}: label {int(values[-1])} >= "
-                            f"MAX_CLASSES={MAX_CLASSES}")
         linenos.append(lineno)
         rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.array(rows)
-    features, labels = table[:, :-1], table[:, -1].astype(np.int64)
-    k = max(2, int(labels.max()) + 1)
-    bad = _invalid_row(features, labels, k)
+    features, labels = table[:, :-1], table[:, -1]
+    bad = _invalid_row(features, labels, MAX_CLASSES, "MAX_CLASSES")
     if bad is not None:
         raise DataError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
-    return Dataset(features, labels, num_classes=k)
+    return Dataset(features, labels, num_classes=max(2, int(labels.max()) + 1))
 
 
 def save_dataset_csv(path: str | Path, dataset: Dataset) -> None:

@@ -55,6 +55,13 @@ MAX_EPOCHS = 100_000
 NARROW_AXIS = 16
 
 
+def check_architecture(architecture: str) -> None:
+    """Refuse an architecture that is not one of ARCHITECTURES."""
+    if architecture not in ARCHITECTURES:
+        raise ContractError(f"architecture must be one of {', '.join(ARCHITECTURES)}, "
+                            f"got {architecture!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Weights for one classifier. Shapes: W1 (d,k) or (d,h), W2 (h,k)."""
@@ -66,8 +73,7 @@ class ModelParams:
     b2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ContractError(f"unknown architecture {self.architecture!r}")
+        check_architecture(self.architecture)
         for i, name in enumerate(("W1", "b1", "W2", "b2")):
             needed = i < 2 * len(self.layers)
             if (getattr(self, name) is not None) != needed:
@@ -307,19 +313,19 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     updates every layer with two calls. X and the one-hot labels are permuted
     once per epoch, and each batch is a slice of them.
 
-    After each epoch, training stops with TrainingDivergedError naming it if
-    some row's largest logit is not finite. That is exactly when the loss is
-    not finite: a softmax row is NaN iff its largest logit is NaN or +-inf,
-    and otherwise its floored log is finite. The loss itself is computed
-    before and after the loop, and a final loss above the initial one also
+    After each epoch, one pass over the data gives the logits, and training
+    stops with TrainingDivergedError naming the epoch if some row's largest
+    logit is not finite. That is exactly when the loss is not finite: a
+    softmax row is NaN iff its largest logit is NaN or +-inf, and otherwise its
+    floored log is finite. The loss itself is taken before the loop and from
+    the last epoch's logits, and a final loss above the initial one also
     raises. Overflow in between shows only as that error, never as a warning.
     """
     if len(dataset) == 0:
         raise ContractError("cannot train on an empty dataset")
     X, y = dataset.features, dataset.labels
     n, d, k = len(dataset), dataset.dimension, dataset.num_classes
-    if architecture not in ARCHITECTURES:
-        raise ContractError(f"unknown architecture {architecture!r}")
+    check_architecture(architecture)
     widths = (d, hp.hidden, k) if architecture == MLP1 else (d, k)
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
     flat, step = np.zeros(size), np.empty(size)
@@ -331,13 +337,13 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
 
-    def loss_now() -> float:
-        probs = _softmax(_logits(layers, X, np.matmul)[0])
-        picked = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
+    def loss(logits: np.ndarray) -> float:
+        """The mean floored cross-entropy; softmaxes logits in place."""
+        picked = np.maximum(_softmax(logits)[np.arange(n), y], PROB_FLOOR)
         return float(-np.log(picked).mean())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        initial = loss_now()
+        initial = loss(_logits(layers, X, np.matmul)[0])
         for epoch in range(hp.epochs):
             perm = rng.permutation(n)
             X_epoch, Y_epoch = X[perm], onehot[perm]
@@ -356,10 +362,10 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
                         g *= inputs[i] > 0.0
                 step *= hp.learning_rate
                 flat -= step
-            if not np.isfinite(reduce_rows(np.maximum,
-                                           _logits(layers, X, np.matmul)[0])).all():
+            logits = _logits(layers, X, np.matmul)[0]
+            if not np.isfinite(reduce_rows(np.maximum, logits)).all():
                 raise TrainingDivergedError(epoch)
-        final = loss_now()
+        final = loss(logits)  # hp.epochs >= 1, so the loop has set logits
 
     if final > initial:
         raise TrainingDivergedError(hp.epochs - 1,

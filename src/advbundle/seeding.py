@@ -91,11 +91,11 @@ def derive_seeds(root: int | np.ndarray, *parts: int | str | np.ndarray):
     return state
 
 
-def _check_seed(seed) -> int:
+def _check_seed(seed, name: str = "seed") -> int:
     if not is_int(seed):
-        raise ContractError(f"seed must be an integer, got {seed!r}")
+        raise ContractError(f"{name} must be an integer, got {seed!r}")
     if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
+        raise ContractError(f"{name} must be >= 0, got {seed}")
     return int(seed)
 
 

@@ -20,6 +20,7 @@ import advbundle as ab
 from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
 from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N, with_output_dir
+from advbundle.data import MAX_CLASSES
 from advbundle.errors import ConfigError
 
 from conftest import openblas_core
@@ -55,6 +56,23 @@ random_init = true
 variant = uniform_noise
 epsilon = 0.3
 num_samples = 10
+"""
+
+
+# every value within its bound, but one example's 100,000 noise rows of width 1,000
+# need 763 MiB in the bundle, after training
+HUGE_ATTACK_CFG = """
+synth_n = 10
+synth_d = 1000
+architecture = softmax_linear
+learning_rate = 0.001
+epochs = 2
+output_dir = {out}
+
+[attack noise]
+variant = uniform_noise
+epsilon = 0.3
+num_samples = 100000
 """
 
 
@@ -280,6 +298,44 @@ class TestExitCodes:
             assert done.stderr.startswith(f"error: {bound}")
             assert "Traceback" not in done.stderr
             assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("n,k", [(MAX_CLASSES + 1, MAX_CLASSES + 1),
+                                     (1000000, 1000000)])  # 7.28 TiB of one-hot labels
+    def test_too_many_synth_classes_fail_at_their_line_before_the_draw(self, tmp_path,
+                                                                       capsys, n, k):
+        # synth_k had no bound: such a run drew the data, then trained on (n, k) arrays
+        text = FAST_CFG.replace("synth_n = 40", f"synth_n = {n}").replace("synth_k = 2",
+                                                                          f"synth_k = {k}")
+        line = text.splitlines().index(f"synth_k = {k}") + 1
+        with mock.patch.object(cli, "synth_dataset", wraps=cli.synth_dataset) as synth:
+            assert main(["run", str(write_cfg(tmp_path, text=text))]) == 2
+        assert capsys.readouterr().err == (f"config error: {tmp_path / 'exp.cfg'}:{line}: "
+                                           f"synth_k must be <= {MAX_CLASSES}, got {k}\n")
+        assert not synth.called
+        assert not (tmp_path / "run_out").exists()
+
+    def test_synth_refuses_more_classes_than_a_dataset_file_may_hold(self, tmp_path, capsys):
+        # k = 20,000 once wrote a file that load_dataset_csv then refused at line 10,002
+        out = tmp_path / "k.csv"
+        assert main(["synth", "20000", "2", "20000", "0", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: k must be <= {MAX_CLASSES}, got 20000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_running_out_of_memory_is_one_data_error_line(self, tmp_path, command):
+        # each value is within its own bound, but under a 1 GiB address space numpy
+        # cannot allocate what they ask for together: synth's (10**6, 10**4) draw, or a
+        # bundle block after training. Exit 3, not 2, which means refused before training
+        pytest.importorskip("resource")
+        if command == "synth":
+            argv = ("synth", "1000000", "10000", "3", "0", str(tmp_path / "big.csv"))
+        else:
+            argv = ("run", str(write_cfg(tmp_path, text=HUGE_ATTACK_CFG)))
+        done = run_capped(*argv)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("data error: out of memory: Unable to allocate ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert not (tmp_path / "big.csv").exists() and not (tmp_path / "run_out").exists()
 
     def test_bad_gap_ns_fails_before_any_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, text=FAST_CFG.replace("gap_ns = 1,2,10", "gap_ns = 1,0,10"))

@@ -9,7 +9,11 @@ import advbundle as ab
 from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_EPOCHS, MAX_NUM_STEPS,
                               MAX_ROWS_PER_EXAMPLE, _parse_grid, _parse_int_list,
                               serialize_experiment_config, with_output_dir)
+from advbundle.bundler import check_unit_cap
+from advbundle.data import MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N, check_synth
 from advbundle.errors import ConfigError, ContractError
+from advbundle.models import check_architecture
+from advbundle.seeding import _check_seed
 
 from conftest import binary_linear
 
@@ -408,3 +412,39 @@ def test_parser_accepts_gap_sizes_exactly_when_the_gap_table_does(sizes):
     value = ",".join(map(str, sizes))
     parsed = _accepts(lambda: ab.parse_experiment_config(f"gap_ns = {value}\n"))
     assert parsed == _accepts(lambda: ab.wat_underestimation_report(_parse_int_list(value)))
+
+
+# the keys whose rules live in another module, each set in this order; synth_n leaves room
+# for synth_k at its bound
+_RULE_KEYS = {"synth_n": MAX_CLASSES, "synth_d": 2, "synth_k": 3, "synth_seed": 7,
+              "train_seed": 1, "max_units": 2, "architecture": "mlp1"}
+_CONSUMERS = {
+    **dict.fromkeys(("synth_n", "synth_d", "synth_k", "synth_seed"), lambda v: check_synth(
+        v["synth_n"], v["synth_d"], v["synth_k"], v["synth_seed"], prefix="synth_")),
+    "train_seed": lambda v: _check_seed(v["train_seed"], "train_seed"),
+    "max_units": lambda v: check_unit_cap(v["max_units"], "max_units"),
+    "architecture": lambda v: check_architecture(v["architecture"]),
+}
+
+
+@pytest.mark.parametrize("key,at,past", [
+    ("synth_n", MAX_SYNTH_N, MAX_SYNTH_N + 1), ("synth_n", 3, 2),  # 3 = synth_k
+    ("synth_d", MAX_SYNTH_D, MAX_SYNTH_D + 1), ("synth_d", 1, 0),
+    ("synth_k", MAX_CLASSES, MAX_CLASSES + 1), ("synth_k", 2, 1),
+    ("synth_seed", 0, -1), ("train_seed", 0, -1), ("max_units", 0, -1),
+    ("architecture", "softmax_linear", "svm"),
+])
+def test_a_value_past_its_bound_fails_at_its_line_with_its_consumers_message(key, at, past):
+    # the config has no copy of these rules: it calls the consumer's own check with the
+    # key's name, so the parser's message is that check's, at the key's line
+    line = list(_RULE_KEYS).index(key) + 1
+    text = "".join(f"{k} = {{{k}}}\n" for k in _RULE_KEYS)
+    config = ab.parse_experiment_config(text.format(**{**_RULE_KEYS, key: at}))
+    assert getattr(config, key) == at
+    values = {**_RULE_KEYS, key: past}
+    with pytest.raises(ContractError) as consumer:
+        _CONSUMERS[key](values)
+    assert str(consumer.value).startswith(f"{key} must be ")
+    with pytest.raises(ConfigError) as info:
+        ab.parse_experiment_config(text.format(**values), source="exp.cfg")
+    assert str(info.value) == f"exp.cfg:{line}: {consumer.value}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import advbundle as ab
-from advbundle.data import MAX_SYNTH_D, MAX_SYNTH_N, csv_lines, read_text, write_lines
+from advbundle.data import MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N, csv_lines, read_text, write_lines
 from advbundle.errors import ContractError, DataError
 
 
@@ -77,6 +77,26 @@ class TestSynth:
         with pytest.raises(ContractError):
             ab.synth_dataset(n, d, k, seed=0)
 
+    @pytest.mark.parametrize("args,message", [
+        ((2, 2, 3, 0), "n must be >= k = 3, got 2"),
+        ((5, 0, 2, 0), "d must be >= 1, got 0"),
+        ((5, 2, 1, 0), "k must be >= 2, got 1"),
+        # no dataset may hold more classes, so a CSV of this draw would not load
+        ((20000, 2, MAX_CLASSES + 1, 0), f"k must be <= {MAX_CLASSES}, got {MAX_CLASSES + 1}"),
+        ((5, 2, 2, -1), "seed must be >= 0, got -1"),
+    ])
+    def test_each_size_rule_names_its_argument(self, args, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            ab.synth_dataset(*args)
+
+    def test_a_draw_with_the_most_classes_reads_back_unchanged(self, tmp_path):
+        ds = ab.synth_dataset(MAX_CLASSES, 1, MAX_CLASSES, seed=0)
+        ab.save_dataset_csv(tmp_path / "k.csv", ds)
+        loaded = ab.load_dataset_csv(tmp_path / "k.csv")
+        assert loaded.num_classes == ds.num_classes == MAX_CLASSES
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.labels, ds.labels)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -125,6 +145,18 @@ class TestCsv:
         with pytest.raises(DataError, match=":3:"):
             ab.load_dataset_csv(path)
 
+    @pytest.mark.parametrize("label,reason", [
+        ("-1", "label -1 is negative"), ("-1e300", "label must be an integer, got -1e+300"),
+        ("0.5", "label must be an integer, got 0.5"), ("inf", "label must be an integer, got inf"),
+        ("nan", "label must be an integer, got nan"),
+        ("10000", "label 10000 >= MAX_CLASSES=10000"),
+        ("1e20", "label must be an integer, got 1e+20")])
+    def test_a_bad_label_names_its_line_and_reason(self, tmp_path, label, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n0.1,0.2,0\n0.1,0.2,{label}\n0.3,0.4,1\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {reason}')}$"):
+            ab.load_dataset_csv(path)
+
     def test_single_class_file_still_has_two_classes(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("0.1,0.2,0\n0.3,0.4,0\n")
@@ -147,6 +179,16 @@ class TestFiles:
             write_lines(tmp_path, ["x"])
         with pytest.raises(DataError, match=": cannot write: .*surrogates not allowed"):
             write_lines(tmp_path / "f.txt", ["\ud800"])
+
+    @pytest.mark.parametrize("save", [ab.save_dataset_csv, ab.save_model])
+    def test_a_path_holding_a_nul_byte_is_a_data_error_naming_it(self, tmp_path, save):
+        # open raises a bare ValueError for it, which each writer once let through
+        path = str(tmp_path / "a\0b.txt")
+        value = ab.synth_dataset(4, 2, 2, seed=0)
+        if save is ab.save_model:
+            value = ab.train(value, "softmax_linear", ab.TrainParams(0.1, 1, 4, seed=0))
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: cannot write: "):
+            save(path, value)
 
     def test_csv_lines_writes_floats_shortest_and_the_rest_as_str(self):
         rows = [(1, "a", 0.1, np.float64(1e-05), float("inf"), True)]
@@ -178,6 +220,10 @@ class TestTypes:
             ab.Dataset([[0.5], [0.5]], [0], num_classes=2)
         with pytest.raises(ContractError):
             ab.Dataset([0.5, 0.5], [0, 0], num_classes=2)
+
+    def test_dataset_casts_whole_float_labels(self):
+        ds = ab.Dataset([[0.1], [0.3]], [1.0, 0.0], num_classes=MAX_CLASSES)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
 
     def test_dataset_arrays_are_read_only_copies(self):
         feats, labels = np.array([[0.25, 0.5], [0.75, 1.0]]), np.array([0, 1])

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
 from advbundle.errors import ContractError, DataError, ShapeError, TrainingDivergedError
+from advbundle import models
 from advbundle.models import NARROW_AXIS, reduce_rows
 
 from conftest import binary_linear, oracle_loss, random_linear, random_mlp, stable_softmax
@@ -314,6 +315,32 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])
+    def test_one_full_data_pass_per_epoch_gives_the_final_loss_too(self, small_blobs,
+                                                                   monkeypatch, arch):
+        # the divergence test's logits of the last epoch are the final loss's; one more
+        # pass gives the initial loss. Batches of 16 never span the whole set
+        assert len(small_blobs) > 16
+        full, logits = [], models._logits
+
+        def counted(layers, X, matmul):
+            full.append(len(X) == len(small_blobs))
+            return logits(layers, X, matmul)
+
+        monkeypatch.setattr(models, "_logits", counted)
+        hp = ab.TrainParams(learning_rate=0.05, epochs=7, batch_size=16, seed=2, hidden=4)
+        ab.train(small_blobs, arch, hp)
+        assert sum(full) == hp.epochs + 1
+
+    @pytest.mark.parametrize("call", [lambda: ab.ModelParams("svm", np.zeros((1, 2)),
+                                                             np.zeros(2)),
+                                      lambda: ab.train(ab.synth_dataset(4, 1, 2, seed=0), "svm",
+                                                       ab.TrainParams(0.1, 1, 2, seed=0))])
+    def test_an_unknown_architecture_is_refused_as_the_config_refuses_it(self, call):
+        with pytest.raises(ContractError, match="^architecture must be one of softmax_linear, "
+                                                "mlp1, got 'svm'$"):
+            call()
 
     def test_empty_dataset_rejected(self):
         ds = ab.Dataset(np.zeros((0, 2)), [], num_classes=2)

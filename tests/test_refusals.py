@@ -129,6 +129,25 @@ REFUSALS = [
     ("attack-id-quote", lambda: ab.AttackConfig('a"b', "fgsm", 0.1), ContractError, None),
     ("attack-id-newline", lambda: ab.AttackConfig("a\nb", "fgsm", 0.1), ContractError, None),
     ("attack-id-not-str", lambda: ab.AttackConfig(1, "fgsm", 0.1), ContractError, None),
+    # derive_seed hashes an id's UTF-8 bytes, which a lone surrogate has none of
+    ("attack-id-surrogate", lambda: ab.AttackConfig("a\ud800", "fgsm", 0.1), ContractError,
+     None),
+    # labels are checked as given, before the int64 cast, and k is bounded as a CSV's is:
+    # [0.5, 1.9] was read as [0, 1], 10**9 classes were accepted, and str labels raised
+    # a raw ValueError from the cast
+    ("dataset-float-label", lambda: ab.Dataset([[0.1, 0.2], [0.3, 0.4]], [0.5, 1.9], 2),
+     ContractError, None),
+    ("dataset-many-classes", lambda: ab.Dataset([[0.1], [0.3]], [0, 1], num_classes=10**9),
+     ContractError, None),
+    ("dataset-str-label", lambda: ab.Dataset([[0.1], [0.3]], ["a", "b"], 3), ContractError,
+     None),
+    ("dataset-bool-label", lambda: ab.Dataset([[0.1], [0.3]], [True, False], 2),
+     ContractError, None),
+    ("dataset-ragged-labels", lambda: ab.Dataset([[0.1], [0.3]], [[0], [1, 0]], 2),
+     ContractError, None),
+    # open raises a bare ValueError for a NUL byte in a path
+    ("save-csv-nul", lambda: ab.save_dataset_csv("a\0b.csv", DATA), DataError, None),
+    ("save-model-nul", lambda: ab.save_model("a\0b.txt", MODEL), DataError, None),
     # model files that are a directory, missing or not UTF-8
     ("model-directory", lambda: ab.load_model(Path(".")), DataError, None),
     ("model-missing", lambda: ab.load_model(Path("model.txt")), DataError, None),
