@@ -23,8 +23,11 @@ Last it times M pairs of fresh interpreters, alternating which side goes
 first, each with one tree on `PYTHONPATH`: each imports numpy, then
 `advbundle.cli` under the clock, from bytecode cached in a temporary
 directory (`sys.pycache_prefix`; one untimed pair writes it), as perfbench's
-runs import it. It prints each side's median and quartiles and the number of
-pairs the change won. The package directory must then be named `advbundle`.
+runs import it. Each then runs `advbundle.cli.main(["gap", "1"])` and stamps
+the clock as its last act; its exit time runs from that stamp until the
+parent has reaped it. For the import and for the exit it prints each side's
+median and quartiles and the number of pairs the change won. The package
+directory must then be named `advbundle`.
 
 It takes 15-30 s at the default 151 pairs, and about 15 s more at the default
 21 import pairs, on a 2-core VM. It is a quick check before perfbench's
@@ -55,12 +58,16 @@ SIDES = ("parent", "change")
 SINGLE_EXAMPLES = 8
 
 
-# run in a fresh interpreter: seconds `import advbundle.cli` takes after numpy
+# run in a fresh interpreter: seconds `import advbundle.cli` takes after numpy,
+# then, after one command, the clock as the script's last act (perf_counter reads
+# the system-wide CLOCK_MONOTONIC on Linux, so the parent can subtract it)
 IMPORT_TIMER = """import sys, time, numpy
 sys.pycache_prefix, sys.dont_write_bytecode = sys.argv[1], False
 start = time.perf_counter()
 import advbundle.cli
-print(time.perf_counter() - start)
+took = time.perf_counter() - start
+advbundle.cli.main(["gap", "1"])
+print(took, time.perf_counter())
 """
 
 
@@ -185,24 +192,37 @@ def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str
     return times
 
 
-def _time_imports(srcs: dict, pairs: int) -> dict[str, list]:
-    """Seconds each side's fresh interpreters took to import advbundle.cli after numpy."""
+def _time_interpreters(srcs: dict, pairs: int) -> tuple[dict[str, list], dict[str, list]]:
+    """Seconds each side's fresh interpreters took to import advbundle.cli after
+    numpy, and to exit after their last stamp, until reaped."""
     roots = {}
     for side, src in srcs.items():
         package = _package_dir(src)
         if package.name != "advbundle":
             raise SystemExit(f"{package}: timing the import needs a directory named advbundle")
         roots[side] = str(package.parent)
-    times = {side: [] for side in SIDES}
+    imports, exits = {side: [] for side in SIDES}, {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as cache:
         for i in range(pairs + 1):  # pair 0 writes the bytecode and is not timed
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 proc = subprocess.run([sys.executable, "-c", IMPORT_TIMER, cache],
                                       env={**os.environ, "PYTHONPATH": roots[side]},
                                       capture_output=True, text=True, check=True)
+                reaped = time.perf_counter()
                 if i:
-                    times[side].append(float(proc.stdout))
-    return times
+                    took, stamp = map(float, proc.stdout.splitlines()[-1].split())
+                    imports[side].append(took)
+                    exits[side].append(reaped - stamp)
+    return imports, exits
+
+
+def _pair_line(what: str, times: dict[str, list]) -> str:
+    """Each side's median and quartiles in ms, and the pairs the change won."""
+    ms = {side: np.percentile(times[side], [25, 50, 75]) * 1e3 for side in SIDES}
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    return (f"{what}; " + "; ".join(f"{side} median {ms[side][1]:.2f} ms, quartiles "
+                                    f"{ms[side][0]:.2f} {ms[side][2]:.2f}" for side in SIDES)
+            + f"; change faster in {wins} of {len(times['parent'])}")
 
 
 def main() -> int:
@@ -243,13 +263,9 @@ def main() -> int:
               f"{np.median(times['change']) * 1e3:.2f} ms; change/parent quartiles "
               f"{q1:.3f} {q2:.3f} {q3:.3f}; change faster in {wins} of {opts.pairs}; "
               f"peak parent {peaks['parent']:.0f} KiB, change {peaks['change']:.0f} KiB")
-    times = _time_imports(srcs, opts.import_pairs)
-    ms = {side: np.percentile(times[side], [25, 50, 75]) * 1e3 for side in SIDES}
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    print("import: advbundle.cli after numpy, cached bytecode; "
-          + "; ".join(f"{side} median {ms[side][1]:.2f} ms, quartiles {ms[side][0]:.2f} "
-                      f"{ms[side][2]:.2f}" for side in SIDES)
-          + f"; change faster in {wins} of {opts.import_pairs}")
+    imports, exits = _time_interpreters(srcs, opts.import_pairs)
+    print(_pair_line("import: advbundle.cli after numpy, cached bytecode", imports))
+    print(_pair_line("exit: main(['gap', '1']) returned, until reaped", exits))
     return 0
 
 

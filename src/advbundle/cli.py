@@ -15,6 +15,7 @@ ShapeError, and a run out of memory), 4 numeric failure. Every file, and
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -217,7 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_returned = False  # whether main has returned in this process
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    At its first return in a process, error exits included, `main` freezes the
+    collector (`gc.freeze`) unless something is frozen already: the command is done,
+    the process is about to exit, and nothing it holds needs collecting, so
+    finalization skips walking the heap. Every file `main` opens is closed by then.
+    `gc.get_freeze_count` walks every frozen object, so it is asked that once only.
+    An embedding caller that keeps running may call `gc.unfreeze()`."""
+    global _returned
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -236,6 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingDivergedError, AttackFailedError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if not _returned:
+            _returned = True
+            if not gc.get_freeze_count():
+                gc.freeze()
 
 
 if __name__ == "__main__":

@@ -188,10 +188,11 @@ def synth_dataset(n: int, d: int, k: int, seed: int) -> Dataset:
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset, inferring k from the largest label seen (2 to MAX_CLASSES)."""
+    """Read a dataset, inferring k from the largest label seen (2 to MAX_CLASSES);
+    a faulty file is refused at its first faulty line."""
     path = Path(path)
     text = read_text(path, DataError, "dataset file")
-    linenos, rows = [], []
+    linenos, rows, fault = [], [], None
     # lines split as iterating the file splits them: at \n, \r and \r\n only
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         line = line.strip()
@@ -202,20 +203,25 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         except ValueError:
             if lineno == 1:
                 continue  # header row
-            raise DataError(f"{path}:{lineno}: non-numeric value")
-        if len(values) < 2:
-            raise DataError(f"{path}:{lineno}: need at least one feature column")
-        if rows and len(values) != len(rows[0]):
-            raise DataError(f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}")
+            fault = f"{path}:{lineno}: non-numeric value"
+        else:
+            if len(values) < 2:
+                fault = f"{path}:{lineno}: need at least one feature column"
+            elif rows and len(values) != len(rows[0]):
+                fault = f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}"
+        if fault:
+            break  # the rows read so far are checked first: they come before it
         linenos.append(lineno)
         rows.append(values)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError(fault or f"{path}: no data rows")
     table = np.array(rows)
     features, labels = table[:, :-1], table[:, -1]
     bad = _invalid_row(features, labels, MAX_CLASSES, "MAX_CLASSES")
     if bad is not None:
         raise DataError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
+    if fault:
+        raise DataError(fault)
     return Dataset(features, labels, num_classes=max(2, int(labels.max()) + 1))
 
 

@@ -25,14 +25,16 @@ def test_ab_bundle_runs_one_pair_of_the_same_tree():
                            "--pairs", "1", "--import-pairs", "1"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    *lines, imports = proc.stdout.splitlines()
+    *lines, imports, exits = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["desk-default", "wide-pool"]
     assert all("identical bytes" in line for line in lines)
     assert all(re.search(r"peak parent \d+ KiB, change \d+ KiB$", line) for line in lines)
-    assert re.fullmatch(r"import: advbundle\.cli after numpy, cached bytecode; "
-                        r"parent median [\d.]+ ms, quartiles [\d.]+ [\d.]+; "
-                        r"change median [\d.]+ ms, quartiles [\d.]+ [\d.]+; "
-                        r"change faster in [01] of 1", imports)
+    sides = (r"parent median [\d.]+ ms, quartiles [\d.]+ [\d.]+; "
+             r"change median [\d.]+ ms, quartiles [\d.]+ [\d.]+; change faster in [01] of 1")
+    assert re.fullmatch(r"import: advbundle\.cli after numpy, cached bytecode; " + sides,
+                        imports)
+    assert re.fullmatch(r"exit: main\(\['gap', '1'\]\) returned, until reaped; " + sides,
+                        exits)
 
 
 def _toy_bundle():

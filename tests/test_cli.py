@@ -835,3 +835,45 @@ def test_a_run_never_imports_numpy_ma(tmp_path):
     summary = (tmp_path / "early" / "summary.txt").read_text()
     assert " 0 examples stopped early" not in summary and "stopped early" in summary
     assert "criterion: min_norm" in (tmp_path / "norm" / "summary.txt").read_text()
+
+
+# the freeze count after each of two `main(argv)` calls in one fresh process
+FREEZE_PROBE = """import contextlib, gc, io, sys
+from advbundle.cli import main
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+    print(code, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("argv,code", [(["gap", "1"], 0), (["run", "missing.cfg"], 2)])
+def test_main_freezes_the_collector_once_when_it_returns(tmp_path, argv, code):
+    # a fresh process, since this one froze at its first `main` call; a frozen
+    # heap is not walked at exit, and the second call freezes nothing more
+    env = {**os.environ, "PYTHONPATH": str(Path(ab.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    (first, frozen), (second, again) = (map(int, line.split())
+                                        for line in done.stdout.splitlines())
+    assert first == second == code
+    assert frozen > 0 and again == frozen
+
+
+def test_every_file_main_opens_is_closed_when_it_returns(tmp_path, capsys):
+    # the freeze is safe only so: a frozen file object is never finalized, so a
+    # write left to its finalizer would be lost at exit
+    real_open, opened = io.open, []
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    cfg = write_cfg(tmp_path, text=TINY_CFG.replace("dump_candidates = false",
+                                                    "dump_candidates = true"))
+    with mock.patch("io.open", recording_open), mock.patch("builtins.open", recording_open):
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    # the config, each artifact and candidates.csv written, summary.txt read back
+    assert len(opened) >= len(ARTIFACTS) + 3
+    assert [fh.name for fh in opened if not fh.closed] == []

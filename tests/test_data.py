@@ -137,8 +137,11 @@ class TestCsv:
         with pytest.raises(DataError):
             ab.load_dataset_csv(tmp_path / "nope.csv")
 
+    # the last case's line 4 holds a non-numeric value, found while reading, but
+    # line 3's bad label comes first in the file
     @pytest.mark.parametrize("row", ["nan,0.2,1", "0.1,-0.2,1", "0.1,0.2,-1",
-                                     "0.1,0.2,inf", "0.1,0.2,nan", "0.1,1", "0.1,0.2,10000"])
+                                     "0.1,0.2,inf", "0.1,0.2,nan", "0.1,1", "0.1,0.2,10000",
+                                     "0.1,0.2,0.5\n0.1,x,1"])
     def test_invalid_row_names_its_file_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,f1,label\n0.1,0.2,0\n{row}\n0.3,0.4,1\n")
