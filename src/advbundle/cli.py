@@ -218,17 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_returned = False  # whether main has returned in this process
+_returned = False  # whether main has returned or raised in this process
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    At its first return in a process, error exits included, `main` freezes the
-    collector (`gc.freeze`) unless something is frozen already: the command is done,
-    the process is about to exit, and nothing it holds needs collecting, so
+    The first time `main` leaves in a process after parsing its arguments, by a
+    return or an exception, it freezes the collector (`gc.freeze`): the command is
+    done, the process is about to exit, and nothing it holds needs collecting, so
     finalization skips walking the heap. Every file `main` opens is closed by then.
-    `gc.get_freeze_count` walks every frozen object, so it is asked that once only.
     An embedding caller that keeps running may call `gc.unfreeze()`."""
     global _returned
     args = build_parser().parse_args(argv)
@@ -252,8 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if not _returned:
             _returned = True
-            if not gc.get_freeze_count():
-                gc.freeze()
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -210,13 +210,14 @@ def load_dataset_csv(path: str | Path) -> Dataset:
             elif rows and len(values) != len(rows[0]):
                 fault = f"{path}:{lineno}: {len(values)} columns, expected {len(rows[0])}"
         if fault:
-            break  # the rows read so far are checked first: they come before it
+            break
         linenos.append(lineno)
         rows.append(values)
     if not rows:
         raise DataError(fault or f"{path}: no data rows")
     table = np.array(rows)
     features, labels = table[:, :-1], table[:, -1]
+    # the rows read all come before a structural fault, so their values are checked first
     bad = _invalid_row(features, labels, MAX_CLASSES, "MAX_CLASSES")
     if bad is not None:
         raise DataError(f"{path}:{linenos[bad[0]]}: {bad[1]}")

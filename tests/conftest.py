@@ -1,4 +1,5 @@
 import ctypes
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,15 @@ def openblas_core() -> str:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+@pytest.fixture(autouse=True)
+def collect_after_main():
+    """Thaw the collector after each test. `advbundle.cli.main` freezes it at its
+    first exit in a process, and freezes it only once; the suite keeps running, so
+    it collects, and finalizes what it frees, as it would without that call."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -849,8 +849,9 @@ for _ in range(2):
 
 @pytest.mark.parametrize("argv,code", [(["gap", "1"], 0), (["run", "missing.cfg"], 2)])
 def test_main_freezes_the_collector_once_when_it_returns(tmp_path, argv, code):
-    # a fresh process, since this one froze at its first `main` call; a frozen
-    # heap is not walked at exit, and the second call freezes nothing more
+    # a fresh process, since `main` freezes once per process and this one has
+    # called it already; a frozen heap is not walked at exit, and the second
+    # call freezes nothing more
     env = {**os.environ, "PYTHONPATH": str(Path(ab.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
