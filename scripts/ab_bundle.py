@@ -5,7 +5,8 @@
 
 Each SRC is a directory holding the `advbundle` package (a checkout's `src/`)
 or the package directory itself. Both trees are imported in one process,
-under the package names `ab_parent` and `ab_change`. For each benchmark
+under the package names `ab_parent` and `ab_change`, and the parent tree a
+second time as `ab_copy`, an A/A control. For each benchmark
 workload at bench size and workload seed 0 (`perfbench/workloads.py`), each
 side parses the config, builds the dataset, trains and bundles with its own
 code. The script first asserts that both sides' models and every
@@ -15,9 +16,13 @@ field one tree added); so are the single-example API's outputs on the first
 `SINGLE_EXAMPLES` examples: `run_attack`'s candidates under each configured
 attack, and `predict` and `input_gradient` at the clean inputs. It then
 runs one untimed `bundle()` per side under `tracemalloc`, times N pairs of
-`bundle()` calls, alternating which side goes first, and prints each side's
-median, the quartiles of the per-pair time ratio change / parent, and each
-side's peak of traced memory within its one `bundle()`.
+`bundle()` calls, the copy's call in each pair too, cycling through the orders
+of the three calls, and prints each side's median, the quartiles of the
+per-pair time ratio change / parent and the pairs the change won, the same
+for copy / parent beside them, and each side's peak of traced memory within
+its one `bundle()`. The copy runs the parent's code, so its ratio shows how
+far two loads of one tree differ in one process; a change's ratio means
+something only outside that band.
 
 Last it times M pairs of fresh interpreters, alternating which side goes
 first, each with one tree on `PYTHONPATH`: each imports numpy, then
@@ -29,7 +34,7 @@ parent has reaped it. For the import and for the exit it prints each side's
 median and quartiles and the number of pairs the change won. The package
 directory must then be named `advbundle`.
 
-It takes 15-30 s at the default 151 pairs, and about 15 s more at the default
+It takes 25-45 s at the default 151 pairs, and about 15 s more at the default
 21 import pairs, on a 2-core VM. It is a quick check before perfbench's
 process-level pairs, not a replacement for them: it leaves out process start,
 the numpy import and training.
@@ -42,6 +47,7 @@ import dataclasses
 import gc
 import importlib
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -54,6 +60,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# the parent tree loaded a second time, timed beside both sides: the A/A control
+CONTROL = "copy"
 # examples whose single-example outputs are compared; they are not timed
 SINGLE_EXAMPLES = 8
 
@@ -176,13 +184,13 @@ def _peak_kib(package, args: tuple, seed: int) -> float:
 
 
 def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str, list]:
-    times = {side: [] for side in SIDES}
+    times = {side: [] for side in packages}
+    orders = list(itertools.permutations(packages))
     gc.collect()
     gc.disable()
     try:
         for i in range(pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
+            for side in orders[i % len(orders)]:
                 start = time.perf_counter()
                 packages[side].bundle(*args[side], seed=seeds[side])
                 times[side].append(time.perf_counter() - start)
@@ -216,6 +224,14 @@ def _time_interpreters(srcs: dict, pairs: int) -> tuple[dict[str, list], dict[st
     return imports, exits
 
 
+def _ratio_text(times: dict[str, list], side: str) -> str:
+    """The quartiles of side's per-pair time ratio to the parent, and the pairs it won."""
+    ratio = np.array(times[side]) / np.array(times["parent"])
+    q1, q2, q3 = np.percentile(ratio, [25, 50, 75])
+    return (f"{side}/parent quartiles {q1:.3f} {q2:.3f} {q3:.3f}; {side} faster in "
+            f"{np.count_nonzero(ratio < 1.0)} of {len(ratio)}")
+
+
 def _pair_line(what: str, times: dict[str, list]) -> str:
     """Each side's median and quartiles in ms, and the pairs the change won."""
     ms = {side: np.percentile(times[side], [25, 50, 75]) * 1e3 for side in SIDES}
@@ -240,6 +256,7 @@ def main() -> int:
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     srcs = dict(zip(SIDES, (opts.parent_src, opts.change_src)))
     packages = {side: _load_package(f"ab_{side}", src) for side, src in srcs.items()}
+    packages[CONTROL] = _load_package(f"ab_{CONTROL}", opts.parent_src)
     workloads = _load_workloads()
     for name, workload in workloads.WORKLOADS.items():
         text = workloads.config_text(workload, 0)
@@ -248,6 +265,7 @@ def main() -> int:
             args[side], seeds[side] = _setup(packages[side], text, name)
             results[side] = packages[side].bundle(*args[side], seed=seeds[side],
                                                   keep_candidates=True)
+        args[CONTROL], seeds[CONTROL] = _setup(packages[CONTROL], text, name)
         only = _check_identical(name, results, {side: args[side][0] for side in SIDES})
         for side in SIDES:
             if only[side]:
@@ -255,13 +273,10 @@ def main() -> int:
         _check_single_example(name, packages, args)
         peaks = {side: _peak_kib(packages[side], args[side], seeds[side]) for side in SIDES}
         times = _time_pairs(packages, args, seeds, opts.pairs)
-        ratio = np.array(times["change"]) / np.array(times["parent"])
-        q1, q2, q3 = np.percentile(ratio, [25, 50, 75])
-        wins = int(np.count_nonzero(ratio < 1.0))
         print(f"{name}: identical bytes; bundle() median parent "
               f"{np.median(times['parent']) * 1e3:.2f} ms, change "
-              f"{np.median(times['change']) * 1e3:.2f} ms; change/parent quartiles "
-              f"{q1:.3f} {q2:.3f} {q3:.3f}; change faster in {wins} of {opts.pairs}; "
+              f"{np.median(times['change']) * 1e3:.2f} ms; {_ratio_text(times, 'change')}; "
+              f"A/A {_ratio_text(times, CONTROL)}; "
               f"peak parent {peaks['parent']:.0f} KiB, change {peaks['change']:.0f} KiB")
     imports, exits = _time_interpreters(srcs, opts.import_pairs)
     print(_pair_line("import: advbundle.cli after numpy, cached bytecode", imports))

@@ -1,15 +1,16 @@
 """Command-line driver: synth data, train, run bundles, emit reports.
 
 `run` and `train` share one prologue (`_experiment`, then `_prepare`): the
-config, with ADVBUNDLE_OUTPUT_DIR overriding its output directory and the
---output-dir flag overriding both, then each artifact path, vetted before the
+config, with the --output-dir flag overriding its output directory and nothing
+else changing where a run writes, then each artifact path, vetted before the
 dataset loads, then the dataset and the trained model.
 
 Exit codes: 0 success, 2 config error (an output directory that cannot be
 made, a name in it the file system cannot hold, or an output file that is a
-directory), 3 data error (a file that cannot be read or written, a
-ShapeError, and a run out of memory), 4 numeric failure. Every file, and
-`run`'s stdout, is UTF-8 whatever the locale.
+directory), 3 data error (a file that cannot be read or written, an output
+directory the file system then refuses to make, a ShapeError, and a run out
+of memory), 4 numeric failure. Every file, and `run`'s stdout, is UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import argparse
 import gc
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bundler import BundleResult, bundle, complete
-from .config import ExperimentConfig, load_experiment_config, with_output_dir
+from .config import ExperimentConfig, load_experiment_config
 from .data import Dataset, fmt, load_dataset_csv, save_dataset_csv, synth_dataset, write_lines
 from .errors import (AttackFailedError, ConfigError, ContractError, DataError,
                      ShapeError, TrainingDivergedError)
@@ -33,8 +35,6 @@ from .reporting import (dump_candidates_csv, make_tables, norm_curve,
 # perfbench/child.py wraps these names when it traces a run; nothing here calls them
 from .bundler import reselect  # noqa: F401
 from .models import predict  # noqa: F401
-
-OUTPUT_DIR_ENV = "ADVBUNDLE_OUTPUT_DIR"
 
 ARTIFACTS = ("rates.csv", "sf_curve.csv", "norm_curve.csv", "wat_gap.csv",
              "chosen.csv", "model.txt", "summary.txt")
@@ -84,26 +84,26 @@ def _summary_lines(config: ExperimentConfig, dataset: Dataset, mat, wat, bundled
 
 
 def _experiment(args) -> ExperimentConfig:
-    """The config file's experiment, writing to --output-dir if given, else to
-    $ADVBUNDLE_OUTPUT_DIR if set, else to the config's output_dir."""
+    """The config file's experiment, writing to --output-dir if given, else to the
+    config's output_dir."""
     config = load_experiment_config(args.config)
-    output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    return with_output_dir(config, output_dir) if output_dir else config
+    return replace(config, output_dir=args.output_dir) if args.output_dir else config
 
 
 def _prepare(config: ExperimentConfig, names: tuple[str, ...]):
     """The prologue of `run` and `train`: the path of each of `names` in the output
     directory, refused before any work unless `mkdir` and the writes can succeed
     (each path encodes in the file-system encoding and holds no NUL, each name to be
-    made fits the file system, the nearest existing ancestor is a directory and no
-    artifact path is one), then the dataset and the model trained on it."""
+    made fits the file system, the nearest existing ancestor, a link counted as
+    existing, is a directory and no artifact path is one), then the dataset and the
+    model trained on it."""
     outdir = Path(config.output_dir)
     paths = {name: outdir / name for name in names}
     refused = f"output directory {outdir} cannot be made"
     try:
         if b"\0" in os.fsencode(outdir):
             raise ConfigError(f"{refused}: its name holds a NUL byte")
-        nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), outdir)
+        nearest = next((p for p in (outdir, *outdir.parents) if os.path.lexists(p)), outdir)
         if not nearest.is_dir():
             raise ConfigError(f"{refused}: {nearest} is not a directory")
         limit = os.pathconf(nearest, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
@@ -121,6 +121,16 @@ def _prepare(config: ExperimentConfig, names: tuple[str, ...]):
     return paths, dataset, train(dataset, config.architecture, config.train_params)
 
 
+def _make_output_dir(config: ExperimentConfig) -> None:
+    """Make the output directory; what `_prepare` cannot foresee (a read-only file
+    system, a full disk, a permission) is a DataError naming it."""
+    try:
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"output directory {config.output_dir} cannot be made: "
+                        f"{exc.strerror or exc}") from exc
+
+
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Train, bundle, and write the full artifact set to the output dir."""
     names = ARTIFACTS + (("candidates.csv",) if config.dump_candidates else ())
@@ -136,7 +146,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     curve = norm_curve(full, config.epsilon_grid)
     gap_rows = wat_underestimation_report(config.gap_ns)
 
-    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    _make_output_dir(config)
     save_model(paths["model.txt"], model)
     write_rates_csv(paths["rates.csv"], mat, wat, bundled_table)
     write_sf_curve_csv(paths["sf_curve.csv"], sf)
@@ -175,7 +185,7 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     config = _experiment(args)
     paths, dataset, model = _prepare(config, ("model.txt",))
-    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    _make_output_dir(config)
     save_model(paths["model.txt"], model)
     correct = (probs_rows(model, dataset.features).argmax(axis=1) == dataset.labels).sum()
     print(f"trained {config.architecture} on {len(dataset)} examples; "

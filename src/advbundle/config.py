@@ -24,7 +24,7 @@ of the key its message starts with, else the section header or the file.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -271,7 +271,3 @@ def serialize_experiment_config(config: ExperimentConfig) -> str:
     for attack in config.attacks:
         lines += ["", f"[attack {attack.attack_id}]", *_key_lines(attack, _ATTACK_KEYS)]
     return "\n".join(lines) + "\n"
-
-
-def with_output_dir(config: ExperimentConfig, output_dir: str) -> ExperimentConfig:
-    return replace(config, output_dir=output_dir)

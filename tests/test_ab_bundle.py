@@ -28,7 +28,10 @@ def test_ab_bundle_runs_one_pair_of_the_same_tree():
     *lines, imports, exits = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["desk-default", "wide-pool"]
     assert all("identical bytes" in line for line in lines)
-    assert all(re.search(r"peak parent \d+ KiB, change \d+ KiB$", line) for line in lines)
+    ratios = (r"; change/parent quartiles [\d.]+ [\d.]+ [\d.]+; change faster in [01] of 1; "
+              r"A/A copy/parent quartiles [\d.]+ [\d.]+ [\d.]+; copy faster in [01] of 1; "
+              r"peak parent \d+ KiB, change \d+ KiB$")
+    assert all(re.search(ratios, line) for line in lines)
     sides = (r"parent median [\d.]+ ms, quartiles [\d.]+ [\d.]+; "
              r"change median [\d.]+ ms, quartiles [\d.]+ [\d.]+; change faster in [01] of 1")
     assert re.fullmatch(r"import: advbundle\.cli after numpy, cached bytecode; " + sides,

@@ -249,13 +249,13 @@ def test_criterion_09_curves_are_monotone_with_anchored_endpoints(desk_setup):
 
 
 def test_criterion_10_default_experiment_is_byte_deterministic(tmp_path):
+    from dataclasses import replace
     from pathlib import Path
 
-    from advbundle.config import with_output_dir
     default_cfg = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
     config = ab.load_experiment_config(default_cfg)
-    paths_a = run_experiment(with_output_dir(config, str(tmp_path / "a")))
-    paths_b = run_experiment(with_output_dir(config, str(tmp_path / "b")))
+    paths_a = run_experiment(replace(config, output_dir=str(tmp_path / "a")))
+    paths_b = run_experiment(replace(config, output_dir=str(tmp_path / "b")))
     csvs = [name for name in paths_a if name.endswith(".csv")]
     assert sorted(csvs) == ["chosen.csv", "norm_curve.csv", "rates.csv",
                             "sf_curve.csv", "wat_gap.csv"]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import advbundle as ab
 from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
-from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N, with_output_dir
+from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N
 from advbundle.data import MAX_CLASSES
 from advbundle.errors import ConfigError
 
@@ -131,13 +131,16 @@ class TestRunCommand:
         mat_rows = [l for l in lines if l.startswith("MAT,")]
         assert len(mat_rows) == 1 and mat_rows[0].startswith("MAT,none,")
 
-    def test_env_var_overrides_config_and_flag_overrides_env(self, tmp_path, monkeypatch):
+    def test_the_environment_redirects_no_run_and_the_flag_overrides_the_config(
+            self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         monkeypatch.setenv("ADVBUNDLE_OUTPUT_DIR", str(tmp_path / "from_env"))
-        main(["run", str(cfg)])
-        assert (tmp_path / "from_env" / "rates.csv").exists()
-        main(["run", str(cfg), "--output-dir", str(tmp_path / "from_flag")])
-        assert (tmp_path / "from_flag" / "rates.csv").exists()
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "run_out" / "rates.csv").exists()
+        assert not (tmp_path / "from_env").exists()
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "from_flag")]) == 0
+        assert sorted(os.listdir(tmp_path / "from_flag")) == sorted(ARTIFACTS)
+        assert not (tmp_path / "from_env").exists()
 
     def test_min_norm_criterion_single_bundle(self, tmp_path):
         text = FAST_CFG.replace("criterion = misclassify", "criterion = min_norm")
@@ -498,16 +501,14 @@ class TestUnusableFiles:
                                             f"{tmp_path / out}: ")
 
     @pytest.mark.parametrize("command", ["run", "train"])
-    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
     def test_an_output_dir_that_cannot_be_made_is_refused_before_any_work(
-            self, tmp_path, capsys, monkeypatch, command, where, outdir):
+            self, tmp_path, capsys, command, where, outdir):
         (tmp_path / "afile").write_text("x")
         path = tmp_path / outdir
         cfg = write_cfg(tmp_path, out=path if where == "config" else "run_out")
         argv = [command, str(cfg)] + (["--output-dir", str(path)] if where == "flag" else [])
-        if where == "env":
-            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(path))
         code, err = self._run(capsys, *argv)
         assert code == 2
         assert err == (f"config error: output directory {path} cannot be made: "
@@ -516,18 +517,43 @@ class TestUnusableFiles:
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("command", ["run", "train"])
-    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
     def test_an_output_dir_name_too_long_is_refused_before_any_work(
-            self, tmp_path, capsys, monkeypatch, command, where):
+            self, tmp_path, capsys, command, where):
         path = tmp_path / "run_out" / ("x" * 300)
         cfg = write_cfg(tmp_path, out=path if where == "config" else "elsewhere")
         argv = [command, str(cfg)] + (["--output-dir", str(path)] if where == "flag" else [])
-        if where == "env":
-            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(path))
         code, err = self._run(capsys, *argv)
         assert code == 2
         assert err.startswith(f"config error: output directory {path} cannot be made: ")
         assert not (tmp_path / "run_out").exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize("outdir", ["out", "out/sub"])
+    def test_an_output_dir_at_or_under_a_dangling_link_is_refused_before_any_work(
+            self, tmp_path, capsys, command, outdir):
+        # `mkdir` cannot make a directory where a link to nothing stands
+        (tmp_path / "out").symlink_to(tmp_path / "nowhere" / "place")
+        path = tmp_path / outdir
+        code, err = self._run(capsys, command, str(write_cfg(tmp_path)), "--output-dir", str(path))
+        assert code == 2
+        assert err == (f"config error: output directory {path} cannot be made: "
+                       f"{tmp_path / 'out'} is not a directory\n")
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "out"]
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_an_output_dir_the_file_system_refuses_is_a_data_error_naming_it(
+            self, tmp_path, capsys, monkeypatch, command):
+        # what the vetting cannot see: a read-only file system, a full disk, a permission
+        def read_only(self, *args, **kwargs):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(self))
+
+        monkeypatch.setattr(Path, "mkdir", read_only)
+        code = main([command, str(write_cfg(tmp_path))])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (f"data error: output directory {tmp_path / 'run_out'} cannot be made: "
+                       f"{os.strerror(errno.EROFS)}\n")
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_an_output_dir_name_holding_a_nul_byte_is_refused_before_any_work(
@@ -793,7 +819,7 @@ def test_default_config_writes_the_recorded_bytes(tmp_path):
     root = Path(__file__).resolve().parents[1]
     expected = json.loads((root / "tests" / "default_cfg_sha256.json").read_text())
     config = ab.load_experiment_config(root / "configs" / "default.cfg")
-    paths = run_experiment(with_output_dir(config, str(tmp_path)))
+    paths = run_experiment(replace(config, output_dir=str(tmp_path)))
     got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
     assert got == expected, f"OpenBLAS core {openblas_core()}"
 
@@ -808,7 +834,7 @@ def test_default_config_with_early_stop_writes_the_recorded_bytes(tmp_path):
     assert {name for name in expected if expected[name] != exhaustive[name]} == \
         {"chosen.csv", "rates.csv"}
     config = ab.load_experiment_config(root / "configs" / "default.cfg")
-    config = replace(with_output_dir(config, str(tmp_path)), early_stop=True)
+    config = replace(config, output_dir=str(tmp_path), early_stop=True)
     paths = run_experiment(config)
     got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
     assert got == expected, f"OpenBLAS core {openblas_core()}"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import advbundle as ab
 from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_EPOCHS, MAX_NUM_STEPS,
                               MAX_ROWS_PER_EXAMPLE, _parse_grid, _parse_int_list,
-                              serialize_experiment_config, with_output_dir)
+                              serialize_experiment_config)
 from advbundle.bundler import check_unit_cap
 from advbundle.data import MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N, check_synth
 from advbundle.errors import ConfigError, ContractError
@@ -119,12 +119,6 @@ class TestRoundTrip:
         )
         again = ab.parse_experiment_config(serialize_experiment_config(cfg))
         assert again == cfg
-
-    def test_with_output_dir_replaces_only_that_field(self):
-        cfg = ab.parse_experiment_config(MINIMAL)
-        moved = with_output_dir(cfg, "elsewhere")
-        assert moved.output_dir == "elsewhere"
-        assert moved.attacks == cfg.attacks
 
 
 class TestErrors:

@@ -1,6 +1,7 @@
 """The benchmark's child process patches names in advbundle modules and reads
 BundleResult fields; these tests fail when a refactor moves what it uses. The
-benchmark's workloads must also still write its reference bytes."""
+benchmark's workloads must also still write its reference bytes, and they and
+`configs/default.cfg` must still cost the engine the work pinned here."""
 
 import hashlib
 import importlib
@@ -9,15 +10,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import advbundle as ab
-from advbundle import bundler
-from advbundle.cli import run_experiment
-from advbundle.config import parse_experiment_config, with_output_dir
+from advbundle import attacks, bundler
+from advbundle.cli import _load_dataset, run_experiment
+from advbundle.config import parse_experiment_config
 
 from conftest import binary_linear, openblas_core
 
@@ -52,11 +54,73 @@ def test_bench_workloads_write_the_reference_bytes(tmp_path):
     assert sorted(reference) == sorted(workloads.WORKLOADS)
     for name, expected in reference.items():
         text = workloads.config_text(workloads.WORKLOADS[name], 0)
-        config = with_output_dir(parse_experiment_config(text, name), str(tmp_path / name))
+        config = replace(parse_experiment_config(text, name), output_dir=str(tmp_path / name))
         paths = run_experiment(config)
         got = {artifact: hashlib.sha256(paths[artifact].read_bytes()).hexdigest()
                for artifact in expected}
         assert got == expected, f"{name} (OpenBLAS core {openblas_core()})"
+
+
+# The work each config's bundle costs the engine: per attack, its runner's calls
+# (one per block) and examples, and its `grad_rows` calls and rows (PGD's steps
+# over the rows not yet retired); then every `probs_rows` call and row, the
+# clean pass included. A change that cuts work on purpose updates these.
+WORK = {
+    "default.cfg": {
+        ("run", "pgd-cheap"): (1, 400), ("grad", "pgd-cheap"): (12, 2329),
+        ("run", "pgd-expensive"): (1, 400), ("grad", "pgd-expensive"): (18, 4480),
+        ("run", "noise"): (10, 400), ("probs",): (13, 41200)},
+    "desk-default": {
+        ("run", "pgd-cheap"): (1, 64), ("grad", "pgd-cheap"): (8, 382),
+        ("run", "pgd-expensive"): (1, 64), ("grad", "pgd-expensive"): (17, 684),
+        ("run", "noise"): (2, 64), ("probs",): (5, 6592)},
+    "wide-pool": {
+        ("run", "fgsm"): (1, 400), ("grad", "fgsm"): (1, 400),
+        ("run", "noise"): (10, 400), ("probs",): (22, 40800)},
+}
+
+
+def test_bundles_do_the_pinned_work(monkeypatch):
+    # row retirement, block batching and the piece loop each set some of these
+    # counts; PGD's rows settle where the products' bits say, so a failure names
+    # the OpenBLAS core, as the golden-byte tests do
+    workloads = _load("workloads")
+    configs = {"default.cfg": ab.load_experiment_config(PERFBENCH.parent / "configs"
+                                                        / "default.cfg")}
+    configs.update((name, parse_experiment_config(workloads.config_text(w, 0), name))
+                   for name, w in workloads.WORKLOADS.items())
+    assert sorted(configs) == sorted(WORK)
+    attack_rows, grad_rows, probs_rows = bundler.attack_rows, attacks.grad_rows, bundler.probs_rows
+    got, tally, running = {}, {}, [None]
+
+    def add(key, rows):
+        calls, total = tally.get(key, (0, 0))
+        tally[key] = (calls + 1, total + rows)
+
+    def run(params, config, clean, *rest):
+        running[0] = config.attack_id
+        add(("run", config.attack_id), len(clean))
+        return attack_rows(params, config, clean, *rest)
+
+    def grad(params, X, labels):
+        add(("grad", running[0]), len(X))
+        return grad_rows(params, X, labels)
+
+    def probs(params, X):
+        add(("probs",), len(X))
+        return probs_rows(params, X)
+
+    for name, config in configs.items():
+        dataset = _load_dataset(config)
+        model = ab.train(dataset, config.architecture, config.train_params)
+        got[name] = tally = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(bundler, "attack_rows", run)
+            patch.setattr(attacks, "grad_rows", grad)
+            patch.setattr(bundler, "probs_rows", probs)
+            ab.bundle(model, dataset, config.attacks, config.criterion, config.budget,
+                      seed=config.seed)
+    assert got == WORK, f"OpenBLAS core {openblas_core()}"
 
 
 def test_every_traced_name_resolves(child):
