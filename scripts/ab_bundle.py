@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B check of `bundle()` between two source trees, and of their import.
+"""In-process A/B check of `train` and `bundle()` between two source trees, and of
+their import.
 
     python scripts/ab_bundle.py PARENT_SRC CHANGE_SRC [--pairs N] [--import-pairs M]
 
@@ -15,14 +16,17 @@ included, are byte-identical, and prints the arrays only one side holds (a
 field one tree added); so are the single-example API's outputs on the first
 `SINGLE_EXAMPLES` examples: `run_attack`'s candidates under each configured
 attack, and `predict` and `input_gradient` at the clean inputs. It then
-runs one untimed `bundle()` per side under `tracemalloc`, times N pairs of
-`bundle()` calls, the copy's call in each pair too, cycling through the orders
-of the three calls, and prints each side's median, the quartiles of the
-per-pair time ratio change / parent and the pairs the change won, the same
-for copy / parent beside them, and each side's peak of traced memory within
-its one `bundle()`. The copy runs the parent's code, so its ratio shows how
-far two loads of one tree differ in one process; a change's ratio means
-something only outside that band.
+runs one untimed `bundle()` per side under `tracemalloc` and prints each
+side's peak of traced memory within it. Last it times N pairs, the copy in
+each pair too, cycling through the orders of the three sides; in a pair each
+side trains its model again and then bundles. For each phase it prints wall
+time and the thread's CPU time (`time.thread_time`): each side's median, the
+quartiles of the per-pair ratio change / parent and the pairs the change
+won, and the same for copy / parent beside them. The copy runs the parent's
+code, so its ratio shows how far two loads of one tree differ in one
+process; a change's ratio means something only outside that band. Thread
+CPU time leaves out the time the thread waits while the host runs other
+work, which wall time counts, and the work BLAS hands to its own threads.
 
 Last it times M pairs of fresh interpreters, alternating which side goes
 first, each with one tree on `PYTHONPATH`: each imports numpy, then
@@ -34,10 +38,10 @@ parent has reaped it. For the import and for the exit it prints each side's
 median and quartiles and the number of pairs the change won. The package
 directory must then be named `advbundle`.
 
-It takes 25-45 s at the default 151 pairs, and about 15 s more at the default
-21 import pairs, on a 2-core VM. It is a quick check before perfbench's
-process-level pairs, not a replacement for them: it leaves out process start,
-the numpy import and training.
+It takes about a minute at the default 151 pairs, and about 15 s more at the
+default 21 import pairs, on a 2-core VM. It is a quick check before perfbench's
+process-level pairs, not a replacement for them: it leaves out process start
+and the numpy import.
 """
 
 from __future__ import annotations
@@ -54,12 +58,16 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# timed in each pair, in this order; each with both clocks
+PHASES = ("train", "bundle()")
+CLOCKS = {"wall": time.perf_counter, "thread CPU": time.thread_time}
 # the parent tree loaded a second time, timed beside both sides: the A/A control
 CONTROL = "copy"
 # examples whose single-example outputs are compared; they are not timed
@@ -110,11 +118,14 @@ def _load_workloads():
 
 
 def _setup(package, text: str, name: str):
-    """The bundle() arguments of one workload config, built by one side."""
+    """The train and bundle() arguments of one workload config, built by one side,
+    and its bundle seed."""
     config = package.parse_experiment_config(text, name)
     dataset = importlib.import_module(package.__name__ + ".cli")._load_dataset(config)
-    model = package.train(dataset, config.architecture, config.train_params)
-    return (model, dataset, config.attacks, config.criterion, config.budget), config.seed
+    trains = (dataset, config.architecture, config.train_params)
+    model = package.train(*trains)
+    return {"train": trains, "bundle()": (model, dataset, config.attacks, config.criterion,
+                                          config.budget)}, config.seed
 
 
 def _arrays(value, name: str = "result") -> dict[str, np.ndarray]:
@@ -183,17 +194,25 @@ def _peak_kib(package, args: tuple, seed: int) -> float:
         tracemalloc.stop()
 
 
-def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict[str, list]:
-    times = {side: [] for side in packages}
+def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict:
+    """Seconds of each side's calls, by (phase, clock), then by side."""
+    calls = {side: {"train": partial(package.train, *args[side]["train"]),
+                    "bundle()": partial(package.bundle, *args[side]["bundle()"],
+                                        seed=seeds[side])}
+             for side, package in packages.items()}
+    times = {(phase, clock): {side: [] for side in packages}
+             for phase in PHASES for clock in CLOCKS}
     orders = list(itertools.permutations(packages))
     gc.collect()
     gc.disable()
     try:
         for i in range(pairs):
             for side in orders[i % len(orders)]:
-                start = time.perf_counter()
-                packages[side].bundle(*args[side], seed=seeds[side])
-                times[side].append(time.perf_counter() - start)
+                for phase in PHASES:
+                    start = {clock: read() for clock, read in CLOCKS.items()}
+                    calls[side][phase]()
+                    for clock, read in CLOCKS.items():
+                        times[phase, clock][side].append(read() - start[clock])
             gc.collect()
     finally:
         gc.enable()
@@ -263,21 +282,25 @@ def main() -> int:
         args, seeds, results = {}, {}, {}
         for side in SIDES:
             args[side], seeds[side] = _setup(packages[side], text, name)
-            results[side] = packages[side].bundle(*args[side], seed=seeds[side],
+            results[side] = packages[side].bundle(*args[side]["bundle()"], seed=seeds[side],
                                                   keep_candidates=True)
         args[CONTROL], seeds[CONTROL] = _setup(packages[CONTROL], text, name)
-        only = _check_identical(name, results, {side: args[side][0] for side in SIDES})
+        only = _check_identical(name, results,
+                                {side: args[side]["bundle()"][0] for side in SIDES})
         for side in SIDES:
             if only[side]:
                 print(f"{name}: only {side} holds {', '.join(only[side])}; not compared")
-        _check_single_example(name, packages, args)
-        peaks = {side: _peak_kib(packages[side], args[side], seeds[side]) for side in SIDES}
-        times = _time_pairs(packages, args, seeds, opts.pairs)
-        print(f"{name}: identical bytes; bundle() median parent "
-              f"{np.median(times['parent']) * 1e3:.2f} ms, change "
-              f"{np.median(times['change']) * 1e3:.2f} ms; {_ratio_text(times, 'change')}; "
-              f"A/A {_ratio_text(times, CONTROL)}; "
-              f"peak parent {peaks['parent']:.0f} KiB, change {peaks['change']:.0f} KiB")
+        _check_single_example(name, packages,
+                              {side: args[side]["bundle()"] for side in SIDES})
+        peaks = {side: _peak_kib(packages[side], args[side]["bundle()"], seeds[side])
+                 for side in SIDES}
+        print(f"{name}: identical bytes; bundle() traced peak parent {peaks['parent']:.0f} "
+              f"KiB, change {peaks['change']:.0f} KiB", flush=True)
+        for (phase, clock), times in _time_pairs(packages, args, seeds, opts.pairs).items():
+            print(f"{name} {phase} {clock}: median parent "
+                  f"{np.median(times['parent']) * 1e3:.2f} ms, change "
+                  f"{np.median(times['change']) * 1e3:.2f} ms; {_ratio_text(times, 'change')}; "
+                  f"A/A {_ratio_text(times, CONTROL)}", flush=True)
     imports, exits = _time_interpreters(srcs, opts.import_pairs)
     print(_pair_line("import: advbundle.cli after numpy, cached bytecode", imports))
     print(_pair_line("exit: main(['gap', '1']) returned, until reaped", exits))

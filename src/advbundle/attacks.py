@@ -32,7 +32,7 @@ on, so the candidates are bit-identical to running every step on every row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .data import Example
 from .errors import (AttackFailedError, ContractError, ShapeError, is_int, is_int_or_none,
                      is_real)
 from .models import ModelParams, _one_row, grad_rows, reduce_rows
+from .records import FrozenRecord, ValueRecord
 from .seeding import MAX_HALF_RANGE, derive_seeds, seed_words, uniform_rows
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .seeding import derive_seed  # noqa: F401
@@ -56,8 +57,7 @@ MAX_ROWS_PER_EXAMPLE = 100_000
 MAX_NUM_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(ValueRecord):
     """Declarative attack spec; attack_id must be unique within a bundle.
 
     restart_seeds, a sequence of integers kept as a tuple, pins the base RNG
@@ -126,8 +126,7 @@ class AttackConfig:
             raise ContractError(f"{key} must be <= {MAX_ROWS_PER_EXAMPLE}")
 
 
-@dataclass(frozen=True, eq=False)
-class Candidate:
+class Candidate(FrozenRecord):
     """One attack output: example example_index's adversarial input, from restart_index."""
 
     example_index: int

@@ -38,15 +38,16 @@ the held choice.
 
 Records of plain values, `CandidateScore` and `computation_log`'s
 `ComputationRecord`, are named tuples: they unpack and compare by value.
-`OutcomeMatrix` and `BundleResult` hold arrays, so they compare and hash by
-identity.
+`OutcomeMatrix` and `BundleResult` hold arrays, so they are mutable
+`records.Record`s, compared and hashed by identity; `Criterion` and
+`BudgetPolicy` are `records.ValueRecord`s, frozen and compared by value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -56,6 +57,7 @@ from .data import Dataset, Example
 from .errors import ContractError, ShapeError, is_int, is_int_or_none, is_real
 from .models import (Ensemble, ModelParams, StochasticSpec, _one_row, predict_stochastic,
                      probs_rows, reduce_rows)
+from .records import Record, ValueRecord
 from .seeding import derive_seeds, seed_words
 # perfbench/child.py wraps these names when it traces a run; nothing here calls them
 from .attacks import run_attack, validate_candidate  # noqa: F401
@@ -94,8 +96,7 @@ Runner = Callable[[ModelParams, AttackConfig, np.ndarray, np.ndarray, list],
                   tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(ValueRecord):
     """Per-example preference order for candidates.
 
     misclassify      errors first, then higher wrong-class confidence
@@ -209,8 +210,7 @@ class _Pairs(Sequence):
                                float(c.perturbation_norm[r])))
 
 
-@dataclass(eq=False)
-class OutcomeMatrix:
+class OutcomeMatrix(Record):
     """Binary example-by-attack error indicators."""
 
     entries: np.ndarray
@@ -245,8 +245,7 @@ def check_unit_cap(cap: int | None, name: str = "max_attack_units_per_example") 
         raise ContractError(f"{name} must be an integer >= 0, got {cap!r}")
 
 
-@dataclass(frozen=True)
-class BudgetPolicy:
+class BudgetPolicy(ValueRecord):
     """Attack executions allowed per example; one execution is one unit.
 
     max_attack_units_per_example=None means unlimited. early_stop=False
@@ -284,8 +283,7 @@ def schedule(budget: BudgetPolicy, num_attacks: int, done: int, goal_met: np.nda
     return np.flatnonzero(ready & ~goal_met if budget.early_stop else ready)
 
 
-@dataclass(eq=False)
-class BundleResult:
+class BundleResult(Record):
     """What a bundle ran under, chose and spent, as arrays over its n examples.
 
     params (the model), dataset, attacks, runners (a dict), budget and seed

@@ -87,7 +87,7 @@ def _experiment(args) -> ExperimentConfig:
     """The config file's experiment, writing to --output-dir if given, else to the
     config's output_dir."""
     config = load_experiment_config(args.config)
-    return replace(config, output_dir=args.output_dir) if args.output_dir else config
+    return config if args.output_dir is None else replace(config, output_dir=args.output_dir)
 
 
 def _prepare(config: ExperimentConfig, names: tuple[str, ...]):

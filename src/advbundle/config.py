@@ -17,14 +17,15 @@ takes the value's name. `ExperimentConfig` calls each with its key, so a config
 built in code is refused before any training, as a file is, and a config the
 parser accepts passes every check the run makes later; the parser also makes
 `check_attacks`' per-entry check as it reads each section. The config's own
-rules are the kind tests and the dataset source. A failed check names the line
-of the key its message starts with, else the section header or the file.
+rules are the kind tests, the dataset source and a non-empty output_dir. A
+failed check names the line of the key its message starts with, else the
+section header or the file.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy
 from .data import MAX_SYNTH_D, MAX_SYNTH_N, check_synth, fmt, read_text  # noqa: F401
 from .errors import ConfigError, ContractError, is_int, is_real
 from .models import MAX_EPOCHS, MAX_HIDDEN, TrainParams, check_architecture  # noqa: F401
+from .records import ValueRecord
 from .reporting import check_grid
 from .seeding import _check_seed
 
@@ -47,8 +49,7 @@ def _default_epsilon_grid() -> tuple[float, ...]:
     return tuple(float(e) for e in np.linspace(0.0, 0.3, 31))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ValueRecord):
     """Every setting of one `advbundle run`: data, model, training, bundle and reports."""
 
     dataset: str = "synthetic"
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset = csv requires csv_path")
+        if not self.output_dir:  # Path("") is the working directory
+            raise ConfigError("output_dir must be a non-empty path")
         try:  # the rules of the values' consumers, so a run fails none after parsing
             check_synth(self.synth_n, self.synth_d, self.synth_k, self.synth_seed, "synth_")
             check_architecture(self.architecture)

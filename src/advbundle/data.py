@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DataError, is_int
+from .records import FrozenRecord
 from .seeding import _check_seed, make_rng
 
 # most classes a dataset may have (a CSV's k is inferred from its largest label),
@@ -38,11 +38,12 @@ def fmt(x: float) -> str:
 
 
 def read_text(path: str | Path, error: type[Exception], what: str) -> str:
-    """The file's UTF-8 text, line ends kept; else `error` naming the file."""
+    """The file's UTF-8 text, line ends kept and a leading byte-order mark
+    dropped; else `error` naming the file."""
     if not Path(path).exists():
         raise error(f"{what} not found: {path}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text") from exc
@@ -88,8 +89,7 @@ def _invalid_row(features: np.ndarray, labels: np.ndarray, num_classes: float,
     return i, f"label {int(labels[i])} >= {name}={num_classes}"
 
 
-@dataclass(frozen=True, eq=False)
-class Example:
+class Example(FrozenRecord):
     """One labelled input; every feature must lie in [0, 1]."""
 
     features: np.ndarray
@@ -107,8 +107,7 @@ class Example:
             raise ContractError(bad[1])
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(FrozenRecord):
     """Read-only features (n, d) in [0, 1] and labels (n,) in [0, num_classes <= MAX_CLASSES)."""
 
     features: np.ndarray

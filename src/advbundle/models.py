@@ -26,7 +26,6 @@ Conventions, fixed here and relied on by tests:
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
@@ -35,6 +34,7 @@ import numpy as np
 
 from .data import Dataset, fmt, read_text, write_lines
 from .errors import ContractError, DataError, ShapeError, TrainingDivergedError, is_int, is_real
+from .records import FrozenRecord, ValueRecord
 from .seeding import MAX_HALF_RANGE, _check_seed, make_rng, uniform_rows
 
 SOFTMAX_LINEAR = "softmax_linear"
@@ -62,8 +62,7 @@ def check_architecture(architecture: str) -> None:
                             f"got {architecture!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ModelParams:
+class ModelParams(FrozenRecord):
     """Weights for one classifier. Shapes: W1 (d,k) or (d,h), W2 (h,k)."""
 
     architecture: str
@@ -106,8 +105,7 @@ class ModelParams:
         return self.layers[-1][1].shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Prediction:
+class Prediction(FrozenRecord):
     """One input's class probabilities, its argmax class and that class's probability."""
 
     probabilities: np.ndarray
@@ -115,8 +113,7 @@ class Prediction:
     confidence: float
 
 
-@dataclass(frozen=True)
-class StochasticSpec:
+class StochasticSpec(ValueRecord):
     """Additive uniform input noise, averaged over m calls."""
 
     noise_scale: float
@@ -130,8 +127,7 @@ class StochasticSpec:
             raise ContractError("calls must be an integer >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
+class Ensemble(FrozenRecord):
     """Models that share an input dimension and a class count."""
 
     members: tuple[ModelParams, ...]
@@ -146,8 +142,7 @@ class Ensemble:
                 raise ContractError("ensemble members must share d and k")
 
 
-@dataclass(frozen=True)
-class TrainParams:
+class TrainParams(ValueRecord):
     """Minibatch SGD settings: step size, passes (at most `MAX_EPOCHS`), batch
     size, seed, and mlp1's hidden width (at most `MAX_HIDDEN`)."""
 

@@ -23,7 +23,6 @@ column names are fixed, and every file is written by `data.write_lines` from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,6 +32,7 @@ from .attacks import NORM_SLACK
 from .bundler import CLEAN_ID, THRESHOLD_RANGE, BundleResult, OutcomeMatrix, check_gap_size
 from .data import csv_lines, fmt, write_lines  # noqa: F401 (fmt: reporting.fmt stays importable)
 from .errors import ContractError
+from .records import ValueRecord
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it
 from .models import predict  # noqa: F401
 
@@ -47,8 +47,7 @@ class AttackRate(NamedTuple):
     complete: bool = True
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(ValueRecord):
     """A MAT, WAT or BUNDLED table of clean and per-attack rates, with its max or bundled rate."""
 
     kind: str

@@ -26,12 +26,17 @@ def test_ab_bundle_runs_one_pair_of_the_same_tree():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     *lines, imports, exits = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["desk-default", "wide-pool"]
-    assert all("identical bytes" in line for line in lines)
-    ratios = (r"; change/parent quartiles [\d.]+ [\d.]+ [\d.]+; change faster in [01] of 1; "
-              r"A/A copy/parent quartiles [\d.]+ [\d.]+ [\d.]+; copy faster in [01] of 1; "
-              r"peak parent \d+ KiB, change \d+ KiB$")
-    assert all(re.search(ratios, line) for line in lines)
+    timed = ["train wall", "train thread CPU", "bundle() wall", "bundle() thread CPU"]
+    assert [line.split(":")[0] for line in lines] == [
+        f"{name}{phase}" for name in ("desk-default", "wide-pool")
+        for phase in ["", *(f" {what}" for what in timed)]]
+    heads, times = lines[::5], [line for i, line in enumerate(lines) if i % 5]
+    assert all(re.fullmatch(r"[\w-]+: identical bytes; bundle\(\) traced peak parent \d+ KiB, "
+                            r"change \d+ KiB", line) for line in heads)
+    ratios = (r"[\w-]+ [\w() ]+: median parent [\d.]+ ms, change [\d.]+ ms; "
+              r"change/parent quartiles [\d.]+ [\d.]+ [\d.]+; change faster in [01] of 1; "
+              r"A/A copy/parent quartiles [\d.]+ [\d.]+ [\d.]+; copy faster in [01] of 1")
+    assert all(re.fullmatch(ratios, line) for line in times)
     sides = (r"parent median [\d.]+ ms, quartiles [\d.]+ [\d.]+; "
              r"change median [\d.]+ ms, quartiles [\d.]+ [\d.]+; change faster in [01] of 1")
     assert re.fullmatch(r"import: advbundle\.cli after numpy, cached bytecode; " + sides,

@@ -529,6 +529,15 @@ class TestUnusableFiles:
         assert not (tmp_path / "run_out").exists() and not (tmp_path / "elsewhere").exists()
 
     @pytest.mark.parametrize("command", ["run", "train"])
+    def test_an_empty_output_dir_flag_is_refused_before_any_work(self, tmp_path, capsys,
+                                                                 command):
+        # the flag was tested for truth, so an empty one wrote to the config's directory
+        code, err = self._run(capsys, command, str(write_cfg(tmp_path)), "--output-dir", "")
+        assert code == 2
+        assert err == "config error: output_dir must be a non-empty path\n"
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "train"])
     @pytest.mark.parametrize("outdir", ["out", "out/sub"])
     def test_an_output_dir_at_or_under_a_dangling_link_is_refused_before_any_work(
             self, tmp_path, capsys, command, outdir):

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,13 @@ class TestErrors:
         # a truthy string once turned dumping on, and a str synth_n raised a raw TypeError
         with pytest.raises(ConfigError, match=f"^{key} must be "):
             ab.ExperimentConfig(**{key: value})
+
+    def test_an_empty_output_dir_is_refused(self):
+        # Path("") is the working directory, where a run once wrote every artifact
+        for build in (lambda: ab.ExperimentConfig(output_dir=""),
+                      lambda: replace(ab.ExperimentConfig(), output_dir="")):
+            with pytest.raises(ConfigError, match="^output_dir must be a non-empty path$"):
+                build()
 
     def test_many_attack_sections_parse_in_linear_time(self):
         # each section's id is checked once, against one set of the ids before it; a

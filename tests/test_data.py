@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import advbundle as ab
-from advbundle.data import MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N, csv_lines, read_text, write_lines
+from advbundle.data import (MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N, csv_lines, fmt, read_text,
+                            write_lines)
 from advbundle.errors import ContractError, DataError
 
 
@@ -174,6 +175,31 @@ class TestFiles:
     def test_read_text_keeps_line_ends(self, tmp_path):
         (tmp_path / "f.txt").write_bytes(b"a\r\nb\rc\n\xc3\xa9")
         assert read_text(tmp_path / "f.txt", DataError, "text file") == "a\r\nb\rc\n\u00e9"
+
+    @pytest.mark.parametrize("kind", ["dataset", "config", "model"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, kind):
+        # with one, a headerless dataset lost its first row as a header, a config
+        # read an unknown key '\ufeffdataset' and a model was "not a model file"
+        data = ab.synth_dataset(20, 2, 3, seed=1)
+        if kind == "dataset":
+            text = "".join(f"{fmt(a)},{fmt(b)},{label}\n"
+                           for (a, b), label in zip(data.features, data.labels))
+            load = ab.load_dataset_csv
+            parts = lambda d: (d.features.tobytes(), d.labels.tobytes(), d.num_classes)
+        elif kind == "config":
+            attack = ab.AttackConfig("f", "fgsm", 0.1)
+            text = ab.serialize_experiment_config(ab.ExperimentConfig(synth_n=20,
+                                                                      attacks=(attack,)))
+            load, parts = ab.load_experiment_config, lambda config: config
+        else:
+            ab.save_model(tmp_path / "m.txt", ab.train(data, "mlp1", ab.TrainParams(
+                0.1, 2, 4, seed=0, hidden=3)))
+            text = (tmp_path / "m.txt").read_text(encoding="utf-8")
+            load = ab.load_model
+            parts = lambda m: [a.tobytes() for layer in m.layers for a in layer]
+        (tmp_path / "plain").write_bytes(text.encode("utf-8"))
+        (tmp_path / "bom").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parts(load(tmp_path / "bom")) == parts(load(tmp_path / "plain"))
 
     def test_each_file_error_names_the_file(self, tmp_path):
         with pytest.raises(DataError, match=f"^model file not found: {re.escape(str(tmp_path / 'm.txt'))}$"):
