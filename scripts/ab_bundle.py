@@ -1,47 +1,47 @@
 #!/usr/bin/env python3
-"""In-process A/B check of `train` and `bundle()` between two source trees, and of
-their import.
+"""A/B check of `train`, `bundle()`, the import and the exit between two source
+trees, one tree per fresh process.
 
-    python scripts/ab_bundle.py PARENT_SRC CHANGE_SRC [--pairs N] [--import-pairs M]
+    python scripts/ab_bundle.py PARENT_SRC CHANGE_SRC [--pairs N]
 
 Each SRC is a directory holding the `advbundle` package (a checkout's `src/`)
-or the package directory itself. Both trees are imported in one process,
-under the package names `ab_parent` and `ab_change`, and the parent tree a
-second time as `ab_copy`, an A/A control. For each benchmark
-workload at bench size and workload seed 0 (`perfbench/workloads.py`), each
-side parses the config, builds the dataset, trains and bundles with its own
-code. The script first asserts that both sides' models and every
-`BundleResult` array both sides hold, the pool of every scored candidate
-included, are byte-identical, and prints the arrays only one side holds (a
-field one tree added); so are the single-example API's outputs on the first
-`SINGLE_EXAMPLES` examples: `run_attack`'s candidates under each configured
-attack, and `predict` and `input_gradient` at the clean inputs. It then
-runs one untimed `bundle()` per side under `tracemalloc` and prints each
-side's peak of traced memory within it. Last it times N pairs, the copy in
-each pair too, cycling through the orders of the three sides; in a pair each
-side trains its model again and then bundles. For each phase it prints wall
-time and the thread's CPU time (`time.thread_time`): each side's median, the
-quartiles of the per-pair ratio change / parent and the pairs the change
-won, and the same for copy / parent beside them. The copy runs the parent's
-code, so its ratio shows how far two loads of one tree differ in one
-process; a change's ratio means something only outside that band. Thread
-CPU time leaves out the time the thread waits while the host runs other
-work, which wall time counts, and the work BLAS hands to its own threads.
+or the package directory itself, which must then be named `advbundle`. A
+third side, the copy, runs the parent's tree again: two processes of one
+tree differ by a few percent, so a change's ratio to the parent means
+something only outside the copy's band.
 
-Last it times M pairs of fresh interpreters, alternating which side goes
-first, each with one tree on `PYTHONPATH`: each imports numpy, then
-`advbundle.cli` under the clock, from bytecode cached in a temporary
-directory (`sys.pycache_prefix`; one untimed pair writes it), as perfbench's
-runs import it. Each then runs `advbundle.cli.main(["gap", "1"])` and stamps
-the clock as its last act; its exit time runs from that stamp until the
-parent has reaped it. For the import and for the exit it prints each side's
-median and quartiles and the number of pairs the change won. The package
-directory must then be named `advbundle`.
+Each of N rounds starts one fresh process per side, in the order parent,
+change, copy rotated by the round's number. Every process imports its own
+copy of its side's tree, made and compiled in a temporary directory before
+the first round, so each has its own directory, bytecode and memory layout,
+and the A/A side is measured exactly as the A/B side is. A process
+  - times `import advbundle.cli` after numpy, from that bytecode;
+  - for each benchmark workload at bench size and workload seed 0
+    (`perfbench/workloads.py`), builds the config, dataset and model as the
+    CLI does, bundles once with `keep_candidates=True` and takes the SHA-256
+    of every array of the model and of the `BundleResult`, the candidate
+    pool included, and of the single-example API's outputs on the first
+    `SINGLE_EXAMPLES` examples (`run_attack` under each configured attack,
+    `predict` and `input_gradient`);
+  - takes the peak of traced memory (`tracemalloc`) within one `bundle()`;
+  - times `TIMED_CALLS` calls of `train`, each followed by `bundle()`, on the
+    wall clock and on the thread's CPU time (`time.thread_time`), which
+    leaves out the time the host runs other work and the work BLAS hands to
+    its own threads, and keeps each phase's median;
+  - runs `advbundle.cli.main(["gap", "1"])` and stamps the clock as its last
+    act; its exit time runs from that stamp until the script has reaped it.
 
-It takes about a minute at the default 151 pairs, and about 15 s more at the
-default 21 import pairs, on a 2-core VM. It is a quick check before perfbench's
-process-level pairs, not a replacement for them: it leaves out process start
-and the numpy import.
+The script stops, naming it, at the first entry in which a process's digests
+differ from the first parent process's, and prints the entries only one side
+holds (a field one tree added). For each workload it prints a head line with
+the traced peaks, then one line per phase and clock; then a line for the
+import and one for the exit. Each gives the parent's and the change's
+median, the quartiles of the per-round ratio change / parent and the rounds
+the change won, and the same for copy / parent beside them.
+
+It takes 45-50 s at the default 18 rounds on a quiet 2-core VM, and longer
+when the host is busy. It is a quick check beside perfbench's process-level
+pairs, which remain the measure of record.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import importlib
+import hashlib
 import importlib.util
-import itertools
+import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -64,26 +65,30 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SIDES = ("parent", "change")
-# timed in each pair, in this order; each with both clocks
-PHASES = ("train", "bundle()")
+# round i runs them in this order rotated by i, so each side takes each place in
+# turn; the copy is the parent tree again, the A/A control
+SIDES = ("parent", "change", "copy")
 CLOCKS = {"wall": time.perf_counter, "thread CPU": time.thread_time}
-# the parent tree loaded a second time, timed beside both sides: the A/A control
-CONTROL = "copy"
+# timed calls of each phase in one process
+TIMED_CALLS = 3
 # examples whose single-example outputs are compared; they are not timed
 SINGLE_EXAMPLES = 8
 
-
-# run in a fresh interpreter: seconds `import advbundle.cli` takes after numpy,
-# then, after one command, the clock as the script's last act (perf_counter reads
-# the system-wide CLOCK_MONOTONIC on Linux, so the parent can subtract it)
-IMPORT_TIMER = """import sys, time, numpy
-sys.pycache_prefix, sys.dont_write_bytecode = sys.argv[1], False
+# a measured process: seconds `import advbundle.cli` takes after numpy; this
+# script's `_measure` as one JSON line, with no bytecode written beside this
+# script or perfbench's; one command; and the clock as its last act
+# (perf_counter reads the system-wide CLOCK_MONOTONIC on Linux, so the script
+# can subtract it from the time it reaped the process)
+MEASURE = """import sys, time, numpy
 start = time.perf_counter()
 import advbundle.cli
 took = time.perf_counter() - start
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import ab_bundle
+ab_bundle._measure(took)
 advbundle.cli.main(["gap", "1"])
-print(took, time.perf_counter())
+print(time.perf_counter())
 """
 
 
@@ -94,18 +99,9 @@ def _package_dir(src: str) -> Path:
         path = path / "advbundle"
     if not (path / "__init__.py").exists():
         raise SystemExit(f"no advbundle package at {src}")
+    if path.name != "advbundle":
+        raise SystemExit(f"{path}: the package directory must be named advbundle")
     return path
-
-
-def _load_package(name: str, src: str):
-    """The advbundle package under src, imported as `name` with its submodules."""
-    path = _package_dir(src)
-    spec = importlib.util.spec_from_file_location(name, path / "__init__.py",
-                                                  submodule_search_locations=[str(path)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
 
 
 def _load_workloads():
@@ -115,17 +111,6 @@ def _load_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
-
-
-def _setup(package, text: str, name: str):
-    """The train and bundle() arguments of one workload config, built by one side,
-    and its bundle seed."""
-    config = package.parse_experiment_config(text, name)
-    dataset = importlib.import_module(package.__name__ + ".cli")._load_dataset(config)
-    trains = (dataset, config.architecture, config.train_params)
-    model = package.train(*trains)
-    return {"train": trains, "bundle()": (model, dataset, config.attacks, config.criterion,
-                                          config.budget)}, config.seed
 
 
 def _arrays(value, name: str = "result") -> dict[str, np.ndarray]:
@@ -145,119 +130,128 @@ def _arrays(value, name: str = "result") -> dict[str, np.ndarray]:
     return named
 
 
-def _check_identical(name: str, results: dict, models: dict) -> dict[str, list[str]]:
-    """Stop unless the models and every array both results hold are byte-identical;
-    return, by side, the arrays only that side's result holds."""
-    for (W_a, b_a), (W_b, b_b) in zip(models["parent"].layers, models["change"].layers):
-        if W_a.tobytes() != W_b.tobytes() or b_a.tobytes() != b_b.tobytes():
-            raise SystemExit(f"{name}: the trained models differ")
-    a, b = (_arrays(results[side]) for side in SIDES)
-    for key in a.keys() & b.keys():
-        if a[key].dtype != b[key].dtype or a[key].shape != b[key].shape \
-                or a[key].tobytes() != b[key].tobytes():
-            raise SystemExit(f"{name}: {key} differs")
-    return {"parent": sorted(a.keys() - b.keys()), "change": sorted(b.keys() - a.keys())}
-
-
-def _single_example_bytes(package, model, dataset, attacks) -> dict[str, bytes]:
-    """The single-example API's outputs on the first `SINGLE_EXAMPLES` examples,
-    by call: each attack's `run_attack` candidates, seeded with the example's
-    index, and `predict` and `input_gradient` at the clean input."""
-    run_attack = importlib.import_module(package.__name__ + ".attacks").run_attack
+def _digests(arrays: dict[str, np.ndarray]) -> dict[str, str]:
+    """The SHA-256 of each array's dtype, shape and bytes, by name."""
     out = {}
-    for i in range(min(SINGLE_EXAMPLES, len(dataset))):
-        example = dataset[i]
-        out[f"predict[{i}]"] = package.predict(model, example.features).probabilities.tobytes()
-        out[f"input_gradient[{i}]"] = package.input_gradient(model, example.features,
-                                                             example.label).tobytes()
-        for config in attacks:
-            out[f"run_attack[{config.attack_id}, {i}]"] = b"".join(
-                c.adversarial_input.tobytes() for c in run_attack(model, example, config, i, i))
+    for name, array in arrays.items():
+        digest = hashlib.sha256(f"{array.dtype.str} {array.shape}".encode())
+        digest.update(array.tobytes())
+        out[name] = digest.hexdigest()
     return out
 
 
-def _check_single_example(name: str, packages: dict, args: dict) -> None:
-    a, b = (_single_example_bytes(packages[side], *args[side][:3]) for side in SIDES)
-    for key in a:
-        if a[key] != b[key]:
+def _check_identical(name: str, parent: dict[str, str],
+                     other: dict[str, str]) -> tuple[list[str], list[str]]:
+    """Stop unless two processes' digests agree in every entry both hold;
+    return the entries only the parent's holds and those only the other's holds."""
+    for key in parent:
+        if key in other and parent[key] != other[key]:
             raise SystemExit(f"{name}: {key} differs")
+    return sorted(parent.keys() - other.keys()), sorted(other.keys() - parent.keys())
 
 
-def _peak_kib(package, args: tuple, seed: int) -> float:
-    """Peak memory, in KiB, that tracemalloc traces within one bundle() call."""
+def _single_example_outputs(model, dataset, attacks) -> dict[str, np.ndarray]:
+    """The single-example API's outputs on the first `SINGLE_EXAMPLES` examples,
+    by call: each attack's `run_attack` candidates, seeded with the example's
+    index, and `predict` and `input_gradient` at the clean input."""
+    from advbundle import input_gradient, predict
+    from advbundle.attacks import run_attack
+    out = {}
+    for i in range(min(SINGLE_EXAMPLES, len(dataset))):
+        example = dataset[i]
+        out[f"predict[{i}]"] = predict(model, example.features).probabilities
+        out[f"input_gradient[{i}]"] = input_gradient(model, example.features, example.label)
+        for config in attacks:
+            out[f"run_attack[{config.attack_id}, {i}]"] = np.array(
+                [c.adversarial_input for c in run_attack(model, example, config, i, i)])
+    return out
+
+
+def _peak_kib(call) -> float:
+    """Peak memory, in KiB, that tracemalloc traces within one call."""
     gc.collect()
     tracemalloc.start()
     try:
-        package.bundle(*args, seed=seed)
+        call()
         return tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
 
 
-def _time_pairs(packages: dict, args: dict, seeds: dict, pairs: int) -> dict:
-    """Seconds of each side's calls, by (phase, clock), then by side."""
-    calls = {side: {"train": partial(package.train, *args[side]["train"]),
-                    "bundle()": partial(package.bundle, *args[side]["bundle()"],
-                                        seed=seeds[side])}
-             for side, package in packages.items()}
-    times = {(phase, clock): {side: [] for side in packages}
-             for phase in PHASES for clock in CLOCKS}
-    orders = list(itertools.permutations(packages))
+def _time_calls(calls: dict) -> dict[str, float]:
+    """Median seconds of `TIMED_CALLS` calls of each phase, in turn, by "phase clock"."""
+    times = {f"{phase} {clock}": [] for phase in calls for clock in CLOCKS}
     gc.collect()
     gc.disable()
     try:
-        for i in range(pairs):
-            for side in orders[i % len(orders)]:
-                for phase in PHASES:
-                    start = {clock: read() for clock, read in CLOCKS.items()}
-                    calls[side][phase]()
-                    for clock, read in CLOCKS.items():
-                        times[phase, clock][side].append(read() - start[clock])
+        for _ in range(TIMED_CALLS):
+            for phase, call in calls.items():
+                start = {clock: read() for clock, read in CLOCKS.items()}
+                call()
+                for clock, read in CLOCKS.items():
+                    times[f"{phase} {clock}"].append(read() - start[clock])
             gc.collect()
     finally:
         gc.enable()
-    return times
+    return {key: float(np.median(values)) for key, values in times.items()}
 
 
-def _time_interpreters(srcs: dict, pairs: int) -> tuple[dict[str, list], dict[str, list]]:
-    """Seconds each side's fresh interpreters took to import advbundle.cli after
-    numpy, and to exit after their last stamp, until reaped."""
-    roots = {}
-    for side, src in srcs.items():
-        package = _package_dir(src)
-        if package.name != "advbundle":
-            raise SystemExit(f"{package}: timing the import needs a directory named advbundle")
-        roots[side] = str(package.parent)
-    imports, exits = {side: [] for side in SIDES}, {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory() as cache:
-        for i in range(pairs + 1):  # pair 0 writes the bytecode and is not timed
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                proc = subprocess.run([sys.executable, "-c", IMPORT_TIMER, cache],
-                                      env={**os.environ, "PYTHONPATH": roots[side]},
-                                      capture_output=True, text=True, check=True)
-                reaped = time.perf_counter()
-                if i:
-                    took, stamp = map(float, proc.stdout.splitlines()[-1].split())
-                    imports[side].append(took)
-                    exits[side].append(reaped - stamp)
-    return imports, exits
+def _measure(import_s: float) -> None:
+    """Print, as one JSON line, what one fresh process reports of the
+    advbundle tree it imported: see the module docstring."""
+    import advbundle
+    from advbundle.cli import _load_dataset
+    workloads = _load_workloads()
+    out = {"import": import_s}
+    for name, workload in workloads.WORKLOADS.items():
+        config = advbundle.parse_experiment_config(workloads.config_text(workload, 0), name)
+        dataset = _load_dataset(config)
+        trains = (dataset, config.architecture, config.train_params)
+        model = advbundle.train(*trains)
+        bundles = partial(advbundle.bundle, model, dataset, config.attacks, config.criterion,
+                          config.budget, seed=config.seed)
+        arrays = {**_arrays(model, "model"), **_arrays(bundles(keep_candidates=True)),
+                  **_single_example_outputs(model, dataset, config.attacks)}
+        out[name] = {"digests": _digests(arrays), "peak_kib": _peak_kib(bundles),
+                     "times": _time_calls({"train": partial(advbundle.train, *trains),
+                                           "bundle()": bundles})}
+    print(json.dumps(out))
+
+
+def _copy(package: Path, tmp: str) -> str:
+    """A new directory under tmp holding a copy of the package, as `advbundle`."""
+    root = tempfile.mkdtemp(dir=tmp)
+    shutil.copytree(package, Path(root, "advbundle"), ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _run(side: str, root: str, cwd: str) -> dict:
+    """One fresh process's `_measure` of side's tree under root, with its exit
+    time. It runs in cwd, whose '' entry on `sys.path` must hold no other
+    advbundle."""
+    proc = subprocess.run([sys.executable, "-c", MEASURE, str(ROOT / "scripts")],
+                          env={**os.environ, "PYTHONPATH": root}, cwd=cwd,
+                          capture_output=True, text=True)
+    reaped = time.perf_counter()
+    if proc.returncode:
+        raise SystemExit(f"a {side} process failed:\n{proc.stderr}")
+    lines = proc.stdout.splitlines()
+    return {**json.loads(lines[0]), "exit": reaped - float(lines[-1])}
 
 
 def _ratio_text(times: dict[str, list], side: str) -> str:
-    """The quartiles of side's per-pair time ratio to the parent, and the pairs it won."""
+    """The quartiles of side's per-round time ratio to the parent, and the rounds it won."""
     ratio = np.array(times[side]) / np.array(times["parent"])
     q1, q2, q3 = np.percentile(ratio, [25, 50, 75])
     return (f"{side}/parent quartiles {q1:.3f} {q2:.3f} {q3:.3f}; {side} faster in "
             f"{np.count_nonzero(ratio < 1.0)} of {len(ratio)}")
 
 
-def _pair_line(what: str, times: dict[str, list]) -> str:
-    """Each side's median and quartiles in ms, and the pairs the change won."""
-    ms = {side: np.percentile(times[side], [25, 50, 75]) * 1e3 for side in SIDES}
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    return (f"{what}; " + "; ".join(f"{side} median {ms[side][1]:.2f} ms, quartiles "
-                                    f"{ms[side][0]:.2f} {ms[side][2]:.2f}" for side in SIDES)
-            + f"; change faster in {wins} of {len(times['parent'])}")
+def _ratio_line(what: str, times: dict[str, list]) -> str:
+    """Each side's median in ms and the A/B and A/A ratios of `_ratio_text`."""
+    return (f"{what}: median parent {np.median(times['parent']) * 1e3:.2f} ms, change "
+            f"{np.median(times['change']) * 1e3:.2f} ms; {_ratio_text(times, 'change')}; "
+            f"A/A {_ratio_text(times, 'copy')}")
 
 
 def main() -> int:
@@ -265,45 +259,44 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--pairs", type=int, default=151,
-                        help="timed bundle() pairs per workload (default 151)")
-    parser.add_argument("--import-pairs", type=int, default=21,
-                        help="timed pairs of fresh-interpreter imports (default 21)")
+    parser.add_argument("--pairs", type=int, default=18,
+                        help="rounds, each one fresh process per side (default 18)")
     opts = parser.parse_args()
-    if opts.pairs < 1 or opts.import_pairs < 1:
-        parser.error("--pairs and --import-pairs must be >= 1")
-    sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
-    srcs = dict(zip(SIDES, (opts.parent_src, opts.change_src)))
-    packages = {side: _load_package(f"ab_{side}", src) for side, src in srcs.items()}
-    packages[CONTROL] = _load_package(f"ab_{CONTROL}", opts.parent_src)
-    workloads = _load_workloads()
-    for name, workload in workloads.WORKLOADS.items():
-        text = workloads.config_text(workload, 0)
-        args, seeds, results = {}, {}, {}
-        for side in SIDES:
-            args[side], seeds[side] = _setup(packages[side], text, name)
-            results[side] = packages[side].bundle(*args[side]["bundle()"], seed=seeds[side],
-                                                  keep_candidates=True)
-        args[CONTROL], seeds[CONTROL] = _setup(packages[CONTROL], text, name)
-        only = _check_identical(name, results,
-                                {side: args[side]["bundle()"][0] for side in SIDES})
-        for side in SIDES:
-            if only[side]:
-                print(f"{name}: only {side} holds {', '.join(only[side])}; not compared")
-        _check_single_example(name, packages,
-                              {side: args[side]["bundle()"] for side in SIDES})
-        peaks = {side: _peak_kib(packages[side], args[side]["bundle()"], seeds[side])
+    if opts.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    parent = _package_dir(opts.parent_src)
+    trees = {"parent": parent, "change": _package_dir(opts.change_src), "copy": parent}
+    workloads = list(_load_workloads().WORKLOADS)
+    runs = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        rounds = [{side: _copy(tree, tmp) for side, tree in trees.items()}
+                  for _ in range(opts.pairs)]
+        subprocess.run([sys.executable, "-m", "compileall", "-q",
+                        *(root for roots in rounds for root in roots.values())],
+                       cwd=tmp, check=True)
+        for i, roots in enumerate(rounds):
+            for side in SIDES[i % 3:] + SIDES[:i % 3]:
+                run = _run(side, roots[side], tmp)
+                runs[side].append(run)
+                for name in workloads:
+                    only = _check_identical(name, runs["parent"][0][name]["digests"],
+                                            run[name]["digests"])
+                    if side == "change" and len(runs["change"]) == 1:
+                        for holder, keys in zip(("parent", "change"), only):
+                            if keys:
+                                print(f"{name}: only {holder} holds {', '.join(keys)}; "
+                                      "not compared", flush=True)
+    for name in workloads:
+        peaks = {side: np.median([run[name]["peak_kib"] for run in runs[side]])
                  for side in SIDES}
         print(f"{name}: identical bytes; bundle() traced peak parent {peaks['parent']:.0f} "
-              f"KiB, change {peaks['change']:.0f} KiB", flush=True)
-        for (phase, clock), times in _time_pairs(packages, args, seeds, opts.pairs).items():
-            print(f"{name} {phase} {clock}: median parent "
-                  f"{np.median(times['parent']) * 1e3:.2f} ms, change "
-                  f"{np.median(times['change']) * 1e3:.2f} ms; {_ratio_text(times, 'change')}; "
-                  f"A/A {_ratio_text(times, CONTROL)}", flush=True)
-    imports, exits = _time_interpreters(srcs, opts.import_pairs)
-    print(_pair_line("import: advbundle.cli after numpy, cached bytecode", imports))
-    print(_pair_line("exit: main(['gap', '1']) returned, until reaped", exits))
+              f"KiB, change {peaks['change']:.0f} KiB")
+        for key in runs["parent"][0][name]["times"]:
+            print(_ratio_line(f"{name} {key}", {side: [run[name]["times"][key]
+                                                       for run in runs[side]]
+                                                for side in SIDES}))
+    for what in ("import", "exit"):
+        print(_ratio_line(what, {side: [run[what] for run in runs[side]] for side in SIDES}))
     return 0
 
 

@@ -350,9 +350,13 @@ def run_attack(params: ModelParams, example: Example, config: AttackConfig,
     """Run a built-in attack on one example; one candidate per row.
 
     The example is a checked 1-row batch (`models._one_row`) for
-    `attack_rows`. The first failed row raises AttackFailedError naming its
-    step and restart.
+    `attack_rows`. A seed that is not an integer or a sequence of integers
+    raises ContractError. The first failed row raises AttackFailedError
+    naming its step and restart.
     """
+    if not (is_int(seed) or isinstance(seed, Sequence) and not isinstance(seed, str)
+            and all(is_int(s) for s in seed)):
+        raise ContractError(f"seed must be an integer or a sequence of integers, got {seed!r}")
     clean, labels = _one_row(params, example.features, example.label)
     adv, failed_at = attack_rows(params, config, clean, labels, [seed])
     for r, step in enumerate(failed_at.tolist()):

@@ -54,7 +54,7 @@ import numpy as np
 
 from .attacks import VARIANTS, AttackConfig, Candidate, attack_rows, check_rows, rows_per_example
 from .data import Dataset, Example
-from .errors import ContractError, ShapeError, is_int, is_int_or_none, is_real
+from .errors import ContractError, ShapeError, check_type, is_int, is_int_or_none, is_real
 from .models import (Ensemble, ModelParams, StochasticSpec, _one_row, predict_stochastic,
                      probs_rows, reduce_rows)
 from .records import Record, ValueRecord
@@ -502,8 +502,7 @@ def check_attacks(attacks: Sequence[AttackConfig],
 
 def _check_run(criterion: Criterion, budget: BudgetPolicy | None = None, seed: int = 0) -> None:
     """Refuse a criterion, budget or root seed of the wrong type, naming the argument."""
-    if not isinstance(criterion, Criterion):
-        raise ContractError(f"criterion must be a Criterion, got {criterion!r}")
+    check_type(criterion, Criterion, "criterion")
     if not (budget is None or isinstance(budget, BudgetPolicy)):
         raise ContractError(f"budget must be a BudgetPolicy or None, got {budget!r}")
     if not is_int(seed):
@@ -527,9 +526,12 @@ def bundle(params: ModelParams, dataset: Dataset, attacks: Sequence[AttackConfig
     and attacks ran. `runners` maps a variant to the row function that runs
     it in place of `attacks.attack_rows` (see `Runner` and the module
     docstring); any variant beyond fgsm, pgd and uniform_noise needs one.
-    The attack list (`check_attacks`), criterion, budget and seed
-    (`_check_run`) are refused, if bad, before any model call.
+    The model and dataset (`check_type`), attack list (`check_attacks`),
+    criterion, budget and seed (`_check_run`) are refused, if bad, before
+    any model call.
     """
+    check_type(params, ModelParams, "params")
+    check_type(dataset, Dataset, "dataset")
     check_attacks(attacks, runners)
     _check_run(criterion, budget, seed)
     attacks = tuple(attacks)
@@ -568,6 +570,7 @@ def complete(result: BundleResult) -> BundleResult:
     in the same order. The copy shares the model, data and runners. Returns
     `result` itself when no example stopped early; refuses, before the copy,
     attacks that `check_attacks` refuses under the result's runners."""
+    check_type(result, BundleResult, "result")
     if not result.stopped_early.any():
         return result
     check_attacks(result.attacks, result.runners)

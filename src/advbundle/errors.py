@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer and real-number
-tests every check of a count, a seed or a magnitude uses."""
+"""Exception types shared across the package, the integer and real-number
+tests every check of a count, a seed or a magnitude uses, and the type check
+of every entry point's record arguments."""
 
 from numbers import Real
 
@@ -18,6 +19,12 @@ def is_real(value) -> bool:
 
 def is_int_or_none(value) -> bool:
     return value is None or is_int(value)
+
+
+def check_type(value, kind: type, name: str) -> None:
+    """Refuse value unless it is a `kind`, naming the argument it was passed as."""
+    if not isinstance(value, kind):
+        raise ContractError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 class ShapeError(ValueError):

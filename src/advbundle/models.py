@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, fmt, read_text, write_lines
-from .errors import ContractError, DataError, ShapeError, TrainingDivergedError, is_int, is_real
+from .errors import (ContractError, DataError, ShapeError, TrainingDivergedError, check_type,
+                     is_int, is_real)
 from .records import FrozenRecord, ValueRecord
 from .seeding import MAX_HALF_RANGE, _check_seed, make_rng, uniform_rows
 
@@ -48,6 +49,9 @@ PROB_FLOOR = 1e-12
 # an endless run
 MAX_HIDDEN = 10_000
 MAX_EPOCHS = 100_000
+# most noisy evaluations of one input, drawn and scored as one (calls, d) block:
+# a stray 10**15 must fail in StochasticSpec, not as a MemoryError
+MAX_CALLS = 100_000
 
 # widest last axis `reduce_rows` reduces as columns. A max over 4,000 rows
 # (2-core x86 box, numpy 2.4) took 33 us as columns against 269 us as rows at
@@ -114,7 +118,7 @@ class Prediction(FrozenRecord):
 
 
 class StochasticSpec(ValueRecord):
-    """Additive uniform input noise, averaged over m calls."""
+    """Additive uniform input noise, averaged over m calls (at most `MAX_CALLS`)."""
 
     noise_scale: float
     calls: int = 1
@@ -125,6 +129,8 @@ class StochasticSpec(ValueRecord):
             raise ContractError("noise_scale must be >= 0, with 2 * noise_scale finite")
         if not is_int(self.calls) or self.calls < 1:
             raise ContractError("calls must be an integer >= 1")
+        if self.calls > MAX_CALLS:
+            raise ContractError(f"calls must be <= {MAX_CALLS}")
 
 
 class Ensemble(FrozenRecord):
@@ -316,6 +322,8 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     the last epoch's logits, and a final loss above the initial one also
     raises. Overflow in between shows only as that error, never as a warning.
     """
+    check_type(dataset, Dataset, "dataset")
+    check_type(hp, TrainParams, "hp")
     if len(dataset) == 0:
         raise ContractError("cannot train on an empty dataset")
     X, y = dataset.features, dataset.labels

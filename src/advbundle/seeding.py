@@ -66,7 +66,15 @@ def _fold(part):
 
 
 def derive_seed(root: int, *parts: int | str) -> int:
-    """Hash (root, *parts) into a 64-bit seed, splitmix-style."""
+    """Hash (root, *parts) into a 64-bit seed, splitmix-style. The root and
+    each part are taken mod 2**64; a root that is not an integer, or a part
+    that is neither an integer nor a str, raises ContractError, as `int()`
+    would truncate 1.9 and read True as 1."""
+    if not is_int(root):
+        raise ContractError(f"root must be an integer, got {root!r}")
+    for part in parts:
+        if not (is_int(part) or isinstance(part, str)):
+            raise ContractError(f"each part must be an integer or a str, got {part!r}")
     return derive_seeds(int(root), *parts)
 
 

@@ -79,6 +79,7 @@ def _not_utf8(load):
 
 MODEL = binary_linear([1.0, 0.0])
 EXAMPLE = ab.Example(np.array([0.5, 0.5]), 0)
+PGD2 = ab.AttackConfig("p", "pgd", 0.1, step_size=0.05, num_steps=2, num_restarts=2)
 W, b = np.zeros((2, 2)), np.zeros(2)
 
 # (id, call, exception type, line number of a file error); a call runs in a fresh directory
@@ -166,6 +167,22 @@ REFUSALS = [
      ContractError, None),
     ("train-epochs-huge", lambda: ab.TrainParams(**{**TRAIN, "epochs": 10**9}),
      ContractError, None),
+    # 10**15 noisy calls were accepted, and scoring then asked numpy for 14.2 PiB
+    ("stochastic-calls-huge", lambda: ab.StochasticSpec(0.1, calls=10**15), ContractError,
+     None),
+    # int() truncated a float seed and read a bool as 1, or raised a raw
+    # TypeError or ValueError
+    ("derive-seed-float", lambda: ab.derive_seed(1.9, 2), ContractError, None),
+    ("derive-seed-bool", lambda: ab.derive_seed(True, 2), ContractError, None),
+    ("derive-seed-part-float", lambda: ab.derive_seed(1, 2.5), ContractError, None),
+    ("pgd-seed-float", lambda: ab.pgd(MODEL, EXAMPLE, PGD2, 1.5), ContractError, None),
+    # read as the per-restart seeds 1 and 2
+    ("pgd-seed-str", lambda: ab.pgd(MODEL, EXAMPLE, PGD2, "12"), ContractError, None),
+    ("pgd-seeds-float", lambda: ab.pgd(MODEL, EXAMPLE, PGD2, [1.9, 2.2]), ContractError,
+     None),
+    ("pgd-seeds-bool", lambda: ab.pgd(MODEL, EXAMPLE, PGD2, [True, 2]), ContractError, None),
+    ("fgsm-run-attack-seed-float", lambda: attacks.run_attack(
+        MODEL, EXAMPLE, ab.AttackConfig("f", "fgsm", 0.1), 0.5), ContractError, None),
 ]
 
 
@@ -209,6 +226,13 @@ WRONG_TYPES = [
      "restart_seeds"),
     ("restart-seeds-bool", lambda kept: ab.bundle(MODEL, DATA, [_pgd_seeds(True)], CRITERION),
      "restart_seeds"),
+    # each of these raised a raw AttributeError
+    ("bundle-params-str", lambda kept: ab.bundle("m", DATA, [FGSM], CRITERION), "params"),
+    ("bundle-dataset-str", lambda kept: ab.bundle(MODEL, "ds", [FGSM], CRITERION), "dataset"),
+    ("complete-result-str", lambda kept: ab.complete("r"), "result"),
+    ("train-dataset-str", lambda kept: ab.train("ds", "mlp1", ab.TrainParams(**TRAIN)),
+     "dataset"),
+    ("train-hp-str", lambda kept: ab.train(DATA, "mlp1", "hp"), "hp"),
 ]
 
 
