@@ -17,10 +17,8 @@ All rows step together, and every model call computes a row exactly as a
 1-row call would, so a row's candidate is bit-identical whatever else is in
 the batch. `run_attack` is the per-example adapter over the row functions:
 one example, checked by `models._one_row`, yields its rows as `Candidate`s
-and raises its first failed row as `AttackFailedError`. `fgsm` and `pgd`
-call it; `uniform_noise`, which takes no model, draws from `noise_rows`
-directly. Each of them checks its
-fields through an `AttackConfig`.
+and raises its first failed row as `AttackFailedError`. Every attack checks
+its fields through an `AttackConfig`.
 
 PGD moves each coordinate by +-step_size and clips it to the box, so a row
 often lands on a fixed point or a 2-cycle (a failed row is a fixed point).
@@ -162,16 +160,6 @@ def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(x, hi, out=x)
 
 
-def project(x: np.ndarray, clean: np.ndarray, epsilon: float) -> np.ndarray:
-    """Clamp x into the feasible box around clean. Idempotent."""
-    x = np.asarray(x, dtype=np.float64)
-    clean = np.asarray(clean, dtype=np.float64)
-    if x.shape != clean.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {clean.shape}")
-    lo, hi = _box(clean, epsilon)
-    return np.clip(x, lo, hi)
-
-
 def check_rows(adv: np.ndarray, clean: np.ndarray, epsilon: float,
                attack_id: str) -> np.ndarray:
     """L-inf distance of each candidate row (last axis) from its clean row.
@@ -206,7 +194,7 @@ def check_rows(adv: np.ndarray, clean: np.ndarray, epsilon: float,
 
 def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) -> None:
     """Reject a candidate outside the feasible box; a non-finite one is a failed attack."""
-    adv = candidate.adversarial_input
+    adv = np.asarray(candidate.adversarial_input, dtype=np.float64)
     if adv.shape != clean.shape:
         raise ShapeError(f"candidate shape {adv.shape} does not match clean {clean.shape}")
     dist = check_rows(adv[None, :], clean[None, :], epsilon, candidate.attack_id)
@@ -245,8 +233,9 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     """Projected signed-gradient ascent on every restart of every example.
 
     clean (U, d) and labels (U,) hold the examples and seeds one seed per
-    example, as `pgd` takes it: all ints, or all sequences of per-restart
-    seeds. Row u * num_restarts + r of the result is restart r of example u.
+    example, as `run_attack` takes it: all ints, or all sequences of
+    per-restart seeds. Row u * num_restarts + r of the result is restart r
+    of example u.
     A row whose gradient turns non-finite stops moving; the second array
     holds the step at which it did, -1 for a row that never failed.
 
@@ -316,33 +305,6 @@ def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,
         adv = noise_rows(clean, config.epsilon, seeds, config.num_samples)
         return adv, np.full(len(adv), -1)
     raise ContractError(f"no runner for variant {config.variant!r}")
-
-
-def fgsm(params: ModelParams, example: Example, epsilon: float,
-         attack_id: str = FGSM, example_index: int = 0) -> Candidate:
-    """Single signed-gradient step of size epsilon, then projection."""
-    config = AttackConfig(attack_id, FGSM, epsilon)
-    return run_attack(params, example, config, 0, example_index)[0]
-
-
-def pgd(params: ModelParams, example: Example, config: AttackConfig,
-        seed: int | Sequence[int], example_index: int = 0) -> list[Candidate]:
-    """Projected signed-gradient ascent; one candidate per restart.
-
-    seed may be a single int (restart r then uses derive_seed(seed, r)) or a
-    sequence of per-restart seeds used as-is.
-    """
-    if config.variant != PGD:
-        raise ContractError(f"pgd called with variant {config.variant!r}")
-    return run_attack(params, example, config, seed, example_index)
-
-
-def uniform_noise(example: Example, epsilon: float, num_samples: int, seed: int,
-                  attack_id: str = UNIFORM_NOISE, example_index: int = 0) -> list[Candidate]:
-    """num_samples independent uniform draws from the feasible box."""
-    config = AttackConfig(attack_id, UNIFORM_NOISE, epsilon, num_samples=num_samples)
-    samples = noise_rows(example.features[None, :], config.epsilon, [seed], config.num_samples)
-    return [Candidate(example_index, x, attack_id, j) for j, x in enumerate(samples)]
 
 
 def run_attack(params: ModelParams, example: Example, config: AttackConfig,

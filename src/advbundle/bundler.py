@@ -55,8 +55,7 @@ import numpy as np
 from .attacks import VARIANTS, AttackConfig, Candidate, attack_rows, check_rows, rows_per_example
 from .data import Dataset, Example
 from .errors import ContractError, ShapeError, check_type, is_int, is_int_or_none, is_real
-from .models import (Ensemble, ModelParams, StochasticSpec, _one_row, predict_stochastic,
-                     probs_rows, reduce_rows)
+from .models import ModelParams, _one_row, probs_rows, reduce_rows
 from .records import Record, ValueRecord
 from .seeding import derive_seeds, seed_words
 # perfbench/child.py wraps these names when it traces a run; nothing here calls them
@@ -371,32 +370,17 @@ def _scores(probs: np.ndarray, labels: np.ndarray,
     return defined & (probs.argmax(axis=1) != labels), wrong, norms
 
 
-def _score(params: ModelParams, example: Example, candidate: Candidate,
-           example_index: int | None, probs_of: Callable) -> CandidateScore:
-    """The score of one candidate, as `_scores` scores a 1-row batch:
-    probs_of maps the checked candidate (1, d) to its probabilities (1, k)."""
+def score(params: ModelParams, example: Example, candidate: Candidate,
+          example_index: int | None = None) -> CandidateScore:
+    """Misclassification flag, best wrong-class probability, and L-inf norm,
+    as `_scores` scores a 1-row batch."""
     if example_index is not None and candidate.example_index != example_index:
         raise ContractError(
             f"candidate belongs to example {candidate.example_index}, not {example_index}")
     clean, label = _one_row(params, example.features, example.label)
     adv, _ = _one_row(params, candidate.adversarial_input)
     norm = np.abs(adv - clean).max(axis=1)
-    return CandidateScore(*(v.item() for v in _scores(probs_of(adv), label, norm)))
-
-
-def score(params: ModelParams, example: Example, candidate: Candidate,
-          example_index: int | None = None) -> CandidateScore:
-    """Misclassification flag, best wrong-class probability, and L-inf norm."""
-    return _score(params, example, candidate, example_index,
-                  lambda adv: probs_rows(params, adv))
-
-
-def score_stochastic(params: ModelParams, spec: StochasticSpec, example: Example,
-                     candidate: Candidate, seed: int,
-                     example_index: int | None = None) -> CandidateScore:
-    """Like score, but against the mean probabilities of the noisy model."""
-    return _score(params, example, candidate, example_index,
-                  lambda adv: predict_stochastic(params, spec, adv[0], seed).probabilities[None])
+    return CandidateScore(*(v.item() for v in _scores(probs_rows(params, adv), label, norm)))
 
 
 def prefer(a: CandidateScore, b: CandidateScore, criterion: Criterion) -> int:
@@ -642,25 +626,6 @@ def reselect(result: BundleResult, criterion: Criterion) -> BundleResult:
     for per, lo, hi in zip(pers, ends, ends[1:]):
         _fold_block(criterion, chosen, pool.take(slice(lo, hi)), per)
     return replace(result, criterion=criterion, chosen_rows=chosen)
-
-
-def select_by_ensemble(ensemble: Ensemble, example: Example,
-                       candidates: Sequence[Candidate]) -> Candidate:
-    """Candidate fooling the most members; ties go to higher mean
-    wrong-class confidence, then to the first seen. As in `bundle()`, a
-    member whose probabilities are not finite is not fooled and gives
-    wrong-class confidence -inf."""
-    if not candidates:
-        raise ContractError("select_by_ensemble needs at least one candidate")
-    first = ensemble.members[0]
-    _, label = _one_row(first, example.features, example.label)
-    X = np.concatenate([_one_row(first, c.adversarial_input)[0] for c in candidates])
-    fooled, wrong, _ = zip(*(_scores(probs_rows(member, X), label.repeat(len(X)), None)
-                             for member in ensemble.members))
-    # members on the contiguous last axis: each mean sums as np.mean of a list
-    keys = list(zip(np.sum(fooled, axis=0).tolist(),
-                    np.stack(wrong, axis=1).mean(axis=1).tolist()))
-    return candidates[max(range(len(keys)), key=keys.__getitem__)]
 
 
 def check_gap_size(n: int, name: str = "n") -> None:

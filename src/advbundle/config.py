@@ -30,12 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, AttackConfig  # noqa: F401
+from .attacks import AttackConfig
 from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
                       _check_attack, _check_run, check_attacks, check_gap_size, check_unit_cap)
-from .data import MAX_SYNTH_D, MAX_SYNTH_N, check_synth, fmt, read_text  # noqa: F401
+from .data import check_synth, fmt, read_text
 from .errors import ConfigError, ContractError, is_int, is_real
-from .models import MAX_EPOCHS, MAX_HIDDEN, TrainParams, check_architecture  # noqa: F401
+from .models import TrainParams, check_architecture
 from .records import ValueRecord
 from .reporting import check_grid
 from .seeding import _check_seed

@@ -11,9 +11,10 @@ A model is its list of (W, b) layers, `ModelParams.layers`; one forward pass,
 `_logits` and then `_softmax` in place, serves scoring, input gradients and
 training.
 
-The row functions `probs_rows` and `grad_rows` check nothing; every
-single-example function, here and in `attacks` and `bundler`, takes its
-inputs through `_one_row`, the one check of width, finiteness and label.
+The row functions `probs_rows` and `grad_rows` check nothing; `predict`,
+`input_gradient`, `attacks.run_attack` and `bundler.score`, which take one
+example, take its inputs through `_one_row`, the one check of width,
+finiteness and label.
 
 Conventions, fixed here and relied on by tests:
   * softmax subtracts the max logit before exponentiating
@@ -36,7 +37,7 @@ from .data import Dataset, fmt, read_text, write_lines
 from .errors import (ContractError, DataError, ShapeError, TrainingDivergedError, check_type,
                      is_int, is_real)
 from .records import FrozenRecord, ValueRecord
-from .seeding import MAX_HALF_RANGE, _check_seed, make_rng, uniform_rows
+from .seeding import _check_seed, make_rng
 
 SOFTMAX_LINEAR = "softmax_linear"
 MLP1 = "mlp1"
@@ -49,9 +50,6 @@ PROB_FLOOR = 1e-12
 # an endless run
 MAX_HIDDEN = 10_000
 MAX_EPOCHS = 100_000
-# most noisy evaluations of one input, drawn and scored as one (calls, d) block:
-# a stray 10**15 must fail in StochasticSpec, not as a MemoryError
-MAX_CALLS = 100_000
 
 # widest last axis `reduce_rows` reduces as columns. A max over 4,000 rows
 # (2-core x86 box, numpy 2.4) took 33 us as columns against 269 us as rows at
@@ -115,37 +113,6 @@ class Prediction(FrozenRecord):
     probabilities: np.ndarray
     predicted_class: int
     confidence: float
-
-
-class StochasticSpec(ValueRecord):
-    """Additive uniform input noise, averaged over m calls (at most `MAX_CALLS`)."""
-
-    noise_scale: float
-    calls: int = 1
-
-    def __post_init__(self):
-        # the noise is drawn from [-noise_scale, noise_scale]
-        if not (is_real(self.noise_scale) and 0 <= self.noise_scale <= MAX_HALF_RANGE):
-            raise ContractError("noise_scale must be >= 0, with 2 * noise_scale finite")
-        if not is_int(self.calls) or self.calls < 1:
-            raise ContractError("calls must be an integer >= 1")
-        if self.calls > MAX_CALLS:
-            raise ContractError(f"calls must be <= {MAX_CALLS}")
-
-
-class Ensemble(FrozenRecord):
-    """Models that share an input dimension and a class count."""
-
-    members: tuple[ModelParams, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ContractError("ensemble needs at least one member")
-        d, k = self.members[0].dimension, self.members[0].num_classes
-        for m in self.members[1:]:
-            if m.dimension != d or m.num_classes != k:
-                raise ContractError("ensemble members must share d and k")
 
 
 class TrainParams(ValueRecord):
@@ -279,14 +246,11 @@ def grad_rows(params: ModelParams, X: np.ndarray, labels: np.ndarray) -> np.ndar
     return grad
 
 
-def _prediction(probs: np.ndarray) -> Prediction:
-    cls = int(np.argmax(probs))
-    return Prediction(probs, cls, float(probs[cls]))
-
-
 def predict(params: ModelParams, x: np.ndarray) -> Prediction:
     """Class probabilities, argmax class (lowest index on ties), confidence."""
-    return _prediction(probs_rows(params, _one_row(params, x)[0])[0])
+    probs = probs_rows(params, _one_row(params, x)[0])[0]
+    cls = int(np.argmax(probs))
+    return Prediction(probs, cls, float(probs[cls]))
 
 
 def input_gradient(params: ModelParams, x: np.ndarray, target_label: int) -> np.ndarray:
@@ -375,22 +339,6 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
                                     f"training raised the loss ({initial:.6g} -> {final:.6g}); "
                                     "lower the learning rate")
     return ModelParams(architecture, *(arr for layer in layers for arr in layer))
-
-
-def predict_stochastic(params: ModelParams, spec: StochasticSpec, x: np.ndarray,
-                       seed: int) -> Prediction:
-    """Mean probabilities over spec.calls noisy evaluations of x.
-
-    Each call adds fresh Uniform(-noise_scale, noise_scale) noise, clips to
-    [0, 1], and evaluates the model; the mean vector is re-normalized.
-    """
-    X, _ = _one_row(params, x)
-    if spec.noise_scale == 0.0:
-        return _prediction(probs_rows(params, X)[0])
-    scale = spec.noise_scale
-    noise = uniform_rows([seed], -scale, scale, (spec.calls, X.shape[1]))[0]
-    probs = probs_rows(params, np.clip(X + noise, 0.0, 1.0)).mean(axis=0)
-    return _prediction(probs / probs.sum())
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .attacks import NORM_SLACK
 from .bundler import CLEAN_ID, THRESHOLD_RANGE, BundleResult, OutcomeMatrix, check_gap_size
-from .data import csv_lines, fmt, write_lines  # noqa: F401 (fmt: reporting.fmt stays importable)
+from .data import csv_lines, write_lines
 from .errors import ContractError
 from .records import ValueRecord
 # perfbench/child.py wraps this name when it traces a run; nothing here calls it

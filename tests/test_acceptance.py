@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import advbundle as ab
+from advbundle.attacks import run_attack
 from advbundle.bundler import CLEAN_ID
 from advbundle.cli import run_experiment
 
@@ -98,11 +99,12 @@ def test_criterion_04_linear_attacks_match_corner_enumeration():
         label_probs = stable_softmax(logits)[:, label]
         best = float(np.max(-np.log(np.maximum(label_probs, 1e-12))))
 
-        fgsm_loss = oracle_loss(model, ab.fgsm(model, example, 0.3).adversarial_input,
-                                label)
+        fgsm_cfg = ab.AttackConfig("fgsm", "fgsm", 0.3)
+        fgsm_loss = oracle_loss(model, run_attack(model, example, fgsm_cfg, 0)[0]
+                                .adversarial_input, label)
         cfg = ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=40)
         pgd_loss = oracle_loss(
-            model, ab.pgd(model, example, cfg, seed=int(rng.integers(0, 2**32)))[0]
+            model, run_attack(model, example, cfg, seed=int(rng.integers(0, 2**32)))[0]
             .adversarial_input, label)
         assert fgsm_loss >= best - 1e-6, f"fgsm {fgsm_loss} vs corners {best}"
         assert pgd_loss >= best - 1e-6, f"pgd {pgd_loss} vs corners {best}"

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
 from advbundle.attacks import (_box, _clamp, attack_rows, check_rows, noise_rows, pgd_rows,
-                               rows_per_example, run_attack)
-from advbundle.errors import AttackFailedError, ContractError, ShapeError
+                               rows_per_example, run_attack, validate_candidate)
+from advbundle.errors import AttackFailedError, ContractError
 from advbundle.models import grad_rows, probs_rows
 from advbundle.seeding import make_rng
 
@@ -26,38 +26,11 @@ def corner_max_loss(params, clean, label, epsilon):
     return best
 
 
-class TestProject:
-    def test_feasible_point_unchanged(self):
-        clean = np.array([0.5, 0.5])
-        x = np.array([0.6, 0.45])
-        assert np.array_equal(ab.project(x, clean, 0.3), x)
-
-    def test_clamps_to_epsilon(self):
-        assert ab.project(np.array([0.95]), np.array([0.5]), 0.3) == pytest.approx([0.8])
-
-    def test_range_clip_dominates(self):
-        assert ab.project(np.array([-0.5]), np.array([0.1]), 0.3) == pytest.approx([0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            ab.project(np.array([0.5]), np.array([0.5, 0.5]), 0.3)
-
-    @given(hnp.arrays(np.float64, 4, elements=st.floats(-2, 3)),
-           hnp.arrays(np.float64, 4, elements=st.floats(0, 1)),
-           st.floats(min_value=1e-6, max_value=1.0))
-    @settings(max_examples=200, deadline=None)
-    def test_idempotent_and_feasible(self, x, clean, eps):
-        once = ab.project(x, clean, eps)
-        assert np.array_equal(ab.project(once, clean, eps), once)
-        assert np.all(once >= 0.0) and np.all(once <= 1.0)
-        assert np.max(np.abs(once - clean)) <= eps + 1e-9
-
-
 class TestFgsm:
     def test_zero_gradient_returns_clean(self):
         m = ab.ModelParams("softmax_linear", np.zeros((2, 2)), np.zeros(2))
         ex = ab.Example(np.array([0.4, 0.6]), 0)
-        cand = ab.fgsm(m, ex, 0.3)
+        cand = run_attack(m, ex, ab.AttackConfig("fgsm", "fgsm", 0.3), 0)[0]
         assert np.array_equal(cand.adversarial_input, ex.features)
 
     def test_optimal_for_linear_models(self):
@@ -67,7 +40,7 @@ class TestFgsm:
             d = int(rng.integers(1, 9))
             m = binary_linear(rng.normal(size=d), bias=float(rng.normal()))
             ex = ab.Example(rng.uniform(0, 1, d), int(rng.integers(0, 2)))
-            cand = ab.fgsm(m, ex, 0.3)
+            cand = run_attack(m, ex, ab.AttackConfig("fgsm", "fgsm", 0.3), 0)[0]
             achieved = oracle_loss(m, cand.adversarial_input, ex.label)
             assert achieved >= corner_max_loss(m, ex.features, ex.label, 0.3) - 1e-6
 
@@ -77,7 +50,7 @@ class TestFgsm:
         for _ in range(1000):
             ex = ab.Example(rng.uniform(0, 1, 3), int(rng.integers(0, 2)))
             eps = float(rng.uniform(0.01, 0.5))
-            cand = ab.fgsm(m, ex, eps)
+            cand = run_attack(m, ex, ab.AttackConfig("fgsm", "fgsm", eps), 0)[0]
             assert np.max(np.abs(cand.adversarial_input - ex.features)) <= eps + 1e-9
             assert cand.adversarial_input.min() >= 0.0
             assert cand.adversarial_input.max() <= 1.0
@@ -87,7 +60,7 @@ class TestFgsm:
         m = binary_linear([1e308, 1e308])
         ex = ab.Example(np.array([1.0, 1.0]), 1)
         with pytest.raises(AttackFailedError) as info:
-            ab.fgsm(m, ex, 0.3, example_index=17)
+            run_attack(m, ex, ab.AttackConfig("fgsm", "fgsm", 0.3), 0, example_index=17)
         assert info.value.example_index == 17
         assert info.value.step == 0 and info.value.restart == 0
         # the row engine drops the failed row and counts the unit as failed
@@ -157,7 +130,7 @@ class TestPgd:
     def test_zero_steps_no_init_returns_clean(self):
         m = binary_linear([1.0, -1.0])
         ex = ab.Example(np.array([0.5, 0.5]), 0)
-        cands = ab.pgd(m, ex, _pgd_cfg(num_steps=0, random_init=False), seed=0)
+        cands = run_attack(m, ex, _pgd_cfg(num_steps=0, random_init=False), seed=0)
         assert len(cands) == 1
         assert np.array_equal(cands[0].adversarial_input, ex.features)
 
@@ -167,7 +140,7 @@ class TestPgd:
             d = int(rng.integers(1, 9))
             m = binary_linear(rng.normal(size=d), bias=float(rng.normal()))
             ex = ab.Example(rng.uniform(0, 1, d), int(rng.integers(0, 2)))
-            cands = ab.pgd(m, ex, _pgd_cfg(), seed=int(rng.integers(0, 2**32)))
+            cands = run_attack(m, ex, _pgd_cfg(), seed=int(rng.integers(0, 2**32)))
             achieved = oracle_loss(m, cands[0].adversarial_input, ex.label)
             assert achieved >= corner_max_loss(m, ex.features, ex.label, 0.3) - 1e-6
 
@@ -184,8 +157,8 @@ class TestPgd:
             seed = [int(rng.integers(0, 2**32))]
             losses = []
             for steps in range(8):
-                cand = ab.pgd(m, ex, _pgd_cfg(num_steps=steps, num_restarts=1),
-                              seed=seed)[0]
+                cand = run_attack(m, ex, _pgd_cfg(num_steps=steps, num_restarts=1),
+                                  seed=seed)[0]
                 losses.append(oracle_loss(m, cand.adversarial_input, ex.label))
             assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -193,26 +166,26 @@ class TestPgd:
         m = binary_linear([1.0, 2.0])
         ex = ab.Example(np.array([0.5, 0.5]), 0)
         cfg = _pgd_cfg(num_restarts=4)
-        a = ab.pgd(m, ex, cfg, seed=42)
-        b = ab.pgd(m, ex, cfg, seed=42)
+        a = run_attack(m, ex, cfg, seed=42)
+        b = run_attack(m, ex, cfg, seed=42)
         assert [c.restart_index for c in a] == [0, 1, 2, 3]
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.adversarial_input, cb.adversarial_input)
         # different seeds draw different random inits (visible with 0 steps,
         # since full 40-step runs all land on the same corner of a linear model)
         init_cfg = _pgd_cfg(num_steps=0, num_restarts=4)
-        inits_a = ab.pgd(m, ex, init_cfg, seed=42)
-        inits_c = ab.pgd(m, ex, init_cfg, seed=43)
+        inits_a = run_attack(m, ex, init_cfg, seed=42)
+        inits_c = run_attack(m, ex, init_cfg, seed=43)
         assert any(not np.array_equal(x.adversarial_input, y.adversarial_input)
                    for x, y in zip(inits_a, inits_c))
 
     def test_explicit_per_restart_seeds_reproduce_each_restart(self):
         m = binary_linear([1.0, 2.0])
         ex = ab.Example(np.array([0.5, 0.5]), 0)
-        full = ab.pgd(m, ex, _pgd_cfg(num_restarts=5), seed=99, example_index=3)
+        full = run_attack(m, ex, _pgd_cfg(num_restarts=5), seed=99, example_index=3)
         for r in range(5):
-            single = ab.pgd(m, ex, _pgd_cfg(num_restarts=1),
-                            seed=[ab.derive_seed(99, r)], example_index=3)
+            single = run_attack(m, ex, _pgd_cfg(num_restarts=1),
+                                seed=[ab.derive_seed(99, r)], example_index=3)
             assert np.array_equal(single[0].adversarial_input, full[r].adversarial_input)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -220,7 +193,7 @@ class TestPgd:
         m = binary_linear([1e308, 1e308])
         ex = ab.Example(np.array([1.0, 1.0]), 1)
         with pytest.raises(AttackFailedError) as info:
-            ab.pgd(m, ex, _pgd_cfg(random_init=False), seed=0, example_index=2)
+            run_attack(m, ex, _pgd_cfg(random_init=False), seed=0, example_index=2)
         assert info.value.step == 0
         assert info.value.restart == 0
         assert info.value.example_index == 2
@@ -229,13 +202,13 @@ class TestPgd:
         m = binary_linear([1.0, 2.0])
         ex = ab.Example(np.array([0.5, 0.5]), 0)
         with pytest.raises(ContractError):
-            ab.pgd(m, ex, _pgd_cfg(num_restarts=3), seed=[1, 2])
+            run_attack(m, ex, _pgd_cfg(num_restarts=3), seed=[1, 2])
         # without a random start no seed is read, but a wrong count is still refused
         for random_init in (True, False):
             cfg = _pgd_cfg(num_restarts=2, random_init=random_init)
             with pytest.raises(ContractError, match="need one seed per restart"):
-                ab.pgd(m, ex, cfg, seed=[1])
-            assert len(ab.pgd(m, ex, cfg, seed=[1, 2])) == 2
+                run_attack(m, ex, cfg, seed=[1])
+            assert len(run_attack(m, ex, cfg, seed=[1, 2])) == 2
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +222,7 @@ def test_expensive_pgd_reaches_higher_mean_loss_than_cheap(desk_mlp):
     model, dataset = desk_mlp
     cheap = _pgd_cfg(attack_id="cheap", num_steps=40, step_size=0.1)
     expensive = _pgd_cfg(attack_id="expensive", num_steps=1000, step_size=0.04)
-    # the candidates the per-example pgd adapter returns, computed as one batch
+    # the candidates the per-example run_attack returns, computed as one batch
     X, y = dataset.features, dataset.labels
     losses = {}
     for name, cfg in (("cheap", cheap), ("expensive", expensive)):
@@ -387,10 +360,17 @@ def test_settled_pgd_rows_stop_computing_gradients(desk_mlp, monkeypatch):
     assert sum(computed) == 100 * len(X)
 
 
+def _noise(example, epsilon, num_samples, seed):
+    """A uniform_noise attack's candidates for example, through run_attack; the
+    attack reads no model, but run_attack checks the example against one."""
+    config = ab.AttackConfig("uniform_noise", "uniform_noise", epsilon, num_samples=num_samples)
+    return run_attack(binary_linear(np.zeros(len(example.features))), example, config, seed)
+
+
 class TestUniformNoise:
     def test_degenerate_ball_stays_at_clean(self):
         ex = ab.Example(np.array([0.4, 0.6]), 0)
-        cands = ab.uniform_noise(ex, 1e-12, 5, seed=0)
+        cands = _noise(ex, 1e-12, 5, seed=0)
         for c in cands:
             assert np.max(np.abs(c.adversarial_input - ex.features)) <= 1e-12
 
@@ -399,7 +379,7 @@ class TestUniformNoise:
         for _ in range(20):
             ex = ab.Example(rng.uniform(0, 1, 4), 0)
             eps = float(rng.uniform(0.05, 0.6))
-            for c in ab.uniform_noise(ex, eps, 50, seed=int(rng.integers(0, 2**32))):
+            for c in _noise(ex, eps, 50, seed=int(rng.integers(0, 2**32))):
                 assert np.max(np.abs(c.adversarial_input - ex.features)) <= eps + 1e-9
                 assert c.adversarial_input.min() >= 0.0
                 assert c.adversarial_input.max() <= 1.0
@@ -407,14 +387,14 @@ class TestUniformNoise:
     def test_sample_mean_is_centred_for_interior_points(self):
         # law of large numbers: no projection bias when the box is interior
         ex = ab.Example(np.full(3, 0.5), 0)
-        cands = ab.uniform_noise(ex, 0.2, 10000, seed=8)
+        cands = _noise(ex, 0.2, 10000, seed=8)
         deltas = np.stack([c.adversarial_input - ex.features for c in cands])
         assert np.max(np.abs(deltas.mean(axis=0))) <= 0.01
 
     def test_deterministic_and_indexed(self):
         ex = ab.Example(np.array([0.5, 0.5]), 0)
-        a = ab.uniform_noise(ex, 0.3, 10, seed=3)
-        b = ab.uniform_noise(ex, 0.3, 10, seed=3)
+        a = _noise(ex, 0.3, 10, seed=3)
+        b = _noise(ex, 0.3, 10, seed=3)
         assert [c.restart_index for c in a] == list(range(10))
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.adversarial_input, cb.adversarial_input)
@@ -508,13 +488,20 @@ def test_kernels_on_negative_zero_clean_equal_their_np_clip_references(desk_mlp)
 def test_negative_or_non_integer_seed_is_a_contract_error():
     ex = ab.Example(np.array([0.5, 0.5]), 0)
     with pytest.raises(ContractError):
-        ab.uniform_noise(ex, 0.3, 5, seed=-1)
+        _noise(ex, 0.3, 5, seed=-1)
     with pytest.raises(ContractError):
-        ab.uniform_noise(ex, 0.3, 5, seed=0.5)
+        _noise(ex, 0.3, 5, seed=0.5)
     with pytest.raises(ContractError):
-        ab.pgd(binary_linear([1.0, -1.0]), ex, _pgd_cfg(), seed=[-1])
+        run_attack(binary_linear([1.0, -1.0]), ex, _pgd_cfg(), seed=[-1])
     with pytest.raises(ContractError):
         noise_rows(np.full((2, 2), 0.5), 0.3, [4, -1], 3)
+
+
+def test_validate_candidate_takes_a_list_input_as_score_does():
+    m, ex = binary_linear([1.0, -1.0]), ab.Example(np.array([0.5, 0.5]), 0)
+    cand = ab.Candidate(0, [0.55, 0.5], "a")
+    validate_candidate(cand, ex.features, 0.1)
+    assert ab.score(m, ex, cand).perturbation_norm == pytest.approx(0.05)
 
 
 class TestCheckRows:
@@ -626,13 +613,6 @@ class TestAttackConfig:
                 ab.AttackConfig("a", epsilon=0.3, **bad)
         ab.AttackConfig("a", "pgd", epsilon=0.3, step_size=0.1, num_steps=np.int64(5),
                         num_restarts=np.int32(2))
-        # the per-example adapters check their fields through AttackConfig
-        m, ex = binary_linear([1.0, 0.5]), ab.Example(np.array([0.5, 0.5]), 0)
-        for call in (lambda: ab.fgsm(m, ex, -0.5), lambda: ab.fgsm(m, ex, float("nan")),
-                     lambda: ab.uniform_noise(ex, -0.5, 2, 0),
-                     lambda: ab.uniform_noise(ex, 0.3, 2.5, 0)):
-            with pytest.raises(ContractError):
-                call()
 
     @pytest.mark.parametrize("epsilon", [0.0, np.inf, np.nan, 1e308,
                                          np.nextafter(np.finfo(np.float64).max / 2, np.inf)])

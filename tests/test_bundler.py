@@ -1138,107 +1138,6 @@ class TestInvariants:
                 assert sa == sb
 
 
-class TestScoreStochastic:
-    def test_zero_noise_equals_plain_score(self, mlp_on_small_blobs, small_blobs):
-        ex = small_blobs[0]
-        cand = Candidate(0, np.clip(ex.features + 0.1, 0, 1), "a", 0)
-        for calls in (1, 5):
-            spec = ab.StochasticSpec(0.0, calls)
-            assert ab.score_stochastic(mlp_on_small_blobs, spec, ex, cand, seed=0) == \
-                ab.score(mlp_on_small_blobs, ex, cand)
-
-    def test_single_call_matches_manual_noising(self, mlp_on_small_blobs, small_blobs):
-        ex = small_blobs[1]
-        cand = Candidate(1, ex.features.copy(), "a", 0)
-        spec = ab.StochasticSpec(0.08, 1)
-        got = ab.score_stochastic(mlp_on_small_blobs, spec, ex, cand, seed=55,
-                                  example_index=1)
-        gen = np.random.Generator(np.random.PCG64(55))
-        noised = np.clip(cand.adversarial_input + gen.uniform(-0.08, 0.08, 2), 0, 1)
-        pred = ab.predict(mlp_on_small_blobs, noised)
-        assert got.misclassified == (pred.predicted_class != ex.label)
-
-    def test_wrong_confidence_close_to_independent_oracle(self, mlp_on_small_blobs,
-                                                          small_blobs):
-        ex = small_blobs[2]
-        cand = Candidate(2, np.clip(ex.features + 0.15, 0, 1), "a", 0)
-        spec = ab.StochasticSpec(0.05, 2000)
-        got = ab.score_stochastic(mlp_on_small_blobs, spec, ex, cand, seed=7)
-        oracle_rng = np.random.default_rng(123456)
-        total = np.zeros(small_blobs.num_classes)
-        for _ in range(2000):
-            noised = np.clip(cand.adversarial_input + oracle_rng.uniform(-0.05, 0.05, 2),
-                             0, 1)
-            total += ab.predict(mlp_on_small_blobs, noised).probabilities
-        mean = total / 2000
-        oracle_wc = max(mean[c] for c in range(small_blobs.num_classes) if c != ex.label)
-        assert abs(got.wrong_confidence - oracle_wc / mean.sum()) <= 0.02
-
-
-class TestSelectByEnsemble:
-    def test_single_candidate_returned(self, linear_on_blobs, blobs_2c):
-        ex = blobs_2c[0]
-        cand = Candidate(0, ex.features.copy(), "a", 0)
-        ens = ab.Ensemble((linear_on_blobs,))
-        assert ab.select_by_ensemble(ens, ex, [cand]) is cand
-
-    def test_empty_list_rejected(self, linear_on_blobs, blobs_2c):
-        ens = ab.Ensemble((linear_on_blobs,))
-        with pytest.raises(ContractError):
-            ab.select_by_ensemble(ens, blobs_2c[0], [])
-
-    def test_argmax_of_fooled_counts(self):
-        # three members whose boundaries sit at x0 = 0.2 / 0.5 / 0.8
-        members = tuple(binary_linear([50.0, 0.0], bias=-50.0 * b) for b in (0.2, 0.5, 0.8))
-        ens = ab.Ensemble(members)
-        ex = ab.Example(np.array([0.05, 0.5]), 0)  # class 0 for every member
-        mk = lambda x0, j: Candidate(0, np.array([x0, 0.5]), "a", j)
-        cands = [mk(0.95, 0), mk(0.1, 1), mk(0.6, 2)]  # fool counts 3, 0, 1
-        assert ab.select_by_ensemble(ens, ex, cands) is cands[0]
-
-    def test_matches_brute_force_double_loop(self):
-        rng = np.random.default_rng(15)
-        members = tuple(random_linear(rng, 2, k=3) for _ in range(5))
-        ens = ab.Ensemble(members)
-        ex = ab.Example(rng.uniform(0, 1, 2), 1)
-        cands = [Candidate(0, rng.uniform(0, 1, 2), "a", j) for j in range(20)]
-        best_key, best = None, None
-        for cand in cands:
-            count = sum(ab.predict(m, cand.adversarial_input).predicted_class != ex.label
-                        for m in members)
-            wcs = []
-            for m in members:
-                probs = ab.predict(m, cand.adversarial_input).probabilities
-                wcs.append(max(probs[c] for c in range(3) if c != ex.label))
-            key = (count, float(np.mean(wcs)))
-            if best_key is None or key > best_key:
-                best_key, best = key, cand
-        assert ab.select_by_ensemble(ens, ex, cands) is best
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_member_is_not_fooled(self):
-        # member 0's class-0 logit 1e308 * (x0 + x1) overflows at a, so its
-        # probabilities there are NaN; b fools both members
-        overflowing = ab.ModelParams("softmax_linear", np.array([[1e308, 0.0], [1e308, 0.0]]),
-                                     np.zeros(2))
-        steep = ab.ModelParams("softmax_linear", np.array([[50.0, 0.0], [0.0, 0.0]]),
-                               np.array([-25.0, 0.0]))
-        ens = ab.Ensemble((overflowing, steep))
-        ex = ab.Example(np.array([0.0, 0.0]), 1)
-        a = Candidate(0, np.array([0.95, 0.95]), "a", 0)
-        b = Candidate(0, np.array([0.6, 0.6]), "b", 1)
-        assert ab.select_by_ensemble(ens, ex, [a, b]) is b
-        assert ab.select_by_ensemble(ens, ex, [b, a]) is b
-
-    @pytest.mark.parametrize("x", [[0.5, 0.5, 0.5], [0.5, np.nan]], ids=["shape", "nan"])
-    def test_bad_candidate_is_shape_error(self, x):
-        ens = ab.Ensemble((binary_linear([1.0, 0.0]),))
-        ex = ab.Example(np.array([0.5, 0.5]), 0)
-        cands = [Candidate(0, np.array([0.2, 0.2]), "a", 0), Candidate(0, np.array(x), "a", 1)]
-        with pytest.raises(ShapeError):
-            ab.select_by_ensemble(ens, ex, cands)
-
-
 class TestOutcomeMatrix:
     @pytest.mark.parametrize("entries", [[[0.5, 1.0]], [[0, 1.7]], [[np.nan, 1]], [[0, 256]],
                                          [[0, -1]]])
@@ -1363,30 +1262,23 @@ _BAD_INPUTS = {"label k": (_GOOD, 2, _GOOD),
                "one feature narrower": (np.full(1, 0.5), 0, _GOOD),
                "NaN candidate": (_GOOD, 0, np.array([np.nan, 0.5]))}
 _PGD = ab.AttackConfig("pgd", "pgd", epsilon=0.1, step_size=0.05, num_steps=2)
-_NOISY = ab.StochasticSpec(0.1, 3)
 # each function on (model, example, candidate); a function of one input takes
 # the candidate, or the example's features where only they are bad
 _SINGLE_EXAMPLE = {
     "predict": lambda m, ex, adv: ab.predict(m, adv),
-    "predict_stochastic": lambda m, ex, adv: ab.predict_stochastic(m, _NOISY, adv, 0),
     "input_gradient": lambda m, ex, adv: ab.input_gradient(m, adv, ex.label),
     "run_attack": lambda m, ex, adv: run_attack(m, ex, _PGD, 0),
-    "fgsm": lambda m, ex, adv: ab.fgsm(m, ex, 0.1),
-    "pgd": lambda m, ex, adv: ab.pgd(m, ex, _PGD, 0),
+    "fgsm": lambda m, ex, adv: run_attack(m, ex, ab.AttackConfig("fgsm", "fgsm", 0.1), 0),
     "score": lambda m, ex, adv: ab.score(m, ex, Candidate(0, adv, "a")),
-    "score_stochastic": lambda m, ex, adv: ab.score_stochastic(
-        m, _NOISY, ex, Candidate(0, adv, "a"), 0),
-    "select_by_ensemble": lambda m, ex, adv: ab.select_by_ensemble(
-        ab.Ensemble((m,)), ex, [Candidate(0, _GOOD, "a"), Candidate(0, adv, "a", 1)]),
 }
-_ONE_INPUT = ("predict", "predict_stochastic", "input_gradient")
+_ONE_INPUT = ("predict", "input_gradient")
 
 
 @pytest.mark.parametrize("name, case", [
     (name, case) for name in _SINGLE_EXAMPLE for case in _BAD_INPUTS
     # predict takes no label; an attack takes no candidate, and an Example refuses NaN
-    if not ((name.startswith("predict") and case == "label k")
-            or (name in ("run_attack", "fgsm", "pgd") and case == "NaN candidate"))])
+    if not ((name == "predict" and case == "label k")
+            or (name in ("run_attack", "fgsm") and case == "NaN candidate"))])
 def test_every_single_example_function_refuses_every_bad_input(name, case):
     x, label, adv = _BAD_INPUTS[case]
     if name in _ONE_INPUT and adv is _GOOD:

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 import advbundle as ab
 from advbundle import cli
 from advbundle.cli import ARTIFACTS, main, run_experiment
-from advbundle.config import MAX_SYNTH_D, MAX_SYNTH_N
-from advbundle.data import MAX_CLASSES
+from advbundle.data import MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N
 from advbundle.errors import ConfigError
 
 from conftest import openblas_core

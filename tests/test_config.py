@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advbundle as ab
-from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, MAX_EPOCHS, MAX_NUM_STEPS,
-                              MAX_ROWS_PER_EXAMPLE, _parse_grid, _parse_int_list,
+from advbundle.attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE
+from advbundle.config import (_ATTACK_KEYS, _TOP_KEYS, _parse_grid, _parse_int_list,
                               serialize_experiment_config)
 from advbundle.bundler import check_unit_cap
 from advbundle.data import MAX_CLASSES, MAX_SYNTH_D, MAX_SYNTH_N, check_synth
 from advbundle.errors import ConfigError, ContractError
-from advbundle.models import check_architecture
+from advbundle.models import MAX_EPOCHS, check_architecture
 from advbundle.seeding import _check_seed
 
 from conftest import binary_linear

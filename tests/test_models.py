@@ -349,68 +349,6 @@ class TestTrain:
                      ab.TrainParams(learning_rate=0.1, epochs=1, batch_size=1, seed=0))
 
 
-class TestPredictStochastic:
-    def test_zero_noise_identical_to_predict(self, mlp_on_small_blobs):
-        m = mlp_on_small_blobs
-        x = np.array([0.3, 0.8])
-        for calls in (1, 7):
-            spec = ab.StochasticSpec(noise_scale=0.0, calls=calls)
-            got = ab.predict_stochastic(m, spec, x, seed=4)
-            want = ab.predict(m, x)
-            assert np.array_equal(got.probabilities, want.probabilities)
-            assert got.predicted_class == want.predicted_class
-
-    def test_single_call_equals_predict_on_noised_input(self, mlp_on_small_blobs):
-        m = mlp_on_small_blobs
-        x = np.array([0.4, 0.6])
-        spec = ab.StochasticSpec(noise_scale=0.1, calls=1)
-        got = ab.predict_stochastic(m, spec, x, seed=77)
-        gen = np.random.Generator(np.random.PCG64(77))
-        noise = gen.uniform(-0.1, 0.1, size=(1, 2))
-        want = ab.predict(m, np.clip(x + noise[0], 0, 1))
-        assert np.allclose(got.probabilities, want.probabilities, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", [0, 77, 2**63, 2**64 - 1, 2**130])
-    def test_noise_is_the_pcg64_uniform_draw_bit_for_bit(self, mlp_on_small_blobs, seed):
-        # seeds of one to five 32-bit words, each drawn as its own Generator draws
-        m = mlp_on_small_blobs
-        x = np.array([0.4, 0.6])
-        got = ab.predict_stochastic(m, ab.StochasticSpec(noise_scale=0.1, calls=7), x, seed)
-        noise = np.random.Generator(np.random.PCG64(seed)).uniform(-0.1, 0.1, size=(7, 2))
-        probs = np.stack([ab.predict(m, np.clip(x + row, 0.0, 1.0)).probabilities
-                          for row in noise]).mean(axis=0)
-        assert got.probabilities.tobytes() == (probs / probs.sum()).tobytes()
-
-    def test_mean_probabilities_match_monte_carlo_oracle(self, mlp_on_small_blobs):
-        m = mlp_on_small_blobs
-        x = np.array([0.45, 0.55])
-        spec = ab.StochasticSpec(noise_scale=0.05, calls=10000)
-        got = ab.predict_stochastic(m, spec, x, seed=1)
-        # independent oracle: fresh stream, plain averaging of predict calls
-        oracle_rng = np.random.default_rng(987654321)
-        total = np.zeros(m.num_classes)
-        for _ in range(10000):
-            noisy = np.clip(x + oracle_rng.uniform(-0.05, 0.05, size=2), 0, 1)
-            total += ab.predict(m, noisy).probabilities
-        oracle = total / 10000
-        assert np.max(np.abs(got.probabilities - oracle)) <= 0.01
-
-    def test_deterministic_given_seed(self, mlp_on_small_blobs):
-        spec = ab.StochasticSpec(noise_scale=0.05, calls=50)
-        x = np.array([0.2, 0.7])
-        a = ab.predict_stochastic(mlp_on_small_blobs, spec, x, seed=5)
-        b = ab.predict_stochastic(mlp_on_small_blobs, spec, x, seed=5)
-        assert np.array_equal(a.probabilities, b.probabilities)
-
-
-class TestEnsemble:
-    def test_mixed_dimensions_rejected(self):
-        a = binary_linear([1.0, 0.0])
-        b = binary_linear([1.0])
-        with pytest.raises(ContractError):
-            ab.Ensemble((a, b))
-
-
 def test_model_round_trips_exactly(tmp_path, mlp_on_small_blobs, linear_on_blobs):
     for m in (mlp_on_small_blobs, linear_on_blobs):
         path = tmp_path / "model.txt"

@@ -1,8 +1,11 @@
 """The benchmark's child process patches names in advbundle modules and reads
-BundleResult fields; these tests fail when a refactor moves what it uses. The
-benchmark's workloads must also still write its reference bytes, and they and
-`configs/default.cfg` must still cost the engine the work pinned here."""
+BundleResult fields; these tests fail when a refactor moves what it uses,
+keeps an import for a name neither it nor the package uses, or lists a public
+name the package does not define. The benchmark's workloads must also still
+write its reference bytes, and they and `configs/default.cfg` must still cost
+the engine the work pinned here."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -127,6 +130,25 @@ def test_every_traced_name_resolves(child):
     for module_name, attr, _ in child.TRACED:
         assert callable(getattr(importlib.import_module(module_name), attr)), \
             f"{module_name}.{attr}"
+
+
+def test_every_unused_import_is_a_name_the_benchmark_traces(child):
+    # no linter runs on the package: an import marked unused must be kept for
+    # the child to patch, or it is dead
+    traced = {(module_name, attr) for module_name, attr, _ in child.TRACED}
+    for path in sorted(Path(ab.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+                for alias in node.names:
+                    pair = (f"advbundle.{path.stem}", alias.asname or alias.name)
+                    assert pair in traced, f"{path.name}:{node.lineno} imports {pair[1]} unused"
+
+
+def test_every_public_name_resolves():
+    assert len(set(ab.__all__)) == len(ab.__all__)
+    assert [name for name in ab.__all__ if not hasattr(ab, name)] == []
 
 
 def test_result_stats_reads_a_kept_candidate_bundle(child, mlp_on_small_blobs, small_blobs):

@@ -1,5 +1,5 @@
 """Records that hold arrays compare and hash by identity; records that hold
-only plain values are named tuples, compared by value. The package's 15
+only plain values are named tuples, compared by value. The package's 13
 dataclass records behave as `@dataclass` records did, with their methods
 defined once in `advbundle.records`."""
 
@@ -39,7 +39,6 @@ ARRAY_RECORDS = {
     "Example": lambda: ab.Example(np.array([0.5, 0.5]), 0),
     "ModelParams": _model,
     "Prediction": lambda: ab.Prediction(np.array([0.5, 0.5]), 0, 0.5),
-    "Ensemble": lambda: ab.Ensemble((_model(),)),
     "OutcomeMatrix": lambda: ab.OutcomeMatrix(np.zeros((2, 1)), ["a"]),
     "BundleResult": _result,
 }
@@ -87,7 +86,6 @@ VALUE_RECORDS_BUILT = {
     "Criterion": (lambda: ab.Criterion.max_confidence(0.9), ("variant", "x")),
     "BudgetPolicy": (lambda: ab.BudgetPolicy(2, early_stop=False), ("early_stop", "yes")),
     "TrainParams": (lambda: ab.TrainParams(0.1, 2, 4, seed=7), ("epochs", 0)),
-    "StochasticSpec": (lambda: ab.StochasticSpec(0.1, 3), ("calls", 0)),
     "ExperimentConfig": (lambda: ab.ExperimentConfig(seed=4, gap_ns=(1, 2)), ("synth_n", -1)),
     "RateTable": (lambda: ab.RateTable("WAT", 0.1, [AttackRate("a", 0.5)], wat_max=0.5),
                   ("wat_max", 2.0)),
@@ -95,8 +93,7 @@ VALUE_RECORDS_BUILT = {
 # a field value each array record's rules refuse; the other three have no rules
 ARRAY_RECORD_REFUSALS = {
     "Example": ("label", -1), "Dataset": ("num_classes", 1),
-    "ModelParams": ("architecture", "x"), "Ensemble": ("members", ()),
-    "OutcomeMatrix": ("attack_ids", []),
+    "ModelParams": ("architecture", "x"), "OutcomeMatrix": ("attack_ids", []),
 }
 BUILDS = {**ARRAY_RECORDS, "Dataset": lambda: ab.Dataset(np.array([[0.2], [0.7]]), [0, 1], 2),
           **{name: make for name, (make, _) in VALUE_RECORDS_BUILT.items()}}
@@ -120,7 +117,7 @@ def test_the_tables_hold_every_record_of_the_package():
     found = {name for module in (attacks, bundler, config, data, models, reporting)
              for name, value in vars(module).items()
              if isinstance(value, type) and dataclasses.is_dataclass(value)}
-    assert found == set(BUILDS) and len(found) == 15
+    assert found == set(BUILDS) and len(found) == 13
 
 
 @ALL
@@ -233,8 +230,8 @@ def test_value_records_compare_and_hash_by_value(name):
     assert a != object() and a.__eq__(object()) is NotImplemented
     other = {"AttackConfig": ("attack_id", "q"), "Criterion": ("threshold", 0.8),
              "BudgetPolicy": ("max_attack_units_per_example", 1),
-             "TrainParams": ("seed", 8), "StochasticSpec": ("calls", 4),
-             "ExperimentConfig": ("seed", 5), "RateTable": ("clean_error", 0.2)}[name]
+             "TrainParams": ("seed", 8), "ExperimentConfig": ("seed", 5),
+             "RateTable": ("clean_error", 0.2)}[name]
     assert a != dataclasses.replace(a, **dict([other]))
 
 

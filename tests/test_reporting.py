@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle.bundler import CLEAN_ID
+from advbundle.data import fmt
 from advbundle.errors import ContractError
-from advbundle.reporting import (dump_candidates_csv, fmt, write_chosen_csv,
+from advbundle.reporting import (dump_candidates_csv, write_chosen_csv,
                                  write_norm_curve_csv, write_rates_csv,
                                  write_sf_curve_csv, write_wat_gap_csv)
 
