@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Example
 from .errors import (AttackFailedError, ContractError, ShapeError, is_int, is_int_or_none,
-                     is_real)
+                     is_real, is_sequence_of)
 from .models import ModelParams, _one_row, grad_rows, reduce_rows
 from .records import FrozenRecord, ValueRecord
 from .seeding import MAX_HALF_RANGE, derive_seeds, seed_words, uniform_rows
@@ -94,8 +94,7 @@ class AttackConfig(ValueRecord):
             if not is_int_or_none(getattr(self, name)):
                 raise ContractError(f"{name} must be an integer")
         if self.restart_seeds is not None:
-            if not (isinstance(self.restart_seeds, Sequence)
-                    and all(is_int(s) for s in self.restart_seeds)):
+            if not is_sequence_of(self.restart_seeds, is_int):
                 raise ContractError(f"restart_seeds must be a sequence of integers, got "
                                     f"{self.restart_seeds!r}")
             object.__setattr__(self, "restart_seeds", tuple(self.restart_seeds))
@@ -316,8 +315,7 @@ def run_attack(params: ModelParams, example: Example, config: AttackConfig,
     raises ContractError. The first failed row raises AttackFailedError
     naming its step and restart.
     """
-    if not (is_int(seed) or isinstance(seed, Sequence) and not isinstance(seed, str)
-            and all(is_int(s) for s in seed)):
+    if not (is_int(seed) or is_sequence_of(seed, is_int)):
         raise ContractError(f"seed must be an integer or a sequence of integers, got {seed!r}")
     clean, labels = _one_row(params, example.features, example.label)
     adv, failed_at = attack_rows(params, config, clean, labels, [seed])

@@ -24,7 +24,6 @@ section header or the file.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import MISSING, field, fields
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .attacks import AttackConfig
 from .bundler import (MAX_CONFIDENCE, MISCLASSIFY, THRESHOLD_RANGE, BudgetPolicy, Criterion,
                       _check_attack, _check_run, check_attacks, check_gap_size, check_unit_cap)
 from .data import check_synth, fmt, read_text
-from .errors import ConfigError, ContractError, is_int, is_real
+from .errors import ConfigError, ContractError, is_int, is_real, is_sequence_of
 from .models import TrainParams, check_architecture
 from .records import ValueRecord
 from .reporting import check_grid
@@ -142,9 +141,8 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
 
 
 def _sequence_of(is_kind):
-    """The kind test of a sequence (not a str) whose entries pass is_kind."""
-    return lambda v: (isinstance(v, Sequence) and not isinstance(v, str)
-                      and all(is_kind(t) for t in v))
+    """The kind test of a sequence (not text) whose entries pass is_kind."""
+    return lambda v: is_sequence_of(v, is_kind)
 
 
 # field annotation (a string under `from __future__ import annotations`)

@@ -2,6 +2,7 @@
 tests every check of a count, a seed or a magnitude uses, and the type check
 of every entry point's record arguments."""
 
+from collections.abc import Sequence
 from numbers import Real
 
 import numpy as np
@@ -19,6 +20,13 @@ def is_real(value) -> bool:
 
 def is_int_or_none(value) -> bool:
     return value is None or is_int(value)
+
+
+def is_sequence_of(value, is_kind) -> bool:
+    """Whether value is a sequence whose entries all pass is_kind; a str or
+    bytes value is text, not a sequence of numbers (b"12" iterates as 49, 50)."""
+    return (isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+            and all(is_kind(v) for v in value))
 
 
 def check_type(value, kind: type, name: str) -> None:

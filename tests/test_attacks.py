@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import advbundle as ab
-from advbundle.attacks import (_box, _clamp, attack_rows, check_rows, noise_rows, pgd_rows,
-                               rows_per_example, run_attack, validate_candidate)
+from advbundle.attacks import (MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE, _box, _clamp, attack_rows,
+                               check_rows, noise_rows, pgd_rows, rows_per_example, run_attack,
+                               validate_candidate)
 from advbundle.errors import AttackFailedError, ContractError
 from advbundle.models import grad_rows, probs_rows
 from advbundle.seeding import make_rng
@@ -24,6 +25,37 @@ def corner_max_loss(params, clean, label, epsilon):
     for corner in itertools.product(*zip(lo, hi)):
         best = max(best, oracle_loss(params, np.array(corner), label))
     return best
+
+
+class TestBox:
+    """`_box` and `_clamp`: the one projection every candidate goes through,
+    onto the eps-ball around the clean input intersected with [0, 1]."""
+
+    @staticmethod
+    def project(x, clean, eps):
+        lo, hi = _box(clean, eps)
+        return _clamp(np.array(x, dtype=np.float64), lo, hi)
+
+    def test_feasible_point_unchanged(self):
+        x = np.array([0.6, 0.45])
+        assert np.array_equal(self.project(x, np.array([0.5, 0.5]), 0.3), x)
+
+    def test_clamps_to_epsilon(self):
+        assert self.project([0.95], np.array([0.5]), 0.3) == pytest.approx([0.8])
+
+    def test_range_clip_dominates(self):
+        assert self.project([-0.5], np.array([0.1]), 0.3) == pytest.approx([0.0])
+        assert self.project([1.5], np.array([0.9]), 0.3) == pytest.approx([1.0])
+
+    @given(hnp.arrays(np.float64, 4, elements=st.floats(-2, 3)),
+           hnp.arrays(np.float64, 4, elements=st.floats(0, 1)),
+           st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_idempotent_and_feasible(self, x, clean, eps):
+        once = self.project(x, clean, eps)
+        assert np.array_equal(self.project(once, clean, eps), once)
+        assert np.all(once >= 0.0) and np.all(once <= 1.0)
+        assert np.max(np.abs(once - clean)) <= eps + 1e-9
 
 
 class TestFgsm:
@@ -497,11 +529,74 @@ def test_negative_or_non_integer_seed_is_a_contract_error():
         noise_rows(np.full((2, 2), 0.5), 0.3, [4, -1], 3)
 
 
-def test_validate_candidate_takes_a_list_input_as_score_does():
+@pytest.mark.parametrize("make", [list, tuple, lambda x: np.array(x, dtype=np.float32)],
+                         ids=["list", "tuple", "float32"])
+def test_validate_candidate_takes_an_array_like_input_as_score_does(make):
     m, ex = binary_linear([1.0, -1.0]), ab.Example(np.array([0.5, 0.5]), 0)
-    cand = ab.Candidate(0, [0.55, 0.5], "a")
+    cand = ab.Candidate(0, make([0.5625, 0.5]), "a")
     validate_candidate(cand, ex.features, 0.1)
-    assert ab.score(m, ex, cand).perturbation_norm == pytest.approx(0.05)
+    assert ab.score(m, ex, cand).perturbation_norm == 0.0625
+
+
+# seeds of one to five 32-bit words
+EDGE_SEEDS = [0, 77, 2**63, 2**64 - 1, 2**130]
+
+
+def _pcg64_in_box(clean, epsilon, seed, shape):
+    """Clean plus a PCG64 Generator's uniform draw in [-epsilon, epsilon),
+    clipped to the feasible box: the independent oracle of a noise sample."""
+    draw = np.random.Generator(np.random.PCG64(seed)).uniform(-epsilon, epsilon, size=shape)
+    return np.clip(clean + draw, np.maximum(clean - epsilon, 0.0),
+                   np.minimum(clean + epsilon, 1.0))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_uniform_noise_is_the_pcg64_draw_bit_for_bit(seed):
+    ex = ab.Example(np.array([0.4, 0.6]), 0)
+    got = np.stack([c.adversarial_input for c in _noise(ex, 0.1, 7, seed)])
+    assert got.tobytes() == _pcg64_in_box(ex.features, 0.1, seed, (7, 2)).tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_pgd_random_start_is_the_pcg64_draw_bit_for_bit(seed):
+    # zero steps: the candidate is the start, drawn from the restart's own
+    # seed as given, or derived from an example seed with the restart index
+    m, ex = binary_linear([1.0, -1.0]), ab.Example(np.array([0.4, 0.6]), 0)
+    cfg = _pgd_cfg(num_steps=0, epsilon=0.1)
+    start = run_attack(m, ex, cfg, seed=[seed])[0].adversarial_input
+    assert start.tobytes() == _pcg64_in_box(ex.features, 0.1, seed, 2).tobytes()
+    derived = run_attack(m, ex, cfg, seed=seed)[0].adversarial_input
+    want = _pcg64_in_box(ex.features, 0.1, ab.derive_seed(seed, 0), 2)
+    assert derived.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["fgsm", "pgd", "uniform_noise"])
+@pytest.mark.parametrize("architecture", ["softmax_linear", "mlp1"])
+def test_run_attack_yields_its_rows_of_a_batch(architecture, variant):
+    # a row's candidates do not depend on what else rides in attack_rows' batch
+    params, X, y = _fgsm_block(architecture, 3)
+    config = {"fgsm": ab.AttackConfig("f", "fgsm", 0.3),
+              "pgd": _pgd_cfg(num_steps=5, num_restarts=2),
+              "uniform_noise": ab.AttackConfig("n", "uniform_noise", 0.3, num_samples=3)}[variant]
+    seeds = [7 * u for u in range(len(X))]
+    adv, failed_at = attack_rows(params, config, X, y, seeds)
+    assert (failed_at == -1).all()
+    rows = rows_per_example(config)
+    for u in range(len(X)):
+        cands = run_attack(params, ab.Example(X[u], int(y[u])), config, seeds[u], u)
+        assert [(c.example_index, c.attack_id, c.restart_index) for c in cands] == \
+            [(u, config.attack_id, r) for r in range(rows)]
+        got = np.stack([c.adversarial_input for c in cands])
+        assert got.tobytes() == adv[u * rows:(u + 1) * rows].tobytes()
+
+
+@pytest.mark.parametrize("step, restart, where", [
+    (None, None, ""), (2, None, ", step 2"), (None, 1, ", restart 1"),
+    (2, 1, ", restart 1, step 2")])
+def test_attack_failed_error_names_where_the_attack_failed(step, restart, where):
+    err = AttackFailedError(3, "x", step=step, restart=restart)
+    assert str(err) == f"attack 'x' failed on example 3{where}: non-finite gradient"
+    assert (err.example_index, err.attack_id, err.step, err.restart) == (3, "x", step, restart)
 
 
 class TestCheckRows:
@@ -639,6 +734,15 @@ class TestAttackConfig:
         assert rows_per_example(ab.AttackConfig("f", "fgsm", 0.1, num_restarts=0)) == 1
         assert rows_per_example(ab.AttackConfig("n", "uniform_noise", 0.1, num_restarts=0,
                                                 num_samples=4)) == 4
+
+    @pytest.mark.parametrize("fields, rows", [
+        (dict(variant="pgd", step_size=0.1, num_steps=MAX_NUM_STEPS), 1),
+        (dict(variant="pgd", step_size=0.1, num_steps=1, num_restarts=MAX_ROWS_PER_EXAMPLE),
+         MAX_ROWS_PER_EXAMPLE),
+        (dict(variant="uniform_noise", num_samples=MAX_ROWS_PER_EXAMPLE), MAX_ROWS_PER_EXAMPLE),
+    ], ids=["num_steps", "num_restarts", "num_samples"])
+    def test_count_bounds_are_inclusive(self, fields, rows):
+        assert rows_per_example(ab.AttackConfig("a", epsilon=0.3, **fields)) == rows
 
     def test_restart_seeds_only_for_pgd(self):
         with pytest.raises(ContractError):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import advbundle as ab
 from advbundle import bundler
-from advbundle.attacks import Candidate, attack_rows, rows_per_example, run_attack
+from advbundle.attacks import (Candidate, attack_rows, rows_per_example, run_attack,
+                               validate_candidate)
 from advbundle.bundler import CLEAN_ID
 from advbundle.errors import AttackFailedError, ContractError, ShapeError
 from advbundle.models import probs_rows
@@ -1262,6 +1263,8 @@ _BAD_INPUTS = {"label k": (_GOOD, 2, _GOOD),
                "one feature narrower": (np.full(1, 0.5), 0, _GOOD),
                "NaN candidate": (_GOOD, 0, np.array([np.nan, 0.5]))}
 _PGD = ab.AttackConfig("pgd", "pgd", epsilon=0.1, step_size=0.05, num_steps=2)
+_PGD2 = ab.AttackConfig("pgd", "pgd", epsilon=0.1, step_size=0.05, num_steps=2, num_restarts=2)
+_NOISE = ab.AttackConfig("noise", "uniform_noise", epsilon=0.1, num_samples=3)
 # each function on (model, example, candidate); a function of one input takes
 # the candidate, or the example's features where only they are bad
 _SINGLE_EXAMPLE = {
@@ -1269,16 +1272,24 @@ _SINGLE_EXAMPLE = {
     "input_gradient": lambda m, ex, adv: ab.input_gradient(m, adv, ex.label),
     "run_attack": lambda m, ex, adv: run_attack(m, ex, _PGD, 0),
     "fgsm": lambda m, ex, adv: run_attack(m, ex, ab.AttackConfig("fgsm", "fgsm", 0.1), 0),
+    # two restarts with a seed each
+    "pgd": lambda m, ex, adv: run_attack(m, ex, _PGD2, [3, 4]),
+    # the noise reads no model, but run_attack checks the example against it
+    "uniform_noise": lambda m, ex, adv: run_attack(m, ex, _NOISE, 0),
     "score": lambda m, ex, adv: ab.score(m, ex, Candidate(0, adv, "a")),
+    "validate_candidate": lambda m, ex, adv: validate_candidate(Candidate(0, adv, "a"),
+                                                                ex.features, 0.1),
 }
 _ONE_INPUT = ("predict", "input_gradient")
+_ATTACKS = ("run_attack", "fgsm", "pgd", "uniform_noise")
 
 
 @pytest.mark.parametrize("name, case", [
     (name, case) for name in _SINGLE_EXAMPLE for case in _BAD_INPUTS
-    # predict takes no label; an attack takes no candidate, and an Example refuses NaN
-    if not ((name == "predict" and case == "label k")
-            or (name in ("run_attack", "fgsm") and case == "NaN candidate"))])
+    # predict and validate_candidate take no label; an attack takes no candidate, and
+    # an Example refuses NaN; a NaN candidate is a failed attack to validate_candidate
+    if not ((name in ("predict", "validate_candidate") and case == "label k")
+            or (name in _ATTACKS + ("validate_candidate",) and case == "NaN candidate"))])
 def test_every_single_example_function_refuses_every_bad_input(name, case):
     x, label, adv = _BAD_INPUTS[case]
     if name in _ONE_INPUT and adv is _GOOD:

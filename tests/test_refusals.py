@@ -7,6 +7,7 @@ import pytest
 
 import advbundle as ab
 from advbundle import attacks, bundler, seeding
+from advbundle.attacks import MAX_NUM_STEPS, MAX_ROWS_PER_EXAMPLE
 from advbundle.errors import AttackFailedError, ConfigError, ContractError, DataError, ShapeError
 
 from conftest import binary_linear
@@ -28,6 +29,11 @@ TRAIN = dict(learning_rate=0.1, epochs=2, batch_size=4, seed=0, hidden=3)
     lambda: ab.AttackConfig("a", "fgsm", True),
     lambda: ab.AttackConfig("a", "pgd", 0.1, step_size="0.1", num_steps=1),
     lambda: ab.AttackConfig("a", "pgd", 0.1, step_size=0.1, num_steps=1, random_init="no"),
+    lambda: ab.AttackConfig("a", "pgd", 0.1, step_size=True, num_steps=1),
+    lambda: ab.AttackConfig("a", "pgd", 0.1, step_size=0.1, num_steps="5"),
+    lambda: ab.AttackConfig("a", "pgd", 0.1, step_size=0.1, num_steps=1, num_restarts="2"),
+    lambda: ab.AttackConfig("a", "uniform_noise", 0.1, num_samples="3"),
+    lambda: ab.AttackConfig("a", "fgsm", None),
     lambda: ab.BudgetPolicy(early_stop="no"),
     lambda: ab.Example(np.array([0.1]), 0.5),
     lambda: ab.synth_dataset(10.5, 2, 2, 0),
@@ -37,7 +43,8 @@ TRAIN = dict(learning_rate=0.1, epochs=2, batch_size=4, seed=0, hidden=3)
     lambda: ab.wat_underestimation_report([2.5]),
 ], ids=["epochs", "batch_size", "hidden", "train-seed", "threshold-str", "num_classes",
         "seed-bool", "learning_rate-str", "learning_rate-bool", "epsilon-str", "epsilon-bool",
-        "step_size-str", "random_init-str", "early_stop-str", "label-float", "synth-n-float",
+        "step_size-str", "random_init-str", "step_size-bool", "num_steps-str",
+        "num_restarts-str", "num_samples-str", "epsilon-none", "early_stop-str", "label-float", "synth-n-float",
         "synth-d-float", "synth-k-float", "wat-gap-float", "wat-report-float"])
 def test_numeric_fields_of_records_are_refused_when_not_numbers(make):
     with pytest.raises(ContractError):
@@ -71,6 +78,11 @@ def _not_utf8(load):
 MODEL = binary_linear([1.0, 0.0])
 EXAMPLE = ab.Example(np.array([0.5, 0.5]), 0)
 PGD2 = ab.AttackConfig("p", "pgd", 0.1, step_size=0.05, num_steps=2, num_restarts=2)
+
+
+def _pgd(**fields):
+    """A PGD config of one restart, two steps of 0.05, with fields changed."""
+    return ab.AttackConfig("p", "pgd", 0.1, **{"step_size": 0.05, "num_steps": 2, **fields})
 W, b = np.zeros((2, 2)), np.zeros(2)
 
 # (id, call, exception type, line number of a file error); a call runs in a fresh directory
@@ -81,6 +93,20 @@ REFUSALS = [
     # a list input raised a raw AttributeError, though `score` takes one
     ("validate-list-shape", lambda: attacks.validate_candidate(
         ab.Candidate(0, [0.5], "a"), EXAMPLE.features, 0.1), ShapeError, None),
+    ("validate-list-wider", lambda: attacks.validate_candidate(
+        ab.Candidate(0, [0.5, 0.5, 0.5], "a"), EXAMPLE.features, 0.1), ShapeError, None),
+    ("validate-2d", lambda: attacks.validate_candidate(
+        ab.Candidate(0, np.full((1, 2), 0.5), "a"), EXAMPLE.features, 0.1), ShapeError, None),
+    ("validate-list-ball", lambda: attacks.validate_candidate(
+        ab.Candidate(0, [0.9, 0.5], "a"), EXAMPLE.features, 0.1), ContractError, None),
+    # inside the 0.6-ball of 0.5, outside [0, 1]
+    ("validate-list-range", lambda: attacks.validate_candidate(
+        ab.Candidate(0, [1.05, 0.5], "a"), EXAMPLE.features, 0.6), ContractError, None),
+    ("validate-list-non-finite", lambda: attacks.validate_candidate(
+        ab.Candidate(0, [np.nan, 0.5], "a"), EXAMPLE.features, 0.1), AttackFailedError, None),
+    ("validate-inf", lambda: attacks.validate_candidate(
+        ab.Candidate(0, np.array([np.inf, 0.5]), "a"), EXAMPLE.features, 0.1),
+     AttackFailedError, None),
     ("validate-ball", lambda: attacks.validate_candidate(
         ab.Candidate(0, np.array([0.9, 0.5]), "a"), EXAMPLE.features, 0.1),
      ContractError, None),
@@ -117,7 +143,33 @@ REFUSALS = [
     ("attack-id-comma", lambda: ab.AttackConfig("a,b", "fgsm", 0.1), ContractError, None),
     ("attack-id-quote", lambda: ab.AttackConfig('a"b', "fgsm", 0.1), ContractError, None),
     ("attack-id-newline", lambda: ab.AttackConfig("a\nb", "fgsm", 0.1), ContractError, None),
+    ("attack-id-carriage-return", lambda: ab.AttackConfig("a\rb", "fgsm", 0.1), ContractError,
+     None),
     ("attack-id-not-str", lambda: ab.AttackConfig(1, "fgsm", 0.1), ContractError, None),
+    # each field of a variant in its range, and a count bounded before any row is made
+    ("pgd-step-size-inf", lambda: _pgd(step_size=np.inf), ContractError, None),
+    ("pgd-step-size-nan", lambda: _pgd(step_size=np.nan), ContractError, None),
+    ("pgd-step-size-zero", lambda: _pgd(step_size=0.0), ContractError, None),
+    ("pgd-step-size-negative", lambda: _pgd(step_size=-0.05), ContractError, None),
+    ("pgd-num-steps-none", lambda: _pgd(num_steps=None), ContractError, None),
+    ("pgd-num-steps-negative", lambda: _pgd(num_steps=-1), ContractError, None),
+    ("pgd-num-steps-huge", lambda: _pgd(num_steps=MAX_NUM_STEPS + 1), ContractError, None),
+    ("pgd-restarts-zero", lambda: _pgd(num_restarts=0), ContractError, None),
+    ("pgd-restarts-huge", lambda: _pgd(num_restarts=MAX_ROWS_PER_EXAMPLE + 1), ContractError,
+     None),
+    ("pgd-random-init-int", lambda: _pgd(random_init=1), ContractError, None),
+    ("pgd-restart-seeds-int", lambda: _pgd(restart_seeds=5), ContractError, None),
+    ("pgd-restart-seeds-str", lambda: _pgd(restart_seeds="1"), ContractError, None),
+    # read as the restart seed 1
+    ("pgd-restart-seeds-bytes", lambda: _pgd(restart_seeds=b"\x01"), ContractError, None),
+    ("noise-samples-none", lambda: ab.AttackConfig("n", "uniform_noise", 0.1), ContractError,
+     None),
+    ("noise-samples-zero", lambda: ab.AttackConfig("n", "uniform_noise", 0.1, num_samples=0),
+     ContractError, None),
+    ("noise-samples-huge", lambda: ab.AttackConfig(
+        "n", "uniform_noise", 0.1, num_samples=MAX_ROWS_PER_EXAMPLE + 1), ContractError, None),
+    ("noise-restart-seeds", lambda: ab.AttackConfig(
+        "n", "uniform_noise", 0.1, num_samples=2, restart_seeds=(1,)), ContractError, None),
     # derive_seed hashes an id's UTF-8 bytes, which a lone surrogate has none of
     ("attack-id-surrogate", lambda: ab.AttackConfig("a\ud800", "fgsm", 0.1), ContractError,
      None),
@@ -146,6 +198,9 @@ REFUSALS = [
      ConfigError, None),
     ("config-seed-str", lambda: ab.ExperimentConfig(seed="0"), ConfigError, None),
     ("config-seed-float", lambda: ab.ExperimentConfig(seed=-1.5), ConfigError, None),
+    # read as the gap sizes 1 and 2
+    ("config-gap-ns-bytes", lambda: ab.ExperimentConfig(gap_ns=b"\x01\x02"), ConfigError,
+     None),
     ("config-attack-str", lambda: ab.ExperimentConfig(attacks=("a",)), ConfigError, None),
     ("config-no-runner",
      lambda: ab.ExperimentConfig(attacks=(ab.AttackConfig("x", "custom", 0.3),)),
@@ -168,6 +223,13 @@ REFUSALS = [
     ("pgd-seeds-float", lambda: attacks.run_attack(MODEL, EXAMPLE, PGD2, [1.9, 2.2]),
      ContractError, None),
     ("pgd-seeds-bool", lambda: attacks.run_attack(MODEL, EXAMPLE, PGD2, [True, 2]),
+     ContractError, None),
+    # read as the per-restart seeds 49 and 50
+    ("pgd-seed-bytes", lambda: attacks.run_attack(MODEL, EXAMPLE, PGD2, b"12"), ContractError,
+     None),
+    ("pgd-seed-none", lambda: attacks.run_attack(MODEL, EXAMPLE, PGD2, None), ContractError,
+     None),
+    ("pgd-seeds-nested", lambda: attacks.run_attack(MODEL, EXAMPLE, PGD2, [[1], [2]]),
      ContractError, None),
     ("fgsm-run-attack-seed-float", lambda: attacks.run_attack(
         MODEL, EXAMPLE, ab.AttackConfig("f", "fgsm", 0.1), 0.5), ContractError, None),
