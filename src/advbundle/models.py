@@ -11,6 +11,13 @@ A model is its list of (W, b) layers, `ModelParams.layers`; one forward pass,
 `_logits` and then `_softmax` in place, serves scoring, input gradients and
 training.
 
+`train` proves most epochs' logits finite from the weights alone. A
+`Dataset`'s features lie in [0, 1], so |W| and |b| bound every hidden unit
+and logit of every row, and while that bound, `_logit_bound`, stays below
+`LOGIT_BOUND` no full-data forward pass is needed. The pass runs after the
+last epoch, whose logits give the final loss, and after any epoch the bound
+does not clear.
+
 The row functions `probs_rows` and `grad_rows` check nothing; `predict`,
 `input_gradient`, `attacks.run_attack` and `bundler.score`, which take one
 example, take its inputs through `_one_row`, the one check of width,
@@ -55,6 +62,14 @@ MAX_EPOCHS = 100_000
 # (2-core x86 box, numpy 2.4) took 33 us as columns against 269 us as rows at
 # width 8, about the same at width 32, and 1,026 against 352 us at width 64
 NARROW_AXIS = 16
+
+# `_logit_bound` below this proves every hidden unit and logit finite. float64
+# overflows at 2**1024, and a sum of m rounded products, added in any order,
+# stays within a factor (1 + 2**-53)**m of the exact sum of their magnitudes
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4). Through both
+# layers, and in the bound itself, that is under a factor 2 for any width below
+# 2**40, well inside the 2**24 margin. A NaN or inf bound compares False
+LOGIT_BOUND = 2.0 ** 1000
 
 
 def check_architecture(architecture: str) -> None:
@@ -270,6 +285,24 @@ def _layer_views(flat: np.ndarray, widths: Sequence[int]) -> list[tuple[np.ndarr
     return views
 
 
+def _logit_bound(abs_layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
+    """A bound on every hidden unit and logit of every input in [0, 1]^d,
+    from the layers' elementwise |W| and |b|: colsum|W1| + |b1| bounds each
+    pre-activation and so each ReLU output, and s @ |W| + |b| carries a bound
+    s through each later layer. Returns the sum of every layer's bounds, since
+    a hidden unit that overflows is inf or NaN in the logits even where the
+    next layer's small weights keep their own bound low."""
+    (W, b), *rest = abs_layers
+    s = np.add.reduce(W, axis=0)
+    s += b
+    total = np.add.reduce(s)
+    for W, b in rest:
+        s = s @ W
+        s += b
+        total += np.add.reduce(s)
+    return total
+
+
 def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     """Minibatch SGD on cross-entropy. Deterministic given hp.seed.
 
@@ -278,13 +311,17 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     updates every layer with two calls. X and the one-hot labels are permuted
     once per epoch, and each batch is a slice of them.
 
-    After each epoch, one pass over the data gives the logits, and training
-    stops with TrainingDivergedError naming the epoch if some row's largest
-    logit is not finite. That is exactly when the loss is not finite: a
-    softmax row is NaN iff its largest logit is NaN or +-inf, and otherwise its
-    floored log is finite. The loss itself is taken before the loop and from
-    the last epoch's logits, and a final loss above the initial one also
-    raises. Overflow in between shows only as that error, never as a warning.
+    Training stops with TrainingDivergedError naming the first epoch after
+    which some row's largest logit is not finite. That is exactly when the
+    loss is not finite: a softmax row is NaN iff its largest logit is NaN or
+    +-inf, and otherwise its floored log is finite. After each epoch but the
+    last, `_logit_bound` on |flat|, taken into a third buffer, proves every
+    logit finite while it stays below `LOGIT_BOUND`, since the features lie
+    in [0, 1]. Only where it does not, and after the last epoch, does one
+    pass over the data compute the logits and test them. The loss is taken
+    before the loop and from the last epoch's logits, and a final loss above
+    the initial one also raises. Overflow in between shows only as that
+    error, never as a warning.
     """
     check_type(dataset, Dataset, "dataset")
     check_type(hp, TrainParams, "hp")
@@ -295,8 +332,8 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     check_architecture(architecture)
     widths = (d, hp.hidden, k) if architecture == MLP1 else (d, k)
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
-    flat, step = np.zeros(size), np.empty(size)
-    layers, grads = _layer_views(flat, widths), _layer_views(step, widths)
+    flat, step, magnitude = np.zeros(size), np.empty(size), np.empty(size)
+    layers, grads, abs_layers = (_layer_views(buf, widths) for buf in (flat, step, magnitude))
     rng = make_rng(hp.seed)
     if architecture == MLP1:
         for W, _ in layers:
@@ -329,6 +366,10 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
                         g *= inputs[i] > 0.0
                 step *= hp.learning_rate
                 flat -= step
+            if epoch < hp.epochs - 1:
+                np.abs(flat, out=magnitude)
+                if _logit_bound(abs_layers) < LOGIT_BOUND:
+                    continue
             logits = _logits(layers, X, np.matmul)[0]
             if not np.isfinite(reduce_rows(np.maximum, logits)).all():
                 raise TrainingDivergedError(epoch)

@@ -252,6 +252,88 @@ def test_train_meets_reference_sgd_over_a_learning_rate_sweep(arch):
     assert kinds == {"fit", "raised", "diverged"}
 
 
+def _weights(params):
+    """W1, b1, W2 and b2 of a model, None where it has no such array."""
+    return [getattr(params, name) for name in ("W1", "b1", "W2", "b2")]
+
+
+@st.composite
+def _fits(draw):
+    """A dataset of up to 12 rows and a TrainParams for it: any hidden width
+    from 1, batches from 1 row to more than the dataset, and a learning rate
+    from 1e-1 to float64's edge."""
+    n, d, k = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    features = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(0.0, 1.0)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    lr = draw(st.just(1.7e308) | st.floats(-1.0, 308.0).map(lambda e: 10.0 ** e))
+    hp = ab.TrainParams(learning_rate=lr, epochs=draw(st.integers(1, 4)),
+                        batch_size=draw(st.integers(1, n + 2)), seed=draw(st.integers(0, 2**32)),
+                        hidden=draw(st.integers(1, 6)))
+    return ab.Dataset(features, labels, num_classes=k), hp
+
+
+@given(st.sampled_from(["softmax_linear", "mlp1"]), _fits())
+@settings(max_examples=150, deadline=None)
+def test_train_meets_reference_sgd_on_any_fit(arch, fit):
+    # the reference tests the loss after every epoch, so it is an oracle for the
+    # epochs train passes on the weight bound alone
+    ds, hp = fit
+    want = _outcome(lambda: _reference_sgd(ds.features, ds.labels, ds.num_classes, arch, hp))
+    if isinstance(want, list) and not all(np.isfinite(np.frombuffer(a)).all()
+                                          for a in want if a is not None):
+        # a weight overflowed while every logit stayed finite; ModelParams refuses it
+        want = "model parameters must be finite"
+    try:
+        got = _outcome(lambda: _weights(ab.train(ds, arch, hp)))
+    except ContractError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def _count_full_passes(monkeypatch, dataset):
+    """A list that gains an entry at each `_logits` call on all of dataset's
+    features, as against a minibatch of them."""
+    full, logits = [], models._logits
+
+    def counted(layers, X, matmul):
+        if X is dataset.features:
+            full.append(len(X))
+        return logits(layers, X, matmul)
+
+    monkeypatch.setattr(models, "_logits", counted)
+    return full
+
+
+# fits whose weights leave the bound behind after an epoch before the last: one
+# keeps its logits finite and fits, the others overflow at the epoch given
+@pytest.mark.parametrize("arch, lr, batch_size, outcome", [
+    ("softmax_linear", 1e301, 8, "fit"),
+    ("softmax_linear", 1.7e308, 30, 3),
+    ("mlp1", 5.6e154, 30, 1)])
+def test_an_epoch_past_the_weight_bound_takes_the_full_pass(monkeypatch, arch, lr, batch_size,
+                                                            outcome):
+    ds = ab.synth_dataset(30, 3, 3, seed=4 if outcome == "fit" else 0)
+    hp = ab.TrainParams(learning_rate=lr, epochs=6, batch_size=batch_size, seed=9, hidden=5)
+    want = _outcome(lambda: _reference_sgd(ds.features, ds.labels, 3, arch, hp))
+    full = _count_full_passes(monkeypatch, ds)
+    got = _outcome(lambda: _weights(ab.train(ds, arch, hp)))
+    assert got == want
+    if outcome == "fit":
+        assert isinstance(got, list) and len(full) > 2
+    else:
+        assert got[0] == outcome and got[1].startswith(f"training diverged at epoch {outcome}")
+        # the epoch's own full pass raised, not the last epoch's
+        assert 2 <= len(full) <= outcome + 2
+
+
+def test_the_weight_bound_counts_hidden_units_the_next_layer_scales_down():
+    # a hidden unit near float64's edge can round past it, and output weights of
+    # 1e-12 would keep the logits' own bound (3e296) far below LOGIT_BOUND
+    layers = [(np.full((2, 1), 0.5e308), np.zeros(1)), (np.full((1, 3), 1e-12), np.zeros(3))]
+    assert models._logit_bound(layers) >= 1e308 > models.LOGIT_BOUND
+    assert models._logit_bound(layers[1:]) < models.LOGIT_BOUND
+
+
 def test_gradient_rejects_bad_label():
     m = binary_linear([1.0])
     with pytest.raises(ContractError):
@@ -317,21 +399,13 @@ class TestTrain:
         assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("arch", ["softmax_linear", "mlp1"])
-    def test_one_full_data_pass_per_epoch_gives_the_final_loss_too(self, small_blobs,
-                                                                   monkeypatch, arch):
-        # the divergence test's logits of the last epoch are the final loss's; one more
-        # pass gives the initial loss. Batches of 16 never span the whole set
-        assert len(small_blobs) > 16
-        full, logits = [], models._logits
-
-        def counted(layers, X, matmul):
-            full.append(len(X) == len(small_blobs))
-            return logits(layers, X, matmul)
-
-        monkeypatch.setattr(models, "_logits", counted)
+    def test_a_healthy_fit_makes_two_full_data_passes(self, small_blobs, monkeypatch, arch):
+        # one for the initial loss and one after the last epoch, whose logits give
+        # the final loss too; every epoch before it clears the weight bound
+        full = _count_full_passes(monkeypatch, small_blobs)
         hp = ab.TrainParams(learning_rate=0.05, epochs=7, batch_size=16, seed=2, hidden=4)
         ab.train(small_blobs, arch, hp)
-        assert sum(full) == hp.epochs + 1
+        assert len(full) == 2
 
     @pytest.mark.parametrize("call", [lambda: ab.ModelParams("svm", np.zeros((1, 2)),
                                                              np.zeros(2)),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import advbundle as ab
-from advbundle import attacks, bundler
+from advbundle import attacks, bundler, models
 from advbundle.cli import _load_dataset, run_experiment
 from advbundle.config import parse_experiment_config
 
@@ -124,6 +124,27 @@ def test_bundles_do_the_pinned_work(monkeypatch):
             ab.bundle(model, dataset, config.attacks, config.criterion, config.budget,
                       seed=config.seed)
     assert got == WORK, f"OpenBLAS core {openblas_core()}"
+
+
+def test_training_makes_two_full_data_passes(monkeypatch):
+    # the initial loss's and the last epoch's: every epoch before the last
+    # proves its logits finite from the weights, with no pass over the data
+    workloads = _load("workloads")
+    configs = {"default.cfg": ab.load_experiment_config(PERFBENCH.parent / "configs"
+                                                        / "default.cfg")}
+    configs.update((name, parse_experiment_config(workloads.config_text(w, 0), name))
+                   for name, w in workloads.WORKLOADS.items())
+    logits, passes = models._logits, {}
+
+    def counted(layers, X, matmul):
+        passes[name] += X is dataset.features
+        return logits(layers, X, matmul)
+
+    monkeypatch.setattr(models, "_logits", counted)
+    for name, config in configs.items():
+        dataset, passes[name] = _load_dataset(config), 0
+        ab.train(dataset, config.architecture, config.train_params)
+    assert passes == dict.fromkeys(configs, 2)
 
 
 def test_every_traced_name_resolves(child):
