@@ -18,7 +18,10 @@ and the A/A side is measured exactly as the A/B side is. A process
   - times `import advbundle.cli` after numpy, from that bytecode;
   - for each benchmark workload at bench size and workload seed 0
     (`perfbench/workloads.py`), builds the config, dataset and model as the
-    CLI does, bundles once with `keep_candidates=True` and takes the SHA-256
+    CLI does, and times the process's first `bundle()` of that workload on
+    the wall clock, without a pool as `advbundle run` calls it: perfbench's
+    `examples_per_s` divides by that call;
+  - then bundles once with `keep_candidates=True` and takes the SHA-256
     of every array of the model and of the `BundleResult`, the candidate
     pool included, and of the single-example API's outputs on the first
     `SINGLE_EXAMPLES` examples (`run_attack` under each configured attack,
@@ -34,7 +37,8 @@ and the A/A side is measured exactly as the A/B side is. A process
 The script stops, naming it, at the first entry in which a process's digests
 differ from the first parent process's, and prints the entries only one side
 holds (a field one tree added). For each workload it prints a head line with
-the traced peaks, then one line per phase and clock; then a line for the
+the traced peaks, then a line for the first `bundle()`, then one line per
+phase and clock; then a line for the
 import and one for the exit. Each gives the parent's and the change's
 median, the quartiles of the per-round ratio change / parent and the rounds
 the change won, and the same for copy / parent beside them.
@@ -210,11 +214,14 @@ def _measure(import_s: float) -> None:
         model = advbundle.train(*trains)
         bundles = partial(advbundle.bundle, model, dataset, config.attacks, config.criterion,
                           config.budget, seed=config.seed)
+        start = time.perf_counter()
+        bundles(keep_candidates=False)
+        first = {"first bundle() wall": time.perf_counter() - start}
         arrays = {**_arrays(model, "model"), **_arrays(bundles(keep_candidates=True)),
                   **_single_example_outputs(model, dataset, config.attacks)}
         out[name] = {"digests": _digests(arrays), "peak_kib": _peak_kib(bundles),
-                     "times": _time_calls({"train": partial(advbundle.train, *trains),
-                                           "bundle()": bundles})}
+                     "times": {**first, **_time_calls({"train": partial(advbundle.train, *trains),
+                                                       "bundle()": bundles})}}
     print(json.dumps(out))
 
 

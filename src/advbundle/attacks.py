@@ -202,16 +202,23 @@ def validate_candidate(candidate: Candidate, clean: np.ndarray, epsilon: float) 
                                 restart=candidate.restart_index, reason="non-finite candidate")
 
 
-def _restart_seeds(seeds: Sequence, num_restarts: int) -> list[int]:
-    """Every example's per-restart seeds, in row order: derive_seed(seed, r)
-    of int seeds, in one array pass, or per-restart seed lists as-is."""
+def _restart_seeds(seeds: Sequence | np.ndarray, num_restarts: int) -> np.ndarray | list[int]:
+    """Every example's per-restart seeds, in row order. A block's uint64
+    array (`bundler._block_seeds`) gives a uint64 array: of shape (U,),
+    derive_seed(seed, r) of each seed in one array pass; of shape (U, r), the
+    pinned seeds raveled. A sequence of int seeds is derived the same way, as
+    a list of ints, and per-restart seed sequences are taken as-is."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if seeds.ndim == 2:
+            return seeds.ravel()
+        return derive_seeds(seeds[:, None], np.arange(num_restarts, dtype=np.uint64)).ravel()
     if len(seeds) and not isinstance(seeds[0], (int, np.integer)):
         return [int(s) for seed in seeds for s in seed]
     roots = seed_words(seeds)[:, None]
     return derive_seeds(roots, np.arange(num_restarts, dtype=np.uint64)).ravel().tolist()
 
 
-def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
+def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int] | np.ndarray,
                num_samples: int) -> np.ndarray:
     """num_samples uniform draws from the feasible box of each row of clean.
 
@@ -227,14 +234,15 @@ def noise_rows(clean: np.ndarray, epsilon: float, seeds: Sequence[int],
 
 
 def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
-             seeds: Sequence[int] | Sequence[Sequence[int]],
+             seeds: Sequence[int] | Sequence[Sequence[int]] | np.ndarray,
              config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
     """Projected signed-gradient ascent on every restart of every example.
 
     clean (U, d) and labels (U,) hold the examples and seeds one seed per
     example, as `run_attack` takes it: all ints, or all sequences of
-    per-restart seeds. Row u * num_restarts + r of the result is restart r
-    of example u.
+    per-restart seeds, or a block's uint64 array of either, (U,) or (U, r)
+    (`bundler._block_seeds`). Row u * num_restarts + r of the result is
+    restart r of example u.
     A row whose gradient turns non-finite stops moving; the second array
     holds the step at which it did, -1 for a row that never failed.
 
@@ -249,7 +257,12 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
     bit-identical to running every step. The last step retires nothing.
     """
     r = config.num_restarts
-    if any(len(seed) != r for seed in seeds if not isinstance(seed, (int, np.integer))):
+    if isinstance(seeds, np.ndarray):
+        mismatched = seeds.ndim == 2 and seeds.shape[1] != r
+    else:
+        mismatched = any(len(seed) != r for seed in seeds
+                         if not isinstance(seed, (int, np.integer)))
+    if mismatched:
         raise ContractError("need one seed per restart")
     clean = np.repeat(clean, r, axis=0)
     labels = np.repeat(labels, r)
@@ -286,10 +299,11 @@ def pgd_rows(params: ModelParams, clean: np.ndarray, labels: np.ndarray,
 
 
 def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,
-                labels: np.ndarray, seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
+                labels: np.ndarray, seeds: Sequence | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run a built-in attack on every example of clean (U, d) at once.
 
-    seeds holds one seed per example, as run_attack takes it. Returns the
+    seeds holds one seed per example, as run_attack takes it, or is a
+    block's uint64 array (`bundler._block_seeds`). Returns the
     candidates, rows_per_example(config) rows per example in example order,
     and each row's failing step (-1 for a row that did not fail). FGSM is
     one PGD step of size epsilon from the clean input, with one row per
@@ -307,16 +321,21 @@ def attack_rows(params: ModelParams, config: AttackConfig, clean: np.ndarray,
 
 
 def run_attack(params: ModelParams, example: Example, config: AttackConfig,
-               seed: int | Sequence[int], example_index: int = 0) -> list[Candidate]:
+               seed: int | Sequence[int] | np.ndarray,
+               example_index: int = 0) -> list[Candidate]:
     """Run a built-in attack on one example; one candidate per row.
 
     The example is a checked 1-row batch (`models._one_row`) for
-    `attack_rows`. A seed that is not an integer or a sequence of integers
-    raises ContractError. The first failed row raises AttackFailedError
-    naming its step and restart.
+    `attack_rows`. The seed is an integer, or per-restart seeds as a sequence
+    of integers or a 1-D integer array (a row of a block's pinned seeds, as a
+    runner receives them); any other seed raises ContractError. The first
+    failed row raises AttackFailedError naming its step and restart.
     """
-    if not (is_int(seed) or is_sequence_of(seed, is_int)):
-        raise ContractError(f"seed must be an integer or a sequence of integers, got {seed!r}")
+    if not (is_int(seed) or is_sequence_of(seed, is_int)
+            or (isinstance(seed, np.ndarray) and seed.ndim == 1
+                and np.issubdtype(seed.dtype, np.integer))):
+        raise ContractError(f"seed must be an integer, a sequence of integers or a 1-D "
+                            f"integer array, got {seed!r}")
     clean, labels = _one_row(params, example.features, example.label)
     adv, failed_at = attack_rows(params, config, clean, labels, [seed])
     for r, step in enumerate(failed_at.tolist()):

@@ -16,15 +16,17 @@ superset of the clean error rate.
 
 A round runs its active examples together: their rows, one per restart
 or noise sample, come from one runner call per block of whole examples, up
-to `ROW_BLOCK` rows (an example with more rows is a block of its own). A
+to `BLOCK_BYTES` of candidate rows (an example with more rows is a block of
+its own), with the block's seeds as one uint64 array (`_block_seeds`). A
 runner is a row function like `attacks.attack_rows`, which runs every
 variant without a `runners` entry; it computes every row exactly as a 1-row
 call would, so the result equals running `attacks.run_attack` one example
 at a time, bit for bit.
 
 Every block takes the same tail, one loop over pieces of whole examples,
-up to `TAIL_BYTES` of rows each: `check_rows` rejects rows outside the ball
-or [0, 1], and `probs_rows` scores the piece. An example with a non-finite
+up to `TAIL_BYTES` of the widest row the calls make (the candidate or a
+model layer) each: `check_rows` rejects rows outside the ball or [0, 1],
+and `probs_rows` scores the piece. An example with a non-finite
 row fails, and its rows leave the scored block. A block holds the same
 number of rows for each of its examples, consecutive and in example order,
 so its scores form an examples x rows grid, and reductions along the grid's
@@ -66,32 +68,38 @@ from .seeding import derive_seed  # noqa: F401
 CLEAN_ID = "none"
 THRESHOLD_RANGE = (0.5, 1.0)  # [low, high) of a confidence threshold
 
-# most rows the engine holds at once, so peak memory does not grow with the
-# number of examples; blocks hold whole examples, so an example with more
-# rows than this (restarts or noise samples) is a block of its own
-ROW_BLOCK = 4096
+# most bytes of candidate rows (8 * d each) the engine holds at once, so peak
+# memory does not grow with the number of examples; blocks hold whole
+# examples, so an example with more rows than this (restarts or noise
+# samples) is a block of its own. Sized in bytes, not rows, so a narrow
+# round is one runner call: each call pays a fixed cost for its seeds and
+# its pieces. At d = 32 a block holds 4,096 rows.
+BLOCK_BYTES = 1 << 20
 
-# most bytes of candidate rows checked and scored in one piece; a piece holds
+# most bytes of the widest row a piece's calls make, `max(d, *layer widths)`
+# float64s per candidate, checked and scored in one piece; a piece holds
 # whole examples, so an example with more rows is a piece of its own. Each
 # call's temporaries are as wide as a candidate or a model layer, so a block
 # of wide candidates split into such pieces never holds twice its candidate
-# array's memory. glibc returns the top of its heap to the OS once that top exceeds
-# twice the largest array it has mapped and freed; below that, the next
-# block reuses this block's pages instead of faulting in fresh ones. In
-# `advbundle run` of wide-pool at bench size (blocks of 4,000 rows 32 wide,
-# 1 MB each), the bundle took about 5,400 minor faults unsplit and 900 split
-# in two (2-core VM, glibc 2.36). A smaller block is checked and scored
-# whole, as every call has a fixed cost.
+# array's memory, and a hidden layer wider than the candidates keeps its
+# temporaries at this size. glibc returns the top of its heap to the OS once
+# that top exceeds twice the largest array it has mapped and freed; below
+# that, the next block reuses this block's pages instead of faulting in
+# fresh ones. In `advbundle run` of wide-pool at bench size (blocks of 4,000
+# rows 32 wide, 1 MB each), the bundle took about 5,400 minor faults
+# unsplit and 900 split in two (2-core VM, glibc 2.36). A smaller block is
+# checked and scored whole, as every call has a fixed cost.
 TAIL_BYTES = 1 << 19
 
 MISCLASSIFY = "misclassify"
 MAX_CONFIDENCE = "max_confidence"
 MIN_NORM = "min_norm"
 
-# run(params, config, clean (U, d), labels (U,), seeds (U,)) -> (adv, failed_at), as
+# run(params, config, clean (U, d), labels (U,), seeds) -> (adv, failed_at), as
 # `attacks.attack_rows`: rows_per_example(config) rows per example in example
-# order, and each row's failing step, -1 for a row that did not fail
-Runner = Callable[[ModelParams, AttackConfig, np.ndarray, np.ndarray, list],
+# order, and each row's failing step, -1 for a row that did not fail. seeds
+# is a uint64 array (`_block_seeds`): (U,), or (U, r) with restart_seeds pinned
+Runner = Callable[[ModelParams, AttackConfig, np.ndarray, np.ndarray, np.ndarray],
                   tuple[np.ndarray, np.ndarray]]
 
 
@@ -398,13 +406,14 @@ def _goal_test(criterion: Criterion) -> Callable:
     return lambda s: s.misclassified & False  # min_norm never stops early
 
 
-def _block_seeds(root_seed: int, idx: np.ndarray, config: AttackConfig) -> list:
-    """Each example's seed, in one array pass: derive_seed(root_seed, i,
-    attack_id), or with `restart_seeds` pinned, derive_seed(s, i) for each s."""
+def _block_seeds(root_seed: int, idx: np.ndarray, config: AttackConfig) -> np.ndarray:
+    """Each example's seed as a uint64 array, in one array pass: (U,) of
+    derive_seed(root_seed, i, attack_id), or with `restart_seeds` pinned,
+    (U, r) of derive_seed(s, i) for each s."""
     idx = np.array(idx, dtype=np.uint64)
     if config.restart_seeds is not None:
-        return derive_seeds(seed_words(config.restart_seeds), idx[:, None]).tolist()
-    return derive_seeds(root_seed, idx, config.attack_id).tolist()
+        return derive_seeds(seed_words(config.restart_seeds), idx[:, None])
+    return derive_seeds(root_seed, idx, config.attack_id)
 
 
 def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
@@ -430,7 +439,8 @@ def _run_block(result: BundleResult, pool_blocks: list | None, code: int,
         raise ShapeError(f"attack {config.attack_id!r} gave adv {np.shape(adv)} and "
                          f"failed_at {np.shape(failed_at)}, not {(rows, d)} and {(rows,)}")
     grid, norms, probs = adv.reshape(len(idx), per, d), [], []
-    step = max(1, TAIL_BYTES // (adv.itemsize * d * per))  # examples a piece holds
+    widest = max(d, *(b.shape[0] for _, b in params.layers))
+    step = max(1, TAIL_BYTES // (8 * widest * per))  # examples a piece holds
     for lo in range(0, len(idx), step):
         norms.append(check_rows(grid[lo:lo + step], clean[lo:lo + step, None, :],
                                 config.epsilon, config.attack_id))
@@ -584,7 +594,7 @@ def _advance(result: BundleResult, pool_blocks: list | None) -> BundleResult:
         cfg, code = attacks[done], done + 1
         done += 1
         units[active] += 1
-        size = max(1, ROW_BLOCK // rows_per_example(cfg))
+        size = max(1, BLOCK_BYTES // (8 * result.dataset.dimension * rows_per_example(cfg)))
         for start in range(0, len(active), size):
             _run_block(result, pool_blocks, code, active[start:start + size])
 

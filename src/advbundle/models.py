@@ -314,11 +314,14 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
     Training stops with TrainingDivergedError naming the first epoch after
     which some row's largest logit is not finite. That is exactly when the
     loss is not finite: a softmax row is NaN iff its largest logit is NaN or
-    +-inf, and otherwise its floored log is finite. After each epoch but the
-    last, `_logit_bound` on |flat|, taken into a third buffer, proves every
-    logit finite while it stays below `LOGIT_BOUND`, since the features lie
-    in [0, 1]. Only where it does not, and after the last epoch, does one
-    pass over the data compute the logits and test them. The loss is taken
+    +-inf, and otherwise its floored log is finite. It also stops, naming
+    the first epoch after which some weight is not finite, where the logits
+    stay finite (an mlp1 unit whose weights went to -inf is 0 after ReLU).
+    After each epoch but the last, `_logit_bound` on |flat|, taken into a
+    third buffer, proves every logit and weight finite while it stays below
+    `LOGIT_BOUND`, since the features lie in [0, 1]. Only where it does not,
+    and after the last epoch, does one pass over the data compute the logits
+    and test them, and the weights are tested. The loss is taken
     before the loop and from the last epoch's logits, and a final loss above
     the initial one also raises. Overflow in between shows only as that
     error, never as a warning.
@@ -373,6 +376,10 @@ def train(dataset: Dataset, architecture: str, hp: TrainParams) -> ModelParams:
             logits = _logits(layers, X, np.matmul)[0]
             if not np.isfinite(reduce_rows(np.maximum, logits)).all():
                 raise TrainingDivergedError(epoch)
+            # ReLU zeroes a unit whose weights went to -inf, so the logits can hide it
+            if not np.isfinite(flat).all():
+                raise TrainingDivergedError(epoch, f"training diverged at epoch {epoch}: "
+                                                   "non-finite weight")
         final = loss(logits)  # hp.epochs >= 1, so the loop has set logits
 
     if final > initial:

@@ -11,15 +11,19 @@ multi-restart attack.
 
 `derive_seeds` is the block form: the same mix on `uint64` arrays, so a
 block of examples or restarts gets its seeds in one array pass, bit for bit
-what `derive_seed` gives each of them.
+what `derive_seed` gives each of them. A block's seeds stay that array down
+to the draw.
 
 `make_rng` builds one seed's Generator for normal draws and permutations.
 `uniform_rows` makes every uniform draw, a row per seed, bit for bit what
 `make_rng(seed)` draws, from one Generator set to each seed's starting state
-in turn; it alone resets a Generator. `pcg64_states` computes those states in one array
-pass: numpy's `SeedSequence` hash on `uint32` columns, then PCG64's set-seq
-seeding (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation").
+in turn; it alone resets a Generator. `pcg64_states` computes those states in
+one array pass: numpy's `SeedSequence` hash on `uint32` columns, then
+PCG64's set-seq seeding (O'Neill 2014, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation"). It reads a uint64 array's words through a view of it, and
+packs Python integers of any width one by one; both share the hash and the
+state assembly.
 """
 
 from __future__ import annotations
@@ -138,26 +142,44 @@ def _mix32(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z
 
 
-def pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+def pcg64_states(seeds: Sequence[int] | np.ndarray) -> list[tuple[int, int]]:
     """The (state, inc) `np.random.PCG64(seed)` starts from, for each seed.
 
     One pass over the block, a column per seed: `SeedSequence(seed)` hashes
     the seed's uint32 words into a pool of four, then `generate_state(4,
     uint64)` gives the high/low words of PCG64's initstate and initseq, and
     the set-seq seeding makes inc = 2 * initseq + 1 and state =
-    (inc + initstate) * MULT + inc, mod 2**128. A seed of more than four
-    words (2**128 or more) mixes its extra words into the pool, as
-    `SeedSequence` does. A seed `make_rng` refuses raises ContractError.
+    (inc + initstate) * MULT + inc, mod 2**128.
+
+    seeds is a 1-D uint64 array, such as `derive_seeds` gives, or a sequence
+    of Python or numpy integers of any width. An array's two words are read
+    through a view of it, with no per-seed check. A sequence is packed seed
+    by seed: a seed of more than four words (2**128 or more) mixes its extra
+    words into the pool, as `SeedSequence` does, and a seed `make_rng`
+    refuses raises ContractError.
     """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
+        # row w holds word w of each seed; the pool hashes a missing word as
+        # it hashes a zero one
+        entropy = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
+        entropy[:2] = seeds.astype("<u8", copy=False).view("<u4").reshape(-1, 2).T
+        return _states(entropy)
     seeds = [_check_seed(s) for s in seeds]
     if not seeds:
         return []
     bits = np.array([s.bit_length() for s in seeds])
     width = max(_POOL, -(-int(bits.max()) // 32))
-    # row w holds word w of each seed, little-endian; the pool hashes a
-    # missing word as it hashes a zero one
     entropy = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
                             dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
+    return _states(entropy, bits)
+
+
+def _states(entropy: np.ndarray, bits: np.ndarray | None = None) -> list[tuple[int, int]]:
+    """`pcg64_states` of the seeds whose little-endian uint32 words are the
+    columns of entropy, at least `_POOL` rows; bits, each seed's bit length,
+    is needed only beyond `_POOL` rows, where a seed mixes only the words it
+    has."""
+    width = len(entropy)
     xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL * width)
     pool = _hashmix(entropy[:_POOL], xor[:_POOL], mult[:_POOL])
     # each word mixes into every other one; it is fixed while it does, so the
@@ -180,21 +202,24 @@ def pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     return states
 
 
-def uniform_rows(seeds: Sequence[int], low: float, high: float, shape: tuple) -> np.ndarray:
+def uniform_rows(seeds: Sequence[int] | np.ndarray, low: float, high: float,
+                 shape: tuple) -> np.ndarray:
     """Row u is `make_rng(seeds[u]).uniform(low, high, shape)`, bit for bit.
 
     numpy draws `low + (high - low) * next_double`: each row is filled in
     place with `random(out=)`, numpy's `next_double` stream, and the block is
     scaled once. One Generator draws every row, each from the state
-    `pcg64_states` gives its seed in one pass."""
+    `pcg64_states` gives its seed in one pass, set through one state dict
+    that every row refills. seeds is as `pcg64_states` takes them."""
     out = np.empty((len(seeds), *shape))
     if not np.isfinite(high - low):  # numpy's own refusal, which scaling would skip
         raise OverflowError("high - low range exceeds valid bounds")
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for row, (state, inc) in zip(out, pcg64_states(seeds)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    start = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": start, "has_uint32": 0, "uinteger": 0}
+    for row, (start["state"], start["inc"]) in zip(out, pcg64_states(seeds)):
+        bit_generator.state = state  # the setter copies the two words out
         rng.random(out=row)
     out *= high - low
     out += low

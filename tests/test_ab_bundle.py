@@ -27,11 +27,12 @@ def test_ab_bundle_runs_one_pair_of_the_same_tree():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     *lines, imports, exits = proc.stdout.splitlines()
-    timed = ["train wall", "train thread CPU", "bundle() wall", "bundle() thread CPU"]
+    timed = ["first bundle() wall", "train wall", "train thread CPU", "bundle() wall",
+             "bundle() thread CPU"]
     assert [line.split(":")[0] for line in lines] == [
         f"{name}{phase}" for name in ("desk-default", "wide-pool")
         for phase in ["", *(f" {what}" for what in timed)]]
-    heads, times = lines[::5], [line for i, line in enumerate(lines) if i % 5]
+    heads, times = lines[::6], [line for i, line in enumerate(lines) if i % 6]
     assert all(re.fullmatch(r"[\w-]+: identical bytes; bundle\(\) traced peak parent \d+ KiB, "
                             r"change \d+ KiB", line) for line in heads)
     ratios = (r": median parent [\d.]+ ms, change [\d.]+ ms; "

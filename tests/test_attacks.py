@@ -242,6 +242,28 @@ class TestPgd:
                 run_attack(m, ex, cfg, seed=[1])
             assert len(run_attack(m, ex, cfg, seed=[1, 2])) == 2
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32])
+    def test_a_1d_integer_array_seeds_each_restart_as_its_list_does(self, dtype):
+        # a row of a block's pinned seeds, as a per-example runner passes it on
+        m = binary_linear([1.0, 2.0])
+        ex = ab.Example(np.array([0.5, 0.5]), 0)
+        cfg = _pgd_cfg(num_restarts=3)
+        seeds = [0, 2**31, 7] if dtype != np.uint64 else [0, 2**63, 2**64 - 1]
+        got = run_attack(m, ex, cfg, seed=np.array(seeds, dtype=dtype))
+        want = run_attack(m, ex, cfg, seed=seeds)
+        assert [c.adversarial_input.tobytes() for c in got] == \
+            [c.adversarial_input.tobytes() for c in want]
+
+    @pytest.mark.parametrize("seed", [np.array([[1, 2]], dtype=np.uint64),
+                                      np.array([1.0, 2.0]), np.array([True, False]),
+                                      np.array(3, dtype=np.uint64)],
+                             ids=["2-D", "float", "bool", "0-D"])
+    def test_other_arrays_are_refused_as_seeds(self, seed):
+        m = binary_linear([1.0, 2.0])
+        ex = ab.Example(np.array([0.5, 0.5]), 0)
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            run_attack(m, ex, _pgd_cfg(num_restarts=2), seed=seed)
+
 
 @pytest.fixture(scope="module")
 def desk_mlp():

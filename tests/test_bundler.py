@@ -24,6 +24,17 @@ def steep_boundary_model(gain=40.0):
     return binary_linear([gain, 0.0], bias=-gain / 2)
 
 
+# 4,096 rows of small_blobs' d = 2 float64s: blocks small enough that its
+# rounds span several, as the tests that cross blocks need
+SMALL_BLOCK_BYTES = 4096 * 2 * 8
+
+
+def small_blocks(monkeypatch, rows: int) -> None:
+    """Blocks of `SMALL_BLOCK_BYTES`, which a round of `rows` 2-wide rows must overflow."""
+    monkeypatch.setattr(bundler, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    assert rows * 2 * 8 > bundler.BLOCK_BYTES
+
+
 def two_example_dataset():
     return ab.Dataset([[0.35, 0.5], [0.65, 0.5]], [0, 1], num_classes=2)
 
@@ -345,10 +356,10 @@ class TestBundle:
 
     @pytest.mark.parametrize("crit", [ab.Criterion.misclassify(), ab.Criterion.min_norm(),
                                       ab.Criterion.max_confidence(0.9)])
-    def test_round_over_several_blocks_equals_a_prefer_fold(self, crit, mlp_on_small_blobs,
-                                                           small_blobs):
+    def test_round_over_several_blocks_equals_a_prefer_fold(self, monkeypatch, crit,
+                                                           mlp_on_small_blobs, small_blobs):
         samples = 60
-        assert len(small_blobs) * samples > bundler.ROW_BLOCK
+        small_blocks(monkeypatch, len(small_blobs) * samples)
         attacks = [
             ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=10,
                             num_restarts=2),
@@ -445,10 +456,10 @@ class TestBundle:
                 for recs in res.computation_log] == [[(0, True)], [(0, True)]]
         assert [len(pool) for pool in res.all_candidates] == [1, 1]
 
-    def test_runner_runs_once_per_block(self, mlp_on_small_blobs, small_blobs):
+    def test_runner_runs_once_per_block(self, monkeypatch, mlp_on_small_blobs, small_blobs):
         # 80 examples of 60 rows: 68 fit in a block of 4096 rows, so two blocks
         restarts = 60
-        assert len(small_blobs) * restarts > bundler.ROW_BLOCK
+        small_blocks(monkeypatch, len(small_blobs) * restarts)
         calls = []
 
         def batched_pgd(params, config, clean, labels, seeds):
@@ -467,6 +478,31 @@ class TestBundle:
         assert np.all(batched.candidate_counts == restarts)
         for got, want in zip(batched.chosen_rows, looped.chosen_rows):
             assert got.tobytes() == want.tobytes()
+
+    def test_a_runner_receives_its_block_seeds_as_a_uint64_array(self, mlp_on_small_blobs,
+                                                                 small_blobs):
+        # (U,) of derive_seed(seed, i, attack_id), or (U, r) of derive_seed(s, i)
+        # for each pinned restart seed s
+        got = {}
+
+        def recording(params, config, clean, labels, seeds):
+            got[config.attack_id] = seeds
+            return attack_rows(params, replace(config, variant="pgd"), clean, labels, seeds)
+
+        pinned = (5, 2**64 - 1)
+        attacks = [ab.AttackConfig("free", "ext", epsilon=0.3, step_size=0.1, num_steps=2,
+                                   num_restarts=2),
+                   ab.AttackConfig("pinned", "pgd", epsilon=0.3, step_size=0.1, num_steps=2,
+                                   num_restarts=2, restart_seeds=pinned)]
+        ab.bundle(mlp_on_small_blobs, small_blobs, attacks, ab.Criterion.misclassify(),
+                  ab.BudgetPolicy(early_stop=False), seed=9,
+                  runners={"ext": recording, "pgd": recording})
+        n = len(small_blobs)
+        assert {k: (v.dtype, v.shape) for k, v in got.items()} == {
+            "free": (np.uint64, (n,)), "pinned": (np.uint64, (n, 2))}
+        assert got["free"].tolist() == [ab.derive_seed(9, i, "free") for i in range(n)]
+        assert got["pinned"].tolist() == [[ab.derive_seed(s, i) for s in pinned]
+                                          for i in range(n)]
 
     def test_variant_without_runner_fails_before_any_attack(self):
         calls = []
@@ -644,6 +680,7 @@ class TestRowEngine:
 
         monkeypatch.setattr(ab.attacks, "uniform_rows", counting_uniform_rows)
         monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        small_blocks(monkeypatch, len(small_blobs) * 60)
         attacks = [ab.AttackConfig("pgd", "pgd", epsilon=0.3, step_size=0.1, num_steps=3,
                                    num_restarts=2),
                    ab.AttackConfig("noise", "uniform_noise", epsilon=0.3, num_samples=60)]
@@ -670,14 +707,41 @@ class TestRowEngine:
                                               res.error_confidence, res.candidate_counts)]
 
         whole = run()
-        # 16 rows of 16 bytes a piece: checks of 1 noise, 5 pgd or 16 fgsm examples
+        # 256 bytes of the widest row a piece: on blobs the hidden layer's 12
+        # float64s, so 2 rows and checks of 1 noise, 1 pgd or 2 fgsm examples; on
+        # overflow the 2-wide input, so 16 rows and 1 noise, 5 pgd or 16 fgsm
         monkeypatch.setattr(bundler, "TAIL_BYTES", 256)
         assert run() == whole
+
+    def test_a_piece_holds_tail_bytes_of_the_widest_layer(self, monkeypatch,
+                                                          mlp_on_small_blobs, small_blobs):
+        # the hidden layer (12) is wider than the candidates (d = 2), so a piece
+        # holds at most TAIL_BYTES of 12-wide rows, 5,461, unless one example
+        # has more rows: then it is a piece of its own
+        assert mlp_on_small_blobs.W1.shape[1] == 12 > small_blobs.dimension
+        assert bundler.TAIL_BYTES // (8 * 12) == 5461
+        three = ab.Dataset(small_blobs.features[:3], small_blobs.labels[:3], num_classes=3)
+        calls = []
+
+        def counted(params, X):
+            calls.append(len(X))
+            return probs_rows(params, X)
+
+        monkeypatch.setattr(bundler, "probs_rows", counted)
+        # 80 examples of 100 rows: 54 a piece; 3 examples of 5,462 rows: 1 a piece
+        for ds, samples, pieces in ((small_blobs, 100, [5400, 2600]),
+                                    (three, 5462, [5462] * 3)):
+            calls.clear()
+            ab.bundle(mlp_on_small_blobs, ds,
+                      [ab.AttackConfig("noise", "uniform_noise", epsilon=0.3,
+                                       num_samples=samples)], ab.Criterion.misclassify())
+            assert calls == [len(ds), *pieces]  # the clean pass, then the noise round
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_a_block_is_freed_at_its_fold_unless_the_pool_keeps_it(
             self, monkeypatch, keep, mlp_on_small_blobs, small_blobs):
-        monkeypatch.setattr(bundler, "ROW_BLOCK", 200)  # 20 examples of 10 rows a block
+        # 200 rows 2 wide: 20 examples of 10 rows a block
+        monkeypatch.setattr(bundler, "BLOCK_BYTES", 200 * 2 * 8)
         blocks, alive = [], []
 
         def noise(params, config, clean, labels, seeds):
@@ -697,7 +761,7 @@ class TestRowEngine:
     def test_noise_spanning_several_blocks(self, monkeypatch, mlp_on_small_blobs,
                                            small_blobs):
         samples = 60
-        assert len(small_blobs) * samples > bundler.ROW_BLOCK
+        small_blocks(monkeypatch, len(small_blobs) * samples)
         attacks = [ab.AttackConfig("noise", "uniform_noise", epsilon=0.3,
                                    num_samples=samples)]
         self.check(monkeypatch, mlp_on_small_blobs, small_blobs, attacks,

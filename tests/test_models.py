@@ -206,6 +206,9 @@ def _reference_sgd(X, y, k, architecture, hp):
             final = loss()
             if not np.isfinite(final):
                 raise TrainingDivergedError(epoch)
+            if not all(np.isfinite(a).all() for a in (W1, b1, W2, b2) if a is not None):
+                raise TrainingDivergedError(epoch, f"training diverged at epoch {epoch}: "
+                                                   "non-finite weight")
     if final > initial:
         raise TrainingDivergedError(hp.epochs - 1,
                                     f"training raised the loss ({initial:.6g} -> {final:.6g}); "
@@ -279,15 +282,19 @@ def test_train_meets_reference_sgd_on_any_fit(arch, fit):
     # epochs train passes on the weight bound alone
     ds, hp = fit
     want = _outcome(lambda: _reference_sgd(ds.features, ds.labels, ds.num_classes, arch, hp))
-    if isinstance(want, list) and not all(np.isfinite(np.frombuffer(a)).all()
-                                          for a in want if a is not None):
-        # a weight overflowed while every logit stayed finite; ModelParams refuses it
-        want = "model parameters must be finite"
-    try:
-        got = _outcome(lambda: _weights(ab.train(ds, arch, hp)))
-    except ContractError as exc:
-        got = str(exc)
-    assert got == want
+    assert _outcome(lambda: _weights(ab.train(ds, arch, hp))) == want
+
+
+def test_a_weight_that_overflows_under_finite_logits_is_divergence():
+    # the hidden unit's weight goes to -inf in epoch 0 and ReLU zeroes it, so
+    # every logit stays finite; the weight is a numeric failure, not a caller's
+    ds = ab.Dataset([[0.5129499378564503]] * 2, [0, 0], num_classes=2)
+    hp = ab.TrainParams(1.7e308, 2, 2, 1034346266, hidden=1)
+    with pytest.raises(TrainingDivergedError, match="at epoch 0: non-finite weight") as exc:
+        ab.train(ds, "mlp1", hp)
+    assert exc.value.epoch == 0
+    assert _outcome(lambda: _reference_sgd(ds.features, ds.labels, 2, "mlp1", hp)) == \
+        (0, str(exc.value))
 
 
 def _count_full_passes(monkeypatch, dataset):

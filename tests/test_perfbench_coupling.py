@@ -72,11 +72,11 @@ WORK = {
     "default.cfg": {
         ("run", "pgd-cheap"): (1, 400), ("grad", "pgd-cheap"): (12, 2329),
         ("run", "pgd-expensive"): (1, 400), ("grad", "pgd-expensive"): (18, 4480),
-        ("run", "noise"): (10, 400), ("probs",): (13, 41200)},
+        ("run", "noise"): (1, 400), ("probs",): (13, 41200)},
     "desk-default": {
         ("run", "pgd-cheap"): (1, 64), ("grad", "pgd-cheap"): (8, 382),
         ("run", "pgd-expensive"): (1, 64), ("grad", "pgd-expensive"): (17, 684),
-        ("run", "noise"): (2, 64), ("probs",): (5, 6592)},
+        ("run", "noise"): (1, 64), ("probs",): (5, 6592)},
     "wide-pool": {
         ("run", "fgsm"): (1, 400), ("grad", "fgsm"): (1, 400),
         ("run", "noise"): (10, 400), ("probs",): (22, 40800)},
@@ -124,6 +124,30 @@ def test_bundles_do_the_pinned_work(monkeypatch):
             ab.bundle(model, dataset, config.attacks, config.criterion, config.budget,
                       seed=config.seed)
     assert got == WORK, f"OpenBLAS core {openblas_core()}"
+
+
+def test_bench_blocks_hold_the_pinned_examples(monkeypatch):
+    # blocks hold BLOCK_BYTES of candidate rows: each round of desk-default
+    # (d = 2) is one runner call, while wide-pool's (d = 32) noise rounds of
+    # 100 samples take 40 examples a block, as 4,096-row blocks did
+    workloads = _load("workloads")
+    attack_rows, blocks = bundler.attack_rows, {}
+
+    def run(params, config, clean, *rest):
+        blocks.setdefault(config.attack_id, []).append(len(clean))
+        return attack_rows(params, config, clean, *rest)
+
+    monkeypatch.setattr(bundler, "attack_rows", run)
+    got = {}
+    for name, workload in workloads.WORKLOADS.items():
+        config = parse_experiment_config(workloads.config_text(workload, 0), name)
+        dataset = _load_dataset(config)
+        model = ab.train(dataset, config.architecture, config.train_params)
+        got[name] = blocks = {}
+        ab.bundle(model, dataset, config.attacks, config.criterion, config.budget,
+                  seed=config.seed)
+    assert got == {"desk-default": {"pgd-cheap": [64], "pgd-expensive": [64], "noise": [64]},
+                   "wide-pool": {"fgsm": [400], "noise": [40] * 10}}
 
 
 def test_training_makes_two_full_data_passes(monkeypatch):

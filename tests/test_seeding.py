@@ -36,7 +36,9 @@ def test_block_seeds_equal_derive_seed_per_example(root, idx, attack_id, pinned)
                              restart_seeds=None if pinned is None else tuple(pinned))
     expected = ([ab.derive_seed(root, i, attack_id) for i in idx] if pinned is None
                 else [[ab.derive_seed(s, i) for s in pinned] for i in idx])
-    assert _block_seeds(root, idx, config) == expected
+    got = _block_seeds(root, idx, config)
+    shape = (len(idx),) if pinned is None else (len(idx), len(pinned))
+    assert got.dtype == np.uint64 and got.shape == shape and got.tolist() == expected
 
 
 @st.composite
@@ -108,6 +110,21 @@ def numpy_state(seed):
 @settings(max_examples=200, deadline=None)
 def test_block_pcg64_states_equal_numpy_seeding(seeds):
     assert pcg64_states(seeds) == [numpy_state(s) for s in seeds]
+
+
+UINT64_EDGES = [0, 2**32, 2**63, 2**64 - 1]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=12))
+@example(UINT64_EDGES)
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_a_uint64_array_seeds_as_its_python_ints_do(seeds):
+    # the array's words are read through a view; the ints are packed one by one
+    words = np.array(seeds, dtype=np.uint64)
+    assert pcg64_states(words) == pcg64_states(seeds)
+    assert uniform_rows(words, -1.0, 1.0, (3, 2)).tobytes() == \
+        uniform_rows(seeds, -1.0, 1.0, (3, 2)).tobytes()
 
 
 def test_numpy_integer_seeds_match_python_ints():
